@@ -1,0 +1,172 @@
+// Bit-identity pin on the answers the engines produce.
+//
+// A seeded 1-D workload runs through QueryEngine, a 4-shard
+// ShardedQueryEngine and a CachingEngine (cold and warm). Every answer id
+// and the raw bit pattern of every probability bound is folded into one
+// 64-bit FNV-1a digest, which must equal a constant recorded from an
+// earlier build. Any change to the verifier numerics (subregion table,
+// RS / L-SR / U-SR, the Eq. 4 refresh, refinement, exact integration,
+// k-NN) that moves a single bit of a single bound fails this test.
+//
+// The workload is restricted to uniform pdfs in 1-D on purpose: their
+// distance pdfs are step functions and every quantity downstream needs
+// only + − × ÷, which IEEE 754 rounds exactly the same way everywhere.
+// Gaussian pdfs (exp/erfc) and the 2-D paths (sqrt/acos) call libm, whose
+// last bits can differ across glibc versions, so a digest over them would
+// pin the C library rather than this code. The generator's interval
+// lengths come from std::exponential_distribution (std::log); the interval
+// endpoints are snapped to a 1/1024 grid so a last-bit difference there
+// cannot reach the data either.
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "datagen/synthetic.h"
+#include "datagen/workload.h"
+#include "engine/caching_engine.h"
+#include "engine/query_engine.h"
+#include "engine/sharded_engine.h"
+
+namespace pverify {
+namespace {
+
+// Digest of the workload below, recorded before the verifier numerics
+// were last restructured. It is a regression pin: never update it to
+// make a change pass; an intended change of answer bits needs its own
+// justification.
+constexpr uint64_t kGoldenDigest = 0x52c9eb88cd2f0e25ULL;
+
+class Fnv1a {
+ public:
+  void Add(uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash_ ^= (v >> (8 * b)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Add(bits);
+  }
+  void Add(const ProbabilityBound& b) {
+    Add(b.lower);
+    Add(b.upper);
+  }
+  void AddIds(const std::vector<ObjectId>& ids) {
+    Add(static_cast<uint64_t>(ids.size()));
+    for (ObjectId id : ids) Add(static_cast<uint64_t>(id));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+Dataset GoldenDataset() {
+  datagen::SyntheticConfig config;
+  config.count = 3000;
+  config.domain_hi = 1000.0;
+  config.mean_length = 12.0;
+  config.max_length = 40.0;
+  config.cluster_fraction = 0.5;
+  config.num_clusters = 8;
+  config.cluster_stddev = 40.0;
+  config.pdf = datagen::PdfKind::kUniform;
+  config.seed = 2008;
+  Dataset snapped;
+  for (const UncertainObject& o : datagen::MakeSynthetic(config)) {
+    const double lo = std::floor(o.lo() * 1024.0) / 1024.0;
+    const double hi = std::ceil(o.hi() * 1024.0) / 1024.0;
+    snapped.emplace_back(o.id(), MakeUniformPdf(lo, hi));
+  }
+  return snapped;
+}
+
+std::vector<QueryRequest> GoldenRequests() {
+  const std::vector<double> points =
+      datagen::MakeQueryPoints(5, 0.0, 1000.0, /*seed=*/41);
+  std::vector<QueryRequest> batch;
+  for (double threshold : {0.1, 0.3, 0.7}) {
+    for (double tolerance : {0.0, 0.01}) {
+      for (Strategy strategy : {Strategy::kBasic, Strategy::kRefine,
+                                Strategy::kVR, Strategy::kMonteCarlo}) {
+        QueryOptions opt;
+        opt.params = {threshold, tolerance};
+        opt.strategy = strategy;
+        opt.report_probabilities = true;
+        for (double q : points) batch.push_back(PointQuery{q, opt});
+        batch.push_back(MinQuery{opt});
+        batch.push_back(MaxQuery{opt});
+      }
+      QueryOptions knn_opt;
+      knn_opt.params = {threshold, tolerance};
+      for (double q : points) {
+        for (int k : {2, 4}) batch.push_back(KnnQuery{q, k, knn_opt});
+      }
+    }
+  }
+  return batch;
+}
+
+uint64_t Digest(const std::vector<QueryResult>& results) {
+  Fnv1a h;
+  for (const QueryResult& r : results) {
+    h.AddIds(r.ids);
+    h.Add(static_cast<uint64_t>(r.candidate_probabilities.size()));
+    for (const AnswerEntry& e : r.candidate_probabilities) {
+      h.Add(static_cast<uint64_t>(e.id));
+      h.Add(e.bound);
+    }
+    h.Add(static_cast<uint64_t>(r.knn.has_value()));
+    if (r.knn.has_value()) {
+      h.AddIds(r.knn->ids);
+      h.Add(static_cast<uint64_t>(r.knn->bounds.size()));
+      for (const ProbabilityBound& b : r.knn->bounds) h.Add(b);
+    }
+  }
+  return h.value();
+}
+
+std::string Hex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(GoldenAnswersTest, EveryEngineReproducesTheRecordedDigest) {
+  const Dataset data = GoldenDataset();
+  const size_t n = GoldenRequests().size();
+
+  QueryEngine unsharded(data, EngineOptions{2});
+  const std::vector<QueryResult> reference =
+      unsharded.ExecuteBatch(GoldenRequests());
+  ASSERT_EQ(reference.size(), n);
+  const uint64_t digest = Digest(reference);
+  EXPECT_EQ(Hex(digest), Hex(kGoldenDigest)) << "QueryEngine";
+
+  ShardedEngineOptions sopt;
+  sopt.num_shards = 4;
+  sopt.num_threads = 2;
+  ShardedQueryEngine sharded(data, sopt);
+  EXPECT_EQ(Hex(Digest(sharded.ExecuteBatch(GoldenRequests()))),
+            Hex(digest))
+      << "4-shard ShardedQueryEngine";
+
+  QueryEngine backend(data, EngineOptions{2});
+  CachingEngine cached(backend);
+  EXPECT_EQ(Hex(Digest(cached.ExecuteBatch(GoldenRequests()))), Hex(digest))
+      << "CachingEngine, cold";
+  EXPECT_EQ(Hex(Digest(cached.ExecuteBatch(GoldenRequests()))), Hex(digest))
+      << "CachingEngine, warm";
+  EXPECT_GT(cached.GetCacheStats().hits, 0u);
+}
+
+}  // namespace
+}  // namespace pverify
