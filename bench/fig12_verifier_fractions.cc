@@ -10,17 +10,15 @@
 // is weak — the paper's own observation), and a small-candidate-set panel
 // where the RS → L-SR gap at small P is clearly visible.
 //
-// A third section times the verifier chain per stage — scalar reference
-// vs. the vectorized kernels (PVERIFY_SIMD builds) — with every timed
+// A third section times the verifier chain per stage, with every timed
 // region repeated to the measurement floor (PVERIFY_MIN_WALL_MS, default
-// 100 ms), and writes the per-stage speedups to machine-readable
+// 100 ms), and writes the per-stage times to machine-readable
 // BENCH_verifier_fractions.json for CI trend tracking.
 #include <cstdio>
 #include <vector>
 
 #include "bench_util/harness.h"
 #include "core/framework.h"
-#include "core/simd.h"
 
 using namespace pverify;
 
@@ -97,12 +95,9 @@ StageTimes TimeChain(const std::vector<CandidateSet>& base, double P,
 
 void RunStageTiming(size_t dataset_size, size_t queries) {
   const double min_wall_ms = bench::MinWallMsFromEnv();
-  const bool simd = SimdKernelsCompiled();
   const double P = 0.3;
-  std::printf(
-      "-- per-stage chain time, scalar vs. SIMD kernels (P=%.1f, floor "
-      "%.0f ms) --\n",
-      P, min_wall_ms);
+  std::printf("-- per-stage chain time (P=%.1f, floor %.0f ms) --\n", P,
+              min_wall_ms);
 
   bench::Environment env = bench::MakeDefaultEnvironment(
       datagen::PdfKind::kUniform, queries, dataset_size);
@@ -118,35 +113,19 @@ void RunStageTiming(size_t dataset_size, size_t queries) {
   bench::BenchJsonWriter json("fig12_verifier_fractions",
                               "BENCH_verifier_fractions.json");
   json.Config("min_wall_ms", min_wall_ms);
-  json.Config("simd_compiled", simd ? 1.0 : 0.0);
   json.Config("dataset", static_cast<double>(dataset_size));
   json.Config("queries", static_cast<double>(base.size()));
   json.Config("threshold", P);
 
-  StageTimes times[2];
-  for (int mode = 0; mode < (simd ? 2 : 1); ++mode) {
-    SetSimdKernelsEnabled(mode == 1);
-    times[mode] = TimeChain(base, P, min_wall_ms);
-  }
-  SetSimdKernelsEnabled(SimdKernelsCompiled());  // restore the default
+  const StageTimes times = TimeChain(base, P, min_wall_ms);
 
-  ResultTable table({"stage", "scalar_us", "simd_us", "speedup"},
-                    "fig12_stage_times.csv");
+  ResultTable table({"stage", "scalar_us"}, "fig12_stage_times.csv");
   const char* names[3] = {"rs", "lsr", "usr"};
   for (int s = 0; s < 3; ++s) {
-    const double scalar_us = times[0].us[s];
-    const double simd_us = simd ? times[1].us[s] : 0.0;
-    const double speedup = simd_us > 0.0 ? scalar_us / simd_us : 0.0;
-    table.AddRow({names[s], FormatDouble(scalar_us, 2),
-                  simd ? FormatDouble(simd_us, 2) : "-",
-                  simd ? FormatDouble(speedup, 2) + "x" : "-"});
+    table.AddRow({names[s], FormatDouble(times.us[s], 2)});
     json.BeginResult();
     json.Field("stage", names[s]);
-    json.Field("scalar_us", scalar_us);
-    if (simd) {
-      json.Field("simd_us", simd_us);
-      json.Field("speedup", speedup);
-    }
+    json.Field("scalar_us", times.us[s]);
   }
   table.Print();
   json.Write();
@@ -158,8 +137,8 @@ int main() {
   bench::PrintHeader(
       "Figure 12 — Fraction of unknown objects after RS / L-SR / U-SR",
       "Average fraction of candidate objects still undecided after each\n"
-      "verifier stage (Δ=0.01), plus per-stage scalar-vs-SIMD chain times\n"
-      "repeated to the measurement floor.");
+      "verifier stage (Δ=0.01), plus per-stage chain times repeated to the\n"
+      "measurement floor.");
   const size_t queries = bench::QueriesFromEnv(20);
   RunPanel("paper-scale dataset (53,144 intervals)",
            bench::DatasetSizeFromEnv(53144), queries);

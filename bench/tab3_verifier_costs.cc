@@ -1,15 +1,12 @@
 // Table III — verifier complexities: RS is O(|C|), L-SR and U-SR are
 // O(|C|·M). We measure per-verifier apply time on candidate sets of growing
-// size, in both the scalar reference and the vectorized (PVERIFY_SIMD)
-// kernels, plus the batched RefreshAllBounds kernel on its own — the
-// Eq. 4 bound refresh is the verifier chain's shared inner loop and the
-// headline number for the SIMD build.
+// size, plus the batched RefreshAllBounds pass on its own — the Eq. 4 bound
+// refresh is the verifier chain's shared inner loop.
 //
 // Every timed region repeats until it crosses the measurement floor
 // (PVERIFY_MIN_WALL_MS, default 100 ms); per-rep setup (candidate-set
 // copies, label resets) stays outside the timed region. Results land in
-// machine-readable BENCH_verifier.json for CI trend tracking; in a build
-// without PVERIFY_SIMD only the scalar columns are measured.
+// machine-readable BENCH_verifier.json for CI trend tracking.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -17,7 +14,6 @@
 #include "bench_util/harness.h"
 #include "common/timer.h"
 #include "core/framework.h"
-#include "core/simd.h"
 
 using namespace pverify;
 
@@ -114,33 +110,28 @@ double TimedRefreshUs(const CandidateSet& cands, const SubregionTable& tbl,
   return 1000.0 * ms / static_cast<double>(reps);
 }
 
-std::string SpeedupCell(double scalar_us, double simd_us) {
-  if (simd_us <= 0.0) return "-";
-  return FormatDouble(scalar_us / simd_us, 2) + "x";
+std::string SpeedupCell(double before_us, double after_us) {
+  if (after_us <= 0.0) return "-";
+  return FormatDouble(before_us / after_us, 2) + "x";
 }
 
 }  // namespace
 
 int main() {
   bench::PrintHeader(
-      "Table III — Verifier costs (scalar vs. SIMD kernels)",
+      "Table III — Verifier costs",
       "Apply time (µs) of each verifier and of the batched Eq. 4 bound\n"
       "refresh vs. candidate-set size. RS should scale with |C|; L-SR,\n"
-      "U-SR and the refresh with |C|·M. The *_v columns rerun the same\n"
-      "work through the vectorized kernels (only in PVERIFY_SIMD builds).");
+      "U-SR and the refresh with |C|·M.");
 
   const double min_wall_ms = bench::MinWallMsFromEnv();
-  const bool simd = SimdKernelsCompiled();
-  std::printf("floor: %.0f ms per timed region, SIMD kernels: %s\n\n",
-              min_wall_ms, simd ? "compiled" : "not compiled");
+  std::printf("floor: %.0f ms per timed region\n\n", min_wall_ms);
 
   bench::BenchJsonWriter json("tab3_verifier_costs", "BENCH_verifier.json");
   json.Config("min_wall_ms", min_wall_ms);
-  json.Config("simd_compiled", simd ? 1.0 : 0.0);
 
   ResultTable table(
-      {"candidates", "M", "rs_us", "rs_v", "lsr_us", "lsr_v", "lsr_x",
-       "usr_us", "usr_v", "usr_x", "refresh_us", "refresh_v", "refresh_x"},
+      {"candidates", "M", "rs_us", "lsr_us", "usr_us", "refresh_us"},
       "tab3.csv");
   ResultTable fill_table(
       {"pdf", "candidates", "M", "pdf_pieces", "pointwise_us", "merge_us",
@@ -160,44 +151,30 @@ int main() {
     verifiers[1] = std::make_unique<LsrVerifier>();
     verifiers[2] = std::make_unique<UsrVerifier>();
 
-    // [stage][mode]: stages 0..2 are the verifiers, 3 is RefreshAllBounds;
-    // mode 0 scalar, mode 1 vectorized.
-    double us[4][2] = {};
-    for (int mode = 0; mode < (simd ? 2 : 1); ++mode) {
-      SetSimdKernelsEnabled(mode == 1);
-      for (int v = 0; v < 3; ++v) {
-        us[v][mode] = TimedApplyUs(*verifiers[v], cands, tbl, min_wall_ms);
-      }
-      us[3][mode] = TimedRefreshUs(cands, tbl, min_wall_ms);
+    // Stages 0..2 are the verifiers, 3 is RefreshAllBounds.
+    double us[4] = {};
+    for (int v = 0; v < 3; ++v) {
+      us[v] = TimedApplyUs(*verifiers[v], cands, tbl, min_wall_ms);
     }
-    SetSimdKernelsEnabled(SimdKernelsCompiled());  // restore the default
+    us[3] = TimedRefreshUs(cands, tbl, min_wall_ms);
 
     table.AddRow({FormatDouble(cands.size(), 0),
                   FormatDouble(tbl.num_subregions(), 0),
-                  FormatDouble(us[0][0], 2), FormatDouble(us[0][1], 2),
-                  FormatDouble(us[1][0], 2), FormatDouble(us[1][1], 2),
-                  SpeedupCell(us[1][0], us[1][1]),
-                  FormatDouble(us[2][0], 2), FormatDouble(us[2][1], 2),
-                  SpeedupCell(us[2][0], us[2][1]),
-                  FormatDouble(us[3][0], 2), FormatDouble(us[3][1], 2),
-                  SpeedupCell(us[3][0], us[3][1])});
+                  FormatDouble(us[0], 2), FormatDouble(us[1], 2),
+                  FormatDouble(us[2], 2), FormatDouble(us[3], 2)});
 
     for (int s = 0; s < 4; ++s) {
       json.BeginResult();
       json.Field("stage", s < 3 ? names[s] : "refresh_all_bounds");
       json.Field("candidates", static_cast<double>(cands.size()));
       json.Field("subregions", static_cast<double>(tbl.num_subregions()));
-      json.Field("scalar_us", us[s][0]);
-      if (simd) {
-        json.Field("simd_us", us[s][1]);
-        json.Field("speedup", us[s][1] > 0.0 ? us[s][0] / us[s][1] : 0.0);
-      }
+      json.Field("scalar_us", us[s]);
     }
   }
   table.Print();
 
-  // Subregion-table cdf fill: the merge scan is independent of the kernel
-  // flavor (bit-identical, always on), so it gets its own stage rows. The
+  // Subregion-table cdf fill: the merge scan (bit-identical to the
+  // pointwise loop, always on) gets its own stage rows. The
   // uniform pdfs are the 1-piece floor; the 300-bar Gaussian histograms
   // are the many-piece regime the merge scan targets.
   std::printf("\nSubregion cdf fill — per-point binary search vs. merge "

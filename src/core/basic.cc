@@ -6,7 +6,6 @@
 
 #include "common/integrate.h"
 #include "common/piecewise.h"
-#include "core/cdf_batch.h"
 
 namespace pverify {
 namespace {
@@ -31,9 +30,8 @@ double ExactQualificationProbability(const CandidateSet& candidates, size_t i,
   const Candidate& cand = candidates[i];
   const double a = cand.dist.near();
   const double b = std::min(cand.dist.far(), candidates.fmin());
-  std::vector<double> row(candidates.size());  // cdf gather scratch
-  auto f = [&candidates, i, &row](double r) {
-    return NnProductIntegrand(candidates, i, r, row.data());
+  auto f = [&candidates, i](double r) {
+    return NnProductIntegrand(candidates, i, r);
   };
   double p = IntegrateWithBreakpoints(f, a, b, breaks, options.gauss_points);
   return std::clamp(p, 0.0, 1.0);
@@ -44,13 +42,12 @@ std::vector<double> ComputeExactProbabilities(
   std::vector<double> breaks = GlobalBreakpoints(candidates);
   std::vector<double> probs(candidates.size(), 0.0);
   const double fmin = candidates.fmin();
-  std::vector<double> row(candidates.size());  // cdf gather scratch
   for (size_t i = 0; i < candidates.size(); ++i) {
     const Candidate& cand = candidates[i];
     const double a = cand.dist.near();
     const double b = std::min(cand.dist.far(), fmin);
-    auto f = [&candidates, i, &row](double r) {
-      return NnProductIntegrand(candidates, i, r, row.data());
+    auto f = [&candidates, i](double r) {
+      return NnProductIntegrand(candidates, i, r);
     };
     probs[i] = std::clamp(
         IntegrateWithBreakpoints(f, a, b, breaks, options.gauss_points), 0.0,

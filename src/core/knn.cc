@@ -5,30 +5,21 @@
 #include "common/check.h"
 #include "common/integrate.h"
 #include "common/piecewise.h"
-#include "core/cdf_batch.h"
 #include "core/classifier.h"
-#include "core/simd.h"
 
 namespace pverify {
 namespace {
 
 // P[at most `limit` of the candidates k≠i have R_k <= r]: Poisson-binomial
-// tail via the truncated DP over success probabilities D_k(r). `gather`
-// must hold |C| doubles; when the SIMD kernels are enabled the D_k(r) are
-// batched into it up front (same Cdf calls in the same order, so the DP
-// consumes bit-identical probabilities either way), which keeps the DP
-// recurrence on a contiguous row instead of striding through candidates.
-double AtMostBelow(const CandidateSet& cands, size_t i, double r, int limit,
-                   double* gather) {
+// tail via the truncated DP over success probabilities D_k(r).
+double AtMostBelow(const CandidateSet& cands, size_t i, double r, int limit) {
   // dp[t] = probability that exactly t of the processed objects are below r,
   // truncated at limit+1 states (anything beyond limit is absorbed/dropped).
   std::vector<double> dp(static_cast<size_t>(limit) + 1, 0.0);
   dp[0] = 1.0;
-  const bool batched = SimdKernelsEnabled();
-  if (batched) CdfAcrossCandidates(cands, r, gather);
   for (size_t k = 0; k < cands.size(); ++k) {
     if (k == i) continue;
-    const double p = batched ? gather[k] : cands[k].dist.Cdf(r);
+    const double p = cands[k].dist.Cdf(r);
     if (p <= 0.0) continue;
     for (int t = limit; t >= 1; --t) {
       dp[t] = dp[t] * (1.0 - p) + dp[t - 1] * p;
@@ -56,11 +47,10 @@ double ExactKnnProbability(const CandidateSet& candidates, size_t i, int k,
   const double a = cand.dist.near();
   const double b = std::min(cand.dist.far(), fk);
   if (b <= a) return 0.0;  // certainly beyond the k-th far point
-  std::vector<double> gather(candidates.size());  // cdf gather scratch
-  auto f = [&candidates, i, k, &gather](double r) {
+  auto f = [&candidates, i, k](double r) {
     double d = candidates[i].dist.Density(r);
     if (d == 0.0) return 0.0;
-    return d * AtMostBelow(candidates, i, r, k - 1, gather.data());
+    return d * AtMostBelow(candidates, i, r, k - 1);
   };
   return std::clamp(
       IntegrateWithBreakpoints(f, a, b, breaks, options.gauss_points), 0.0,
@@ -82,9 +72,10 @@ double KthFarPoint(const CandidateSet& candidates, int k) {
 std::vector<double> KnnRsUpperBounds(const CandidateSet& candidates, int k) {
   const double fk = KthFarPoint(candidates, k);
   std::vector<double> ub(candidates.size(), 1.0);
-  // p_i^(k) <= P(R_i <= f^(k)) = D_i(f^(k)) — one contiguous gather
-  // (bit-identical to the per-candidate Cdf loop it replaces).
-  CdfAcrossCandidates(candidates, fk, ub.data());
+  // p_i^(k) <= P(R_i <= f^(k)) = D_i(f^(k)).
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    ub[i] = candidates[i].dist.Cdf(fk);
+  }
   return ub;
 }
 
@@ -126,7 +117,6 @@ CknnAnswer EvaluateCknn(const CandidateSet& candidates, int k,
   const double fk = KthFarPoint(candidates, k);
   const std::vector<double> ub = KnnRsUpperBounds(candidates, k);
   const std::vector<double> breaks = GlobalBreakpoints(candidates);
-  std::vector<double> gather(n);  // cdf gather scratch
 
   for (size_t i = 0; i < n; ++i) {
     ProbabilityBound& bound = answer.bounds[i];
@@ -143,10 +133,10 @@ CknnAnswer EvaluateCknn(const CandidateSet& candidates, int k,
     const Candidate& cand = candidates[i];
     const double a = cand.dist.near();
     const double b = std::min(cand.dist.far(), fk);
-    auto f = [&candidates, i, k, &gather](double r) {
+    auto f = [&candidates, i, k](double r) {
       double d = candidates[i].dist.Density(r);
       if (d == 0.0) return 0.0;
-      return d * AtMostBelow(candidates, i, r, k - 1, gather.data());
+      return d * AtMostBelow(candidates, i, r, k - 1);
     };
     // The cap below subtracts from P(R_i <= b), which does not change
     // across segments — evaluate it once per candidate.

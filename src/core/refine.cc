@@ -5,15 +5,24 @@
 
 #include "common/check.h"
 #include "common/integrate.h"
-#include "core/cdf_batch.h"
 #include "core/classifier.h"
 #include "core/scratch.h"
 
 namespace pverify {
 
+double NnProductIntegrand(const CandidateSet& cands, size_t i, double r) {
+  double v = cands[i].dist.Density(r);
+  if (v == 0.0) return 0.0;
+  for (size_t k = 0; k < cands.size(); ++k) {
+    if (k == i) continue;
+    v *= 1.0 - cands[k].dist.Cdf(r);
+    if (v == 0.0) break;
+  }
+  return v;
+}
+
 double ExactSubregionProbability(const VerificationContext& ctx, size_t i,
-                                 size_t j, const IntegrationOptions& options,
-                                 double* cdf_gather) {
+                                 size_t j, const IntegrationOptions& options) {
   const SubregionTable& tbl = *ctx.table;
   PV_CHECK_MSG(j + 1 < tbl.num_subregions() || tbl.num_subregions() == 1,
                "the rightmost subregion needs no integration");
@@ -21,11 +30,6 @@ double ExactSubregionProbability(const VerificationContext& ctx, size_t i,
   PV_CHECK_MSG(sij > SubregionTable::kEps,
                "q_ij undefined when s_ij is zero");
   const CandidateSet& cands = *ctx.candidates;
-  std::vector<double> local_row;
-  if (cdf_gather == nullptr) {
-    local_row.resize(cands.size());
-    cdf_gather = local_row.data();
-  }
   const double a = tbl.endpoint(j);
   const double b = tbl.endpoint(j + 1);
   const int splits = std::max(1, options.splits_per_subregion);
@@ -34,9 +38,7 @@ double ExactSubregionProbability(const VerificationContext& ctx, size_t i,
   for (int s = 1; s <= splits; ++s) {
     double next = a + (b - a) * s / splits;
     integral += GaussLegendre(
-        [&cands, i, cdf_gather](double r) {
-          return NnProductIntegrand(cands, i, r, cdf_gather);
-        },
+        [&cands, i](double r) { return NnProductIntegrand(cands, i, r); },
         prev, next, options.gauss_points);
     prev = next;
   }
@@ -52,13 +54,10 @@ RefineStats IncrementalRefine(VerificationContext& ctx,
   const size_t m = tbl.num_subregions();
   CandidateSet& cands = *ctx.candidates;
 
-  // Subregion-ordering and cdf-gather workspaces, shared across candidates
-  // (and across queries when a scratch lends them).
+  // Subregion-ordering workspace, shared across candidates (and across
+  // queries when a scratch lends it).
   std::vector<size_t> local_js;
   std::vector<size_t>& js = scratch ? scratch->refine_order : local_js;
-  std::vector<double> local_gather;
-  std::vector<double>& gather = scratch ? scratch->cdf_gather : local_gather;
-  gather.resize(cands.size());
 
   for (size_t i = 0; i < cands.size(); ++i) {
     Candidate& cand = cands[i];
@@ -68,7 +67,7 @@ RefineStats IncrementalRefine(VerificationContext& ctx,
     // Subregions with mass for this candidate, excluding the rightmost.
     // The candidate's SoA rows are hoisted once; the collapse loop below
     // rewrites single entries of them, and each RefreshBound re-runs the
-    // (vectorizable) Eq. 4 kernel over the full contiguous rows.
+    // Eq. 4 pass over the full contiguous rows.
     const double* s_row = tbl.SRow(i);
     double* ql_row = ctx.QLowRow(i);
     double* qu_row = ctx.QUpRow(i);
@@ -84,7 +83,7 @@ RefineStats IncrementalRefine(VerificationContext& ctx,
     }
 
     for (size_t j : js) {
-      double q = ExactSubregionProbability(ctx, i, j, options, gather.data());
+      double q = ExactSubregionProbability(ctx, i, j, options);
       ++stats.subregion_integrations;
       ql_row[j] = q;
       qu_row[j] = q;

@@ -45,12 +45,13 @@ struct RefineStats {
 /// Exact conditional qualification probability q_ij of candidate i in
 /// subregion j: (1/s_ij) ∫_{S_j} d_i(r) Π_{k≠i} (1 − D_k(r)) dr.
 /// Requires s_ij > 0 and j < M−1 (the rightmost subregion is identically 0).
-/// `cdf_gather`, if non-null, must hold |C| doubles and lends the batched
-/// integrand its cdf-row scratch (see core/cdf_batch.h); null allocates a
-/// local row per call.
 double ExactSubregionProbability(const VerificationContext& ctx, size_t i,
-                                 size_t j, const IntegrationOptions& options,
-                                 double* cdf_gather = nullptr);
+                                 size_t j, const IntegrationOptions& options);
+
+/// The NN integrand d_i(r) · Π_{k≠i} (1 − D_k(r)) (paper Eq. 2), shared by
+/// refinement and the exact-probability paths of core/basic.h. Stops
+/// multiplying once the product reaches zero.
+double NnProductIntegrand(const CandidateSet& cands, size_t i, double r);
 
 struct QueryScratch;
 

@@ -7,9 +7,7 @@ size_t QueryScratch::ApproxBytes() const {
          candidates.ApproxBytes() +
          context.qlow.capacity() * sizeof(double) +
          context.qup.capacity() * sizeof(double) +
-         context.prod.capacity() * sizeof(double) +
-         refine_order.capacity() * sizeof(size_t) +
-         cdf_gather.capacity() * sizeof(double);
+         refine_order.capacity() * sizeof(size_t);
 }
 
 }  // namespace pverify

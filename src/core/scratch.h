@@ -50,10 +50,6 @@ struct QueryScratch {
   /// IncrementalRefine).
   std::vector<size_t> refine_order;
 
-  /// Cdf-row gather scratch (|C| doubles) for the batched NN-product
-  /// integrand of exact refinement (see core/cdf_batch.h).
-  std::vector<double> cdf_gather;
-
   /// Queries that borrowed this scratch so far (telemetry; bumped by
   /// VerificationFramework when it adopts the scratch).
   size_t queries_served = 0;

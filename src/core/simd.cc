@@ -1,66 +1,7 @@
 #include "core/simd.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-#include "core/simd_kernels.h"
-
 namespace pverify {
 
-namespace {
-
-std::atomic<bool> g_simd_enabled{SimdKernelsCompiled()};
-
-/// Default for the arch-flavor switch: on, unless the environment forces
-/// the portable copy (PVERIFY_KERNEL_ARCH=baseline) — the knob CI uses to
-/// run the whole suite through the baseline flavor of a multiarch binary.
-bool ArchEnabledDefault() {
-  const char* env = std::getenv("PVERIFY_KERNEL_ARCH");
-  return env == nullptr || std::strcmp(env, "baseline") != 0;
-}
-
-std::atomic<bool> g_arch_enabled{ArchEnabledDefault()};
-
-}  // namespace
-
-bool SimdKernelsEnabled() {
-  return g_simd_enabled.load(std::memory_order_relaxed);
-}
-
-void SetSimdKernelsEnabled(bool enabled) {
-  g_simd_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool ArchKernelsSupportedByCpu() {
-#if defined(PVERIFY_MULTIARCH) && defined(PVERIFY_MULTIARCH_CPU) && \
-    defined(__x86_64__) && defined(__GNUC__)
-  // GCC ≥ 11 accepts micro-architecture level names ("x86-64-v3") here.
-  return __builtin_cpu_supports(PVERIFY_MULTIARCH_CPU) > 0;
-#else
-  return false;
-#endif
-}
-
-bool ArchKernelsEnabled() {
-  return g_arch_enabled.load(std::memory_order_relaxed);
-}
-
-void SetArchKernelsEnabled(bool enabled) {
-  g_arch_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-const simdkern::KernelTable& ActiveKernels() {
-#if defined(PVERIFY_MULTIARCH)
-  // The cpuid probe resolves to a cached flag lookup after the first call;
-  // re-evaluating per call keeps Set/env overrides effective at any time.
-  if (ArchKernelsEnabled() && ArchKernelsSupportedByCpu()) {
-    return simdkern::arch::kTable;
-  }
-#endif
-  return simdkern::base::kTable;
-}
-
-const char* ActiveKernelFlavorName() { return ActiveKernels().flavor; }
+const char* ActiveKernelFlavorName() { return "baseline"; }
 
 }  // namespace pverify

@@ -1,78 +1,14 @@
-// Vectorization control for the verifier kernels.
+// Kernel-flavor name reported in telemetry.
 //
-// Builds configured with -DPVERIFY_SIMD=ON (CMake option) compile the hot
-// loops with `#pragma omp simd` (via -fopenmp-simd — no OpenMP runtime) and
-// default to the vectorized kernels at runtime. The scalar reference
-// kernels are always compiled in, and SetSimdKernelsEnabled() switches
-// between the two at runtime, which is what lets one bench binary measure
-// scalar-vs-SIMD speedups and one test binary assert their equivalence.
-//
-// Numerics contract: with PVERIFY_SIMD off the pragmas expand to nothing
-// and every kernel is bit-identical to the seed implementation. With it on,
-// the only permitted divergence is reassociation of the Eq. 4 sum
-// reductions (a few ULP); the branch-free masked arithmetic is constructed
-// so per-slot q_ij values stay bit-identical either way (adding a masked
-// 0.0 to a running sum never changes it, and x/1 of the same operands is
-// the same operation scalar or vector).
+// The verifier numerics have one implementation: the scalar loops of
+// verifier_{common,lsr,usr}.cc, subregion.cc, refine.cc and knn.cc. The
+// name below is what benches and stats record as the active flavor.
 #ifndef PVERIFY_CORE_SIMD_H_
 #define PVERIFY_CORE_SIMD_H_
 
-#if defined(PVERIFY_SIMD)
-#define PV_PRAGMA_(directive) _Pragma(#directive)
-/// Vectorize the following loop (lanes independent — bit-identical).
-#define PV_SIMD PV_PRAGMA_(omp simd)
-/// Vectorize with a reduction clause, e.g. PV_SIMD_REDUCE(+ : lo, hi).
-/// Reductions reassociate, so results may differ from scalar by a few ULP.
-#define PV_SIMD_REDUCE(...) PV_PRAGMA_(omp simd reduction(__VA_ARGS__))
-#else
-#define PV_SIMD
-#define PV_SIMD_REDUCE(...)
-#endif
-
 namespace pverify {
 
-/// True when this binary was compiled with PVERIFY_SIMD (the pragmas above
-/// are live and the vectorized kernels are actually vector code).
-constexpr bool SimdKernelsCompiled() {
-#if defined(PVERIFY_SIMD)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// Runtime kernel selection. Defaults to SimdKernelsCompiled(); flipping it
-/// is cheap (one relaxed atomic) and affects all threads. In PVERIFY_SIMD
-/// =OFF builds the "simd" kernels are compiled scalar, so the flag only
-/// changes which (numerically equivalent) code path runs.
-bool SimdKernelsEnabled();
-void SetSimdKernelsEnabled(bool enabled);
-
-/// True when this binary carries a second, -march-targeted copy of the
-/// vector kernels (CMake option PVERIFY_MULTIARCH; see simd_kernels.h).
-constexpr bool MultiArchCompiled() {
-#if defined(PVERIFY_MULTIARCH)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// True when the host CPU can run the arch kernel flavor (cpuid probe of
-/// the -march level the binary was configured for). Always false when
-/// MultiArchCompiled() is false.
-bool ArchKernelsSupportedByCpu();
-
-/// Runtime flavor selection for multiarch binaries. Defaults to enabled
-/// unless the environment sets PVERIFY_KERNEL_ARCH=baseline (read once, at
-/// first use); flipping is one relaxed atomic and affects all threads. The
-/// arch flavor only actually runs when the CPU supports it — disabling just
-/// forces baseline, e.g. to run the full suite on the portable code path.
-bool ArchKernelsEnabled();
-void SetArchKernelsEnabled(bool enabled);
-
-/// Name of the kernel flavor ActiveKernels() currently selects: "baseline",
-/// or the -march target (e.g. "x86-64-v3") on a supporting host.
+/// Name of the verifier kernel flavor this binary runs: always "baseline".
 const char* ActiveKernelFlavorName();
 
 }  // namespace pverify

@@ -15,7 +15,7 @@
 //
 // Storage is row-major SoA: one contiguous row per candidate, rows padded
 // to cache-line multiples and the buffers 64-byte aligned (common/aligned.h)
-// so the verifier kernels stream each row with unit stride.
+// so the verifier passes stream each row with unit stride.
 #ifndef PVERIFY_CORE_SUBREGION_H_
 #define PVERIFY_CORE_SUBREGION_H_
 
@@ -66,12 +66,9 @@ class SubregionTable {
   /// candidates with D_k(e_j) = 0), j ∈ [0, M].
   double Y(size_t j) const { return y_[j]; }
 
-  /// Raw rows for the SoA kernels. Each row starts on a cache line; entries
-  /// past the logical row length (M for s, M+1 for cdf) are padding zeros.
+  /// Candidate i's s row. It starts on a cache line; entries past the
+  /// logical row length M are padding zeros.
   const double* SRow(size_t i) const { return s_.data() + i * s_stride_; }
-  const double* CdfRow(size_t i) const { return cdf_.data() + i * cdf_stride_; }
-  const double* YData() const { return y_.data(); }
-  const int* CountData() const { return count_.data(); }
   /// The M+1 sorted end-points as a contiguous row (for batched cdf
   /// evaluation against the same points the table was built with).
   const double* EndpointData() const { return endpoints_.data(); }
@@ -88,14 +85,6 @@ class SubregionTable {
   }
 
   static constexpr double kEps = 1e-15;
-
-  /// Divide-out fast path of ProductExcluding: safe when i's factor is not
-  /// too small to divide by and Y_j has not underflowed. The kernels use
-  /// this predicate to mask vector lanes and fall back to the scalar
-  /// direct product on the rest.
-  static bool DivideOutSafe(double factor, double yj) {
-    return factor > 1e-8 && yj > 0.0;
-  }
 
   /// Approximate heap footprint of the table's buffers (capacity, not
   /// size). Used by QueryScratch to assert allocation reuse in tests.

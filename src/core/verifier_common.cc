@@ -1,19 +1,16 @@
 #include <algorithm>
 
-#include "core/simd.h"
-#include "core/simd_kernels.h"
 #include "core/verifier.h"
 
 namespace pverify {
 namespace {
 
-/// Seed implementation of the Eq. 4 accumulation, kept verbatim as the
-/// scalar reference: skip-on-mask, strictly sequential sums. The vectorized
-/// flavor (branch-free masked accumulation) lives in core/simd_kernels.cc
-/// as the `accumulate_bound` table entry.
-void AccumulateBoundScalar(const double* s_row, const double* ql_row,
-                           const double* qu_row, size_t m, double* lower_out,
-                           double* upper_out) {
+/// The Eq. 4 accumulation over candidate i's rows. The sums run strictly in
+/// j order, so the bounds are reproducible bit for bit.
+inline void RefreshOne(VerificationContext& ctx, size_t i, size_t m) {
+  const double* s_row = ctx.table->SRow(i);
+  const double* ql_row = ctx.QLowRow(i);
+  const double* qu_row = ctx.QUpRow(i);
   double lower = 0.0;
   double upper = 0.0;
   for (size_t j = 0; j < m; ++j) {
@@ -21,21 +18,6 @@ void AccumulateBoundScalar(const double* s_row, const double* ql_row,
     if (sij <= SubregionTable::kEps) continue;
     lower += sij * ql_row[j];
     upper += sij * qu_row[j];
-  }
-  *lower_out = lower;
-  *upper_out = upper;
-}
-
-inline void RefreshOne(VerificationContext& ctx, size_t i, size_t m,
-                       bool simd) {
-  const SubregionTable& tbl = *ctx.table;
-  double lower, upper;
-  if (simd) {
-    ActiveKernels().accumulate_bound(tbl.SRow(i), ctx.QLowRow(i),
-                                     ctx.QUpRow(i), m, &lower, &upper);
-  } else {
-    AccumulateBoundScalar(tbl.SRow(i), ctx.QLowRow(i), ctx.QUpRow(i), m,
-                          &lower, &upper);
   }
   // The subregion probabilities of a proper distance distribution sum to 1,
   // but guard against discretization residue pushing the sums out of range.
@@ -47,16 +29,15 @@ inline void RefreshOne(VerificationContext& ctx, size_t i, size_t m,
 }  // namespace
 
 void VerificationContext::RefreshBound(size_t i) {
-  RefreshOne(*this, i, table->num_subregions(), SimdKernelsEnabled());
+  RefreshOne(*this, i, table->num_subregions());
 }
 
 void VerificationContext::RefreshAllBounds() {
   const size_t m = table->num_subregions();
-  const bool simd = SimdKernelsEnabled();
   CandidateSet& cands = *candidates;
   for (size_t i = 0; i < cands.size(); ++i) {
     if (cands[i].label != Label::kUnknown) continue;
-    RefreshOne(*this, i, m, simd);
+    RefreshOne(*this, i, m);
   }
 }
 

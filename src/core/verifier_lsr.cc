@@ -10,24 +10,11 @@
 // subregion by construction, so candidates inside S_j are exchangeable).
 // Summing s_ij·q_ij.l over the non-rightmost subregions (Eq. 4) lower-bounds
 // p_i. The Y_j products let the whole pass run in O(|C|·M).
-//
-// The vectorized flavor streams candidate i's contiguous s/cdf/qlow rows in
-// two passes: (A) q_ij.l for every numerically safe lane, branch-free, into
-// the context's scratch row (the exact operations of the scalar path, so
-// slot values stay bit-identical), then (B) a participation-masked merge
-// into the qlow row. The rare unsafe lanes are counted in pass A and fixed
-// up by a scalar pass that takes ProductExcluding's direct-product fallback.
-// The pass bodies live in core/simd_kernels.cc behind ActiveKernels(), so a
-// multiarch binary runs them at the widest ISA the host supports; only the
-// scalar fix-up (which needs ProductExcluding) stays in this TU.
-#include "core/simd.h"
-#include "core/simd_kernels.h"
 #include "core/verifier.h"
 
 namespace pverify {
-namespace {
 
-void ApplyScalar(VerificationContext& ctx) {
+void LsrVerifier::Apply(VerificationContext& ctx) {
   const SubregionTable& tbl = *ctx.table;
   const size_t m = tbl.num_subregions();
   CandidateSet& cands = *ctx.candidates;
@@ -41,44 +28,6 @@ void ApplyScalar(VerificationContext& ctx) {
       double& slot = ctx.QLow(i, j);
       if (qlow > slot) slot = qlow;
     }
-  }
-}
-
-void ApplySimd(VerificationContext& ctx) {
-  const SubregionTable& tbl = *ctx.table;
-  const size_t m = tbl.num_subregions();
-  const double* y = tbl.YData();
-  const int* cnt = tbl.CountData();
-  double* tmp = ctx.prod.data();
-  const simdkern::KernelTable& kern = ActiveKernels();
-  CandidateSet& cands = *ctx.candidates;
-  for (size_t i = 0; i < cands.size(); ++i) {
-    if (cands[i].label != Label::kUnknown) continue;
-    const double* s_row = tbl.SRow(i);
-    const double* cdf_row = tbl.CdfRow(i);
-    double* ql = ctx.QLowRow(i);
-    const size_t last = m - 1;  // omp-canonical bound for j + 1 < m
-    const double fallback = kern.lsr_pass_a(cdf_row, y, cnt, tmp, last);
-    kern.lsr_pass_b(s_row, tmp, ql, last);
-    if (fallback != 0.0) {
-      for (size_t j = 0; j + 1 < m; ++j) {
-        if (s_row[j] <= SubregionTable::kEps) continue;
-        if (SubregionTable::DivideOutSafe(1.0 - cdf_row[j], y[j])) continue;
-        const double qlow = tbl.ProductExcluding(i, j) /
-                            static_cast<double>(cnt[j]);
-        if (qlow > ql[j]) ql[j] = qlow;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void LsrVerifier::Apply(VerificationContext& ctx) {
-  if (SimdKernelsEnabled()) {
-    ApplySimd(ctx);
-  } else {
-    ApplyScalar(ctx);
   }
   ctx.RefreshAllBounds();
 }

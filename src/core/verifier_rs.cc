@@ -8,9 +8,6 @@
 
 namespace pverify {
 
-// RS stays scalar even in SIMD builds: it reads one strided column of the
-// s-table (a gather) and runs branchy Tighten once per candidate — O(|C|)
-// with no inner subregion loop, so there is nothing for lanes to share.
 void RsVerifier::Apply(VerificationContext& ctx) {
   const SubregionTable& tbl = *ctx.table;
   const size_t m = tbl.num_subregions();

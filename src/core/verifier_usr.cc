@@ -10,24 +10,11 @@
 //
 // Both products reuse the precomputed Y_j values (Eq. 11), so the pass is
 // O(|C|·M).
-//
-// The vectorized flavor runs per candidate in two passes over contiguous
-// rows: (A) materialize Π_{k≠i}(1 − D_k(e_j)) for every end-point into the
-// context's `prod` workspace (safe divide-out lanes branch-free, unsafe
-// lanes fixed up scalar), then (B) blend ½·(prod[j+1] + prod[j]) into the
-// qup row. Used lanes perform the scalar path's exact operations in the
-// same order, so slot values stay bit-identical to the reference.
-// The pass bodies live in core/simd_kernels.cc behind ActiveKernels(), so a
-// multiarch binary runs them at the widest ISA the host supports; only the
-// scalar fix-up (which needs ProductExcluding) stays in this TU.
-#include "core/simd.h"
-#include "core/simd_kernels.h"
 #include "core/verifier.h"
 
 namespace pverify {
-namespace {
 
-void ApplyScalar(VerificationContext& ctx) {
+void UsrVerifier::Apply(VerificationContext& ctx) {
   const SubregionTable& tbl = *ctx.table;
   const size_t m = tbl.num_subregions();
   CandidateSet& cands = *ctx.candidates;
@@ -43,44 +30,6 @@ void ApplyScalar(VerificationContext& ctx) {
       }
       pr_e = pr_f;  // e_{j+1} becomes the next subregion's left end-point
     }
-  }
-}
-
-void ApplySimd(VerificationContext& ctx) {
-  const SubregionTable& tbl = *ctx.table;
-  const size_t m = tbl.num_subregions();
-  const double* y = tbl.YData();
-  double* prod = ctx.prod.data();
-  const simdkern::KernelTable& kern = ActiveKernels();
-  CandidateSet& cands = *ctx.candidates;
-  for (size_t i = 0; i < cands.size(); ++i) {
-    if (cands[i].label != Label::kUnknown) continue;
-    const double* s_row = tbl.SRow(i);
-    const double* cdf_row = tbl.CdfRow(i);
-    double* qu = ctx.QUpRow(i);
-    // Pass A fills prod for the end-points pass B consumes (j < m); unsafe
-    // lanes get a placeholder and this scalar fix-up via ProductExcluding's
-    // direct-product fallback, which must land before pass B reads prod.
-    const double fallback = kern.usr_pass_a(cdf_row, y, prod, m);
-    if (fallback != 0.0) {
-      for (size_t j = 0; j < m; ++j) {
-        if (!SubregionTable::DivideOutSafe(1.0 - cdf_row[j], y[j])) {
-          prod[j] = tbl.ProductExcluding(i, j);
-        }
-      }
-    }
-    const size_t last = m - 1;  // omp-canonical bound for j + 1 < m
-    kern.usr_pass_b(s_row, prod, qu, last);
-  }
-}
-
-}  // namespace
-
-void UsrVerifier::Apply(VerificationContext& ctx) {
-  if (SimdKernelsEnabled()) {
-    ApplySimd(ctx);
-  } else {
-    ApplyScalar(ctx);
   }
   ctx.RefreshAllBounds();
 }

@@ -92,9 +92,8 @@ TEST(CachingEngineTest, ColdMissesThenWarmHitsAllStrategiesBothBackends) {
       for (size_t i = 0; i < cold.size(); ++i) {
         EXPECT_FALSE(cold[i].stats.served_from_cache) << what;
         EXPECT_TRUE(warm[i].stats.served_from_cache) << what;
-        testutil::ExpectEquivalentResult(cold[i], warm[i], /*max_ulps=*/0,
-                                         what + " request " +
-                                             std::to_string(i));
+        testutil::ExpectEquivalentResult(
+            cold[i], warm[i], what + " request " + std::to_string(i));
       }
       EXPECT_DOUBLE_EQ(cached.GetCacheStats().HitRate(), 0.5) << what;
     }
@@ -182,7 +181,7 @@ TEST(CachingEngineTest, BorderlineEntriesAlwaysRecheck) {
       EXPECT_FALSE(got[i].stats.served_from_cache);
       testutil::ExpectEquivalentResult(
           reference.Execute(PointQuery{points[i], opt}), got[i],
-          /*max_ulps=*/0, "borderline round " + std::to_string(round));
+          "borderline round " + std::to_string(round));
     }
   }
   EXPECT_EQ(cached.GetCacheStats().hits, 0u);
@@ -209,7 +208,6 @@ TEST(CachingEngineTest, LruEvictionNeverChangesAnswers) {
     for (size_t i = 0; i < points.size(); ++i) {
       testutil::ExpectEquivalentResult(
           reference.Execute(PointQuery{points[i], opt}), got[i],
-          /*max_ulps=*/0,
           "evicting round " + std::to_string(round) + " request " +
               std::to_string(i));
     }
@@ -272,7 +270,7 @@ TEST(CachingEngineTest, CapacityZeroIsPassThrough) {
       EXPECT_FALSE(got[i].stats.served_from_cache);
       testutil::ExpectEquivalentResult(
           reference.Execute(PointQuery{points[i], opt}), got[i],
-          /*max_ulps=*/0, "pass-through round " + std::to_string(round));
+          "pass-through round " + std::to_string(round));
     }
   }
   EXPECT_EQ(cached.GetCacheStats().HitRate(), 0.0);
@@ -304,7 +302,7 @@ TEST(CachingEngineTest, QuantizationBoundsCardinalityNotAnswers) {
   for (size_t i = 0; i < points.size(); ++i) {
     testutil::ExpectEquivalentResult(
         reference.Execute(PointQuery{points[i], opt}), got[i],
-        /*max_ulps=*/0, "quantized request " + std::to_string(i));
+        "quantized request " + std::to_string(i));
   }
   // Replaying the stream: the cell owner hits; every other point lands on
   // the occupied cell, rechecks (exact fingerprint mismatch), and computes
@@ -319,7 +317,7 @@ TEST(CachingEngineTest, QuantizationBoundsCardinalityNotAnswers) {
   for (size_t i = 0; i < points.size(); ++i) {
     testutil::ExpectEquivalentResult(
         reference.Execute(PointQuery{points[i], opt}), warm[i],
-        /*max_ulps=*/0, "quantized replay " + std::to_string(i));
+        "quantized replay " + std::to_string(i));
   }
 }
 
@@ -343,10 +341,9 @@ TEST(CachingEngineTest, OptionChangesNeverServeStaleAnswers) {
   QueryResult second = cached.Execute(PointQuery{q, high});
   EXPECT_FALSE(second.stats.served_from_cache);
   testutil::ExpectEquivalentResult(reference.Execute(PointQuery{q, high}),
-                                   second, /*max_ulps=*/0,
-                                   "same-bucket different threshold");
+                                   second, "same-bucket different threshold");
   testutil::ExpectEquivalentResult(reference.Execute(PointQuery{q, low}),
-                                   first, /*max_ulps=*/0, "low threshold");
+                                   first, "low threshold");
   CacheStats stats = cached.GetCacheStats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.rechecks, 1u);  // the 0.5 lookup found the 0.3 entry
@@ -368,8 +365,7 @@ TEST(CachingEngineTest, CandidateRequestsBypassTheCache) {
   };
   QueryResult a = cached.Execute(build_request());
   QueryResult b = cached.Execute(build_request());
-  testutil::ExpectEquivalentResult(a, b, /*max_ulps=*/0,
-                                   "bypassed candidates");
+  testutil::ExpectEquivalentResult(a, b, "bypassed candidates");
   CacheStats stats = cached.GetCacheStats();
   EXPECT_EQ(stats.bypasses, 2u);
   EXPECT_EQ(stats.hits + stats.misses + stats.rechecks, 0u);
@@ -395,8 +391,7 @@ TEST(CachingEngineTest, OwningFactoryAndSubmitFailureIsolation) {
   // The queue still serves, and the earlier good answer is now memoized.
   QueryResult again = cached->Submit(PointQuery{50.0, opt}).get();
   EXPECT_TRUE(again.stats.served_from_cache);
-  testutil::ExpectEquivalentResult(first, again, /*max_ulps=*/0,
-                                   "submit after failure");
+  testutil::ExpectEquivalentResult(first, again, "submit after failure");
   EXPECT_GE(cached->SubmitStats().requests, 3u);
 }
 
@@ -443,7 +438,6 @@ TEST(CachingEngineTest, ConcurrentSubmitStressOnSharedCache) {
     ASSERT_EQ(results.size(), points.size());
     for (size_t i = 0; i < points.size(); ++i) {
       testutil::ExpectEquivalentResult(expected[i], results[i],
-                                       /*max_ulps=*/0,
                                        "batch under stress round " +
                                            std::to_string(round));
     }
@@ -456,7 +450,7 @@ TEST(CachingEngineTest, ConcurrentSubmitStressOnSharedCache) {
     for (size_t i = 0; i < kPerThread; ++i) {
       const size_t p = i % 2 == 0 ? 0 : (t + i) % points.size();
       testutil::ExpectEquivalentResult(
-          expected[p], futures[t][i].get(), /*max_ulps=*/0,
+          expected[p], futures[t][i].get(),
           "stress submit thread " + std::to_string(t) + " request " +
               std::to_string(i));
     }

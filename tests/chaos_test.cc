@@ -173,7 +173,7 @@ TEST(ChaosTest, SeveredConnectionIsACleanTypedFailure) {
 
 // The main event: a differential batch through a faulty network. Every
 // request retries until it completes; every completed answer must be
-// bit-identical (max_ulps = 0) to local execution.
+// bit-identical to local execution.
 TEST(ChaosTest, DifferentialStreamSurvivesInjectedFaults) {
   Dataset data = datagen::MakeUniformScatter(300, 1000.0);
   QueryEngine local(data, EngineOptions{});
@@ -231,8 +231,7 @@ TEST(ChaosTest, DifferentialStreamSurvivesInjectedFaults) {
       net::ServeResponse& r = responses[k];
       if (r.ok) {
         testutil::ExpectEquivalentResult(
-            expected[i], r.result, /*max_ulps=*/0,
-            "chaos request " + std::to_string(i));
+            expected[i], r.result, "chaos request " + std::to_string(i));
         done[i] = true;
         ++completed;
       } else {

@@ -1,8 +1,7 @@
 // Differential-testing harness: one helper that runs a randomized
 // mixed-kind request stream across a set of Engine backends and asserts
 // every backend answers exactly like a reference engine — labels/ids
-// bit-identical, probability bounds within a configurable ULP budget
-// (default 0, i.e. bit-identical) via tests/ulp_testutil.h.
+// and probability bounds bit-identical.
 //
 // The Engine contract says answers must not depend on the implementation:
 // unsharded vs. sharded 1/2/4-way, hash vs. range policy, global-queue vs.
@@ -16,6 +15,8 @@
 #define PVERIFY_TESTS_DIFFERENTIAL_TESTUTIL_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <future>
 #include <random>
@@ -25,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
-#include "ulp_testutil.h"
 
 namespace pverify {
 namespace testutil {
@@ -49,16 +49,26 @@ struct DifferentialConfig {
   /// Also push each round's stream through Submit() and check the futures,
   /// covering the coalescing dispatcher path.
   bool exercise_submit = false;
-  /// Probability-bound tolerance in units in the last place. 0 demands
-  /// bit-identical bounds (the default contract); SIMD-reassociated
-  /// configurations may pass a small budget.
-  uint64_t max_ulps = 0;
 };
 
-/// Asserts `got` is equivalent to `expected`: ids and entry labels
-/// bit-identical, every probability bound within `max_ulps`.
+/// The raw IEEE 754 bit pattern of `v`.
+inline uint64_t BitPattern(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Asserts two doubles have the same bit pattern.
+inline void ExpectSameBits(double expected, double got,
+                           const std::string& what) {
+  EXPECT_EQ(BitPattern(expected), BitPattern(got))
+      << what << ": " << expected << " vs " << got;
+}
+
+/// Asserts `got` is equivalent to `expected`: ids, entries and every
+/// probability bound bit-identical.
 inline void ExpectEquivalentResult(const QueryResult& expected,
-                                   const QueryResult& got, uint64_t max_ulps,
+                                   const QueryResult& got,
                                    const std::string& what) {
   EXPECT_EQ(expected.ids, got.ids) << what;
   ASSERT_EQ(expected.candidate_probabilities.size(),
@@ -67,23 +77,21 @@ inline void ExpectEquivalentResult(const QueryResult& expected,
   for (size_t i = 0; i < expected.candidate_probabilities.size(); ++i) {
     const AnswerEntry& e = expected.candidate_probabilities[i];
     const AnswerEntry& g = got.candidate_probabilities[i];
-    EXPECT_EQ(e.id, g.id) << what << " entry " << i;
-    EXPECT_ULP_NEAR(e.bound.lower, g.bound.lower, max_ulps)
-        << " (" << what << " entry " << i << ")";
-    EXPECT_ULP_NEAR(e.bound.upper, g.bound.upper, max_ulps)
-        << " (" << what << " entry " << i << ")";
+    const std::string entry = what + " entry " + std::to_string(i);
+    EXPECT_EQ(e.id, g.id) << entry;
+    ExpectSameBits(e.bound.lower, g.bound.lower, entry + " lower");
+    ExpectSameBits(e.bound.upper, g.bound.upper, entry + " upper");
   }
   ASSERT_EQ(expected.knn.has_value(), got.knn.has_value()) << what;
   if (expected.knn.has_value()) {
     EXPECT_EQ(expected.knn->ids, got.knn->ids) << what;
     ASSERT_EQ(expected.knn->bounds.size(), got.knn->bounds.size()) << what;
     for (size_t i = 0; i < expected.knn->bounds.size(); ++i) {
-      EXPECT_ULP_NEAR(expected.knn->bounds[i].lower, got.knn->bounds[i].lower,
-                      max_ulps)
-          << " (" << what << " knn bound " << i << ")";
-      EXPECT_ULP_NEAR(expected.knn->bounds[i].upper, got.knn->bounds[i].upper,
-                      max_ulps)
-          << " (" << what << " knn bound " << i << ")";
+      const std::string bound = what + " knn bound " + std::to_string(i);
+      ExpectSameBits(expected.knn->bounds[i].lower, got.knn->bounds[i].lower,
+                     bound + " lower");
+      ExpectSameBits(expected.knn->bounds[i].upper, got.knn->bounds[i].upper,
+                     bound + " upper");
     }
   }
 }
@@ -134,7 +142,7 @@ inline void RunDifferentialStream(Engine& reference,
           named.engine->ExecuteBatch(std::move(batch));
       ASSERT_EQ(expected.size(), got.size()) << where;
       for (size_t i = 0; i < expected.size(); ++i) {
-        ExpectEquivalentResult(expected[i], got[i], config.max_ulps,
+        ExpectEquivalentResult(expected[i], got[i],
                                where + " request " + std::to_string(i));
       }
 
@@ -146,7 +154,6 @@ inline void RunDifferentialStream(Engine& reference,
         }
         for (size_t i = 0; i < expected.size(); ++i) {
           ExpectEquivalentResult(expected[i], futures[i].get(),
-                                 config.max_ulps,
                                  where + " submit " + std::to_string(i));
         }
       }

@@ -51,7 +51,7 @@ void ExpectIdenticalAnswer(const QueryAnswer& expected,
 // Four-thread batches — under both worker-pool implementations — must
 // answer bit for bit like the single-threaded reference for every
 // strategy; only scheduling may differ. Ported onto the differential
-// harness (tests/differential_testutil.h), max_ulps 0 = bit identity.
+// harness (tests/differential_testutil.h), which demands bit identity.
 TEST(QueryEngineTest, BatchAtFourThreadsMatchesSequentialAllStrategies) {
   Dataset data = TestDataset();
   QueryEngine reference(data, EngineOptions{1});

@@ -123,11 +123,10 @@ TEST(NetServerTest, ServedAnswersMatchLocalExecutionBitIdentically) {
 
   RemoteEngine remote(kLoopback, server.port());
   testutil::NamedEngine named{"remote", &remote};
-  // max_ulps = 0: what the client decodes off the wire must be the exact
-  // doubles local execution produces.
+  // What the client decodes off the wire must be the exact doubles local
+  // execution produces.
   testutil::RunDifferentialStream(local, {named}, stream,
-                                  {/*rounds=*/2, /*exercise_submit=*/false,
-                                   /*max_ulps=*/0});
+                                  {/*rounds=*/2, /*exercise_submit=*/false});
 }
 
 TEST(NetServerTest, DualModeServerAnswersTwoDimensionalKinds) {
@@ -146,11 +145,11 @@ TEST(NetServerTest, DualModeServerAnswersTwoDimensionalKinds) {
   for (const Point2& q : points) {
     QueryResult expected = local.Execute(Point2DQuery{q, opt});
     QueryResult got = remote.Execute(Point2DQuery{q, opt});
-    testutil::ExpectEquivalentResult(expected, got, 0, "point2d");
+    testutil::ExpectEquivalentResult(expected, got, "point2d");
 
     QueryResult expected_knn = local.Execute(Knn2DQuery{q, 3, opt});
     QueryResult got_knn = remote.Execute(Knn2DQuery{q, 3, opt});
-    testutil::ExpectEquivalentResult(expected_knn, got_knn, 0, "knn2d");
+    testutil::ExpectEquivalentResult(expected_knn, got_knn, "knn2d");
   }
 }
 
@@ -176,7 +175,7 @@ TEST(NetServerTest, ResponsesDemuxOutOfAwaitOrder) {
     ASSERT_TRUE(response.ok) << response.error;
     EXPECT_EQ(response.request_id, ids[i]);
     QueryResult expected = local.Execute(PointQuery{points[i], opt});
-    testutil::ExpectEquivalentResult(expected, response.result, 0,
+    testutil::ExpectEquivalentResult(expected, response.result,
                                      "reverse await " + std::to_string(i));
   }
 }
@@ -333,14 +332,14 @@ TEST(NetServerTest, CachingServerMarksReplaysAndStaysExact) {
   net::ServeResponse first = client.Await(cold);
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_FALSE(first.result.stats.served_from_cache);
-  testutil::ExpectEquivalentResult(expected, first.result, 0, "cold");
+  testutil::ExpectEquivalentResult(expected, first.result, "cold");
 
   uint64_t warm = client.Send(QueryRequest(PointQuery{321.0, opt}));
   net::ServeResponse second = client.Await(warm);
   ASSERT_TRUE(second.ok) << second.error;
   EXPECT_TRUE(second.result.stats.served_from_cache);
   // The memoized answer crosses the wire bit-identical too.
-  testutil::ExpectEquivalentResult(expected, second.result, 0, "warm");
+  testutil::ExpectEquivalentResult(expected, second.result, "warm");
 }
 
 TEST(NetServerTest, StopWithConnectedClientsShutsDownCleanly) {
