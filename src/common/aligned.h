@@ -1,4 +1,4 @@
-// Cache-line-aligned vector storage for the SoA verification kernels.
+// Cache-line-aligned vector storage for the SoA verification rows.
 //
 // The verifier hot loops stream over per-candidate rows of doubles. Two
 // layout properties make those loops vectorizer-friendly:

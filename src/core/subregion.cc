@@ -51,8 +51,7 @@ void SubregionTable::BuildInto(const CandidateSet& candidates,
   table.s_stride_ = PadStride<double>(m);
   table.cdf_stride_ = PadStride<double>(m + 1);
 
-  // assign() zeros the padding too, so padded s-entries never participate
-  // and padded cdf-entries read as 0 if a vector remainder touches them.
+  // assign() zeros the padding too, so padded s-entries never participate.
   table.s_.assign(n * table.s_stride_, 0.0);
   table.cdf_.assign(n * table.cdf_stride_, 0.0);
   table.count_.assign(m, 0);

@@ -58,7 +58,7 @@ struct VerificationContext {
   double QUp(size_t i, size_t j) const { return qup[i * stride_ + j]; }
 
   /// Candidate i's contiguous per-subregion bound rows (padded; see
-  /// common/aligned.h). The kernels' unit-stride access path.
+  /// common/aligned.h). The verifier passes' unit-stride access path.
   double* QLowRow(size_t i) { return qlow.data() + i * stride_; }
   double* QUpRow(size_t i) { return qup.data() + i * stride_; }
   const double* QLowRow(size_t i) const { return qlow.data() + i * stride_; }
