@@ -6,18 +6,19 @@
 //
 //  1. Batch throughput (the paper's §V-A setup: Long-Beach-like dataset,
 //     random query points, P=0.3, Δ=0.01, VR strategy): queries/sec of
-//     Engine::ExecuteBatch at 1/2/4/8 worker threads on BOTH worker pools
-//     (global-queue and work-stealing) against a plain CpnnExecutor loop.
-//     Work-stealing must not regress flat-batch throughput.
+//     Engine::ExecuteBatch at 1/2/4/8 worker threads against a plain
+//     CpnnExecutor loop.
 //
 //  2. Single-query latency: ONE expensive 2-D query (point and k-NN) on a
-//     4-shard ShardedQueryEngine, executed as a batch of one. On the
-//     global-queue pool the batch worker scans its shards sequentially;
-//     on the work-stealing pool the same request fans its shards out
-//     through a nested ParallelFor, so with 4+ workers the query's
-//     filter/candidate-build phases use every core. The speedup column is
-//     the direct before/after of the nested fan-out (≈1.0 on a 1-core
-//     host — there are no idle cores to steal the shard tasks).
+//     4-shard ShardedQueryEngine, executed as a batch of one. The baseline
+//     is a 1-thread engine, which scans its shards sequentially; with N
+//     workers the same request fans its shards out through a nested
+//     ParallelFor, so the query's filter/candidate-build phases use every
+//     core. fanout_speedup is 1-thread latency / N-thread latency (≈1.0 on
+//     a 1-core host — there are no idle cores to steal the shard tasks).
+//     parallel_fraction is measured on the sequential run only: on the
+//     fan-out run the per-shard phase times overlap in wall time, so their
+//     sum says nothing about the Amdahl bound.
 //
 // Every timed region is repeated until it crosses the measurement floor
 // (PVERIFY_MIN_WALL_MS, default 100 ms) — sub-floor regions measure
@@ -43,7 +44,9 @@ namespace {
 struct LatencyPoint {
   double avg_ms = 0.0;
   size_t reps = 0;
-  double parallel_fraction = 0.0;  ///< (filter+init) / total query time
+  /// (filter+init) / total query time; meaningful for the sequential
+  /// (1-thread) run only.
+  double parallel_fraction = 0.0;
 };
 
 template <typename MakeRequest>
@@ -79,11 +82,11 @@ LatencyPoint TimeSingleQuery(Engine& engine, const MakeRequest& make,
 int main() {
   bench::PrintHeader(
       "Engine throughput + single-query latency",
-      "Queries/sec of the batched engine at 1/2/4/8 worker threads on both\n"
-      "worker pools vs. a sequential CpnnExecutor loop (VR strategy, P=0.3,\n"
-      "Δ=0.01, uniform pdfs), then the latency of ONE expensive sharded 2-D\n"
-      "query with nested shard fan-out (work-stealing) vs. the sequential\n"
-      "shard scan (global-queue). Timed regions repeat to a ≥100 ms floor.");
+      "Queries/sec of the batched engine at 1/2/4/8 worker threads vs. a\n"
+      "sequential CpnnExecutor loop (VR strategy, P=0.3, Δ=0.01, uniform\n"
+      "pdfs), then the latency of ONE expensive sharded 2-D query with\n"
+      "nested shard fan-out (N threads) vs. the sequential shard scan\n"
+      "(1 thread). Timed regions repeat to a ≥100 ms floor.");
 
   const size_t queries = bench::QueriesFromEnv(200);
   const size_t dataset_size = bench::DatasetSizeFromEnv(20000);
@@ -114,13 +117,13 @@ int main() {
   // Warm-up pass so lazy initialization doesn't skew the baseline.
   bench::TimeSequentialLoop(env.executor, env.query_points, opt);
 
-  ResultTable table({"threads", "pool", "reps", "wall_ms",
-                     "queries_per_sec", "batch_speedup", "avg_query_ms"},
+  ResultTable table({"threads", "reps", "wall_ms", "queries_per_sec",
+                     "batch_speedup", "avg_query_ms"},
                     "engine_throughput.csv");
 
   bench::ThroughputPoint sequential = bench::TimeSequentialLoopFloored(
       env.executor, env.query_points, opt, min_wall_ms);
-  table.AddRow({"seq", "-", std::to_string(sequential.reps),
+  table.AddRow({"seq", std::to_string(sequential.reps),
                 FormatDouble(sequential.wall_ms, 2),
                 FormatDouble(sequential.Qps(), 1), FormatDouble(1.0, 2),
                 FormatDouble(sequential.wall_ms / sequential.queries, 4)});
@@ -133,33 +136,28 @@ int main() {
   json.Field("qps", sequential.Qps());
   json.Field("speedup", 1.0);
 
-  for (PoolKind pool : {PoolKind::kGlobalQueue, PoolKind::kWorkStealing}) {
-    for (size_t threads : thread_counts) {
-      EngineOptions eopt;
-      eopt.num_threads = threads;
-      eopt.pool = pool;
-      QueryEngine owned(env.dataset, eopt);
-      Engine& engine = owned;  // measured through the abstract interface
-      // Warm the per-worker scratches, then measure.
-      bench::TimeBatch(engine, env.query_points, opt);
-      bench::ThroughputPoint batched = bench::TimeBatchFloored(
-          engine, env.query_points, opt, min_wall_ms);
-      const double speedup = batched.Qps() / sequential.Qps();
-      table.AddRow({std::to_string(threads), std::string(ToString(pool)),
-                    std::to_string(batched.reps),
-                    FormatDouble(batched.wall_ms, 2),
-                    FormatDouble(batched.Qps(), 1), FormatDouble(speedup, 2),
-                    FormatDouble(batched.wall_ms / batched.queries, 4)});
-      json.BeginResult();
-      json.Field("section", "batch");
-      json.Field("name", "engine");
-      json.Field("pool", std::string(ToString(pool)));
-      json.Field("threads", static_cast<double>(threads));
-      json.Field("reps", static_cast<double>(batched.reps));
-      json.Field("wall_ms", batched.wall_ms);
-      json.Field("qps", batched.Qps());
-      json.Field("speedup", speedup);
-    }
+  for (size_t threads : thread_counts) {
+    EngineOptions eopt;
+    eopt.num_threads = threads;
+    QueryEngine owned(env.dataset, eopt);
+    Engine& engine = owned;  // measured through the abstract interface
+    // Warm the per-worker scratches, then measure.
+    bench::TimeBatch(engine, env.query_points, opt);
+    bench::ThroughputPoint batched = bench::TimeBatchFloored(
+        engine, env.query_points, opt, min_wall_ms);
+    const double speedup = batched.Qps() / sequential.Qps();
+    table.AddRow({std::to_string(threads), std::to_string(batched.reps),
+                  FormatDouble(batched.wall_ms, 2),
+                  FormatDouble(batched.Qps(), 1), FormatDouble(speedup, 2),
+                  FormatDouble(batched.wall_ms / batched.queries, 4)});
+    json.BeginResult();
+    json.Field("section", "batch");
+    json.Field("name", "engine");
+    json.Field("threads", static_cast<double>(threads));
+    json.Field("reps", static_cast<double>(batched.reps));
+    json.Field("wall_ms", batched.wall_ms);
+    json.Field("qps", batched.Qps());
+    json.Field("speedup", speedup);
   }
   table.Print();
 
@@ -198,13 +196,14 @@ int main() {
   Dataset2D sparse2d = datagen::MakeSynthetic2D(sparse_cfg);
 
   std::printf(
-      "\nSingle-query latency: one expensive 2-D query, %zu shards (hash),\n"
-      "%zu workers. sequential-scan pool = global-queue, nested-fan-out\n"
-      "pool = work-stealing.\n\n",
+      "\nSingle-query latency: one expensive 2-D query, %zu shards (hash).\n"
+      "sequential = 1-thread engine (shards scanned in order); fanout =\n"
+      "%zu-thread engine (nested shard ParallelFor).\n\n",
       shards, latency_threads);
 
-  ResultTable latency_table({"query", "pool", "reps", "avg_latency_ms",
-                             "parallel_fraction", "fanout_speedup"},
+  ResultTable latency_table({"query", "mode", "threads", "reps",
+                             "avg_latency_ms", "parallel_fraction",
+                             "fanout_speedup"},
                             "engine_latency.csv");
 
   struct QuerySpec {
@@ -222,32 +221,32 @@ int main() {
 
   for (const QuerySpec& spec : specs) {
     double base_ms = 0.0;
-    for (PoolKind pool : {PoolKind::kGlobalQueue, PoolKind::kWorkStealing}) {
+    for (size_t threads : {size_t{1}, latency_threads}) {
       ShardedEngineOptions sopt;
       sopt.num_shards = shards;
-      sopt.num_threads = latency_threads;
+      sopt.num_threads = threads;
       sopt.radial_pieces = spec.radial_pieces;
-      sopt.pool = pool;
       ShardedQueryEngine engine(*spec.data, sopt);
       LatencyPoint point = TimeSingleQuery(engine, spec.make, min_wall_ms);
-      const bool is_base = pool == PoolKind::kGlobalQueue;
+      const bool is_base = threads == 1;
       if (is_base) base_ms = point.avg_ms;
       const double speedup =
           point.avg_ms > 0.0 ? base_ms / point.avg_ms : 0.0;
       latency_table.AddRow(
-          {spec.name, std::string(ToString(pool)),
-           std::to_string(point.reps), FormatDouble(point.avg_ms, 3),
-           FormatDouble(point.parallel_fraction, 2),
+          {spec.name, is_base ? "sequential" : "fanout",
+           std::to_string(threads), std::to_string(point.reps),
+           FormatDouble(point.avg_ms, 3),
+           is_base ? FormatDouble(point.parallel_fraction, 2) : "-",
            is_base ? "1.00" : FormatDouble(speedup, 2)});
       json.BeginResult();
       json.Field("section", "single_query_latency");
       json.Field("query", spec.name);
-      json.Field("pool", std::string(ToString(pool)));
+      json.Field("mode", is_base ? "sequential" : "fanout");
       json.Field("shards", static_cast<double>(shards));
-      json.Field("threads", static_cast<double>(latency_threads));
+      json.Field("threads", static_cast<double>(threads));
       json.Field("reps", static_cast<double>(point.reps));
       json.Field("avg_latency_ms", point.avg_ms);
-      json.Field("parallel_fraction", point.parallel_fraction);
+      if (is_base) json.Field("parallel_fraction", point.parallel_fraction);
       json.Field("fanout_speedup", is_base ? 1.0 : speedup);
     }
   }
@@ -258,7 +257,8 @@ int main() {
       "\nNote: speedups are bounded by available cores. On a 1-core host\n"
       "the engine rows pay cross-thread handoff with no parallelism to\n"
       "recoup it and the fan-out speedup stays ~1.0; parallel_fraction\n"
-      "(the query time spent in the per-shard filter/build phases) bounds\n"
-      "the achievable fan-out speedup via Amdahl.\n");
+      "(the sequential run's query time spent in the per-shard\n"
+      "filter/build phases) bounds the achievable fan-out speedup via\n"
+      "Amdahl.\n");
   return 0;
 }

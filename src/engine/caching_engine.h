@@ -226,7 +226,7 @@ class CachingEngine : public Engine {
   std::unique_ptr<SubmitQueue> submit_queue_;  ///< last: drains first
 };
 
-/// MakeWorkerPool-style factory: wraps an owned backend in a caching tier.
+/// Factory: wraps an owned backend in a caching tier.
 std::unique_ptr<CachingEngine> MakeCachingEngine(
     std::unique_ptr<Engine> backend, CachingEngineOptions options = {});
 

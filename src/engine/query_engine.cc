@@ -6,15 +6,15 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "engine/submit_queue.h"
-#include "engine/thread_pool.h"
+#include "engine/work_steal_pool.h"
 
 namespace pverify {
 
 QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
     : executor_(std::move(dataset)),
-      num_threads_(options.num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                            : options.num_threads),
-      pool_kind_(options.pool) {
+      num_threads_(options.num_threads == 0
+                       ? WorkStealingPool::DefaultThreadCount()
+                       : options.num_threads) {
   worker_scratches_.reserve(num_threads_);
   for (size_t i = 0; i < num_threads_; ++i) {
     worker_scratches_.push_back(std::make_unique<QueryScratch>());
@@ -37,8 +37,10 @@ QueryResult QueryEngine::Execute(QueryRequest request) {
   return ExecuteOne(std::move(request), &serial_scratch_);
 }
 
-WorkerPool& QueryEngine::BatchPool() {
-  if (pool_ == nullptr) pool_ = MakeWorkerPool(pool_kind_, num_threads_);
+WorkStealingPool& QueryEngine::BatchPool() {
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<WorkStealingPool>(num_threads_);
+  }
   return *pool_;
 }
 

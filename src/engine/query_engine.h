@@ -29,22 +29,17 @@
 #include "core/query2d.h"
 #include "engine/engine.h"
 #include "engine/scratch.h"
-#include "engine/worker_pool.h"
 
 namespace pverify {
 
 class SubmitQueue;
+class WorkStealingPool;
 
 struct EngineOptions {
   /// Worker threads; 0 means hardware concurrency.
   size_t num_threads = 0;
   /// Radial-cdf resolution of the 2-D executor (Point2DQuery requests).
   int radial_pieces = 64;
-  /// Worker-pool implementation the batch paths schedule on. The
-  /// work-stealing pool is the default (it additionally supports nested
-  /// ParallelFor); kGlobalQueue selects the simple shared-queue pool.
-  /// Answers are bit-identical either way — only scheduling differs.
-  PoolKind pool = PoolKind::kWorkStealing;
 };
 
 /// Serves any number of queries over one dataset, sequentially or batched.
@@ -90,15 +85,14 @@ class QueryEngine : public Engine {
   /// the pool is only ever driven from the batch paths, so engines that
   /// never batch (e.g. the sharded engine's per-shard executors) never
   /// park idle worker threads.
-  WorkerPool& BatchPool();
+  WorkStealingPool& BatchPool();
   SubmitQueue* EnsureSubmitQueue();
 
   CpnnExecutor executor_;
   /// Engaged when the engine owns a 2-D dataset (Point2DQuery requests).
   std::optional<CpnnExecutor2D> executor2d_;
   size_t num_threads_;
-  PoolKind pool_kind_;
-  std::unique_ptr<WorkerPool> pool_;  ///< lazy; guarded by batch_mu_
+  std::unique_ptr<WorkStealingPool> pool_;  ///< lazy; guarded by batch_mu_
   std::vector<std::unique_ptr<QueryScratch>> worker_scratches_;
   QueryScratch serial_scratch_;  ///< used by Execute()
   /// Mutable so the const telemetry accessors can exclude in-flight

@@ -330,7 +330,7 @@ ShardedQueryEngine::ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
     : policy_(options.policy != nullptr
                   ? std::move(options.policy)
                   : std::make_shared<const HashShardingPolicy>()),
-      pool_(MakeWorkerPool(options.pool, options.num_threads)) {
+      pool_(options.num_threads) {
   total_objects_ = dataset.size();
   total_objects2d_ = dataset2d.size();
   has_2d_ = serve_2d;
@@ -363,8 +363,8 @@ ShardedQueryEngine::ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
                                                        eopt);
     shards_.push_back(std::move(shard));
   }
-  worker_scratches_.reserve(pool_->size());
-  for (size_t i = 0; i < pool_->size(); ++i) {
+  worker_scratches_.reserve(pool_.size());
+  for (size_t i = 0; i < pool_.size(); ++i) {
     worker_scratches_.push_back(std::make_unique<QueryScratch>());
   }
 }
@@ -373,8 +373,7 @@ ShardedQueryEngine::~ShardedQueryEngine() = default;
 
 QueryResult ShardedQueryEngine::Execute(QueryRequest request) {
   std::lock_guard<std::mutex> lock(serial_mu_);
-  return ExecuteOne(std::move(request), &serial_scratch_,
-                    /*parallel_scatter=*/true, nullptr);
+  return ExecuteOne(std::move(request), &serial_scratch_, nullptr);
 }
 
 std::vector<QueryResult> ShardedQueryEngine::ExecuteBatch(
@@ -434,15 +433,14 @@ size_t ShardedQueryEngine::ScratchBytes() const {
 void ShardedQueryEngine::RunSubmitted(std::vector<PendingQuery>& batch) {
   std::lock_guard<std::mutex> lock(batch_mu_);
   // Submitted (dispatcher-coalesced) batches land on the same pool as
-  // explicit batches; on the work-stealing pool each request's shard loop
-  // nests, so even a coalesced batch of ONE expensive query fans out.
-  const bool nested = pool_->SupportsNestedParallelFor();
-  pool_->ParallelFor(batch.size(), [&](size_t worker, size_t index) {
+  // explicit batches; each request's shard loop nests, so even a coalesced
+  // batch of ONE expensive query fans out.
+  pool_.ParallelFor(batch.size(), [&](size_t worker, size_t index) {
     PendingQuery& item = batch[index];
     try {
       item.promise.set_value(ExecuteOne(std::move(item.request),
                                         worker_scratches_[worker].get(),
-                                        /*parallel_scatter=*/nested, nullptr));
+                                        nullptr));
     } catch (...) {
       item.promise.set_exception(std::current_exception());
     }
@@ -456,26 +454,23 @@ std::vector<QueryResult> ShardedQueryEngine::ExecuteBatchLocked(
   std::vector<ScatterRecord> records;
   if (sharded != nullptr) records.resize(requests.size());
   Timer wall;
-  // Requests fan out over the pool; on the work-stealing pool each one
-  // additionally scatters its shards through a nested ParallelFor (idle
-  // workers steal the shard tasks), while the global-queue pool cannot
-  // nest and scans shards sequentially inside the batch worker.
-  const bool nested = pool_->SupportsNestedParallelFor();
-  pool_->ParallelFor(requests.size(), [&](size_t worker, size_t index) {
+  // Requests fan out over the pool; each one additionally scatters its
+  // shards through a nested ParallelFor (idle workers steal the shard
+  // tasks).
+  pool_.ParallelFor(requests.size(), [&](size_t worker, size_t index) {
     ScatterRecord* record = nullptr;
     if (sharded != nullptr) {
       records[index].shards.resize(shards_.size());
       record = &records[index];
     }
-    results[index] =
-        ExecuteOne(std::move(requests[index]), worker_scratches_[worker].get(),
-                   /*parallel_scatter=*/nested, record);
+    results[index] = ExecuteOne(std::move(requests[index]),
+                                worker_scratches_[worker].get(), record);
   });
   const double wall_ms = wall.ElapsedMs();
 
   if (gathered == nullptr && sharded == nullptr) return results;
   EngineStats agg;
-  agg.threads = pool_->size();
+  agg.threads = pool_.size();
   agg.wall_ms = wall_ms;
   for (const QueryResult& r : results) AccumulateBatchResult(r.stats, &agg);
   if (gathered != nullptr) *gathered = std::move(agg);
@@ -507,49 +502,43 @@ std::vector<QueryResult> ShardedQueryEngine::ExecuteBatchLocked(
 
 QueryResult ShardedQueryEngine::ExecuteOne(QueryRequest&& request,
                                            QueryScratch* scratch,
-                                           bool parallel_scatter,
                                            ScatterRecord* record) {
   return std::visit(
       [&](auto&& payload) {
-        return Run(std::move(payload), scratch, parallel_scatter, record);
+        return Run(std::move(payload), scratch, record);
       },
       std::move(request.query));
 }
 
 QueryResult ShardedQueryEngine::Run(PointQuery&& q, QueryScratch* scratch,
-                                    bool parallel_scatter,
                                     ScatterRecord* record) {
   PointScatterPolicy<1> policy{*this, q.q, q.options};
-  return ScatterGather(policy, scratch, parallel_scatter, record);
+  return ScatterGather(policy, scratch, record);
 }
 
 QueryResult ShardedQueryEngine::Run(MinQuery&& q, QueryScratch* scratch,
-                                    bool parallel_scatter,
                                     ScatterRecord* record) {
   // The global domain makes this bit-identical to the unsharded executor's
   // virtual query point (per-shard domains would not be).
   PointScatterPolicy<1> policy{*this, domain_lo_ - 1.0, q.options};
-  return ScatterGather(policy, scratch, parallel_scatter, record);
+  return ScatterGather(policy, scratch, record);
 }
 
 QueryResult ShardedQueryEngine::Run(MaxQuery&& q, QueryScratch* scratch,
-                                    bool parallel_scatter,
                                     ScatterRecord* record) {
   PointScatterPolicy<1> policy{*this, domain_hi_ + 1.0, q.options};
-  return ScatterGather(policy, scratch, parallel_scatter, record);
+  return ScatterGather(policy, scratch, record);
 }
 
 QueryResult ShardedQueryEngine::Run(KnnQuery&& q, QueryScratch* scratch,
-                                    bool parallel_scatter,
                                     ScatterRecord* record) {
   PV_CHECK_MSG(q.k >= 1, "k must be positive");
   KnnScatterPolicy<1> policy(*this, q.q, q.k, q.options);
-  return ScatterGather(policy, scratch, parallel_scatter, record);
+  return ScatterGather(policy, scratch, record);
 }
 
 QueryResult ShardedQueryEngine::Run(CandidatesQuery&& q,
-                                    QueryScratch* scratch, bool,
-                                    ScatterRecord*) {
+                                    QueryScratch* scratch, ScatterRecord*) {
   // The payload already is the gathered candidate set — no scatter.
   // TakeCandidates throws on a consumed (re-submitted) request.
   return ToQueryResult(
@@ -557,27 +546,25 @@ QueryResult ShardedQueryEngine::Run(CandidatesQuery&& q,
 }
 
 QueryResult ShardedQueryEngine::Run(Point2DQuery&& q, QueryScratch* scratch,
-                                    bool parallel_scatter,
                                     ScatterRecord* record) {
   PV_CHECK_MSG(has_2d_,
                "Point2DQuery on an engine without a 2-D dataset");
   PointScatterPolicy<2> policy{*this, q.q, q.options};
-  return ScatterGather(policy, scratch, parallel_scatter, record);
+  return ScatterGather(policy, scratch, record);
 }
 
 QueryResult ShardedQueryEngine::Run(Knn2DQuery&& q, QueryScratch* scratch,
-                                    bool parallel_scatter,
                                     ScatterRecord* record) {
   PV_CHECK_MSG(has_2d_, "Knn2DQuery on an engine without a 2-D dataset");
   PV_CHECK_MSG(q.k >= 1, "k must be positive");
   KnnScatterPolicy<2> policy(*this, q.q, q.k, q.options);
-  return ScatterGather(policy, scratch, parallel_scatter, record);
+  return ScatterGather(policy, scratch, record);
 }
 
-void ShardedQueryEngine::ForEachIndex(bool parallel, size_t n,
+void ShardedQueryEngine::ForEachIndex(size_t n,
                                       const std::function<void(size_t)>& fn) {
-  if (parallel && n > 1 && pool_->size() > 1) {
-    pool_->ParallelFor(n, [&fn](size_t, size_t index) { fn(index); });
+  if (n > 1 && pool_.size() > 1) {
+    pool_.ParallelFor(n, [&fn](size_t, size_t index) { fn(index); });
   } else {
     for (size_t i = 0; i < n; ++i) fn(i);
   }
@@ -586,7 +573,6 @@ void ShardedQueryEngine::ForEachIndex(bool parallel, size_t n,
 template <typename Policy>
 QueryResult ShardedQueryEngine::ScatterGather(Policy& policy,
                                               QueryScratch* scratch,
-                                              bool parallel_scatter,
                                               ScatterRecord* record) {
   // Reentrancy invariant for nested scatter: a batch worker waiting on one
   // of the ForEachIndex loops below may STEAL another request's task and
@@ -605,7 +591,7 @@ QueryResult ShardedQueryEngine::ScatterGather(Policy& policy,
   // aggregates of per-query totals over-report whenever multiple requests
   // are in flight on the work-stealing pool (the phase timings, measured
   // inside the loop bodies, were always accurate).
-  const double foreign0 = pool_->ForeignWorkMsOnThisThread();
+  const double foreign0 = pool_.ForeignWorkMsOnThisThread();
   Timer total;
   // Shard pruning, phase 0: shards whose bounds MINDIST exceeds the
   // policy's reachable-cut cap cannot contribute — skip them before any
@@ -625,7 +611,7 @@ QueryResult ShardedQueryEngine::ScatterGather(Policy& policy,
   // Scatter, phase 1: the eligible shards' local filters.
   std::vector<typename Policy::Local> locals(eligible.size());
   std::vector<double> filter_ms(eligible.size(), 0.0);
-  ForEachIndex(parallel_scatter, eligible.size(), [&](size_t j) {
+  ForEachIndex(eligible.size(), [&](size_t j) {
     Timer t;
     locals[j] = policy.LocalFilter(shards_[eligible[j]]);
     filter_ms[j] = t.ElapsedMs();
@@ -639,7 +625,7 @@ QueryResult ShardedQueryEngine::ScatterGather(Policy& policy,
   std::vector<Survivors> parts(eligible.size());
   std::vector<double> build_ms(eligible.size(), 0.0);
   std::vector<char> contributed(eligible.size(), 0);
-  ForEachIndex(parallel_scatter, eligible.size(), [&](size_t j) {
+  ForEachIndex(eligible.size(), [&](size_t j) {
     const Shard& shard = shards_[eligible[j]];
     if (!policy.Survives(shard, cut)) {
       return;  // counted as pruned below
@@ -675,7 +661,7 @@ QueryResult ShardedQueryEngine::ScatterGather(Policy& policy,
   for (double ms : build_ms) build_total += ms;
   QueryResult result = policy.Finish(std::move(merged), scratch,
                                      filter_total, build_total, total);
-  const double foreign = pool_->ForeignWorkMsOnThisThread() - foreign0;
+  const double foreign = pool_.ForeignWorkMsOnThisThread() - foreign0;
   if (foreign > 0.0) {
     result.stats.total_ms = std::max(0.0, result.stats.total_ms - foreign);
   }

@@ -22,13 +22,10 @@
 // filter and final evaluation — not in scatter/gather structure.
 //
 // Parallelism is two-level: batches fan requests across the worker pool,
-// and each request's phase-1/phase-2 shard loops fan out again. On the
-// work-stealing pool (ShardedEngineOptions::pool default) the inner loops
-// are real nested ParallelFors even inside batch workers — idle workers
-// steal shard tasks, so a single high-latency query scatters across every
-// core. On the global-queue pool nested loops would deadlock, so requests
-// executing inside batch workers scan their shards sequentially (the
-// pre-work-stealing behavior).
+// and each request's phase-1/phase-2 shard loops fan out again. The inner
+// loops are real nested ParallelFors even inside batch workers — idle
+// workers steal shard tasks, so a single high-latency query scatters
+// across every core. A 1-thread engine scans its shards sequentially.
 //
 // Exactness: a PNN qualification probability depends on EVERY candidate
 // jointly (the Π(1 − D_k) term), so shards cannot verify independently.
@@ -49,6 +46,7 @@
 
 #include "datagen/partition.h"
 #include "engine/query_engine.h"
+#include "engine/work_steal_pool.h"
 #include "spatial/bounds.h"
 
 namespace pverify {
@@ -63,13 +61,6 @@ struct ShardedEngineOptions {
   size_t num_threads = 0;
   /// Radial-cdf resolution of the 2-D pipeline (Point2DQuery requests).
   int radial_pieces = 64;
-  /// Worker-pool implementation. With the work-stealing pool (default) a
-  /// request executing inside a batch worker scatters its shards through a
-  /// real nested ParallelFor, so ONE high-latency query can use every
-  /// core; the global-queue pool cannot nest, so batch workers fall back
-  /// to the sequential per-request shard loop. Answers are bit-identical
-  /// either way.
-  PoolKind pool = PoolKind::kWorkStealing;
 };
 
 /// Per-batch statistics of the sharded engine.
@@ -103,8 +94,7 @@ class ShardedQueryEngine : public Engine {
   ~ShardedQueryEngine() override;
 
   size_t num_shards() const { return shards_.size(); }
-  size_t num_threads() const override { return pool_->size(); }
-  const WorkerPool& pool() const { return *pool_; }
+  size_t num_threads() const override { return pool_.size(); }
   size_t total_objects() const { return total_objects_; }
   const ShardingPolicy& policy() const { return *policy_; }
   /// The i-th shard's engine (its dataset is the i-th partition).
@@ -177,24 +167,21 @@ class ShardedQueryEngine : public Engine {
                      ShardedEngineOptions options, bool serve_2d);
 
   QueryResult ExecuteOne(QueryRequest&& request, QueryScratch* scratch,
-                         bool parallel_scatter, ScatterRecord* record);
+                         ScatterRecord* record);
   /// Per-kind dispatch, one overload per variant alternative; each builds
   /// its policy and runs the one ScatterGather driver (CandidatesQuery is
   /// the exception: its payload already is the gathered set).
   QueryResult Run(PointQuery&& q, QueryScratch* scratch,
-                  bool parallel_scatter, ScatterRecord* record);
-  QueryResult Run(MinQuery&& q, QueryScratch* scratch, bool parallel_scatter,
                   ScatterRecord* record);
-  QueryResult Run(MaxQuery&& q, QueryScratch* scratch, bool parallel_scatter,
-                  ScatterRecord* record);
-  QueryResult Run(KnnQuery&& q, QueryScratch* scratch, bool parallel_scatter,
-                  ScatterRecord* record);
+  QueryResult Run(MinQuery&& q, QueryScratch* scratch, ScatterRecord* record);
+  QueryResult Run(MaxQuery&& q, QueryScratch* scratch, ScatterRecord* record);
+  QueryResult Run(KnnQuery&& q, QueryScratch* scratch, ScatterRecord* record);
   QueryResult Run(CandidatesQuery&& q, QueryScratch* scratch,
-                  bool parallel_scatter, ScatterRecord* record);
+                  ScatterRecord* record);
   QueryResult Run(Point2DQuery&& q, QueryScratch* scratch,
-                  bool parallel_scatter, ScatterRecord* record);
+                  ScatterRecord* record);
   QueryResult Run(Knn2DQuery&& q, QueryScratch* scratch,
-                  bool parallel_scatter, ScatterRecord* record);
+                  ScatterRecord* record);
 
   /// THE scatter/gather driver — the only place the phase-0 cap → local
   /// filter → exact global recheck → merge skeleton exists. `policy`
@@ -202,11 +189,11 @@ class ShardedQueryEngine : public Engine {
   /// global cut, survivor construction, final evaluation).
   template <typename Policy>
   QueryResult ScatterGather(Policy& policy, QueryScratch* scratch,
-                            bool parallel_scatter, ScatterRecord* record);
+                            ScatterRecord* record);
 
-  /// Runs fn(i) for i in [0, n), on the pool when parallel.
-  void ForEachIndex(bool parallel, size_t n,
-                    const std::function<void(size_t)>& fn);
+  /// Runs fn(i) for i in [0, n): on the pool when there is more than one
+  /// index and more than one worker, sequentially otherwise.
+  void ForEachIndex(size_t n, const std::function<void(size_t)>& fn);
   void RunSubmitted(std::vector<PendingQuery>& batch);
   SubmitQueue* EnsureSubmitQueue();
   std::vector<QueryResult> ExecuteBatchLocked(
@@ -224,7 +211,7 @@ class ShardedQueryEngine : public Engine {
   double domain_lo_ = 0.0;
   double domain_hi_ = 0.0;
 
-  std::unique_ptr<WorkerPool> pool_;
+  WorkStealingPool pool_;
   std::vector<std::unique_ptr<QueryScratch>> worker_scratches_;
   QueryScratch serial_scratch_;  ///< used by Execute()
   mutable std::mutex serial_mu_;

@@ -6,10 +6,10 @@
 // new submissions pile up and are coalesced into the next batch — so
 // interactive callers pipeline single requests and still get batched
 // execution across the worker pool, without ever forming a batch
-// themselves. The runner fans the batch out on whatever WorkerPool the
-// engine was configured with: on the work-stealing pool even a coalesced
-// batch of ONE sharded request uses every core, because the request's
-// shard loop nests inside the batch worker (see sharded_engine.h).
+// themselves. The runner fans the batch out on the engine's worker pool;
+// even a coalesced batch of ONE sharded request uses every core, because
+// the request's shard loop nests inside the batch worker (see
+// sharded_engine.h).
 //
 // The runner fulfills each pending promise (value or exception) and must
 // not let exceptions escape per request; if the runner itself throws, the

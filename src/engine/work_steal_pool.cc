@@ -13,7 +13,7 @@ namespace {
 /// and its stable id there. A thread belongs to at most one pool, so one
 /// slot suffices; CurrentWorkerId compares the pool pointer.
 thread_local WorkStealingPool* tls_pool = nullptr;
-thread_local size_t tls_id = WorkStealingPool::kNotAWorker;
+thread_local size_t tls_id = 0;  ///< meaningful only while tls_pool is set
 
 /// Per-thread foreign-work clock (see ForeignWorkMsOnThisThread). Plain
 /// thread_local: only this thread writes or reads it.
@@ -22,8 +22,8 @@ thread_local double tls_foreign_ms = 0.0;
 }  // namespace
 
 /// State of one ParallelFor, living on the caller's stack. Every runner
-/// task finishes (and decrements pending) before ParallelFor returns, so
-/// no queued task outlives this frame.
+/// finishes (and decrements pending) before ParallelFor returns, so no
+/// queued pointer outlives this frame.
 struct WorkStealingPool::LoopState {
   std::atomic<size_t> cursor{0};
   size_t n = 0;
@@ -42,13 +42,13 @@ struct WorkStealingPool::LoopState {
   std::exception_ptr first_error;
 };
 
+size_t WorkStealingPool::DefaultThreadCount() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<size_t>(hw);
+}
+
 WorkStealingPool::WorkStealingPool(size_t num_threads) {
-  size_t n = num_threads;
-  if (n == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    n = hw == 0 ? 1 : static_cast<size_t>(hw);
-  }
-  n = std::max<size_t>(1, n);
+  const size_t n = num_threads == 0 ? DefaultThreadCount() : num_threads;
   deques_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     deques_.push_back(std::make_unique<TaskDeque>());
@@ -76,38 +76,7 @@ double WorkStealingPool::ForeignWorkMsOnThisThread() const {
   return tls_foreign_ms;
 }
 
-void WorkStealingPool::Submit(PoolTask task) {
-  submitted_in_flight_.fetch_add(1, std::memory_order_relaxed);
-  PoolTask wrapped = [this, t = std::move(task)](size_t worker) mutable {
-    try {
-      t(worker);
-    } catch (...) {
-      // Fire-and-forget tasks own their error handling; swallowing keeps
-      // one bad task from terminating the process (same contract as
-      // ThreadPool::Submit).
-    }
-    if (submitted_in_flight_.fetch_sub(1, std::memory_order_release) == 1) {
-      std::lock_guard<std::mutex> g(idle_mu_);
-      idle_cv_.notify_all();
-    }
-  };
-  const size_t self = CurrentWorkerId();
-  if (self != kNotAWorker) {
-    PushToOwnDeque(self, std::move(wrapped));
-  } else {
-    Inject(std::move(wrapped));
-  }
-  SignalWork();
-}
-
-void WorkStealingPool::WaitIdle() {
-  std::unique_lock<std::mutex> lk(idle_mu_);
-  idle_cv_.wait(lk, [this] {
-    return submitted_in_flight_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-void WorkStealingPool::RunLoopBody(LoopState& state, size_t worker) {
+void WorkStealingPool::RunRunner(LoopState& state, size_t worker) {
   for (;;) {
     const size_t index = state.cursor.fetch_add(1, std::memory_order_relaxed);
     if (index >= state.n) break;
@@ -117,6 +86,14 @@ void WorkStealingPool::RunLoopBody(LoopState& state, size_t worker) {
       std::lock_guard<std::mutex> g(state.mu);
       if (!state.first_error) state.first_error = std::current_exception();
     }
+  }
+  if (state.external_waiter) {
+    std::lock_guard<std::mutex> g(state.mu);
+    if (state.pending.fetch_sub(1, std::memory_order_release) == 1) {
+      state.cv.notify_all();
+    }
+  } else {
+    state.pending.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -135,26 +112,14 @@ void WorkStealingPool::ParallelFor(
   // One runner per participant; each claims indices through the shared
   // cursor until the loop is exhausted, so stragglers never serialize the
   // batch and a runner that starts late simply finds nothing left.
-  auto runner = [&state](size_t worker) {
-    RunLoopBody(state, worker);
-    if (state.external_waiter) {
-      std::lock_guard<std::mutex> g(state.mu);
-      if (state.pending.fetch_sub(1, std::memory_order_release) == 1) {
-        state.cv.notify_all();
-      }
-    } else {
-      state.pending.fetch_sub(1, std::memory_order_release);
-    }
-  };
-
   if (self != kNotAWorker) {
     // Nested call: spawn the other runners onto our own deque (thieves
     // take them FIFO from the top), then participate instead of blocking.
     for (size_t t = 0; t + 1 < spawned; ++t) {
-      PushToOwnDeque(self, PoolTask(runner));
+      PushToOwnDeque(self, &state);
     }
     if (spawned > 1) SignalWork();
-    runner(self);
+    RunRunner(state, self);
     // Our indices are done but thieves may still hold runners (or our own
     // deque may still hold unstolen ones): drain and steal — executing
     // whatever work exists, including other loops' — until the latch
@@ -179,7 +144,7 @@ void WorkStealingPool::ParallelFor(
     }
   } else {
     for (size_t t = 0; t < spawned; ++t) {
-      Inject(PoolTask(runner));
+      Inject(&state);
     }
     SignalWork();
     std::unique_lock<std::mutex> lk(state.mu);
@@ -209,8 +174,7 @@ void WorkStealingPool::WorkerLoop(size_t worker_id) {
 }
 
 bool WorkStealingPool::RunOneTask(size_t self) {
-  PoolTask task;
-  bool stolen = false;
+  LoopState* task = nullptr;
   // 1) Own deque, bottom first: LIFO keeps the hottest work local and
   //    unwinds nested loops innermost-first.
   if (self != kNotAWorker) {
@@ -218,7 +182,7 @@ bool WorkStealingPool::RunOneTask(size_t self) {
     if (own.approx_size.load(std::memory_order_relaxed) != 0) {
       std::lock_guard<std::mutex> g(own.mu);
       if (!own.tasks.empty()) {
-        task = std::move(own.tasks.back());
+        task = own.tasks.back();
         own.tasks.pop_back();
         own.approx_size.store(own.tasks.size(), std::memory_order_relaxed);
       }
@@ -228,7 +192,7 @@ bool WorkStealingPool::RunOneTask(size_t self) {
   if (!task && injected_size_.load(std::memory_order_relaxed) != 0) {
     std::lock_guard<std::mutex> g(inject_mu_);
     if (!injected_.empty()) {
-      task = std::move(injected_.front());
+      task = injected_.front();
       injected_.pop_front();
       injected_size_.store(injected_.size(), std::memory_order_relaxed);
     }
@@ -245,30 +209,28 @@ bool WorkStealingPool::RunOneTask(size_t self) {
       if (victim.approx_size.load(std::memory_order_relaxed) == 0) continue;
       std::lock_guard<std::mutex> g(victim.mu);
       if (!victim.tasks.empty()) {
-        task = std::move(victim.tasks.front());
+        task = victim.tasks.front();
         victim.tasks.pop_front();
         victim.approx_size.store(victim.tasks.size(),
                                  std::memory_order_relaxed);
-        stolen = true;
       }
     }
   }
   if (!task) return false;
-  (stolen ? steals_ : local_runs_).fetch_add(1, std::memory_order_relaxed);
-  task(self);
+  RunRunner(*task, self);
   return true;
 }
 
-void WorkStealingPool::PushToOwnDeque(size_t self, PoolTask task) {
+void WorkStealingPool::PushToOwnDeque(size_t self, LoopState* task) {
   TaskDeque& own = *deques_[self];
   std::lock_guard<std::mutex> g(own.mu);
-  own.tasks.push_back(std::move(task));
+  own.tasks.push_back(task);
   own.approx_size.store(own.tasks.size(), std::memory_order_relaxed);
 }
 
-void WorkStealingPool::Inject(PoolTask task) {
+void WorkStealingPool::Inject(LoopState* task) {
   std::lock_guard<std::mutex> g(inject_mu_);
-  injected_.push_back(std::move(task));
+  injected_.push_back(task);
   injected_size_.store(injected_.size(), std::memory_order_relaxed);
 }
 

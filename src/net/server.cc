@@ -121,14 +121,18 @@ void Server::AcceptLoop() {
       }
       continue;
     }
+    {
+      // Count before the reader starts: a client that has been answered
+      // must already observe the counter.
+      std::lock_guard<std::mutex> stats_lock(stats_mu_);
+      ++stats_.connections_accepted;
+    }
     auto conn = std::make_unique<Connection>();
     conn->sock = std::move(sock);
     Connection* raw = conn.get();
     conn->reader = std::thread([this, raw] { ReaderLoop(raw); });
     conn->writer = std::thread([this, raw] { WriterLoop(raw); });
     conns_.push_back(std::move(conn));
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.connections_accepted;
   }
 }
 

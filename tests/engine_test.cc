@@ -48,24 +48,17 @@ void ExpectIdenticalAnswer(const QueryAnswer& expected,
   }
 }
 
-// Four-thread batches — under both worker-pool implementations — must
-// answer bit for bit like the single-threaded reference for every
-// strategy; only scheduling may differ. Ported onto the differential
-// harness (tests/differential_testutil.h), which demands bit identity.
+// Four-thread batches must answer bit for bit like the single-threaded
+// reference for every strategy; only scheduling may differ. Ported onto
+// the differential harness (tests/differential_testutil.h), which demands
+// bit identity.
 TEST(QueryEngineTest, BatchAtFourThreadsMatchesSequentialAllStrategies) {
   Dataset data = TestDataset();
   QueryEngine reference(data, EngineOptions{1});
-
-  EngineOptions queue_opt;
-  queue_opt.num_threads = 4;
-  queue_opt.pool = PoolKind::kGlobalQueue;
-  QueryEngine queue_engine(data, queue_opt);
-  EngineOptions steal_opt;
-  steal_opt.num_threads = 4;
-  steal_opt.pool = PoolKind::kWorkStealing;
-  QueryEngine steal_engine(data, steal_opt);
-  ASSERT_EQ(queue_engine.num_threads(), 4u);
-  ASSERT_EQ(steal_engine.num_threads(), 4u);
+  EngineOptions eopt;
+  eopt.num_threads = 4;
+  QueryEngine engine(data, eopt);
+  ASSERT_EQ(engine.num_threads(), 4u);
 
   const std::vector<double> points = TestQueryPoints();
   for (Strategy strategy : {Strategy::kBasic, Strategy::kRefine,
@@ -76,40 +69,30 @@ TEST(QueryEngineTest, BatchAtFourThreadsMatchesSequentialAllStrategies) {
       stream.push_back([q, opt] { return QueryRequest(PointQuery{q, opt}); });
     }
     testutil::RunDifferentialStream(
-        reference,
-        {{std::string("global-queue ") + ToString(strategy).data(),
-          &queue_engine},
-         {std::string("work-stealing ") + ToString(strategy).data(),
-          &steal_engine}},
+        reference, {{std::string("4 threads ") + ToString(strategy).data(),
+                     &engine}},
         stream);
   }
 }
 
-// The full mixed-kind contract across pool kinds: a randomized stream of
-// point/min/max/knn requests answers identically on both pools, through
-// ExecuteBatch and the coalescing Submit path.
-TEST(QueryEngineTest, MixedStreamBitIdenticalAcrossPoolKinds) {
+// The full mixed-kind contract: a randomized stream of point/min/max/knn
+// requests answers identically on a 4-thread engine, through ExecuteBatch
+// and the coalescing Submit path.
+TEST(QueryEngineTest, MixedStreamBitIdenticalAtFourThreads) {
   Dataset data = TestDataset(300);
   QueryEngine reference(data, EngineOptions{1});
   const QueryOptions opt = OptionsFor(Strategy::kVR);
   const std::vector<testutil::RequestFactory> stream =
       testutil::MakeMixedKindStream(TestQueryPoints(12), opt);
 
-  EngineOptions queue_opt;
-  queue_opt.num_threads = 4;
-  queue_opt.pool = PoolKind::kGlobalQueue;
-  QueryEngine queue_engine(data, queue_opt);
-  EngineOptions steal_opt;
-  steal_opt.num_threads = 4;
-  steal_opt.pool = PoolKind::kWorkStealing;
-  QueryEngine steal_engine(data, steal_opt);
+  EngineOptions eopt;
+  eopt.num_threads = 4;
+  QueryEngine engine(data, eopt);
 
   testutil::DifferentialConfig config;
   config.exercise_submit = true;
-  testutil::RunDifferentialStream(reference,
-                                  {{"global-queue", &queue_engine},
-                                   {"work-stealing", &steal_engine}},
-                                  stream, config);
+  testutil::RunDifferentialStream(reference, {{"4 threads", &engine}}, stream,
+                                  config);
 }
 
 TEST(QueryEngineTest, MixedKindBatchMatchesDirectCalls) {

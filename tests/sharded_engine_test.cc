@@ -274,12 +274,10 @@ TEST(ShardedEngineTest, AsyncSubmitMatchesReferenceUnderConcurrency) {
   EXPECT_LE(qstats.batches, qstats.requests);
 }
 
-// Both worker-pool implementations must produce bit-identical answers:
-// with the work-stealing pool every request's shard loop runs as a REAL
-// nested ParallelFor inside batch workers (idle workers steal shard
-// tasks), while the global-queue pool scans shards sequentially there —
-// scheduling is the only difference allowed.
-TEST(ShardedEngineTest, PoolKindsBitIdenticalIncludingNestedScatter) {
+// Nested scatter: on a 4-thread engine every request's shard loop runs as
+// a REAL nested ParallelFor inside batch workers (idle workers steal shard
+// tasks); answers must still match the unsharded engine bit for bit.
+TEST(ShardedEngineTest, NestedScatterBitIdentical) {
   Dataset data = datagen::MakeUniformScatter(400, 250.0, 2.0, /*seed=*/23);
   QueryEngine reference(data, EngineOptions{2});
   const QueryOptions opt = OptionsFor(Strategy::kVR);
@@ -298,25 +296,18 @@ TEST(ShardedEngineTest, PoolKindsBitIdenticalIncludingNestedScatter) {
     });
   }
 
-  std::vector<std::unique_ptr<ShardedQueryEngine>> variants;
-  std::vector<testutil::NamedEngine> named;
-  for (PoolKind kind : {PoolKind::kGlobalQueue, PoolKind::kWorkStealing}) {
-    ShardedEngineOptions sopt;
-    sopt.num_shards = 4;
-    sopt.num_threads = 4;
-    sopt.pool = kind;
-    variants.push_back(std::make_unique<ShardedQueryEngine>(data, sopt));
-    ASSERT_EQ(variants.back()->pool().kind(), kind);
-    ASSERT_EQ(variants.back()->pool().SupportsNestedParallelFor(),
-              kind == PoolKind::kWorkStealing);
-    named.push_back({std::string(ToString(kind)), variants.back().get()});
-  }
+  ShardedEngineOptions sopt;
+  sopt.num_shards = 4;
+  sopt.num_threads = 4;
+  ShardedQueryEngine sharded(data, sopt);
+  ASSERT_EQ(sharded.num_threads(), 4u);
 
   // exercise_submit covers the dispatcher-coalesced batches, which run the
   // nested shard scatter too.
   testutil::DifferentialConfig config;
   config.exercise_submit = true;
-  testutil::RunDifferentialStream(reference, named, stream, config);
+  testutil::RunDifferentialStream(reference, {{"4 shards", &sharded}}, stream,
+                                  config);
 }
 
 TEST(ShardedEngineTest, DegenerateShapesMatchUnsharded) {

@@ -1,9 +1,9 @@
 // WorkStealingPool tests: the nesting-safe ParallelFor contract the
 // engines' nested shard fan-out depends on — no deadlock when workers
 // start loops of their own, exceptions propagating out of inner loops to
-// the nested call site, worker ids stable under stealing, and a
-// randomized nested stress run (registered under the `engine` label so
-// the TSan CI job covers the pool's synchronization).
+// the nested call site, worker ids stable under stealing, foreign-work
+// accounting, and a randomized nested stress run (registered under the
+// `engine` label so the TSan CI job covers the pool's synchronization).
 #include "engine/work_steal_pool.h"
 
 #include <array>
@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "common/timer.h"
-#include "engine/worker_pool.h"
 
 namespace pverify {
 namespace {
@@ -69,7 +68,7 @@ TEST(WorkStealPoolTest, NestedParallelForFromWorkersDoesNotDeadlock) {
   }
 }
 
-TEST(WorkStealPoolTest, NestedParallelForOnSingleWorkerPoolCompletes) {
+TEST(WorkStealPoolTest, NestedParallelForWithOneWorkerCompletes) {
   // With one worker nothing can be stolen: the nested caller must run the
   // whole inner loop itself (and drain its own spawned runners).
   WorkStealingPool pool(1);
@@ -168,57 +167,6 @@ TEST(WorkStealPoolTest, WorkerIdsStableUnderNestingAndStealing) {
       << "distinct threads shared a worker id";
 }
 
-TEST(WorkStealPoolTest, SubmitAndWaitIdle) {
-  WorkStealingPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 20);
-}
-
-TEST(WorkStealPoolTest, SubmitFromInsideWorkerLandsOnOwnDeque) {
-  WorkStealingPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 4; ++i) {
-    pool.Submit([&pool, &count] {
-      // Re-submission from a worker goes through the own-deque path.
-      pool.Submit([&count](size_t worker) {
-        EXPECT_LT(worker, 2u);
-        count.fetch_add(1);
-      });
-    });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 4);
-}
-
-TEST(WorkStealPoolTest, DestructorDrainsPendingTasks) {
-  std::atomic<int> count{0};
-  {
-    WorkStealingPool pool(1);
-    for (int i = 0; i < 10; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-  }  // destructor joins after the queues drain
-  EXPECT_EQ(count.load(), 10);
-}
-
-TEST(WorkStealPoolTest, PoolTaskHeapFallbackForLargeCaptures) {
-  WorkStealingPool pool(2);
-  std::array<int, 64> payload{};  // 256 bytes — beyond the inline buffer
-  for (size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<int>(i);
-  std::atomic<int> sum{0};
-  pool.Submit([payload, &sum] {
-    int s = 0;
-    for (int v : payload) s += v;
-    sum.store(s);
-  });
-  pool.WaitIdle();
-  EXPECT_EQ(sum.load(), 64 * 63 / 2);
-}
-
 TEST(WorkStealPoolTest, ConcurrentExternalParallelForCallers) {
   WorkStealingPool pool(4);
   std::atomic<int> total{0};
@@ -235,27 +183,34 @@ TEST(WorkStealPoolTest, ConcurrentExternalParallelForCallers) {
 }
 
 // Randomized nested stress: outer loops of varying width where a
-// deterministic subset of iterations fan out again, interleaved with
-// fire-and-forget submissions. Exact counter totals prove no index is
-// lost or duplicated under stealing; TSan proves the synchronization.
+// deterministic subset of iterations fan out again, while a second
+// external thread runs flat ParallelFor rounds concurrently. Exact counter
+// totals prove no index is lost or duplicated under stealing; TSan proves
+// the synchronization.
 TEST(WorkStealPoolTest, RandomizedNestedStress) {
   WorkStealingPool pool(4);
+  constexpr int kRounds = 10;
   std::atomic<long> work{0};
-  std::atomic<int> submitted{0};
+  std::atomic<int> concurrent{0};
   long expected_work = 0;
-  int expected_submitted = 0;
-  for (int round = 0; round < 10; ++round) {
+  int expected_concurrent = 0;
+  for (int round = 0; round < kRounds; ++round) {
     const size_t outer = 5 + (round * 7) % 23;
-    long round_work = 0;
     for (size_t i = 0; i < outer; ++i) {
       const size_t inner = (i * 13 + round) % 11;
-      round_work += inner == 0 ? 1 : static_cast<long>(inner);
+      expected_work += inner == 0 ? 1 : static_cast<long>(inner);
     }
-    expected_work += round_work;
-    expected_submitted += static_cast<int>(outer / 3);
-    for (size_t i = 0; i < outer / 3; ++i) {
-      pool.Submit([&submitted] { submitted.fetch_add(1); });
+    expected_concurrent += static_cast<int>(outer / 3);
+  }
+  std::thread second([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      const size_t outer = 5 + (round * 7) % 23;
+      pool.ParallelFor(outer / 3,
+                       [&](size_t, size_t) { concurrent.fetch_add(1); });
     }
+  });
+  for (int round = 0; round < kRounds; ++round) {
+    const size_t outer = 5 + (round * 7) % 23;
     pool.ParallelFor(outer, [&](size_t, size_t i) {
       const size_t inner = (i * 13 + round) % 11;
       if (inner == 0) {
@@ -265,9 +220,9 @@ TEST(WorkStealPoolTest, RandomizedNestedStress) {
       pool.ParallelFor(inner, [&](size_t, size_t) { work.fetch_add(1); });
     });
   }
-  pool.WaitIdle();
+  second.join();
   EXPECT_EQ(work.load(), expected_work);
-  EXPECT_EQ(submitted.load(), expected_submitted);
+  EXPECT_EQ(concurrent.load(), expected_concurrent);
 }
 
 // Foreign (drained/stolen) task time lands on the draining thread's
@@ -275,8 +230,9 @@ TEST(WorkStealPoolTest, RandomizedNestedStress) {
 // wall time instead of billing another query's work to it. The
 // choreography pins a deterministic drain: the caller worker ends up in
 // its nested loop's drain phase while the other worker holds the loop's
-// last runner hostage, so the only runnable task anywhere — a ~20 ms
-// foreign submission — must be executed by the blocked caller.
+// last runner hostage, so the only runnable task anywhere — the ~20 ms
+// runner of a second external loop — must be executed by the blocked
+// caller.
 TEST(WorkStealPoolTest, DrainedForeignTaskTimeIsAccounted) {
   WorkStealingPool pool(2);
   std::atomic<bool> helper_started{false};
@@ -284,53 +240,40 @@ TEST(WorkStealPoolTest, DrainedForeignTaskTimeIsAccounted) {
   std::atomic<double> foreign_delta{-1.0};
   constexpr double kBusyMs = 20.0;
 
-  pool.Submit([&](size_t caller) {
-    const double before = pool.ForeignWorkMsOnThisThread();
-    pool.ParallelFor(2, [&](size_t worker, size_t) {
-      if (worker == caller) {
-        // Participant role: hold this index until the helper owns one, so
-        // the caller cannot exhaust the loop alone and skip the drain.
-        while (!helper_started.load()) std::this_thread::yield();
-      } else {
-        // Helper role: keep the loop latch up until the foreign task has
-        // run; the blocked caller then has nothing else to drain.
-        helper_started.store(true);
-        while (!foreign_ran.load()) std::this_thread::yield();
-      }
+  // External thread A: one outer iteration, run by a worker (the
+  // "caller"), which starts the nested 2-runner loop.
+  std::thread a([&] {
+    pool.ParallelFor(1, [&](size_t caller, size_t) {
+      const double before = pool.ForeignWorkMsOnThisThread();
+      pool.ParallelFor(2, [&](size_t worker, size_t) {
+        if (worker == caller) {
+          // Participant role: hold this index until the helper owns one,
+          // so the caller cannot exhaust the loop alone and skip the drain.
+          while (!helper_started.load()) std::this_thread::yield();
+        } else {
+          // Helper role: keep the loop latch up until the foreign task has
+          // run; the blocked caller then has nothing else to drain.
+          helper_started.store(true);
+          while (!foreign_ran.load()) std::this_thread::yield();
+        }
+      });
+      foreign_delta.store(pool.ForeignWorkMsOnThisThread() - before);
     });
-    foreign_delta.store(pool.ForeignWorkMsOnThisThread() - before);
   });
 
-  // Once the helper pins the loop open, hand the pool a foreign task that
-  // only the blocked caller's drain loop can pick up.
+  // External thread B (this one): once the helper pins the loop open,
+  // inject a loop whose only runner the blocked caller's drain can pick up.
   while (!helper_started.load()) std::this_thread::yield();
-  pool.Submit([&] {
+  pool.ParallelFor(1, [&](size_t, size_t) {
     Timer busy;
     while (busy.ElapsedMs() < kBusyMs) {
     }
     foreign_ran.store(true);
   });
-  pool.WaitIdle();
+  a.join();
   EXPECT_GE(foreign_delta.load(), kBusyMs * 0.9);
   // A thread outside the pool never drains foreign work.
   EXPECT_EQ(pool.ForeignWorkMsOnThisThread(), 0.0);
-}
-
-TEST(WorkStealPoolTest, FactoryAndKinds) {
-  std::unique_ptr<WorkerPool> steal =
-      MakeWorkerPool(PoolKind::kWorkStealing, 2);
-  std::unique_ptr<WorkerPool> global =
-      MakeWorkerPool(PoolKind::kGlobalQueue, 2);
-  EXPECT_EQ(steal->kind(), PoolKind::kWorkStealing);
-  EXPECT_TRUE(steal->SupportsNestedParallelFor());
-  EXPECT_EQ(global->kind(), PoolKind::kGlobalQueue);
-  EXPECT_FALSE(global->SupportsNestedParallelFor());
-  EXPECT_EQ(ToString(PoolKind::kWorkStealing), "work-stealing");
-  EXPECT_EQ(ToString(PoolKind::kGlobalQueue), "global-queue");
-  std::atomic<int> count{0};
-  steal->ParallelFor(8, [&](size_t, size_t) { count.fetch_add(1); });
-  global->ParallelFor(8, [&](size_t, size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 16);
 }
 
 }  // namespace

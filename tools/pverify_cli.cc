@@ -12,8 +12,6 @@
 //   --shards=N         scatter/gather across N QueryEngine shards
 //   --policy=hash|range  sharding policy (default hash)
 //   --async            drive the run through Submit() futures (coalesced)
-//   --pool=steal|queue worker pool: work-stealing (default; nested shard
-//                      fan-out) or the simple global queue
 //   --cache=N          wrap the engine in a CachingEngine memoizing up to
 //                      N results (exact answers; see caching_engine.h) and
 //                      replay the batch once warm to show the hit path
@@ -26,8 +24,8 @@
 //                      client library (pipelined frames) instead of
 //                      building a local engine; the local sequential loop
 //                      still runs as the baseline/equivalence check. The
-//                      engine-shape flags (--shards/--async/--pool/
-//                      --cache) belong to the server in this mode.
+//                      engine-shape flags (--shards/--async/--cache)
+//                      belong to the server in this mode.
 //   --retries=N        (--connect only) total attempts per request through
 //                      net::RetryingClient — reconnects and retries
 //                      kOverloaded/kShuttingDown/timeout answers with
@@ -75,7 +73,7 @@ int Usage() {
       "  pverify_cli batch <dataset> <num_queries> [threads] [P] "
       "[tolerance]\n"
       "               [--shards=N] [--policy=hash|range] [--async] "
-      "[--dim=2] [--pool=steal|queue]\n"
+      "[--dim=2]\n"
       "               [--cache=N] [--connect=host:port] [--retries=N] "
       "[--deadline-ms=N]\n"
       "               (--dim=2 reads <dataset> as a synthetic 2-D object "
@@ -91,8 +89,6 @@ struct BatchFlags {
   std::string policy = "hash";
   bool async = false;
   int dim = 1;  ///< 2 = synthetic 2-D workload through kPoint2D
-  PoolKind pool = PoolKind::kWorkStealing;
-  bool pool_set = false;
   size_t cache = 0;  ///< 0 = no caching tier; N = CachingEngine capacity
   std::string connect;  ///< "host:port" = remote batch via pverify_serve
   int retries = 3;      ///< --connect: attempts per request (1 = no retry)
@@ -219,13 +215,11 @@ std::unique_ptr<Engine> MakeBatchEngine(
   if (flags.shards == 0) {
     EngineOptions eopt;
     eopt.num_threads = threads;
-    eopt.pool = flags.pool;
     return unsharded(eopt);
   }
   ShardedEngineOptions sopt;
   sopt.num_shards = flags.shards;
   sopt.num_threads = threads;  // 0 = hardware concurrency
-  sopt.pool = flags.pool;
   if (flags.policy == "range") {
     sopt.policy = range_policy();
   } else if (flags.policy != "hash") {
@@ -507,17 +501,6 @@ int main(int argc, char** argv) {
       flags.policy = a + 9;
     } else if (std::strcmp(a, "--async") == 0) {
       flags.async = true;
-    } else if (std::strncmp(a, "--pool=", 7) == 0) {
-      const std::string name = a + 7;
-      flags.pool_set = true;
-      if (name == "steal") {
-        flags.pool = PoolKind::kWorkStealing;
-      } else if (name == "queue") {
-        flags.pool = PoolKind::kGlobalQueue;
-      } else {
-        std::fprintf(stderr, "error: --pool must be steal or queue\n");
-        return 2;
-      }
     } else if (std::strncmp(a, "--connect=", 10) == 0) {
       flags.connect = a + 10;
     } else if (std::strncmp(a, "--retries=", 10) == 0) {
@@ -562,7 +545,7 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   if (saw_flags && cmd != "batch") {
     std::fprintf(stderr,
-                 "error: --shards/--policy/--async/--dim/--pool/--cache/"
+                 "error: --shards/--policy/--async/--dim/--cache/"
                  "--connect/--retries/--deadline-ms apply to batch only\n");
     return 2;
   }
@@ -575,10 +558,10 @@ int main(int argc, char** argv) {
   }
   if (!flags.connect.empty() &&
       (flags.shards != 0 || flags.async || flags.cache != 0 ||
-       flags.pool_set || flags.policy != "hash")) {
+       flags.policy != "hash")) {
     std::fprintf(stderr,
                  "error: --connect ships the batch to a server; the engine "
-                 "shape (--shards/--policy/--async/--pool/--cache) is the "
+                 "shape (--shards/--policy/--async/--cache) is the "
                  "server's\n");
     return 2;
   }

@@ -1,7 +1,7 @@
 // pverify_serve: the network front end. Loads (or synthesizes) a dataset,
-// builds the same engine stack the CLI batch mode would (sharded engines,
-// worker-pool choice and the caching tier all compose), and serves it over
-// the binary wire protocol in src/net/ until SIGINT/SIGTERM.
+// builds the same engine stack the CLI batch mode would (sharded engines
+// and the caching tier compose), and serves it over the binary wire
+// protocol in src/net/ until SIGINT/SIGTERM.
 //
 //   pverify_serve --dataset=objects.txt
 //   pverify_serve --synthetic=50000 --dim2=2000 --cache=4096 --port=7411
@@ -18,7 +18,6 @@
 //   --threads=N     worker threads (0 = hardware concurrency)
 //   --shards=N      scatter/gather across N shards
 //   --policy=P      sharding policy: hash (default) or range
-//   --pool=P        worker pool: steal (default) or queue
 //   --cache=N       wrap the engine in a CachingEngine of capacity N —
 //                   repeated identical requests from ANY connection hit
 //                   the memo
@@ -70,12 +69,11 @@ int Usage() {
       stderr,
       "usage: pverify_serve (--dataset=FILE | --synthetic=N) [--dim2=N]\n"
       "                     [--port=N] [--port-file=FILE] [--threads=N]\n"
-      "                     [--shards=N] [--policy=hash|range]\n"
-      "                     [--pool=steal|queue] [--cache=N] "
-      "[--max-conns=N]\n"
-      "                     [--max-frame=BYTES] [--inflight=N] "
-      "[--admission=N]\n"
-      "                     [--write-timeout-ms=N] [--drain-ms=N]\n");
+      "                     [--shards=N] [--policy=hash|range] [--cache=N]\n"
+      "                     [--max-conns=N] [--max-frame=BYTES] "
+      "[--inflight=N]\n"
+      "                     [--admission=N] [--write-timeout-ms=N] "
+      "[--drain-ms=N]\n");
   return 2;
 }
 
@@ -88,7 +86,6 @@ struct ServeFlags {
   size_t threads = 0;
   size_t shards = 0;
   std::string policy = "hash";
-  PoolKind pool = PoolKind::kWorkStealing;
   size_t cache = 0;
   size_t max_conns = 64;
   size_t max_frame = 0;  // 0 = keep the library default
@@ -113,7 +110,6 @@ std::unique_ptr<Engine> BuildEngine(const ServeFlags& flags, Dataset data,
   if (flags.shards == 0) {
     EngineOptions eopt;
     eopt.num_threads = flags.threads;
-    eopt.pool = flags.pool;
     engine = dual ? std::make_unique<QueryEngine>(std::move(data),
                                                   std::move(data2d), eopt)
                   : std::make_unique<QueryEngine>(std::move(data), eopt);
@@ -121,7 +117,6 @@ std::unique_ptr<Engine> BuildEngine(const ServeFlags& flags, Dataset data,
     ShardedEngineOptions sopt;
     sopt.num_shards = flags.shards;
     sopt.num_threads = flags.threads;
-    sopt.pool = flags.pool;
     if (flags.policy == "range") {
       sopt.policy = std::make_shared<const RangeShardingPolicy>(
           RangeShardingPolicy::ForDataset(data));
@@ -169,16 +164,6 @@ int main(int argc, char** argv) {
       flags.shards = n;
     } else if (std::strncmp(a, "--policy=", 9) == 0) {
       flags.policy = a + 9;
-    } else if (std::strncmp(a, "--pool=", 7) == 0) {
-      const std::string name = a + 7;
-      if (name == "steal") {
-        flags.pool = PoolKind::kWorkStealing;
-      } else if (name == "queue") {
-        flags.pool = PoolKind::kGlobalQueue;
-      } else {
-        std::fprintf(stderr, "error: --pool must be steal or queue\n");
-        return 2;
-      }
     } else if (std::strncmp(a, "--cache=", 8) == 0 && ParseSize(a + 8, &n)) {
       flags.cache = n;
     } else if (std::strncmp(a, "--max-conns=", 12) == 0 &&
