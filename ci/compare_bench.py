@@ -3,36 +3,39 @@
 
 The bench harness (src/bench_util/harness.h) emits
     {"bench": <name>, "config": {...}, "results": [{...}, ...]}
-where each result row mixes string keys (stage, pdf, ...) and numeric
-fields (scalar_us, merge_us, speedup, ...). This tool matches rows between
-a baseline and a candidate file by their string keys plus the numeric size
-fields (candidates, subregions, pieces, batch, ...) and prints the relative
-delta of every timing/speedup field — the quick answer to "did this PR move
-the needle, and where".
+where each result row mixes string keys (section, stage, pdf, ...) and
+numeric fields (scalar_us, merge_us, speedup, ...). This tool matches rows
+between a baseline and a candidate file by every string-valued field plus
+the numeric size fields (candidates, subregions, pieces, batch, capacity,
+...) and prints the relative delta of every timing/speedup field — the
+quick answer to "did this PR move the needle, and where". Two rows of one
+file with the same key are an error: matching them would silently drop
+one.
 
 Usage: ci/compare_bench.py BASELINE.json CANDIDATE.json [--threshold PCT]
 
-Exit code is always 0 unless --threshold is given, in which case any
-*_us regression beyond PCT percent fails the run (CI gate mode).
+Exit code is 1 when a file has duplicate row keys, or when --threshold is
+given and any *_us field regresses beyond PCT percent (CI gate mode);
+otherwise 0.
 """
 
 import argparse
 import json
 import sys
 
-# Fields that identify a row rather than measure it.
-KEY_FIELDS = ("stage", "pdf", "mode", "engine", "strategy", "candidates",
-              "subregions", "pieces", "pdf_pieces", "batch", "threads",
-              "shards", "size", "k", "queries", "conns", "cache", "offered")
+# Numeric fields that identify a row rather than measure it. Every
+# string-valued field is part of the key as well.
+SIZE_FIELDS = ("candidates", "subregions", "pieces", "pdf_pieces", "batch",
+               "threads", "shards", "size", "k", "queries", "capacity",
+               "zipf_exponent")
 
-# Event counters (serve_loadgen's robustness telemetry): reported as
-# absolute deltas, never percentage-gated — a baseline of 0 errors is the
-# common case and relative deltas against 0 are meaningless.
-COUNT_FIELDS = ("errors", "timeouts", "retries", "requests")
+
+def is_key_field(field, value):
+    return isinstance(value, str) or field in SIZE_FIELDS
 
 
 def row_key(row):
-    return tuple((k, row[k]) for k in KEY_FIELDS if k in row)
+    return tuple(sorted((k, v) for k, v in row.items() if is_key_field(k, v)))
 
 
 def fmt_key(key):
@@ -44,9 +47,13 @@ def load_results(path):
     with open(path) as fh:
         doc = json.load(fh)
     rows = {}
+    duplicates = []
     for row in doc.get("results", []):
-        rows[row_key(row)] = row
-    return doc.get("bench", path), rows
+        key = row_key(row)
+        if key in rows:
+            duplicates.append(key)
+        rows[key] = row
+    return doc.get("bench", path), rows, duplicates
 
 
 def main():
@@ -58,15 +65,22 @@ def main():
                              "this percentage")
     args = parser.parse_args()
 
-    base_name, base = load_results(args.baseline)
-    cand_name, cand = load_results(args.candidate)
+    base_name, base, base_dups = load_results(args.baseline)
+    cand_name, cand, cand_dups = load_results(args.candidate)
+    duplicates = [(args.baseline, k) for k in base_dups] + \
+                 [(args.candidate, k) for k in cand_dups]
+    if duplicates:
+        print("FAILED: rows share a key, so they cannot be matched:")
+        for path, key in duplicates:
+            print(f"    {path}: {fmt_key(key)}")
+        return 1
     print(f"baseline:  {args.baseline} ({base_name}, {len(base)} rows)")
     print(f"candidate: {args.candidate} ({cand_name}, {len(cand)} rows)")
     print()
 
     regressions = []
     matched = 0
-    for key, brow in sorted(base.items()):
+    for key, brow in sorted(base.items(), key=lambda kv: fmt_key(kv[0])):
         crow = cand.get(key)
         if crow is None:
             print(f"[only in baseline]  {fmt_key(key)}")
@@ -74,16 +88,11 @@ def main():
         matched += 1
         deltas = []
         for field, bval in brow.items():
-            if field in KEY_FIELDS or not isinstance(bval, (int, float)):
+            if is_key_field(field, bval) or \
+                    not isinstance(bval, (int, float)):
                 continue
             cval = crow.get(field)
-            if not isinstance(cval, (int, float)):
-                continue
-            if field in COUNT_FIELDS:
-                if cval != bval:
-                    deltas.append(f"{field} {bval:g} -> {cval:g}")
-                continue
-            if bval == 0:
+            if not isinstance(cval, (int, float)) or bval == 0:
                 continue
             pct = 100.0 * (cval - bval) / bval
             deltas.append(f"{field} {bval:g} -> {cval:g} ({pct:+.1f}%)")
@@ -95,7 +104,7 @@ def main():
             print(f"{fmt_key(key)}")
             for d in deltas:
                 print(f"    {d}")
-    for key in sorted(set(cand) - set(base)):
+    for key in sorted(set(cand) - set(base), key=fmt_key):
         print(f"[only in candidate] {fmt_key(key)}")
 
     print(f"\n{matched} rows matched")

@@ -75,8 +75,7 @@ ServeResponse Client::ReadNext() {
       break;
     case MessageType::kError: {
       response.ok = false;
-      DecodedError err = DecodeErrorBody(frame.header.version, reader,
-                                         options_.max_body_bytes);
+      DecodedError err = DecodeErrorBody(reader, options_.max_body_bytes);
       reader.ExpectEnd();
       response.code = err.code;
       response.error = std::move(err.message);

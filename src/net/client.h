@@ -27,8 +27,7 @@ namespace pverify {
 namespace net {
 
 /// One server reply. `ok` distinguishes a result from a request-level
-/// error frame (whose typed code and message land in `code`/`error`;
-/// frames from a v1 server always decode as kGeneric).
+/// error frame (whose typed code and message land in `code`/`error`).
 struct ServeResponse {
   uint64_t request_id = 0;
   bool ok = false;
@@ -65,7 +64,7 @@ class Client {
   /// Encodes and sends one request frame, returning the request id the
   /// response will carry. Does not wait for the response — callers pipeline
   /// freely. Thread-safe against a concurrent receiver. `deadline_ms` > 0
-  /// rides the v2 extension block: the server answers kDeadlineExceeded
+  /// rides the request extension block: the server answers kDeadlineExceeded
   /// instead of running a request whose budget (counted from the server
   /// reading the frame) ran out.
   uint64_t Send(const QueryRequest& request, uint32_t deadline_ms = 0);

@@ -18,19 +18,17 @@ uint32_t GetLe32(const uint8_t* in) {
 }  // namespace
 
 void SendFrameOn(Socket& sock, MessageType type, uint64_t request_id,
-                 const WireWriter& body, uint16_t version) {
+                 const WireWriter& body) {
   uint8_t header[kFrameHeaderBytes];
   EncodeFrameHeader(type, request_id, static_cast<uint32_t>(body.size()),
-                    header, version);
+                    header);
   sock.WriteAll(header, sizeof(header));
   if (body.size() > 0) sock.WriteAll(body.bytes().data(), body.size());
-  if (version >= 2) {
-    uint32_t crc = Crc32(header, sizeof(header));
-    crc = Crc32(body.bytes().data(), body.size(), crc);
-    uint8_t trailer[kFrameChecksumBytes];
-    PutLe32(trailer, crc);
-    sock.WriteAll(trailer, sizeof(trailer));
-  }
+  uint32_t crc = Crc32(header, sizeof(header));
+  crc = Crc32(body.bytes().data(), body.size(), crc);
+  uint8_t trailer[kFrameChecksumBytes];
+  PutLe32(trailer, crc);
+  sock.WriteAll(trailer, sizeof(trailer));
 }
 
 bool ReceiveFrame(Socket& sock, uint32_t max_body_bytes, ReceivedFrame* out) {
@@ -43,16 +41,14 @@ bool ReceiveFrame(Socket& sock, uint32_t max_body_bytes, ReceivedFrame* out) {
       !sock.ReadExact(out->body.data(), out->body.size())) {
     throw WireError("wire: connection closed before the frame body");
   }
-  if (out->header.version >= 2) {
-    uint8_t trailer[kFrameChecksumBytes];
-    if (!sock.ReadExact(trailer, sizeof(trailer))) {
-      throw WireError("wire: connection closed before the frame checksum");
-    }
-    uint32_t crc = Crc32(header_bytes, sizeof(header_bytes));
-    crc = Crc32(out->body.data(), out->body.size(), crc);
-    if (crc != GetLe32(trailer)) {
-      throw WireError("wire: frame checksum mismatch");
-    }
+  uint8_t trailer[kFrameChecksumBytes];
+  if (!sock.ReadExact(trailer, sizeof(trailer))) {
+    throw WireError("wire: connection closed before the frame checksum");
+  }
+  uint32_t crc = Crc32(header_bytes, sizeof(header_bytes));
+  crc = Crc32(out->body.data(), out->body.size(), crc);
+  if (crc != GetLe32(trailer)) {
+    throw WireError("wire: frame checksum mismatch");
   }
   return true;
 }

@@ -1,10 +1,9 @@
 // Whole-frame I/O over a Socket, shared by the server, the client and the
-// tests: one place that knows a version ≥ 2 frame carries a CRC-32 trailer
-// and a version 1 frame does not. Centralizing this is what makes the
-// fault-injection story sound — every byte a peer sends flows through
-// ReceiveFrame's checksum verification, so injected corruption surfaces as
-// a WireError at the connection boundary instead of decoding into a wrong
-// answer.
+// tests: one place that knows every frame carries a CRC-32 trailer.
+// Centralizing this is what makes the fault-injection story sound — every
+// byte a peer sends flows through ReceiveFrame's checksum verification, so
+// injected corruption surfaces as a WireError at the connection boundary
+// instead of decoding into a wrong answer.
 #ifndef PVERIFY_NET_FRAME_H_
 #define PVERIFY_NET_FRAME_H_
 
@@ -27,11 +26,11 @@ struct ReceivedFrame {
   std::chrono::steady_clock::time_point header_at{};
 };
 
-/// Writes a complete frame (header, body, and — for version ≥ 2 — the
-/// CRC-32 trailer over both). Callers serialize concurrent senders on one
-/// socket themselves; a frame must never interleave with another.
+/// Writes a complete frame (header, body and the CRC-32 trailer over
+/// both). Callers serialize concurrent senders on one socket themselves; a
+/// frame must never interleave with another.
 void SendFrameOn(Socket& sock, MessageType type, uint64_t request_id,
-                 const WireWriter& body, uint16_t version = kWireVersion);
+                 const WireWriter& body);
 
 /// Reads the next complete frame. Returns false on a clean EOF between
 /// frames; throws WireError on truncation, header violations, an oversized

@@ -11,9 +11,9 @@
 // errors (pverify queries are pure reads, so re-running one at most wastes
 // work — it cannot double-apply anything).
 //
-// pverify_cli --connect and bench/serve_loadgen surface this through
-// --retries/--deadline-ms; chaos_test drives a full differential batch
-// through a fault-injecting server with it.
+// pverify_cli --connect surfaces this through --retries/--deadline-ms;
+// chaos_test drives a full differential batch through a fault-injecting
+// server with it.
 #ifndef PVERIFY_NET_RETRY_H_
 #define PVERIFY_NET_RETRY_H_
 

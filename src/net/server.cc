@@ -107,8 +107,8 @@ void Server::AcceptLoop() {
       // Over the cap: tell the client why, then hang up. A best-effort
       // write — a peer that already vanished only costs us the syscall.
       WireWriter body;
-      EncodeErrorBody(kWireVersion, ErrorCode::kOverloaded,
-                      "server connection limit reached", body);
+      EncodeErrorBody(ErrorCode::kOverloaded, "server connection limit reached",
+                      body);
       {
         // Count before the write: a client that has read the rejection
         // frame must already observe the counter.
@@ -140,8 +140,7 @@ bool Server::SendOnConn(Connection* conn, MessageType type,
                         uint64_t request_id, const WireWriter& body) {
   std::lock_guard<std::mutex> lock(conn->write_mu);
   try {
-    SendFrameOn(conn->sock, type, request_id, body,
-                conn->peer_version.load(std::memory_order_relaxed));
+    SendFrameOn(conn->sock, type, request_id, body);
     return true;
   } catch (const WireTimeout&) {
     // The peer stopped draining its socket: the slow-reader policy cuts it
@@ -162,8 +161,7 @@ bool Server::SendOnConn(Connection* conn, MessageType type,
 bool Server::RejectNow(Connection* conn, uint64_t request_id, ErrorCode code,
                        const std::string& message) {
   WireWriter body;
-  EncodeErrorBody(conn->peer_version.load(std::memory_order_relaxed), code,
-                  message, body);
+  EncodeErrorBody(code, message, body);
   return SendOnConn(conn, MessageType::kError, request_id, body);
 }
 
@@ -197,11 +195,8 @@ void Server::ReaderLoop(Connection* conn) {
       if (frame.header.type != MessageType::kRequest) {
         throw WireError("wire: expected a request frame");
       }
-      conn->peer_version.store(frame.header.version,
-                               std::memory_order_relaxed);
       WireReader reader(frame.body.data(), frame.body.size());
-      RequestExtensions ext;
-      if (frame.header.version >= 2) ext = DecodeRequestExtensions(reader);
+      RequestExtensions ext = DecodeRequestExtensions(reader);
       QueryRequest request = DecodeRequest(reader);
       reader.ExpectEnd();
 
@@ -328,12 +323,11 @@ bool Server::DeliverResponse(Connection* conn, Outgoing& out) {
     }
     if (out.future.wait_for(wait) == std::future_status::ready) break;
   }
-  uint16_t version = conn->peer_version.load(std::memory_order_relaxed);
   WireWriter body;
   MessageType type = MessageType::kResponse;
   if (expired) {
     type = MessageType::kError;
-    EncodeErrorBody(version, ErrorCode::kDeadlineExceeded,
+    EncodeErrorBody(ErrorCode::kDeadlineExceeded,
                     "deadline exceeded while queued or executing", body);
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.deadline_expirations;
@@ -348,7 +342,7 @@ bool Server::DeliverResponse(Connection* conn, Outgoing& out) {
       // this request id and keep the connection alive.
       type = MessageType::kError;
       body.Clear();
-      EncodeErrorBody(version, ErrorCode::kInvalidRequest, e.what(), body);
+      EncodeErrorBody(ErrorCode::kInvalidRequest, e.what(), body);
     }
   }
   if (!SendOnConn(conn, type, out.request_id, body)) return false;
@@ -382,8 +376,7 @@ void Server::WriterLoop(Connection* conn) {
       if (!sent) break;
     } else {
       WireWriter body;
-      EncodeErrorBody(conn->peer_version.load(std::memory_order_relaxed),
-                      out.code, out.error, body);
+      EncodeErrorBody(out.code, out.error, body);
       if (!SendOnConn(conn, MessageType::kError, out.request_id, body)) break;
     }
   }

@@ -30,7 +30,7 @@
 //    writer still hears the rejection and can back off; the connection
 //    survives. Because rejected requests never enter the writer queue, the
 //    in-flight cap is also the bound on the per-connection write backlog.
-//  * deadlines — a v2 client can stamp deadline_ms on each request. The
+//  * deadlines — a client can stamp deadline_ms on each request. The
 //    budget is anchored when the frame header arrives and checked twice:
 //    at decode (an already-expired request is answered kDeadlineExceeded
 //    without ever touching the engine) and again at dequeue in the writer
@@ -51,10 +51,6 @@
 //  * request-level failures (engine exceptions, e.g. a 2-D query against a
 //    1-D-only engine) → kError/kInvalidRequest tagged with the request id;
 //    the connection stays open.
-//
-// Wire compatibility: the server speaks both protocol versions — each
-// connection is answered in the version of the last request frame its
-// client sent (v1 clients get v1 frames, no checksum, string-only errors).
 #ifndef PVERIFY_NET_SERVER_H_
 #define PVERIFY_NET_SERVER_H_
 
@@ -174,9 +170,6 @@ class Server {
     bool reader_done = false;
     bool writer_exited = false;  ///< guarded by mu; reader stops queueing
     std::atomic<bool> finished{false};  ///< writer exited; reapable
-    /// Frame layout the peer speaks; responses mirror it. Atomic because
-    /// the reader re-pins it per frame while the writer encodes with it.
-    std::atomic<uint16_t> peer_version{kWireVersion};
     /// Submitted-but-unanswered requests on this connection.
     std::atomic<size_t> inflight{0};
     /// Serializes reader-side immediate error frames against writer-side

@@ -48,9 +48,9 @@ const char* ErrorCodeName(ErrorCode code) {
 }
 
 void EncodeFrameHeader(MessageType type, uint64_t request_id,
-                       uint32_t body_bytes, uint8_t* out, uint16_t version) {
+                       uint32_t body_bytes, uint8_t* out) {
   PutLe<uint32_t>(out + 0, kWireMagic);
-  PutLe<uint16_t>(out + 4, version);
+  PutLe<uint16_t>(out + 4, kWireVersion);
   PutLe<uint16_t>(out + 6, static_cast<uint16_t>(type));
   PutLe<uint64_t>(out + 8, request_id);
   PutLe<uint32_t>(out + 16, body_bytes);
@@ -60,12 +60,12 @@ FrameHeader DecodeFrameHeader(const uint8_t* in, uint32_t max_body_bytes) {
   if (GetLe<uint32_t>(in + 0) != kWireMagic) {
     throw WireError("wire: bad frame magic");
   }
-  FrameHeader h;
-  h.version = GetLe<uint16_t>(in + 4);
-  if (h.version < kMinWireVersion || h.version > kWireVersion) {
+  uint16_t version = GetLe<uint16_t>(in + 4);
+  if (version != kWireVersion) {
     throw WireError("wire: unsupported protocol version " +
-                    std::to_string(h.version));
+                    std::to_string(version));
   }
+  FrameHeader h;
   uint16_t type = GetLe<uint16_t>(in + 6);
   if (type < static_cast<uint16_t>(MessageType::kRequest) ||
       type > static_cast<uint16_t>(MessageType::kError)) {
@@ -128,16 +128,15 @@ RequestExtensions DecodeRequestExtensions(WireReader& in) {
   return ext;
 }
 
-void EncodeErrorBody(uint16_t version, ErrorCode code, std::string_view message,
+void EncodeErrorBody(ErrorCode code, std::string_view message,
                      WireWriter& out) {
-  if (version >= 2) out.U16(static_cast<uint16_t>(code));
+  out.U16(static_cast<uint16_t>(code));
   out.String(message);
 }
 
-DecodedError DecodeErrorBody(uint16_t version, WireReader& in,
-                             uint32_t max_message_bytes) {
+DecodedError DecodeErrorBody(WireReader& in, uint32_t max_message_bytes) {
   DecodedError err;
-  if (version >= 2) err.code = static_cast<ErrorCode>(in.U16());
+  err.code = static_cast<ErrorCode>(in.U16());
   err.message = in.String(max_message_bytes);
   return err;
 }

@@ -11,15 +11,13 @@
 //        8     8  request_id client-chosen tag echoed in the response
 //       16     4  body_bytes bytes following the header
 //
-// Version 2 frames append a 4-byte CRC-32 trailer computed over the header
-// and body, so a corrupted byte anywhere in the frame is detected at the
+// Every frame ends in a 4-byte CRC-32 trailer computed over the header and
+// body, so a corrupted byte anywhere in the frame is detected at the
 // receiver as a protocol error instead of decoding into a wrong answer.
-// Version 2 request bodies additionally open with an extension block
-// ([u32 ext_bytes][u32 deadline_ms][unknown trailing extension bytes are
-// skipped]) ahead of the encoded request, which is how per-request
-// deadlines travel without breaking version 1 peers: both frame layouts
-// are accepted on decode (kMinWireVersion..kWireVersion) and the server
-// answers each connection in the version its client speaks.
+// Request bodies open with an extension block ([u32 ext_bytes][u32
+// deadline_ms][unknown trailing extension bytes are skipped]) ahead of the
+// encoded request; that is how per-request deadlines travel. Only
+// kWireVersion is accepted on decode.
 //
 // All integers are little-endian; doubles travel as their raw IEEE-754
 // bits, so a decoded request re-executes with bit-identical arithmetic and
@@ -74,14 +72,12 @@ class WireTooLarge : public WireError {
 };
 
 inline constexpr uint32_t kWireMagic = 0x50564659;  // "PVFY"
-/// Current protocol version: v2 adds the CRC-32 frame trailer, the
-/// request-body extension block (deadline_ms) and typed error codes.
+/// The protocol version: frames with a CRC-32 trailer, a request-body
+/// extension block (deadline_ms) and typed error codes. Any other version
+/// is a protocol error.
 inline constexpr uint16_t kWireVersion = 2;
-/// Oldest version still accepted on decode. v1 frames have no trailer, no
-/// extension block and string-only error bodies.
-inline constexpr uint16_t kMinWireVersion = 1;
 inline constexpr size_t kFrameHeaderBytes = 20;
-/// Bytes of CRC-32 trailer on a version ≥ 2 frame.
+/// Bytes of CRC-32 trailer on every frame.
 inline constexpr size_t kFrameChecksumBytes = 4;
 /// Default cap on a frame body. Large enough for any realistic result
 /// (ids + per-candidate bounds + k-NN answer); small enough that a hostile
@@ -97,11 +93,10 @@ enum class MessageType : uint16_t {
                   ///< errors close it
 };
 
-/// Typed failure classes carried in version ≥ 2 error frames (u16 ahead of
-/// the message string). Values are wire-stable; add new codes at the end.
-/// Version 1 error bodies carry only the string and decode as kGeneric.
+/// Typed failure classes carried in error frames (u16 ahead of the message
+/// string). Values are wire-stable; add new codes at the end.
 enum class ErrorCode : uint16_t {
-  kGeneric = 0,           ///< unclassified failure (also every v1 error)
+  kGeneric = 0,           ///< unclassified failure
   kProtocol = 1,          ///< malformed frame; the connection is closing
   kInvalidRequest = 2,    ///< engine rejected the request; connection lives
   kOverloaded = 3,        ///< admission/in-flight/connection cap hit; back
@@ -124,7 +119,6 @@ inline bool IsRetryable(ErrorCode code) {
 }
 
 struct FrameHeader {
-  uint16_t version = kWireVersion;
   MessageType type = MessageType::kRequest;
   uint64_t request_id = 0;
   uint32_t body_bytes = 0;
@@ -239,25 +233,22 @@ class WireReader {
   size_t pos_ = 0;
 };
 
-/// Serializes a frame header into `out[kFrameHeaderBytes]`. `version`
-/// selects the layout the rest of the frame follows (v1 peers get v1
-/// frames back).
+/// Serializes a frame header (version kWireVersion) into
+/// `out[kFrameHeaderBytes]`.
 void EncodeFrameHeader(MessageType type, uint64_t request_id,
-                       uint32_t body_bytes, uint8_t* out,
-                       uint16_t version = kWireVersion);
+                       uint32_t body_bytes, uint8_t* out);
 
-/// Parses and validates a frame header: magic, a version in
-/// kMinWireVersion..kWireVersion, known type, body length within
-/// `max_body_bytes` (violations of the cap throw WireTooLarge, everything
-/// else plain WireError).
+/// Parses and validates a frame header: magic, version == kWireVersion,
+/// known type, body length within `max_body_bytes` (violations of the cap
+/// throw WireTooLarge, everything else plain WireError).
 FrameHeader DecodeFrameHeader(const uint8_t* in, uint32_t max_body_bytes);
 
-/// Incremental IEEE CRC-32 (the trailer on version ≥ 2 frames). Chain
-/// calls by passing the previous return value as `crc` (start at 0).
+/// Incremental IEEE CRC-32 (the frame trailer). Chain calls by passing the
+/// previous return value as `crc` (start at 0).
 uint32_t Crc32(const void* data, size_t n, uint32_t crc = 0);
 
-/// Per-request metadata carried in the version ≥ 2 extension block at the
-/// head of a request body. All fields default to "absent".
+/// Per-request metadata carried in the extension block at the head of a
+/// request body. All fields default to "absent".
 struct RequestExtensions {
   uint32_t deadline_ms = 0;  ///< 0 = no deadline; else budget from the
                              ///< moment the server read the frame header
@@ -277,12 +268,11 @@ struct DecodedError {
   std::string message;
 };
 
-/// Error-frame body: v2 is [u16 code][string message]; v1 is the bare
-/// string (decoded as kGeneric). Unknown future codes decode verbatim.
-void EncodeErrorBody(uint16_t version, ErrorCode code, std::string_view message,
+/// Error-frame body: [u16 code][string message]. Unknown future codes
+/// decode verbatim.
+void EncodeErrorBody(ErrorCode code, std::string_view message,
                      WireWriter& out);
-DecodedError DecodeErrorBody(uint16_t version, WireReader& in,
-                             uint32_t max_message_bytes);
+DecodedError DecodeErrorBody(WireReader& in, uint32_t max_message_bytes);
 
 }  // namespace net
 }  // namespace pverify

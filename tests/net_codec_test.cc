@@ -278,7 +278,7 @@ TEST(NetFrameTest, HeaderRoundTrips) {
   uint8_t buf[kFrameHeaderBytes];
   EncodeFrameHeader(MessageType::kResponse, 0xdeadbeefcafe1234ull, 77, buf);
   FrameHeader h = DecodeFrameHeader(buf, kDefaultMaxBodyBytes);
-  EXPECT_EQ(h.version, kWireVersion);
+  EXPECT_EQ(buf[4] | (buf[5] << 8), kWireVersion);
   EXPECT_EQ(h.type, MessageType::kResponse);
   EXPECT_EQ(h.request_id, 0xdeadbeefcafe1234ull);
   EXPECT_EQ(h.body_bytes, 77u);
@@ -292,10 +292,16 @@ TEST(NetFrameTest, BadMagicIsRejected) {
 }
 
 TEST(NetFrameTest, BadVersionIsRejected) {
-  uint8_t buf[kFrameHeaderBytes];
-  EncodeFrameHeader(MessageType::kRequest, 1, 0, buf);
-  buf[4] = 99;
-  EXPECT_THROW(DecodeFrameHeader(buf, kDefaultMaxBodyBytes), WireError);
+  // Only kWireVersion is spoken: the retired v1 layout is as foreign as a
+  // version from the future.
+  for (uint16_t version : {1, 3, 99}) {
+    uint8_t buf[kFrameHeaderBytes];
+    EncodeFrameHeader(MessageType::kRequest, 1, 0, buf);
+    buf[4] = static_cast<uint8_t>(version);
+    buf[5] = static_cast<uint8_t>(version >> 8);
+    EXPECT_THROW(DecodeFrameHeader(buf, kDefaultMaxBodyBytes), WireError)
+        << "version " << version;
+  }
 }
 
 TEST(NetFrameTest, UnknownTypeIsRejected) {
@@ -405,7 +411,7 @@ TEST(NetCodecTest, SpecialDoublesRoundTrip) {
   }
 }
 
-// ------------------------------------------------------ version 2 layers
+// ------------------------------------ checksum, extensions, error bodies
 
 TEST(NetChecksumTest, Crc32MatchesTheIeeeCheckValue) {
   // The canonical CRC-32 check vector.
@@ -458,40 +464,13 @@ TEST(NetErrorBodyTest, TypedCodeRoundTripsInVersion2) {
         ErrorCode::kDeadlineExceeded, ErrorCode::kTooLarge,
         ErrorCode::kShuttingDown}) {
     WireWriter w;
-    EncodeErrorBody(2, code, "something happened", w);
+    EncodeErrorBody(code, "something happened", w);
     WireReader r(w.bytes().data(), w.size());
-    DecodedError err = DecodeErrorBody(2, r, kDefaultMaxBodyBytes);
+    DecodedError err = DecodeErrorBody(r, kDefaultMaxBodyBytes);
     EXPECT_EQ(err.code, code);
     EXPECT_EQ(err.message, "something happened");
     EXPECT_TRUE(r.AtEnd());
   }
-}
-
-TEST(NetErrorBodyTest, Version1BodiesAreStringOnlyAndDecodeGeneric) {
-  WireWriter w;
-  EncodeErrorBody(1, ErrorCode::kOverloaded, "v1 peers see only this", w);
-  // v1 layout: a bare string — no leading code halfword.
-  WireReader raw(w.bytes().data(), w.size());
-  EXPECT_EQ(raw.String(kDefaultMaxBodyBytes), "v1 peers see only this");
-
-  WireReader r(w.bytes().data(), w.size());
-  DecodedError err = DecodeErrorBody(1, r, kDefaultMaxBodyBytes);
-  EXPECT_EQ(err.code, ErrorCode::kGeneric);
-  EXPECT_EQ(err.message, "v1 peers see only this");
-}
-
-TEST(NetFrameTest, HeaderCarriesTheRequestedVersion) {
-  uint8_t buf[kFrameHeaderBytes];
-  EncodeFrameHeader(MessageType::kResponse, 9, 100, buf, /*version=*/1);
-  FrameHeader header = DecodeFrameHeader(buf, kDefaultMaxBodyBytes);
-  EXPECT_EQ(header.version, 1u);
-  EXPECT_EQ(header.type, MessageType::kResponse);
-  EXPECT_EQ(header.request_id, 9u);
-  EXPECT_EQ(header.body_bytes, 100u);
-
-  EncodeFrameHeader(MessageType::kResponse, 9, 100, buf);  // default = v2
-  EXPECT_EQ(DecodeFrameHeader(buf, kDefaultMaxBodyBytes).version,
-            kWireVersion);
 }
 
 }  // namespace

@@ -241,8 +241,8 @@ TEST(NetRobustnessTest, ExpiredDeadlineNeverReachesTheEngine) {
   ASSERT_EQ(frame.header.type, net::MessageType::kError);
   EXPECT_EQ(frame.header.request_id, 7u);
   net::WireReader reader(frame.body.data(), frame.body.size());
-  net::DecodedError err = net::DecodeErrorBody(frame.header.version, reader,
-                                               net::kDefaultMaxBodyBytes);
+  net::DecodedError err =
+      net::DecodeErrorBody(reader, net::kDefaultMaxBodyBytes);
   EXPECT_EQ(err.code, net::ErrorCode::kDeadlineExceeded);
   EXPECT_EQ(engine.PendingCount(), 0u);
   EXPECT_EQ(server.stats().deadline_expirations, 1u);
@@ -407,8 +407,8 @@ TEST(NetRobustnessTest, OversizedFrameAnsweredTooLargeThenClosed) {
   ASSERT_TRUE(net::ReceiveFrame(sock, net::kDefaultMaxBodyBytes, &frame));
   ASSERT_EQ(frame.header.type, net::MessageType::kError);
   net::WireReader reader(frame.body.data(), frame.body.size());
-  net::DecodedError err = net::DecodeErrorBody(frame.header.version, reader,
-                                               net::kDefaultMaxBodyBytes);
+  net::DecodedError err =
+      net::DecodeErrorBody(reader, net::kDefaultMaxBodyBytes);
   EXPECT_EQ(err.code, net::ErrorCode::kTooLarge);
 
   // And then the connection is closed — the cap violation is fatal to the
@@ -419,32 +419,50 @@ TEST(NetRobustnessTest, OversizedFrameAnsweredTooLargeThenClosed) {
   server.Stop();
 }
 
-TEST(NetRobustnessTest, Version1FramesStillRoundTrip) {
+TEST(NetRobustnessTest, RetiredWireVersionIsAProtocolError) {
   Dataset data = TestDataset();
   QueryEngine local(data, EngineOptions{});
   QueryEngine served(std::move(data), EngineOptions{});
   net::Server server(served);
   server.Start();
 
-  // A v1 peer: no extension block, no checksum trailer. The server must
-  // decode the request and answer in kind — a v1 response frame.
-  net::Socket sock = net::ConnectTcp(kLoopback, server.port());
-  net::WireWriter body;
-  net::EncodeRequest(MakePoint(250.0), body);
-  net::SendFrameOn(sock, net::MessageType::kRequest, /*request_id=*/3, body,
-                   /*version=*/1);
+  {
+    // A hand-built version-1 request frame: the same 20-byte header but
+    // version 1, the bare request body (no extension block) and no CRC-32
+    // trailer. Only kWireVersion is spoken, so the server answers kProtocol
+    // and hangs up.
+    net::WireWriter frame_bytes;
+    net::WireWriter body;
+    net::EncodeRequest(MakePoint(250.0), body);
+    frame_bytes.U32(net::kWireMagic);
+    frame_bytes.U16(1);  // version
+    frame_bytes.U16(static_cast<uint16_t>(net::MessageType::kRequest));
+    frame_bytes.U64(/*request_id=*/3);
+    frame_bytes.U32(static_cast<uint32_t>(body.size()));
+    ASSERT_EQ(frame_bytes.size(), net::kFrameHeaderBytes);
+    net::Socket sock = net::ConnectTcp(kLoopback, server.port());
+    sock.WriteAll(frame_bytes.bytes().data(), frame_bytes.size());
+    sock.WriteAll(body.bytes().data(), body.size());
 
-  net::ReceivedFrame frame;
-  ASSERT_TRUE(net::ReceiveFrame(sock, net::kDefaultMaxBodyBytes, &frame));
-  EXPECT_EQ(frame.header.version, 1u);
-  ASSERT_EQ(frame.header.type, net::MessageType::kResponse);
-  EXPECT_EQ(frame.header.request_id, 3u);
-  net::WireReader reader(frame.body.data(), frame.body.size());
-  QueryResult remote = net::DecodeResult(reader);
-  reader.ExpectEnd();
+    net::ReceivedFrame frame;
+    ASSERT_TRUE(net::ReceiveFrame(sock, net::kDefaultMaxBodyBytes, &frame));
+    ASSERT_EQ(frame.header.type, net::MessageType::kError);
+    net::WireReader reader(frame.body.data(), frame.body.size());
+    net::DecodedError err =
+        net::DecodeErrorBody(reader, net::kDefaultMaxBodyBytes);
+    EXPECT_EQ(err.code, net::ErrorCode::kProtocol);
+    uint8_t byte = 0;
+    EXPECT_FALSE(sock.ReadExact(&byte, 1));  // then the connection closes
+  }
+  EXPECT_EQ(server.stats().protocol_errors, 1u);
+  EXPECT_EQ(server.stats().requests_served, 0u);
 
-  QueryResult expected = local.Execute(MakePoint(250.0));
-  EXPECT_EQ(expected.ids, remote.ids);
+  // The server keeps serving: a fresh connection speaking kWireVersion is
+  // answered exactly as the in-process engine answers.
+  net::Client client = net::Client::Connect(kLoopback, server.port());
+  net::ServeResponse response = client.Await(client.Send(MakePoint(250.0)));
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_EQ(local.Execute(MakePoint(250.0)).ids, response.result.ids);
   server.Stop();
 }
 

@@ -241,8 +241,8 @@ TEST(NetServerTest, MalformedFrameDropsOnlyThatConnection) {
         net::ReceiveFrame(raw, net::kDefaultMaxBodyBytes, &frame));
     EXPECT_EQ(frame.header.type, net::MessageType::kError);
     net::WireReader reader(frame.body.data(), frame.body.size());
-    net::DecodedError err = net::DecodeErrorBody(
-        frame.header.version, reader, net::kDefaultMaxBodyBytes);
+    net::DecodedError err =
+        net::DecodeErrorBody(reader, net::kDefaultMaxBodyBytes);
     EXPECT_EQ(err.code, net::ErrorCode::kProtocol);
     // After the error frame the server closes: the next read is EOF.
     uint8_t byte;

@@ -33,7 +33,7 @@
 //                   before stopping (SIGINT always stops immediately)
 //
 // Clients: pverify_cli batch ... --connect=host:port, the net_server tests
-// and bench/serve_loadgen all speak the same src/net/client.h library.
+// and the pvbench driver all speak the same src/net/client.h library.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
