@@ -11,7 +11,7 @@
 //    hash sharding cannot). Each request's shard loop runs as a nested
 //    ParallelFor inside the batch workers.
 //  * Async Submit streams on both engines: every query submitted
-//    individually, coalesced internally into pool batches.
+//    individually and posted straight to the worker pool.
 //
 // Every timed region repeats until it crosses the measurement floor
 // (PVERIFY_MIN_WALL_MS, default 100 ms).
@@ -109,10 +109,9 @@ int main() {
     }
   }
 
-  // Async Submit streams: per-request futures, internal coalescing.
+  // Async Submit streams: per-request futures, one pool task each.
   bench::ThroughputPoint async_single = bench::TimeSubmitStreamFloored(
       baseline, env.query_points, opt, min_wall_ms);
-  SubmitQueueStats qs = baseline.SubmitStats();
   table.AddRow({"single+async", "-", "-",
                 std::to_string(async_single.reps),
                 FormatDouble(async_single.wall_ms, 2),
@@ -132,11 +131,7 @@ int main() {
   table.Print();
 
   std::printf(
-      "\nsubmit coalescing: %zu requests ran as %zu pool batches "
-      "(largest %zu)\n",
-      qs.requests, qs.batches, qs.max_coalesced);
-  std::printf(
-      "Note: sharding pays off once filtering/candidate construction is a\n"
+      "\nNote: sharding pays off once filtering/candidate construction is a\n"
       "real fraction of query time or shards map to separate NUMA nodes;\n"
       "range sharding additionally skips distant shards per query\n"
       "(pruned_per_query). A straggler request's shard tasks are stolen by\n"

@@ -4,7 +4,7 @@
 // range-partitioned into district shards, so a pickup request only touches
 // the shards near it — and serves interactive requests through the async
 // Submit path: each incoming pickup submits one query and gets a future,
-// while the engine coalesces everything in flight into pool batches.
+// and the engine runs each one on the next free worker.
 //
 // The serving code only sees pverify::Engine& — swapping the sharded
 // engine for an unsharded QueryEngine is a one-line construction change.
@@ -44,7 +44,7 @@ int main() {
   options.strategy = Strategy::kVR;
 
   // --- Interactive dispatch: pickups arrive one by one; Submit() returns
-  // a future immediately and the engine batches whatever is in flight. ----
+  // a future immediately and a pool worker answers it. -------------------
   Rng pickups(99);
   std::vector<double> locations;
   std::vector<std::future<QueryResult>> futures;
@@ -64,10 +64,9 @@ int main() {
     std::printf("\n");
   }
 
-  SubmitQueueStats qs = service.SubmitStats();
-  std::printf("\n%zu requests ran as %zu coalesced batch(es); "
+  std::printf("\n%zu requests submitted; "
               "%zu shard visits, %zu skipped by district bounds\n",
-              qs.requests, qs.batches, dispatch.ShardVisits(),
+              service.SubmitStats().requests, dispatch.ShardVisits(),
               dispatch.ShardsPruned());
 
   // --- Nightly audit: a full batch over fixed checkpoints, with stats. ---

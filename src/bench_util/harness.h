@@ -126,7 +126,7 @@ ThroughputPoint TimeSubmitStreamFloored(Engine& engine,
                                         double min_wall_ms);
 
 /// Times an async-submission stream: every point Submit()ed back to back
-/// (no explicit batch), then all futures drained. Measures the coalescing
+/// (no explicit batch), then all futures drained. Measures the async
 /// path end to end, for any Engine and both dimensionalities.
 template <typename Point>
 ThroughputPoint TimeSubmitStream(Engine& engine,

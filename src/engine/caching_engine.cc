@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/timer.h"
-#include "engine/submit_queue.h"
 
 namespace pverify {
 
@@ -125,7 +124,10 @@ CachingEngine::CachingEngine(std::unique_ptr<Engine> backend,
   owned_ = std::move(backend);
 }
 
-CachingEngine::~CachingEngine() = default;
+CachingEngine::~CachingEngine() {
+  std::unique_lock<std::mutex> lock(inflight_mu_);
+  inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
+}
 
 bool CachingEngine::BuildCacheQuery(const QueryRequest& request,
                                     CacheQuery* out) const {
@@ -288,10 +290,11 @@ QueryResult CachingEngine::Execute(QueryRequest request) {
   return result;
 }
 
-void CachingEngine::ServeBatch(std::vector<QueryRequest>&& requests,
-                               std::vector<QueryResult>& results,
-                               EngineStats* backend_stats) {
-  results.resize(requests.size());
+std::vector<QueryResult> CachingEngine::ExecuteBatch(
+    std::vector<QueryRequest> requests, EngineStats* stats) {
+  const CacheStats before = CounterSnapshot();
+  Timer wall;
+  std::vector<QueryResult> results(requests.size());
   std::vector<size_t> miss_index;
   std::vector<CacheQuery> miss_query;
   std::vector<bool> miss_cacheable;
@@ -312,20 +315,11 @@ void CachingEngine::ServeBatch(std::vector<QueryRequest>&& requests,
     miss_requests.push_back(std::move(requests[i]));
   }
   std::vector<QueryResult> computed =
-      backend_.ExecuteBatch(std::move(miss_requests), backend_stats);
+      backend_.ExecuteBatch(std::move(miss_requests));
   for (size_t m = 0; m < miss_index.size(); ++m) {
     if (miss_cacheable[m]) Insert(miss_query[m], computed[m]);
     results[miss_index[m]] = std::move(computed[m]);
   }
-}
-
-std::vector<QueryResult> CachingEngine::ExecuteBatch(
-    std::vector<QueryRequest> requests, EngineStats* stats) {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  const CacheStats before = CounterSnapshot();
-  Timer wall;
-  std::vector<QueryResult> results;
-  ServeBatch(std::move(requests), results, nullptr);
   if (stats != nullptr) {
     *stats = EngineStats{};
     stats->threads = backend_.num_threads();
@@ -349,62 +343,30 @@ std::vector<QueryResult> CachingEngine::ExecuteBatch(
   return results;
 }
 
-SubmitQueue* CachingEngine::EnsureSubmitQueue() {
-  SubmitQueue* queue = submit_queue_ptr_.load(std::memory_order_acquire);
-  if (queue != nullptr) return queue;
-  std::call_once(submit_once_, [this] {
-    submit_queue_ = std::make_unique<SubmitQueue>(
-        [this](std::vector<PendingQuery>& batch) { RunSubmitted(batch); });
-    submit_queue_ptr_.store(submit_queue_.get(), std::memory_order_release);
-  });
-  return submit_queue_ptr_.load(std::memory_order_acquire);
-}
-
-std::future<QueryResult> CachingEngine::Submit(QueryRequest request) {
-  return EnsureSubmitQueue()->Submit(std::move(request));
-}
-
-SubmitQueueStats CachingEngine::SubmitStats() const {
-  SubmitQueue* queue = submit_queue_ptr_.load(std::memory_order_acquire);
-  return queue != nullptr ? queue->GetStats() : SubmitQueueStats{};
-}
-
-void CachingEngine::RunSubmitted(std::vector<PendingQuery>& batch) {
-  // Hits resolve immediately; misses are re-submitted to the BACKEND's
-  // queue, which coalesces them into its own pool batches — so the cache
-  // tier costs coalesced traffic none of the backend's fan-out. Submit
-  // (rather than one backend ExecuteBatch) also keeps failures isolated: a
-  // request with invalid params fails only its own promise instead of
-  // poisoning the whole coalesced batch. No batch_mu_ needed — this path
-  // never calls the backend's batch interface.
-  struct ForwardedMiss {
-    size_t index;
-    bool cacheable;
-    CacheQuery cache_query;
-    std::future<QueryResult> future;
-  };
-  std::vector<ForwardedMiss> misses;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    CacheQuery cq;
-    const bool cacheable = BuildCacheQuery(batch[i].request, &cq);
-    if (!cacheable) {
-      bypasses_.fetch_add(1, std::memory_order_relaxed);
-    } else if (std::optional<QueryResult> cached = Lookup(cq)) {
-      batch[i].promise.set_value(std::move(*cached));
-      continue;
-    }
-    misses.push_back(ForwardedMiss{
-        i, cacheable, cq, backend_.Submit(std::move(batch[i].request))});
+void CachingEngine::SubmitThen(QueryRequest request, QueryCallback done) {
+  CacheQuery cq;
+  if (!BuildCacheQuery(request, &cq)) {
+    bypasses_.fetch_add(1, std::memory_order_relaxed);
+    backend_.SubmitThen(std::move(request), std::move(done));
+    return;
   }
-  for (ForwardedMiss& miss : misses) {
-    try {
-      QueryResult result = miss.future.get();
-      if (miss.cacheable) Insert(miss.cache_query, result);
-      batch[miss.index].promise.set_value(std::move(result));
-    } catch (...) {
-      batch[miss.index].promise.set_exception(std::current_exception());
-    }
+  if (std::optional<QueryResult> cached = Lookup(cq)) {
+    done(std::move(*cached), nullptr);
+    return;
   }
+  {
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    ++inflight_;
+  }
+  backend_.SubmitThen(
+      std::move(request),
+      [this, cq, done = std::move(done)](QueryResult result,
+                                         std::exception_ptr error) {
+        if (!error) Insert(cq, result);
+        done(std::move(result), error);
+        std::lock_guard<std::mutex> lock(inflight_mu_);
+        if (--inflight_ == 0) inflight_cv_.notify_all();
+      });
 }
 
 size_t CachingEngine::ScratchQueriesServed() const {

@@ -39,15 +39,16 @@
 // shards, each guarded by its own mutex, so concurrent Execute/Submit
 // streams from work-stealing pool workers contend only per shard. The
 // Engine contract is preserved: ExecuteBatch from one thread at a time,
-// Execute and Submit from anywhere (an internal SubmitQueue coalesces
-// submissions exactly like the wrapped engines' own queues, so cached
-// hits resolve without waking the backend pool).
+// Execute and Submit from anywhere. SubmitThen answers a hit inline on the
+// caller's thread and forwards a miss through the backend's SubmitThen,
+// memoizing the result in the completion callback — no thread ever waits
+// on a backend future, so a slow miss never delays a hit behind it.
 #ifndef PVERIFY_ENGINE_CACHING_ENGINE_H_
 #define PVERIFY_ENGINE_CACHING_ENGINE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -58,8 +59,6 @@
 #include "engine/engine.h"
 
 namespace pverify {
-
-class SubmitQueue;
 
 struct CachingEngineOptions {
   /// Total cached results across all cache shards; 0 disables caching
@@ -91,6 +90,7 @@ class CachingEngine : public Engine {
   /// Owning variant: the backend is destroyed with the cache tier.
   explicit CachingEngine(std::unique_ptr<Engine> backend,
                          CachingEngineOptions options = {});
+  /// Waits for every forwarded miss to call back before tearing down.
   ~CachingEngine() override;
 
   Engine& backend() { return backend_; }
@@ -110,10 +110,9 @@ class CachingEngine : public Engine {
   std::vector<QueryResult> ExecuteBatch(std::vector<QueryRequest> requests,
                                         EngineStats* stats = nullptr) override;
 
-  /// Non-blocking submission with coalescing; cached requests in a
-  /// coalesced batch resolve without re-running the backend pipeline.
-  std::future<QueryResult> Submit(QueryRequest request) override;
-  SubmitQueueStats SubmitStats() const override;
+  /// A hit calls `done` before returning; a miss completes on the
+  /// backend's worker once the backend answers (and is memoized first).
+  void SubmitThen(QueryRequest request, QueryCallback done) override;
   size_t ScratchQueriesServed() const override;
   size_t ScratchBytes() const override;
 
@@ -188,15 +187,6 @@ class CachingEngine : public Engine {
   /// Skipped when the epoch moved since the lookup.
   void Insert(const CacheQuery& cq, const QueryResult& result);
 
-  /// Shared serving core of ExecuteBatch and the submit-queue drain.
-  /// Requires batch_mu_. Appends served results to `results` in request
-  /// order; `backend_stats` (optional) receives the miss sub-batch's
-  /// aggregate from the backend.
-  void ServeBatch(std::vector<QueryRequest>&& requests,
-                  std::vector<QueryResult>& results,
-                  EngineStats* backend_stats);
-  void RunSubmitted(std::vector<PendingQuery>& batch);
-  SubmitQueue* EnsureSubmitQueue();
   /// Snapshot of the monotone counters (for per-batch deltas).
   CacheStats CounterSnapshot() const;
 
@@ -215,15 +205,11 @@ class CachingEngine : public Engine {
   std::atomic<size_t> evictions_{0};
   std::atomic<size_t> invalidations_{0};
 
-  /// Serializes this tier's ExecuteBatch (mirroring the wrapped engines),
-  /// so the backend's one-batch-at-a-time contract holds no matter how
-  /// callers interleave. The submit drain never takes it: coalesced misses
-  /// are re-submitted to the backend's own queue, which is safe against
-  /// everything.
-  mutable std::mutex batch_mu_;
-  std::once_flag submit_once_;
-  std::atomic<SubmitQueue*> submit_queue_ptr_{nullptr};
-  std::unique_ptr<SubmitQueue> submit_queue_;  ///< last: drains first
+  /// Misses forwarded by SubmitThen whose callback has not finished; the
+  /// destructor waits for zero, since those callbacks touch the shards.
+  std::mutex inflight_mu_;
+  std::condition_variable inflight_cv_;
+  size_t inflight_ = 0;
 };
 
 /// Factory: wraps an owned backend in a caching tier.

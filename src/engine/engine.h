@@ -1,18 +1,20 @@
 // The abstract query-engine interface.
 //
-// Everything that serves QueryRequests — the single-process QueryEngine and
-// the scatter/gather ShardedQueryEngine today, any future backend
-// (work-stealing pool, caching tier) tomorrow — implements pverify::Engine.
-// Callers are written once against `Engine&`; whether the dataset lives in
-// one R-tree or is partitioned across shards is decided only at
-// construction. Every implementation honors the same contracts:
+// Everything that serves QueryRequests — the single-process QueryEngine,
+// the scatter/gather ShardedQueryEngine and the CachingEngine decorator —
+// implements pverify::Engine. Callers are written once against `Engine&`;
+// whether the dataset lives in one R-tree or is partitioned across shards,
+// and whether a cache sits in front, is decided only at construction.
+// Every implementation honors the same contracts:
 //
 //  * Execute runs one request on the calling thread and ExecuteBatch fans a
 //    batch across the implementation's worker pool, returning results in
 //    request order; answers are bit-identical across implementations and to
 //    the sequential executors (only timings differ).
-//  * Submit enqueues a request and returns a future; requests submitted
-//    while a batch is in flight coalesce into the next pool batch.
+//  * SubmitThen posts one request straight to the worker pool and calls
+//    back when it finishes; Submit wraps it in a future. Nothing queues in
+//    front of the pool, so a slow request occupies one worker and never
+//    holds back the requests submitted after it.
 //  * ExecuteBatch may be called from one thread at a time; Execute and
 //    Submit may be called concurrently with everything.
 //  * Scratch telemetry (ScratchQueriesServed / ScratchBytes) exposes the
@@ -20,7 +22,11 @@
 #ifndef PVERIFY_ENGINE_ENGINE_H_
 #define PVERIFY_ENGINE_ENGINE_H_
 
+#include <atomic>
+#include <exception>
+#include <functional>
 #include <future>
+#include <utility>
 #include <vector>
 
 #include "engine/engine_stats.h"
@@ -30,6 +36,12 @@ namespace pverify {
 
 class Engine {
  public:
+  /// Completion of an async request: the result, or the exception the
+  /// request raised (with an empty result). Called exactly once, on the
+  /// thread that finished the request; it must not throw.
+  using QueryCallback =
+      std::function<void(QueryResult result, std::exception_ptr error)>;
+
   virtual ~Engine();
 
   /// Worker threads the batch paths fan out over.
@@ -43,12 +55,15 @@ class Engine {
   virtual std::vector<QueryResult> ExecuteBatch(
       std::vector<QueryRequest> requests, EngineStats* stats = nullptr) = 0;
 
-  /// Non-blocking submission: queues the request and returns a future that
-  /// resolves to the same result Execute would produce. Thread-safe.
-  virtual std::future<QueryResult> Submit(QueryRequest request) = 0;
+  /// The async primitive: starts the request and returns at once; `done`
+  /// receives the same result Execute would produce. Thread-safe.
+  virtual void SubmitThen(QueryRequest request, QueryCallback done) = 0;
 
-  /// Submission-queue telemetry (zeros until the first Submit).
-  virtual SubmitQueueStats SubmitStats() const = 0;
+  /// SubmitThen with a future in place of the callback. Thread-safe.
+  std::future<QueryResult> Submit(QueryRequest request);
+
+  /// Submit telemetry. With no queue every request is its own batch.
+  SubmitQueueStats SubmitStats() const;
 
   /// Total queries served from the per-worker scratches (telemetry).
   virtual size_t ScratchQueriesServed() const = 0;
@@ -59,13 +74,23 @@ class Engine {
   Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-};
 
-/// One queued async request with the promise its future was minted from
-/// (shared between the engines and the SubmitQueue).
-struct PendingQuery {
-  QueryRequest request;
-  std::promise<QueryResult> promise;
+  /// Runs `run` (returning a QueryResult) and hands its result, or the
+  /// exception it threw, to `done`.
+  template <typename Run>
+  static void Complete(const QueryCallback& done, Run&& run) {
+    QueryResult result;
+    try {
+      result = run();
+    } catch (...) {
+      done(QueryResult{}, std::current_exception());
+      return;
+    }
+    done(std::move(result), nullptr);
+  }
+
+ private:
+  std::atomic<size_t> submitted_{0};
 };
 
 }  // namespace pverify

@@ -3,7 +3,7 @@
 // EngineStats aggregates the per-query QueryStats of one batch (phase
 // totals, verifier stage totals, derived rates); MergeEngineStats folds
 // per-part aggregates — e.g. one EngineStats per shard — into one.
-// SubmitQueueStats is the async submission queue's coalescing telemetry.
+// SubmitQueueStats counts Engine::Submit calls.
 #ifndef PVERIFY_ENGINE_ENGINE_STATS_H_
 #define PVERIFY_ENGINE_ENGINE_STATS_H_
 
@@ -93,11 +93,14 @@ void AccumulateBatchResult(const QueryStats& stats, EngineStats* agg);
 /// vector yields a zero aggregate whose derived rates are all finite.
 EngineStats MergeEngineStats(const std::vector<EngineStats>& parts);
 
-/// Telemetry of an engine's async submission queue.
+/// Telemetry of Engine::Submit. Submit posts each request to the pool on
+/// its own, so `batches` equals `requests` and `max_coalesced` is 1 once
+/// anything was submitted; those two fields remain only because the
+/// pvbench benchmark still reads them.
 struct SubmitQueueStats {
   size_t requests = 0;       ///< total Submit calls
-  size_t batches = 0;        ///< dispatches to the worker pool
-  size_t max_coalesced = 0;  ///< largest single coalesced batch
+  size_t batches = 0;        ///< always == requests
+  size_t max_coalesced = 0;  ///< 1 after the first Submit, else 0
 };
 
 }  // namespace pverify

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/timer.h"
-#include "engine/submit_queue.h"
 #include "engine/work_steal_pool.h"
 
 namespace pverify {
@@ -14,12 +13,8 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
     : executor_(std::move(dataset)),
       num_threads_(options.num_threads == 0
                        ? WorkStealingPool::DefaultThreadCount()
-                       : options.num_threads) {
-  worker_scratches_.reserve(num_threads_);
-  for (size_t i = 0; i < num_threads_; ++i) {
-    worker_scratches_.push_back(std::make_unique<QueryScratch>());
-  }
-}
+                       : options.num_threads),
+      scratches_(num_threads_) {}
 
 QueryEngine::QueryEngine(Dataset2D dataset, EngineOptions options)
     : QueryEngine(Dataset{}, std::move(dataset), std::move(options)) {}
@@ -33,25 +28,26 @@ QueryEngine::QueryEngine(Dataset dataset, Dataset2D dataset2d,
 QueryEngine::~QueryEngine() = default;
 
 QueryResult QueryEngine::Execute(QueryRequest request) {
-  std::lock_guard<std::mutex> lock(serial_mu_);
-  return ExecuteOne(std::move(request), &serial_scratch_);
+  return scratches_.OnSerial([&](QueryScratch* scratch) {
+    return ExecuteOne(std::move(request), scratch);
+  });
 }
 
-WorkStealingPool& QueryEngine::BatchPool() {
-  if (pool_ == nullptr) {
+WorkStealingPool& QueryEngine::Pool() {
+  std::call_once(pool_once_, [this] {
     pool_ = std::make_unique<WorkStealingPool>(num_threads_);
-  }
+  });
   return *pool_;
 }
 
 std::vector<QueryResult> QueryEngine::ExecuteBatch(
     std::vector<QueryRequest> requests, EngineStats* stats) {
-  std::lock_guard<std::mutex> lock(batch_mu_);
   std::vector<QueryResult> results(requests.size());
   Timer wall;
-  BatchPool().ParallelFor(requests.size(), [&](size_t worker, size_t index) {
-    results[index] = ExecuteOne(std::move(requests[index]),
-                                worker_scratches_[worker].get());
+  Pool().ParallelFor(requests.size(), [&](size_t worker, size_t index) {
+    results[index] = scratches_.OnWorker(worker, [&](QueryScratch* scratch) {
+      return ExecuteOne(std::move(requests[index]), scratch);
+    });
   });
   if (stats != nullptr) {
     *stats = EngineStats{};
@@ -64,52 +60,23 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(
   return results;
 }
 
-SubmitQueue* QueryEngine::EnsureSubmitQueue() {
-  SubmitQueue* queue = submit_queue_ptr_.load(std::memory_order_acquire);
-  if (queue != nullptr) return queue;
-  std::call_once(submit_once_, [this] {
-    submit_queue_ = std::make_unique<SubmitQueue>(
-        [this](std::vector<PendingQuery>& batch) { RunSubmitted(batch); });
-    submit_queue_ptr_.store(submit_queue_.get(), std::memory_order_release);
-  });
-  return submit_queue_ptr_.load(std::memory_order_acquire);
-}
-
-std::future<QueryResult> QueryEngine::Submit(QueryRequest request) {
-  return EnsureSubmitQueue()->Submit(std::move(request));
-}
-
-SubmitQueueStats QueryEngine::SubmitStats() const {
-  SubmitQueue* queue = submit_queue_ptr_.load(std::memory_order_acquire);
-  return queue != nullptr ? queue->GetStats() : SubmitQueueStats{};
-}
-
-void QueryEngine::RunSubmitted(std::vector<PendingQuery>& batch) {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  BatchPool().ParallelFor(batch.size(), [&](size_t worker, size_t index) {
-    PendingQuery& item = batch[index];
-    try {
-      item.promise.set_value(ExecuteOne(std::move(item.request),
-                                        worker_scratches_[worker].get()));
-    } catch (...) {
-      item.promise.set_exception(std::current_exception());
-    }
+void QueryEngine::SubmitThen(QueryRequest request, QueryCallback done) {
+  // Boxed: QueryRequest is move-only and the posted task must be copyable.
+  auto boxed = std::make_shared<QueryRequest>(std::move(request));
+  Pool().Post([this, boxed, done = std::move(done)](size_t worker) {
+    Complete(done, [&] {
+      return scratches_.OnWorker(worker, [&](QueryScratch* scratch) {
+        return ExecuteOne(std::move(*boxed), scratch);
+      });
+    });
   });
 }
 
 size_t QueryEngine::ScratchQueriesServed() const {
-  std::scoped_lock lock(serial_mu_, batch_mu_);
-  size_t total = serial_scratch_.queries_served;
-  for (const auto& s : worker_scratches_) total += s->queries_served;
-  return total;
+  return scratches_.QueriesServed();
 }
 
-size_t QueryEngine::ScratchBytes() const {
-  std::scoped_lock lock(serial_mu_, batch_mu_);
-  size_t total = serial_scratch_.ApproxBytes();
-  for (const auto& s : worker_scratches_) total += s->ApproxBytes();
-  return total;
-}
+size_t QueryEngine::ScratchBytes() const { return scratches_.Bytes(); }
 
 QueryResult QueryEngine::ExecuteOne(QueryRequest&& request,
                                     QueryScratch* scratch) const {

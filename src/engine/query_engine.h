@@ -2,24 +2,21 @@
 //
 // A QueryEngine owns a CpnnExecutor (dataset + R-tree) and/or a
 // CpnnExecutor2D (2-D dataset + 2-D R-tree), a fixed-size worker pool
-// (spawned on first batched use) and one QueryScratch per worker. It is the
-// single-process implementation of the pverify::Engine interface (see
-// engine/engine.h): one request/result surface over every query family the
-// library evaluates — point C-PNN (1-D and native 2-D), min/max,
-// constrained k-NN, and pre-built candidate sets — with batches fanned
-// across the workers under dynamic load balancing. Results are returned in
+// (spawned on first batched or submitted use) and one QueryScratch per
+// worker. It is the single-process implementation of the pverify::Engine
+// interface (see engine/engine.h): one request/result surface over every
+// query family the library evaluates — point C-PNN (1-D and native 2-D),
+// min/max, constrained k-NN, and pre-built candidate sets — with batches
+// fanned across the workers under dynamic load balancing. Results are returned in
 // request order and are bit-identical to running the same requests
 // sequentially through the executors: workers share nothing but the
 // read-only executors, and each query's arithmetic is unchanged.
 //
 // Besides ExecuteBatch, interactive callers can Submit single requests and
-// get a future back: an internal submission queue coalesces everything
-// in flight into batches for the worker pool (see engine/submit_queue.h).
+// get a future back: each one is posted straight to the worker pool.
 #ifndef PVERIFY_ENGINE_QUERY_ENGINE_H_
 #define PVERIFY_ENGINE_QUERY_ENGINE_H_
 
-#include <atomic>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -32,7 +29,6 @@
 
 namespace pverify {
 
-class SubmitQueue;
 class WorkStealingPool;
 
 struct EngineOptions {
@@ -64,8 +60,7 @@ class QueryEngine : public Engine {
   QueryResult Execute(QueryRequest request) override;
   std::vector<QueryResult> ExecuteBatch(std::vector<QueryRequest> requests,
                                         EngineStats* stats = nullptr) override;
-  std::future<QueryResult> Submit(QueryRequest request) override;
-  SubmitQueueStats SubmitStats() const override;
+  void SubmitThen(QueryRequest request, QueryCallback done) override;
   size_t ScratchQueriesServed() const override;
   size_t ScratchBytes() const override;
 
@@ -80,33 +75,20 @@ class QueryEngine : public Engine {
   QueryResult Run(Point2DQuery&& q, QueryScratch* scratch) const;
   QueryResult Run(Knn2DQuery&& q, QueryScratch* scratch) const;
 
-  void RunSubmitted(std::vector<PendingQuery>& batch);
-  /// Spawns the worker pool on first use. Callers must hold batch_mu_ —
-  /// the pool is only ever driven from the batch paths, so engines that
-  /// never batch (e.g. the sharded engine's per-shard executors) never
-  /// park idle worker threads.
-  WorkStealingPool& BatchPool();
-  SubmitQueue* EnsureSubmitQueue();
+  /// Spawns the worker pool on first use, from any thread, so engines
+  /// that never batch or submit (e.g. the sharded engine's per-shard
+  /// executors) never park idle worker threads.
+  WorkStealingPool& Pool();
 
   CpnnExecutor executor_;
   /// Engaged when the engine owns a 2-D dataset (Point2DQuery requests).
   std::optional<CpnnExecutor2D> executor2d_;
   size_t num_threads_;
-  std::unique_ptr<WorkStealingPool> pool_;  ///< lazy; guarded by batch_mu_
-  std::vector<std::unique_ptr<QueryScratch>> worker_scratches_;
-  QueryScratch serial_scratch_;  ///< used by Execute()
-  /// Mutable so the const telemetry accessors can exclude in-flight
-  /// queries mutating the scratches.
-  mutable std::mutex serial_mu_;
-  /// One batch at a time owns the pool + worker scratches.
-  mutable std::mutex batch_mu_;
-  /// Lazily started on first Submit; declared last so it drains (and stops
-  /// using the pool/scratches) before anything above is destroyed.
-  std::once_flag submit_once_;
-  /// Published (release) once submit_queue_ is constructed so SubmitStats
-  /// can read it lock-free from any thread.
-  std::atomic<SubmitQueue*> submit_queue_ptr_{nullptr};
-  std::unique_ptr<SubmitQueue> submit_queue_;
+  ScratchArenas scratches_;
+  std::once_flag pool_once_;
+  /// Declared last: its destructor runs every submitted request while the
+  /// executors and scratches above still exist.
+  std::unique_ptr<WorkStealingPool> pool_;
 };
 
 }  // namespace pverify

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/timer.h"
-#include "engine/submit_queue.h"
 #include "spatial/filter.h"
 #include "uncertain/distance_distribution.h"
 
@@ -330,7 +329,10 @@ ShardedQueryEngine::ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
     : policy_(options.policy != nullptr
                   ? std::move(options.policy)
                   : std::make_shared<const HashShardingPolicy>()),
-      pool_(options.num_threads) {
+      scratches_(options.num_threads == 0
+                     ? WorkStealingPool::DefaultThreadCount()
+                     : options.num_threads),
+      pool_(scratches_.workers()) {
   total_objects_ = dataset.size();
   total_objects2d_ = dataset2d.size();
   has_2d_ = serve_2d;
@@ -363,49 +365,37 @@ ShardedQueryEngine::ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
                                                        eopt);
     shards_.push_back(std::move(shard));
   }
-  worker_scratches_.reserve(pool_.size());
-  for (size_t i = 0; i < pool_.size(); ++i) {
-    worker_scratches_.push_back(std::make_unique<QueryScratch>());
-  }
 }
 
 ShardedQueryEngine::~ShardedQueryEngine() = default;
 
 QueryResult ShardedQueryEngine::Execute(QueryRequest request) {
-  std::lock_guard<std::mutex> lock(serial_mu_);
-  return ExecuteOne(std::move(request), &serial_scratch_, nullptr);
+  return scratches_.OnSerial([&](QueryScratch* scratch) {
+    return ExecuteOne(std::move(request), scratch, nullptr);
+  });
 }
 
 std::vector<QueryResult> ShardedQueryEngine::ExecuteBatch(
     std::vector<QueryRequest> requests, EngineStats* stats) {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  return ExecuteBatchLocked(std::move(requests), stats, nullptr);
+  return ExecuteBatchImpl(std::move(requests), stats, nullptr);
 }
 
 std::vector<QueryResult> ShardedQueryEngine::ExecuteBatch(
     std::vector<QueryRequest> requests, ShardedBatchStats* stats) {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  return ExecuteBatchLocked(std::move(requests), nullptr, stats);
+  return ExecuteBatchImpl(std::move(requests), nullptr, stats);
 }
 
-SubmitQueue* ShardedQueryEngine::EnsureSubmitQueue() {
-  SubmitQueue* queue = submit_queue_ptr_.load(std::memory_order_acquire);
-  if (queue != nullptr) return queue;
-  std::call_once(submit_once_, [this] {
-    submit_queue_ = std::make_unique<SubmitQueue>(
-        [this](std::vector<PendingQuery>& batch) { RunSubmitted(batch); });
-    submit_queue_ptr_.store(submit_queue_.get(), std::memory_order_release);
+void ShardedQueryEngine::SubmitThen(QueryRequest request,
+                                    QueryCallback done) {
+  // Boxed: QueryRequest is move-only and the posted task must be copyable.
+  auto boxed = std::make_shared<QueryRequest>(std::move(request));
+  pool_.Post([this, boxed, done = std::move(done)](size_t worker) {
+    Complete(done, [&] {
+      return scratches_.OnWorker(worker, [&](QueryScratch* scratch) {
+        return ExecuteOne(std::move(*boxed), scratch, nullptr);
+      });
+    });
   });
-  return submit_queue_ptr_.load(std::memory_order_acquire);
-}
-
-std::future<QueryResult> ShardedQueryEngine::Submit(QueryRequest request) {
-  return EnsureSubmitQueue()->Submit(std::move(request));
-}
-
-SubmitQueueStats ShardedQueryEngine::SubmitStats() const {
-  SubmitQueue* queue = submit_queue_ptr_.load(std::memory_order_acquire);
-  return queue != nullptr ? queue->GetStats() : SubmitQueueStats{};
 }
 
 size_t ShardedQueryEngine::ShardVisits() const {
@@ -417,37 +407,12 @@ size_t ShardedQueryEngine::ShardsPruned() const {
 }
 
 size_t ShardedQueryEngine::ScratchQueriesServed() const {
-  std::scoped_lock lock(serial_mu_, batch_mu_);
-  size_t total = serial_scratch_.queries_served;
-  for (const auto& s : worker_scratches_) total += s->queries_served;
-  return total;
+  return scratches_.QueriesServed();
 }
 
-size_t ShardedQueryEngine::ScratchBytes() const {
-  std::scoped_lock lock(serial_mu_, batch_mu_);
-  size_t total = serial_scratch_.ApproxBytes();
-  for (const auto& s : worker_scratches_) total += s->ApproxBytes();
-  return total;
-}
+size_t ShardedQueryEngine::ScratchBytes() const { return scratches_.Bytes(); }
 
-void ShardedQueryEngine::RunSubmitted(std::vector<PendingQuery>& batch) {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  // Submitted (dispatcher-coalesced) batches land on the same pool as
-  // explicit batches; each request's shard loop nests, so even a coalesced
-  // batch of ONE expensive query fans out.
-  pool_.ParallelFor(batch.size(), [&](size_t worker, size_t index) {
-    PendingQuery& item = batch[index];
-    try {
-      item.promise.set_value(ExecuteOne(std::move(item.request),
-                                        worker_scratches_[worker].get(),
-                                        nullptr));
-    } catch (...) {
-      item.promise.set_exception(std::current_exception());
-    }
-  });
-}
-
-std::vector<QueryResult> ShardedQueryEngine::ExecuteBatchLocked(
+std::vector<QueryResult> ShardedQueryEngine::ExecuteBatchImpl(
     std::vector<QueryRequest>&& requests, EngineStats* gathered,
     ShardedBatchStats* sharded) {
   std::vector<QueryResult> results(requests.size());
@@ -463,8 +428,9 @@ std::vector<QueryResult> ShardedQueryEngine::ExecuteBatchLocked(
       records[index].shards.resize(shards_.size());
       record = &records[index];
     }
-    results[index] = ExecuteOne(std::move(requests[index]),
-                                worker_scratches_[worker].get(), record);
+    results[index] = scratches_.OnWorker(worker, [&](QueryScratch* scratch) {
+      return ExecuteOne(std::move(requests[index]), scratch, record);
+    });
   });
   const double wall_ms = wall.ElapsedMs();
 
@@ -574,7 +540,7 @@ template <typename Policy>
 QueryResult ShardedQueryEngine::ScatterGather(Policy& policy,
                                               QueryScratch* scratch,
                                               ScatterRecord* record) {
-  // Reentrancy invariant for nested scatter: a batch worker waiting on one
+  // Reentrancy invariant for nested scatter: a pool worker waiting on one
   // of the ForEachIndex loops below may STEAL another request's task and
   // execute it to completion on its own stack, reusing its per-worker
   // QueryScratch. That is safe only because `scratch` is untouched until

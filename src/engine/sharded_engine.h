@@ -21,11 +21,11 @@
 // instantiations of that driver, differing only in bounds metric, local
 // filter and final evaluation — not in scatter/gather structure.
 //
-// Parallelism is two-level: batches fan requests across the worker pool,
-// and each request's phase-1/phase-2 shard loops fan out again. The inner
-// loops are real nested ParallelFors even inside batch workers — idle
-// workers steal shard tasks, so a single high-latency query scatters
-// across every core. A 1-thread engine scans its shards sequentially.
+// Parallelism is two-level: batches and submitted requests spread across
+// the worker pool, and each request's phase-1/phase-2 shard loops fan out
+// again. The inner loops are real nested ParallelFors even inside pool
+// workers — idle workers steal shard tasks, so a single high-latency query
+// scatters across every core. A 1-thread engine scans its shards sequentially.
 //
 // Exactness: a PNN qualification probability depends on EVERY candidate
 // jointly (the Π(1 − D_k) term), so shards cannot verify independently.
@@ -39,9 +39,7 @@
 
 #include <atomic>
 #include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "datagen/partition.h"
@@ -120,9 +118,9 @@ class ShardedQueryEngine : public Engine {
   std::vector<QueryResult> ExecuteBatch(std::vector<QueryRequest> requests,
                                         ShardedBatchStats* stats);
 
-  /// Non-blocking submission with coalescing, as QueryEngine::Submit.
-  std::future<QueryResult> Submit(QueryRequest request) override;
-  SubmitQueueStats SubmitStats() const override;
+  /// Posts the request to the worker pool, as QueryEngine::SubmitThen;
+  /// its shard loops nest, so even one submitted query uses every core.
+  void SubmitThen(QueryRequest request, QueryCallback done) override;
 
   /// Lifetime telemetry: scatter executions reaching a shard vs. skipped
   /// outright by its domain bounds.
@@ -194,9 +192,7 @@ class ShardedQueryEngine : public Engine {
   /// Runs fn(i) for i in [0, n): on the pool when there is more than one
   /// index and more than one worker, sequentially otherwise.
   void ForEachIndex(size_t n, const std::function<void(size_t)>& fn);
-  void RunSubmitted(std::vector<PendingQuery>& batch);
-  SubmitQueue* EnsureSubmitQueue();
-  std::vector<QueryResult> ExecuteBatchLocked(
+  std::vector<QueryResult> ExecuteBatchImpl(
       std::vector<QueryRequest>&& requests, EngineStats* gathered,
       ShardedBatchStats* sharded);
 
@@ -211,20 +207,13 @@ class ShardedQueryEngine : public Engine {
   double domain_lo_ = 0.0;
   double domain_hi_ = 0.0;
 
-  WorkStealingPool pool_;
-  std::vector<std::unique_ptr<QueryScratch>> worker_scratches_;
-  QueryScratch serial_scratch_;  ///< used by Execute()
-  mutable std::mutex serial_mu_;
-  mutable std::mutex batch_mu_;
-
+  ScratchArenas scratches_;
   std::atomic<size_t> shard_visits_{0};
   std::atomic<size_t> shards_pruned_{0};
 
-  std::once_flag submit_once_;
-  /// Published (release) once submit_queue_ is constructed so SubmitStats
-  /// can read it lock-free from any thread.
-  std::atomic<SubmitQueue*> submit_queue_ptr_{nullptr};
-  std::unique_ptr<SubmitQueue> submit_queue_;  ///< last: drains first
+  /// Declared last: its destructor runs every submitted request while the
+  /// shards, scratches and counters above still exist.
+  WorkStealingPool pool_;
 };
 
 }  // namespace pverify

@@ -23,7 +23,8 @@ thread_local double tls_foreign_ms = 0.0;
 
 /// State of one ParallelFor, living on the caller's stack. Every runner
 /// finishes (and decrements pending) before ParallelFor returns, so no
-/// queued pointer outlives this frame.
+/// queued pointer outlives this frame. A posted state lives on the heap
+/// instead, and its single runner deletes it.
 struct WorkStealingPool::LoopState {
   std::atomic<size_t> cursor{0};
   size_t n = 0;
@@ -40,6 +41,9 @@ struct WorkStealingPool::LoopState {
   std::mutex mu;  ///< guards first_error; latch protocol when external
   std::condition_variable cv;
   std::exception_ptr first_error;
+  /// Set by Post: `fn` points at `owned_fn`, n is 1, and nobody waits.
+  bool self_owned = false;
+  std::function<void(size_t, size_t)> owned_fn;
 };
 
 size_t WorkStealingPool::DefaultThreadCount() {
@@ -87,7 +91,9 @@ void WorkStealingPool::RunRunner(LoopState& state, size_t worker) {
       if (!state.first_error) state.first_error = std::current_exception();
     }
   }
-  if (state.external_waiter) {
+  if (state.self_owned) {
+    delete &state;
+  } else if (state.external_waiter) {
     std::lock_guard<std::mutex> g(state.mu);
     if (state.pending.fetch_sub(1, std::memory_order_release) == 1) {
       state.cv.notify_all();
@@ -118,7 +124,7 @@ void WorkStealingPool::ParallelFor(
     for (size_t t = 0; t + 1 < spawned; ++t) {
       PushToOwnDeque(self, &state);
     }
-    if (spawned > 1) SignalWork();
+    if (spawned > 1) SignalWork(spawned - 1);
     RunRunner(state, self);
     // Our indices are done but thieves may still hold runners (or our own
     // deque may still hold unstolen ones): drain and steal — executing
@@ -146,13 +152,26 @@ void WorkStealingPool::ParallelFor(
     for (size_t t = 0; t < spawned; ++t) {
       Inject(&state);
     }
-    SignalWork();
+    SignalWork(spawned);
     std::unique_lock<std::mutex> lk(state.mu);
     state.cv.wait(lk, [&state] {
       return state.pending.load(std::memory_order_acquire) == 0;
     });
   }
   if (state.first_error) std::rethrow_exception(state.first_error);
+}
+
+void WorkStealingPool::Post(std::function<void(size_t)> fn) {
+  auto* state = new LoopState;
+  state->n = 1;
+  state->self_owned = true;
+  // noexcept: no caller is left to receive the exception.
+  state->owned_fn = [fn = std::move(fn)](size_t worker, size_t) noexcept {
+    fn(worker);
+  };
+  state->fn = &state->owned_fn;
+  Inject(state);
+  SignalWork(1);
 }
 
 void WorkStealingPool::WorkerLoop(size_t worker_id) {
@@ -234,11 +253,15 @@ void WorkStealingPool::Inject(LoopState* task) {
   injected_size_.store(injected_.size(), std::memory_order_relaxed);
 }
 
-void WorkStealingPool::SignalWork() {
+void WorkStealingPool::SignalWork(size_t tasks) {
   work_epoch_.fetch_add(1, std::memory_order_release);
   // Serialize against sleepers' predicate checks (see ~WorkStealingPool).
   { std::lock_guard<std::mutex> g(sleep_mu_); }
-  sleep_cv_.notify_all();
+  if (tasks == 1) {
+    sleep_cv_.notify_one();
+  } else {
+    sleep_cv_.notify_all();
+  }
 }
 
 }  // namespace pverify

@@ -3,9 +3,11 @@
 // ParallelFor hands out item indices under dynamic load balancing and
 // reports a stable worker id in [0, size()) to every callback, so callers
 // can key per-worker state (the engines key their QueryScratch arenas) off
-// it. It is the pool's only operation: each call queues one "runner" per
-// participant, and a runner claims indices through the loop's shared cursor
-// until the loop is exhausted.
+// it. Each call queues one "runner" per participant, and a runner claims
+// indices through the loop's shared cursor until the loop is exhausted.
+// Post is the fire-and-forget form the engines' Submit uses: it queues a
+// one-index loop that owns its callback and deletes itself after running,
+// so the deques hold a single task type.
 //
 // Layout: every worker owns a deque accessed Chase–Lev-style — the owner
 // pushes and pops at the BOTTOM (LIFO, so the hottest, most recently
@@ -64,8 +66,8 @@ class WorkStealingPool {
   /// Spawns `num_threads` workers (0 means DefaultThreadCount()).
   explicit WorkStealingPool(size_t num_threads);
 
-  /// Joins the workers. Every ParallelFor has returned by then, so no task
-  /// is pending.
+  /// Runs every posted task (and any task those post), then joins the
+  /// workers. Every ParallelFor has returned by then.
   ~WorkStealingPool();
 
   WorkStealingPool(const WorkStealingPool&) = delete;
@@ -83,6 +85,12 @@ class WorkStealingPool {
   void ParallelFor(size_t n,
                    const std::function<void(size_t worker, size_t index)>& fn);
 
+  /// Queues fn(worker) to run once on some worker and returns at once.
+  /// Posted tasks start in FIFO order from the injection queue. fn must not
+  /// throw: an escaping exception terminates the process, as it would on a
+  /// std::thread.
+  void Post(std::function<void(size_t worker)> fn);
+
   /// Milliseconds the CALLING thread has spent executing other tasks' work
   /// while blocked inside one of this pool's nested ParallelFor calls.
   /// Monotone per thread (0 on threads outside the pool); callers snapshot
@@ -94,10 +102,11 @@ class WorkStealingPool {
   double ForeignWorkMsOnThisThread() const;
 
  private:
-  /// State of one ParallelFor, on the caller's stack. Queued tasks are
-  /// pointers to it (one per runner); every runner has finished (and been
-  /// popped) by the time ParallelFor returns, so no queued task outlives
-  /// its loop.
+  /// State of one ParallelFor, on the caller's stack, or of one Post, on
+  /// the heap. Queued tasks are pointers to it (one per runner); every
+  /// runner has finished (and been popped) by the time ParallelFor returns,
+  /// and a posted state is deleted by its only runner, so no queued task
+  /// outlives its loop.
   struct LoopState;
 
   /// One worker's task deque: owner at the bottom, thieves at the top.
@@ -124,8 +133,9 @@ class WorkStealingPool {
   static void RunRunner(LoopState& state, size_t worker);
   void PushToOwnDeque(size_t self, LoopState* task);
   void Inject(LoopState* task);
-  /// Bumps the work epoch and wakes sleepers; call after any push.
-  void SignalWork();
+  /// Bumps the work epoch and wakes sleepers (one when a single task was
+  /// pushed, all otherwise); call after any push.
+  void SignalWork(size_t tasks);
 
   std::vector<std::unique_ptr<TaskDeque>> deques_;
   std::mutex inject_mu_;

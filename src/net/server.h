@@ -4,23 +4,22 @@
 // accepted socket) behind a hard connection cap — NOT epoll. The trade was
 // deliberate: a pverify query costs milliseconds of CPU in the engine, so
 // the scalability bottleneck is the worker pool, not socket readiness —
-// every connection's requests are funneled through Engine::Submit, where
-// the SubmitQueue coalesces traffic from all connections into shared pool
-// batches (and an optional CachingEngine wrapper memoizes across
-// connections). Blocking reads keep the decode path a straight line with
+// every connection's requests are funneled through Engine::Submit, which
+// posts each one to the engine's shared work-stealing pool (and an
+// optional CachingEngine wrapper memoizes across connections). Blocking reads keep the decode path a straight line with
 // strict frame sequencing per connection, and the cap bounds the thread
 // count (2 × max_connections) so thread-per-connection stays cheap: at the
 // point where thousands of concurrent sockets would demand epoll, the
 // engine would be saturated long before the kernel is.
 //
 // Per connection: the reader thread decodes frames into typed
-// QueryRequests and Submits them (so responses to one connection's
-// pipelined requests materialize through the engine's coalescer), handing
-// each pending future to the writer thread, which streams response frames
-// back tagged with the client's request ids. The protocol permits
-// out-of-order responses (ids are the correlation tags); this
-// implementation drains each connection's futures FIFO, which is
-// near-optimal because coalesced batches complete together.
+// QueryRequests and Submits them (so one connection's pipelined requests
+// run in parallel on the pool), handing each pending future to the writer
+// thread, which streams response frames back tagged with the client's
+// request ids. The protocol permits out-of-order responses (ids are the
+// correlation tags), but this implementation drains each connection's
+// futures FIFO: a slow request still holds back the replies queued behind
+// it on the same connection, though not their execution.
 //
 // Overload and failure discipline:
 //  * backpressure — a per-connection in-flight cap and a global admission

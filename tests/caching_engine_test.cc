@@ -1,12 +1,13 @@
 // Lockdown tests for the memoizing CachingEngine tier: cold-miss → warm-hit
 // behavior on repeated streams, the exactness contract (quantized keys,
 // borderline guard band, LRU eviction and epoch invalidation never change
-// an answer bit), capacity-0 pass-through, CacheStats plumbing, and a
-// concurrent-Submit stress test shared with the TSan CI job (this file
-// carries the `engine` CTest label).
+// an answer bit), capacity-0 pass-through, CacheStats plumbing, hits that
+// never wait behind a pending miss, and a concurrent-Submit stress test
+// shared with the TSan CI job (this file carries the `engine` CTest label).
 #include "engine/caching_engine.h"
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "differential_testutil.h"
 #include "engine/query_engine.h"
 #include "engine/sharded_engine.h"
+#include "manual_engine.h"
 
 namespace pverify {
 namespace {
@@ -103,7 +105,7 @@ TEST(CachingEngineTest, ColdMissesThenWarmHitsAllStrategiesBothBackends) {
 // The differential harness drives a randomized mixed-kind stream (point,
 // min, max, knn, candidate-set) through cache-wrapped variants of both
 // backends for several rounds — the first round populates, later rounds
-// serve memoized answers — through ExecuteBatch AND the coalescing Submit
+// serve memoized answers — through ExecuteBatch AND the async Submit
 // path. Every answer must match the uncached single-thread reference bit
 // for bit.
 TEST(CachingEngineTest, MixedStreamBitIdenticalToUncachedOverRounds) {
@@ -374,7 +376,7 @@ TEST(CachingEngineTest, CandidateRequestsBypassTheCache) {
 
 // The owning factory: the cache tier keeps its backend alive, and failures
 // submitted through the cache surface on their own future without
-// poisoning the queue.
+// affecting the requests around them.
 TEST(CachingEngineTest, OwningFactoryAndSubmitFailureIsolation) {
   Dataset data = TestDataset();
   std::unique_ptr<CachingEngine> cached = MakeCachingEngine(
@@ -388,7 +390,7 @@ TEST(CachingEngineTest, OwningFactoryAndSubmitFailureIsolation) {
   EXPECT_THROW(failing.get(), std::logic_error);
   QueryResult first = good.get();
 
-  // The queue still serves, and the earlier good answer is now memoized.
+  // The tier still serves, and the earlier good answer is now memoized.
   QueryResult again = cached->Submit(PointQuery{50.0, opt}).get();
   EXPECT_TRUE(again.stats.served_from_cache);
   testutil::ExpectEquivalentResult(first, again, "submit after failure");
@@ -459,6 +461,67 @@ TEST(CachingEngineTest, ConcurrentSubmitStressOnSharedCache) {
   CacheStats stats = cached.GetCacheStats();
   EXPECT_GT(stats.hits + stats.misses + stats.rechecks, 0u);
   EXPECT_EQ(cached.SubmitStats().requests, kThreads * kPerThread);
+}
+
+// Head-of-line regression: a cached request submitted behind a miss whose
+// backend has not answered resolves at once, instead of waiting for the
+// miss. The backend resolves only when the test says so.
+TEST(CachingEngineTest, HitDoesNotWaitBehindAPendingMiss) {
+  Dataset data = TestDataset();
+  const QueryOptions opt = OptionsFor(Strategy::kVR);
+  ManualEngine backend(data);
+  CachingEngine cached(backend);
+  const QueryResult warm = cached.Execute(PointQuery{50.0, opt});
+
+  std::future<QueryResult> miss = cached.Submit(PointQuery{120.0, opt});
+  // The miss has reached the backend before the hit is submitted.
+  const auto limit = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (backend.PendingCount() == 0 &&
+         std::chrono::steady_clock::now() < limit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(backend.PendingCount(), 1u);
+  std::future<QueryResult> hit = cached.Submit(PointQuery{50.0, opt});
+  const bool hit_ready =
+      hit.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  EXPECT_TRUE(hit_ready) << "the hit waited behind the pending miss";
+  EXPECT_EQ(miss.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  EXPECT_EQ(backend.PendingCount(), 1u);
+
+  backend.ResolveAll();
+  QueryResult hit_result = hit.get();
+  EXPECT_TRUE(hit_result.stats.served_from_cache);
+  testutil::ExpectEquivalentResult(warm, hit_result, "hit");
+  testutil::ExpectEquivalentResult(backend.Execute(PointQuery{120.0, opt}),
+                                   miss.get(), "miss");
+  // The miss was memoized by its completion callback.
+  EXPECT_TRUE(cached.Submit(PointQuery{120.0, opt}).get()
+                  .stats.served_from_cache);
+}
+
+// A cache tier over a borrowed backend outlives none of its forwarded
+// misses: destruction waits until the backend calls back, and the future
+// resolves.
+TEST(CachingEngineTest, DestructionWaitsForForwardedMisses) {
+  Dataset data = TestDataset();
+  const QueryOptions opt = OptionsFor(Strategy::kVR);
+  ManualEngine backend(data);
+  auto cached = std::make_unique<CachingEngine>(backend);
+  std::future<QueryResult> miss = cached->Submit(PointQuery{120.0, opt});
+
+  std::atomic<bool> destroyed{false};
+  std::thread destroyer([&] {
+    cached.reset();
+    destroyed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(destroyed.load());
+  backend.ResolveAll();
+  destroyer.join();
+  EXPECT_TRUE(destroyed.load());
+  testutil::ExpectEquivalentResult(backend.Execute(PointQuery{120.0, opt}),
+                                   miss.get(), "miss resolved at teardown");
 }
 
 }  // namespace

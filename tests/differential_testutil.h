@@ -4,8 +4,8 @@
 // and probability bounds bit-identical.
 //
 // The Engine contract says answers must not depend on the implementation:
-// unsharded vs. sharded 1/2/4-way, hash vs. range policy, global-queue vs.
-// work-stealing pool, cached vs. uncached — only scheduling may differ.
+// unsharded vs. sharded 1/2/4-way, hash vs. range policy, cached vs.
+// uncached — only scheduling may differ.
 // This header is that contract as a reusable assertion. Tests build a
 // stream of request FACTORIES (requests are move-only, so each engine and
 // each round rebuilds its own), hand the harness a reference and a list of
@@ -47,7 +47,7 @@ struct DifferentialConfig {
   /// every round must still match the reference exactly.
   int rounds = 1;
   /// Also push each round's stream through Submit() and check the futures,
-  /// covering the coalescing dispatcher path.
+  /// covering the async path that posts each request to the pool.
   bool exercise_submit = false;
 };
 

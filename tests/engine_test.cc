@@ -1,7 +1,10 @@
 #include "engine/query_engine.h"
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -10,6 +13,8 @@
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
 #include "differential_testutil.h"
+#include "engine/caching_engine.h"
+#include "engine/sharded_engine.h"
 
 namespace pverify {
 namespace {
@@ -77,7 +82,7 @@ TEST(QueryEngineTest, BatchAtFourThreadsMatchesSequentialAllStrategies) {
 
 // The full mixed-kind contract: a randomized stream of point/min/max/knn
 // requests answers identically on a 4-thread engine, through ExecuteBatch
-// and the coalescing Submit path.
+// and the async Submit path.
 TEST(QueryEngineTest, MixedStreamBitIdenticalAtFourThreads) {
   Dataset data = TestDataset(300);
   QueryEngine reference(data, EngineOptions{1});
@@ -233,38 +238,97 @@ TEST(QueryEngineTest, InvalidParamsSurfaceFromBatch) {
   EXPECT_THROW(engine.ExecuteBatch(std::move(batch)), std::logic_error);
 }
 
+// Builds each engine composition Submit must behave the same on.
+struct NamedFactory {
+  const char* name;
+  std::function<std::unique_ptr<Engine>(const Dataset&)> make;
+};
+
+std::vector<NamedFactory> SubmitEngines() {
+  return {
+      {"QueryEngine",
+       [](const Dataset& data) {
+         return std::make_unique<QueryEngine>(data, EngineOptions{2});
+       }},
+      {"ShardedQueryEngine",
+       [](const Dataset& data) {
+         ShardedEngineOptions sopt;
+         sopt.num_shards = 3;
+         sopt.num_threads = 2;
+         return std::make_unique<ShardedQueryEngine>(data, sopt);
+       }},
+      {"CachingEngine",
+       [](const Dataset& data) {
+         return MakeCachingEngine(
+             std::make_unique<QueryEngine>(data, EngineOptions{2}));
+       }},
+  };
+}
+
 TEST(QueryEngineTest, SubmitResolvesToTheSequentialAnswer) {
   Dataset data = TestDataset(200);
   CpnnExecutor sequential(data);
-  QueryEngine engine(data, EngineOptions{2});
   QueryOptions opt = OptionsFor(Strategy::kVR);
-
   std::vector<double> points = TestQueryPoints(8);
-  std::vector<std::future<QueryResult>> futures;
-  for (double q : points) {
-    futures.push_back(engine.Submit(PointQuery{q, opt}));
-  }
-  for (size_t i = 0; i < points.size(); ++i) {
-    ExpectIdenticalAnswer(sequential.Execute(points[i], opt),
-                          futures[i].get(), "submit");
-  }
-  SubmitQueueStats stats = engine.SubmitStats();
-  EXPECT_EQ(stats.requests, points.size());
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_LE(stats.batches, stats.requests);
-  EXPECT_GE(stats.max_coalesced, 1u);
 
-  // An invalid request resolves its future with the engine's exception
-  // instead of tearing down the queue.
-  QueryOptions bad;
-  bad.params = {0.0, 0.0};
-  std::future<QueryResult> failing = engine.Submit(PointQuery{1.0, bad});
-  EXPECT_THROW(failing.get(), std::logic_error);
-  // The queue still serves afterwards.
-  std::future<QueryResult> after =
-      engine.Submit(PointQuery{points[0], opt});
-  ExpectIdenticalAnswer(sequential.Execute(points[0], opt), after.get(),
-                        "submit after failure");
+  for (const NamedFactory& factory : SubmitEngines()) {
+    SCOPED_TRACE(factory.name);
+    std::unique_ptr<Engine> engine = factory.make(data);
+    std::vector<std::future<QueryResult>> futures;
+    for (double q : points) {
+      futures.push_back(engine->Submit(PointQuery{q, opt}));
+    }
+    // An invalid request, in flight among valid ones, fails only its own
+    // future with the engine's exception.
+    QueryOptions bad;
+    bad.params = {0.0, 0.0};
+    std::future<QueryResult> failing = engine->Submit(PointQuery{1.0, bad});
+    std::future<QueryResult> after =
+        engine->Submit(PointQuery{points[0], opt});
+    EXPECT_THROW(failing.get(), std::logic_error);
+    for (size_t i = 0; i < points.size(); ++i) {
+      ExpectIdenticalAnswer(sequential.Execute(points[i], opt),
+                            futures[i].get(), "submit");
+    }
+    ExpectIdenticalAnswer(sequential.Execute(points[0], opt), after.get(),
+                          "submit after failure");
+
+    // No queue: every request counts as its own batch.
+    SubmitQueueStats stats = engine->SubmitStats();
+    EXPECT_EQ(stats.requests, points.size() + 2);
+    EXPECT_EQ(stats.batches, stats.requests);
+    EXPECT_EQ(stats.max_coalesced, 1u);
+  }
+}
+
+// Destroying an engine right after a burst of Submits resolves every
+// future: the pool runs each posted request before its workers join, and a
+// cache tier waits for its forwarded misses.
+TEST(QueryEngineTest, DestructionResolvesEverySubmittedFuture) {
+  Dataset data = TestDataset(200);
+  CpnnExecutor sequential(data);
+  QueryOptions opt = OptionsFor(Strategy::kVR);
+  const std::vector<double> points = TestQueryPoints(8);
+  constexpr size_t kRequests = 64;
+
+  for (const NamedFactory& factory : SubmitEngines()) {
+    SCOPED_TRACE(factory.name);
+    std::vector<std::future<QueryResult>> futures;
+    {
+      std::unique_ptr<Engine> engine = factory.make(data);
+      for (size_t i = 0; i < kRequests; ++i) {
+        futures.push_back(
+            engine->Submit(PointQuery{points[i % points.size()], opt}));
+      }
+    }
+    for (size_t i = 0; i < kRequests; ++i) {
+      ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
+                std::future_status::ready)
+          << i;
+      ExpectIdenticalAnswer(sequential.Execute(points[i % points.size()], opt),
+                            futures[i].get(), "submit before destruction");
+    }
+  }
 }
 
 // The async stress test: many threads Submit concurrently while
@@ -315,10 +379,7 @@ TEST(QueryEngineTest, ConcurrentSubmitAndExecuteBatchStress) {
                             futures[t][i].get(), "submit under stress");
     }
   }
-  SubmitQueueStats stats = engine.SubmitStats();
-  EXPECT_EQ(stats.requests, kThreads * kPerThread);
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_LE(stats.batches, stats.requests);
+  EXPECT_EQ(engine.SubmitStats().requests, kThreads * kPerThread);
 }
 
 // Pins the CandidatesQuery consumption contract: executing the request

@@ -6,15 +6,13 @@
 // in-flight Submit futures (even ones that never resolve), and Drain()
 // finishes in-flight work while rejecting new requests as kShuttingDown.
 //
-// Most tests use ManualEngine — an Engine whose Submit() parks requests
-// until the test resolves them — so "the future is still pending" is a
+// Most tests use ManualEngine (tests/manual_engine.h) — an Engine whose
+// SubmitThen parks requests until the test resolves them — so "the future is still pending" is a
 // controlled state instead of a timing accident.
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,6 +23,7 @@
 #include "datagen/synthetic.h"
 #include "engine/engine.h"
 #include "engine/query_engine.h"
+#include "manual_engine.h"
 #include "net/client.h"
 #include "net/codec.h"
 #include "net/frame.h"
@@ -49,62 +48,6 @@ QueryOptions TestOptions() {
 QueryRequest MakePoint(double q) {
   return QueryRequest(PointQuery{q, TestOptions()});
 }
-
-/// An Engine whose async path answers only when the test says so: Submit()
-/// parks the request, ResolveAll() executes the backlog through a real
-/// QueryEngine and fulfills the promises. This makes server states like
-/// "N requests in flight" and "future never resolves" deterministic.
-class ManualEngine : public Engine {
- public:
-  explicit ManualEngine(Dataset data)
-      : inner_(std::move(data), EngineOptions{}) {}
-
-  size_t num_threads() const override { return 1; }
-
-  QueryResult Execute(QueryRequest request) override {
-    return inner_.Execute(std::move(request));
-  }
-
-  std::vector<QueryResult> ExecuteBatch(std::vector<QueryRequest> requests,
-                                        EngineStats* stats) override {
-    return inner_.ExecuteBatch(std::move(requests), stats);
-  }
-
-  std::future<QueryResult> Submit(QueryRequest request) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.push_back(PendingQuery{std::move(request), {}});
-    return pending_.back().promise.get_future();
-  }
-
-  size_t PendingCount() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return pending_.size();
-  }
-
-  void ResolveAll() {
-    std::list<PendingQuery> taken;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      taken.swap(pending_);
-    }
-    for (PendingQuery& p : taken) {
-      try {
-        p.promise.set_value(inner_.Execute(std::move(p.request)));
-      } catch (...) {
-        p.promise.set_exception(std::current_exception());
-      }
-    }
-  }
-
-  SubmitQueueStats SubmitStats() const override { return {}; }
-  size_t ScratchQueriesServed() const override { return 0; }
-  size_t ScratchBytes() const override { return 0; }
-
- private:
-  QueryEngine inner_;
-  std::mutex mu_;
-  std::list<PendingQuery> pending_;  ///< list: stable promise addresses
-};
 
 /// Polls `cond` until true or ~5 s passed.
 template <typename Cond>

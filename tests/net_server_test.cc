@@ -80,18 +80,10 @@ class RemoteEngine : public Engine {
     return results;
   }
 
-  std::future<QueryResult> Submit(QueryRequest request) override {
-    std::promise<QueryResult> promise;
-    std::future<QueryResult> future = promise.get_future();
-    try {
-      promise.set_value(Execute(std::move(request)));
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-    }
-    return future;
+  void SubmitThen(QueryRequest request, QueryCallback done) override {
+    Complete(done, [&] { return Execute(std::move(request)); });
   }
 
-  SubmitQueueStats SubmitStats() const override { return {}; }
   size_t ScratchQueriesServed() const override { return 0; }
   size_t ScratchBytes() const override { return 0; }
 

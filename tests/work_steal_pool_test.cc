@@ -2,12 +2,16 @@
 // engines' nested shard fan-out depends on — no deadlock when workers
 // start loops of their own, exceptions propagating out of inner loops to
 // the nested call site, worker ids stable under stealing, foreign-work
-// accounting, and a randomized nested stress run (registered under the
-// `engine` label so the TSan CI job covers the pool's synchronization).
+// accounting, a randomized nested stress run, and Post: a blocked posted
+// task never delays another, and destruction runs every posted task
+// (registered under the `engine` label so the TSan CI job covers the
+// pool's synchronization).
 #include "engine/work_steal_pool.h"
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
 #include <mutex>
 #include <set>
@@ -274,6 +278,51 @@ TEST(WorkStealPoolTest, DrainedForeignTaskTimeIsAccounted) {
   EXPECT_GE(foreign_delta.load(), kBusyMs * 0.9);
   // A thread outside the pool never drains foreign work.
   EXPECT_EQ(pool.ForeignWorkMsOnThisThread(), 0.0);
+}
+
+// A posted task blocked on a latch holds one worker only: on a 2-worker
+// pool a second post still runs while the first waits.
+TEST(WorkStealPoolTest, BlockedPostDoesNotDelayTheNextPost) {
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  std::promise<void> first_started;
+  std::promise<size_t> second_ran;
+  WorkStealingPool pool(2);  // declared last: joins before the above die
+  pool.Post([&](size_t) {
+    first_started.set_value();
+    latch.wait();
+  });
+  first_started.get_future().wait();
+  pool.Post([&](size_t worker) { second_ran.set_value(worker); });
+  std::future<size_t> second = second_ran.get_future();
+  ASSERT_EQ(second.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_LT(second.get(), 2u);
+  release.set_value();
+}
+
+// The destructor runs every posted task — including tasks posted from
+// inside posted tasks and posts that nest a ParallelFor — before joining.
+TEST(WorkStealPoolTest, DestructorRunsEveryPostedTask) {
+  constexpr size_t kPosts = 200;
+  std::atomic<size_t> ran{0};
+  std::atomic<size_t> inner{0};
+  {
+    WorkStealingPool pool(3);
+    for (size_t i = 0; i < kPosts; ++i) {
+      pool.Post([&, i](size_t worker) {
+        EXPECT_LT(worker, 3u);
+        if (i % 2 == 0) {
+          pool.Post([&](size_t) { ran.fetch_add(1); });
+        } else {
+          pool.ParallelFor(4, [&](size_t, size_t) { inner.fetch_add(1); });
+        }
+        ran.fetch_add(1);
+      });
+    }
+  }
+  EXPECT_EQ(ran.load(), kPosts + kPosts / 2);
+  EXPECT_EQ(inner.load(), 4 * (kPosts / 2));
 }
 
 }  // namespace

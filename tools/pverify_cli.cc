@@ -11,7 +11,7 @@
 // batch also understands flags (anywhere after the positionals):
 //   --shards=N         scatter/gather across N QueryEngine shards
 //   --policy=hash|range  sharding policy (default hash)
-//   --async            drive the run through Submit() futures (coalesced)
+//   --async            drive the run through Submit() futures
 //   --cache=N          wrap the engine in a CachingEngine memoizing up to
 //                      N results (exact answers; see caching_engine.h) and
 //                      replay the batch once warm to show the hit path
@@ -160,15 +160,9 @@ int RunRange(const Dataset& data, double lo, double hi, double threshold) {
 // vs. batched answer-count equivalence check.
 int ReportBatch(const bench::ThroughputPoint& seq,
                 const bench::ThroughputPoint& batched,
-                const EngineStats& stats, const SubmitQueueStats& submit,
-                const BatchFlags& flags, double threshold, double tolerance,
-                size_t num_queries, size_t engine_threads) {
-  if (flags.async) {
-    std::printf("# async: %zu submits coalesced into %zu batches "
-                "(largest %zu)\n",
-                submit.requests, submit.batches, submit.max_coalesced);
-  }
-
+                const EngineStats& stats, const BatchFlags& flags,
+                double threshold, double tolerance, size_t num_queries,
+                size_t engine_threads) {
   std::printf("# batch P=%g tolerance=%g queries=%zu threads=%zu dim=%d\n",
               threshold, tolerance, num_queries, engine_threads, flags.dim);
   std::printf("sequential:   %10.2f ms  %10.1f q/s  %zu answers\n",
@@ -271,9 +265,8 @@ int RunBatchOnEngine(Engine& engine, ShardedQueryEngine* sharded,
       return 1;
     }
   }
-  return ReportBatch(seq, batched, stats, engine.SubmitStats(), flags,
-                     threshold, tolerance, points.size(),
-                     engine.num_threads());
+  return ReportBatch(seq, batched, stats, flags, threshold, tolerance,
+                     points.size(), engine.num_threads());
 }
 
 // Client-mode tail of the batch modes (--connect): pipeline the whole
@@ -344,8 +337,8 @@ int RunRemoteBatch(const bench::ThroughputPoint& seq,
                 static_cast<unsigned long long>(cstats.reconnects));
   }
   std::printf(")\n");
-  return ReportBatch(seq, remote, stats, SubmitQueueStats{}, flags, threshold,
-                     tolerance, points.size(), /*engine_threads=*/0);
+  return ReportBatch(seq, remote, stats, flags, threshold, tolerance,
+                     points.size(), /*engine_threads=*/0);
 }
 
 // Batched throughput mode: random query points over the dataset's domain,
