@@ -19,9 +19,6 @@
 // cannot reach the data either.
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,42 +28,19 @@
 #include "engine/caching_engine.h"
 #include "engine/query_engine.h"
 #include "engine/sharded_engine.h"
+#include "fnv1a_testutil.h"
 
 namespace pverify {
 namespace {
+
+using testutil::Fnv1a;
+using testutil::Hex;
 
 // Digest of the workload below, recorded before the verifier numerics
 // were last restructured. It is a regression pin: never update it to
 // make a change pass; an intended change of answer bits needs its own
 // justification.
 constexpr uint64_t kGoldenDigest = 0x52c9eb88cd2f0e25ULL;
-
-class Fnv1a {
- public:
-  void Add(uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      hash_ ^= (v >> (8 * b)) & 0xffu;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void Add(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Add(bits);
-  }
-  void Add(const ProbabilityBound& b) {
-    Add(b.lower);
-    Add(b.upper);
-  }
-  void AddIds(const std::vector<ObjectId>& ids) {
-    Add(static_cast<uint64_t>(ids.size()));
-    for (ObjectId id : ids) Add(static_cast<uint64_t>(id));
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 Dataset GoldenDataset() {
   datagen::SyntheticConfig config;
@@ -131,13 +105,6 @@ uint64_t Digest(const std::vector<QueryResult>& results) {
     }
   }
   return h.value();
-}
-
-std::string Hex(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 TEST(GoldenAnswersTest, EveryEngineReproducesTheRecordedDigest) {
