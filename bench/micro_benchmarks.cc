@@ -130,7 +130,8 @@ void BM_FilterByScan(benchmark::State& state) {
                                              19);
   Rng rng(23);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FilterByScan(data, rng.Uniform(0.0, 10000.0)));
+    benchmark::DoNotOptimize(
+        FilterKByScan(data, rng.Uniform(0.0, 10000.0), 1));
   }
   state.SetComplexityN(state.range(0));
 }

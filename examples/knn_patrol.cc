@@ -35,7 +35,7 @@ int main() {
   // Expected-membership sanity: Σ_i p_i^(k) = k. Demonstrate on the
   // filtered candidate set for k = 4.
   const int k = 4;
-  FilterResult filtered = FilterKByScan(units, call_location, k);
+  FilterResult filtered = executor.FilterK(call_location, k);
   CandidateSet cands =
       CandidateSet::Build1D(units, filtered.candidates, call_location, k);
   std::vector<double> probs = ComputeKnnProbabilities(cands, k, {});

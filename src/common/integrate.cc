@@ -9,12 +9,6 @@
 namespace pverify {
 namespace {
 
-struct GaussRule {
-  const double* nodes;    // on [-1, 1], symmetric
-  const double* weights;  // matching weights
-  int n;
-};
-
 // Nodes/weights from Abramowitz & Stegun, full precision.
 constexpr std::array<double, 2> kNodes2 = {-0.5773502691896257,
                                            0.5773502691896257};
@@ -51,19 +45,19 @@ constexpr std::array<double, 16> kWeights16 = {
     0.1246289712555339, 0.0951585116824928, 0.0622535239386479,
     0.0271524594117541};
 
-GaussRule PickRule(int points) {
+}  // namespace
+
+GaussRule GaussLegendreRule(int points) {
   if (points <= 2) return {kNodes2.data(), kWeights2.data(), 2};
   if (points <= 4) return {kNodes4.data(), kWeights4.data(), 4};
   if (points <= 8) return {kNodes8.data(), kWeights8.data(), 8};
   return {kNodes16.data(), kWeights16.data(), 16};
 }
 
-}  // namespace
-
 double GaussLegendre(const std::function<double(double)>& f, double a,
                      double b, int points) {
   if (b <= a) return 0.0;
-  GaussRule rule = PickRule(points);
+  const GaussRule rule = GaussLegendreRule(points);
   const double mid = 0.5 * (a + b);
   const double half = 0.5 * (b - a);
   double sum = 0.0;

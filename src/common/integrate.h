@@ -15,6 +15,20 @@
 
 namespace pverify {
 
+/// A Gauss-Legendre rule on [-1, 1]: `n` ascending nodes and their weights.
+struct GaussRule {
+  const double* nodes;
+  const double* weights;
+  int n;
+};
+
+/// The rule GaussLegendre applies for `points`: orders 2, 4, 8 and 16;
+/// other values round up to the next supported order, capping at 16.
+/// Callers that evaluate one node set for many integrands (the k-NN
+/// sweep) map it onto [a, b] exactly as GaussLegendre does:
+/// r_i = mid + half · nodes[i], integral = half · Σ weights[i] · f(r_i).
+GaussRule GaussLegendreRule(int points);
+
 /// Fixed-order Gauss-Legendre quadrature on [a, b].
 /// Supported orders: 2, 4, 8, 16 (other values round up to the next
 /// supported order, capping at 16).

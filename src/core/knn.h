@@ -12,12 +12,29 @@
 //    whose distance exceeds f^(k) certainly has k closer objects, so the
 //    integration stops there and mass beyond it bounds p_i^(k) from above —
 //    the k-NN analogue of the RS verifier.
-//  * filtering: candidates with near point beyond f^(k) are dropped
-//    outright.
+//  * filtering: objects with near point beyond f^(k) are dropped outright.
+//    The executors find them on their R-tree (PnnFilter::FilterK): the k
+//    entries nearest to q bound f^(k) from above, one ball probe within
+//    that bound returns a superset, and the objects' own distances cut it
+//    to exactly the scan's f^(k) and candidate set (FilterKByScan is the
+//    test oracle). The sharded engine runs the same filter per shard.
 //  * progressive refinement: the integral accumulates segment by segment,
 //    maintaining the bound [partial, partial + unintegrated mass]; the
 //    Definition 1 classifier decides most candidates long before the
 //    integral completes — the k-NN analogue of incremental refinement.
+//
+// Evaluation is one segment-major sweep over the global breakpoints (every
+// candidate's pdf breakpoints, merged within 1e-12). Each candidate still
+// integrates [near, min(far, f^(k))] with per-segment Gauss-Legendre, in
+// order, with its own partial sums, early exit and counters; the sweep
+// only shares work. At each node of a shared segment the cdf row D_j(r) is
+// computed once, for the candidates whose near point lies below r, and
+// every candidate on that segment reads it. The Poisson-binomial DP is
+// specialised on k − 1 (up to 8, else sized at run time), and candidates
+// share the DP over the row entries before their own. A candidate whose
+// first or last segment endpoint was merged away integrates that segment
+// on its own. Results are bit-identical to integrating each candidate
+// separately: the same nodes, the same DP order, the same sums.
 #ifndef PVERIFY_CORE_KNN_H_
 #define PVERIFY_CORE_KNN_H_
 

@@ -171,7 +171,7 @@ QueryAnswer CpnnExecutor::Execute(double q, const QueryOptions& options,
 CknnAnswer CpnnExecutor::ExecuteKnn(double q, int k, const CpnnParams& params,
                                     const IntegrationOptions& integration)
     const {
-  FilterResult filtered = FilterKByScan(dataset_, q, k);
+  FilterResult filtered = filter_.FilterK(q, k);
   CandidateSet candidates =
       CandidateSet::Build1D(dataset_, filtered.candidates, q, k);
   return EvaluateCknn(candidates, k, params, integration);

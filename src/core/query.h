@@ -79,6 +79,12 @@ class CpnnExecutor {
   /// Runs only the filtering phase (exposed for benchmarks/tests).
   FilterResult Filter(double q) const { return filter_.Filter(q); }
 
+  /// Runs only the k-NN filtering phase (the index's k-th-far-point
+  /// filter; exposed for the sharded engine and tests).
+  FilterResult FilterK(double q, int k) const {
+    return filter_.FilterK(q, k);
+  }
+
   /// Constrained probabilistic k-NN (the §VI extension): k-th-far-point
   /// filtering, RS-style bound verification, progressive Poisson-binomial
   /// refinement.

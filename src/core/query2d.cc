@@ -42,7 +42,7 @@ CknnAnswer CpnnExecutor2D::ExecuteKnn(Point2 q, int k,
                                       const CpnnParams& params,
                                       const IntegrationOptions& integration)
     const {
-  FilterResult filtered = FilterKByScan2D(dataset_, q, k);
+  FilterResult filtered = filter_.FilterK(q, k);
   CandidateSet candidates = CandidateSet::Build2D(
       dataset_, filtered.candidates, q, radial_pieces_, k);
   return EvaluateCknn(candidates, k, params, integration);

@@ -51,6 +51,11 @@ class CpnnExecutor2D {
   /// Filtering phase only.
   FilterResult Filter(Point2 q) const { return filter_.Filter(q); }
 
+  /// k-NN filtering phase only (the index's k-th-far-point filter).
+  FilterResult FilterK(Point2 q, int k) const {
+    return filter_.FilterK(q, k);
+  }
+
  private:
   /// Filter + distance-distribution stages: the candidate set the
   /// verification stage runs on.

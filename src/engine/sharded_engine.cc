@@ -156,33 +156,33 @@ struct ShardedQueryEngine::PointScatterPolicy {
 /// shards by ascending bounds MAXDIST until they cover k objects; that
 /// MAXDIST upper-bounds the global k-th far point, so shards whose bounds
 /// MINDIST exceeds it hold none of the k smallest far points and no
-/// candidates. Phase 1 collects each shard's k smallest far points; their
-/// merge contains the k smallest global ones (each lives in its shard's
-/// local top-k), so the k-th order statistic of the merge equals the
-/// unsharded FilterKByScan / FilterKByScan2D value exactly. Phase 2 scans
-/// survivors with the same per-object arithmetic those filters use.
+/// candidates. Phase 1 runs each shard executor's indexed k-NN filter. Its
+/// candidates include every object whose far point is within the shard's
+/// k-th far point, so they hold each of the global k smallest far points
+/// (each lives in its shard's local top k), and the k-th smallest far point
+/// over all local candidates equals the unsharded filter's f^(k) exactly.
+/// That global cut is at most every local one, so phase 2 re-cuts each
+/// shard's local candidates with the same per-object arithmetic.
 template <int Dim>
 struct ShardedQueryEngine::KnnScatterPolicy {
   static_assert(Dim == 1 || Dim == 2, "knn scatter is 1-D or 2-D");
   using Point = std::conditional_t<Dim == 1, double, Point2>;
-  using Local = std::vector<double>;
+  struct Local {
+    FilterResult filtered;
+    std::vector<double> fars;  ///< far point of each local candidate
+  };
 
   const ShardedQueryEngine& engine;
   Point q;
   int k;
   const QueryOptions& options;
-  size_t want;
-  /// All shards' far points, merged by GlobalCut; empty means no objects
-  /// anywhere, so no shard survives.
+  /// All shards' candidate far points, merged by GlobalCut; empty means no
+  /// objects anywhere, so no shard survives.
   std::vector<double> fars;
 
   KnnScatterPolicy(const ShardedQueryEngine& engine, Point q, int k,
                    const QueryOptions& options)
-      : engine(engine),
-        q(q),
-        k(k),
-        options(options),
-        want(static_cast<size_t>(k)) {}
+      : engine(engine), q(q), k(k), options(options) {}
 
   static bool HasData(const Shard& shard) {
     if constexpr (Dim == 1) {
@@ -192,11 +192,11 @@ struct ShardedQueryEngine::KnnScatterPolicy {
     }
   }
 
-  static size_t ShardSize(const Shard& shard) {
+  static const auto& Objects(const Shard& shard) {
     if constexpr (Dim == 1) {
-      return shard.engine->executor().dataset().size();
+      return shard.engine->executor().dataset();
     } else {
-      return shard.engine->executor2d()->dataset().size();
+      return shard.engine->executor2d()->dataset();
     }
   }
 
@@ -230,29 +230,34 @@ struct ShardedQueryEngine::KnnScatterPolicy {
     std::sort(caps.begin(), caps.end());
     size_t covered = 0;
     for (const std::pair<double, size_t>& cap : caps) {
-      covered += ShardSize(shards[cap.second]);
-      if (covered >= want) return cap.first;
+      covered += Objects(shards[cap.second]).size();
+      if (covered >= static_cast<size_t>(k)) return cap.first;
     }
     return kInf;
   }
 
   Local LocalFilter(const Shard& shard) const {
+    Local local;
     if constexpr (Dim == 1) {
-      return SmallestFarPoints(shard.engine->executor().dataset(), q, want);
+      local.filtered = shard.engine->executor().FilterK(q, k);
     } else {
-      return SmallestFarPoints2D(shard.engine->executor2d()->dataset(), q,
-                                 want);
+      local.filtered = shard.engine->executor2d()->FilterK(q, k);
     }
+    local.fars.reserve(local.filtered.candidates.size());
+    for (uint32_t idx : local.filtered.candidates) {
+      local.fars.push_back(Objects(shard)[idx].MaxDist(q));
+    }
+    return local;
   }
 
   double GlobalCut(const std::vector<Local>& locals) {
-    for (const Local& part : locals) {
-      fars.insert(fars.end(), part.begin(), part.end());
+    for (const Local& local : locals) {
+      fars.insert(fars.end(), local.fars.begin(), local.fars.end());
     }
     if (fars.empty()) return 0.0;
     const size_t total =
         Dim == 1 ? engine.total_objects_ : engine.total_objects2d_;
-    const size_t kth = std::min(total, want) - 1;
+    const size_t kth = std::min(total, static_cast<size_t>(k)) - 1;
     std::nth_element(fars.begin(), fars.begin() + kth, fars.end());
     return fars[kth];
   }
@@ -261,23 +266,18 @@ struct ShardedQueryEngine::KnnScatterPolicy {
     return !fars.empty() && MinDist(shard) <= cut + kFilterBoundarySlack;
   }
 
-  void CollectSurvivors(const Shard& shard, const Local&, double cut,
+  void CollectSurvivors(const Shard& shard, const Local& local, double cut,
                         Survivors* out) const {
-    if constexpr (Dim == 1) {
-      for (const UncertainObject& obj : shard.engine->executor().dataset()) {
-        if (obj.MinDist(q) <= cut + kFilterBoundarySlack) {
-          out->emplace_back(obj.id(),
-                            DistanceDistribution::From1D(obj.pdf(), q));
-        }
-      }
-    } else {
-      for (const UncertainObject2D& obj :
-           shard.engine->executor2d()->dataset()) {
-        if (obj.MinDist(q) <= cut + kFilterBoundarySlack) {
-          out->emplace_back(
-              obj.id(),
-              MakeDistanceDistribution2D(obj, q, engine.radial_pieces_));
-        }
+    for (uint32_t idx : local.filtered.candidates) {
+      const auto& obj = Objects(shard)[idx];
+      if (obj.MinDist(q) > cut + kFilterBoundarySlack) continue;
+      if constexpr (Dim == 1) {
+        out->emplace_back(obj.id(),
+                          DistanceDistribution::From1D(obj.pdf(), q));
+      } else {
+        out->emplace_back(
+            obj.id(),
+            MakeDistanceDistribution2D(obj, q, engine.radial_pieces_));
       }
     }
   }

@@ -33,26 +33,4 @@ ShardBounds2D ComputeShardBounds2D(const Dataset2D& dataset) {
   return b;
 }
 
-std::vector<double> SmallestFarPoints(const Dataset& dataset, double q,
-                                      size_t k) {
-  std::vector<double> fars;
-  fars.reserve(dataset.size());
-  for (const UncertainObject& obj : dataset) fars.push_back(obj.MaxDist(q));
-  const size_t keep = std::min(k, fars.size());
-  std::partial_sort(fars.begin(), fars.begin() + keep, fars.end());
-  fars.resize(keep);
-  return fars;
-}
-
-std::vector<double> SmallestFarPoints2D(const Dataset2D& dataset, Point2 q,
-                                        size_t k) {
-  std::vector<double> fars;
-  fars.reserve(dataset.size());
-  for (const UncertainObject2D& obj : dataset) fars.push_back(obj.MaxDist(q));
-  const size_t keep = std::min(k, fars.size());
-  std::partial_sort(fars.begin(), fars.begin() + keep, fars.end());
-  fars.resize(keep);
-  return fars;
-}
-
 }  // namespace pverify

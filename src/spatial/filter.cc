@@ -12,6 +12,59 @@ namespace {
 // See kFilterBoundarySlack in the header for the rationale.
 constexpr double kBoundarySlack = kFilterBoundarySlack;
 
+// The k-th-far-point filter over an index (see PnnFilter::FilterK).
+template <int Dim, typename Objects, typename Point>
+FilterResult KthFarPointFilter(const RTree<Dim, uint32_t>& tree,
+                               const Objects& objects,
+                               const std::array<double, Dim>& pt, Point q,
+                               int k) {
+  PV_CHECK_MSG(k >= 1, "k must be positive");
+  FilterResult result;
+  if (tree.empty()) return result;
+  const size_t want = std::min(objects.size(), static_cast<size_t>(k));
+  double u = 0.0;
+  for (uint32_t idx : tree.NearestByMinDist(pt, want)) {
+    u = std::max(u, objects[idx].MaxDist(q));
+  }
+  // The relative widening keeps an entry whose MBR MINDIST rounds a few
+  // ulps above its region's exact MinDist (disks, hypot) in the probe.
+  std::vector<uint32_t> superset =
+      tree.WithinDistance(pt, (u + kBoundarySlack) * (1.0 + 1e-9));
+  std::vector<double> fars;
+  fars.reserve(superset.size());
+  for (uint32_t idx : superset) fars.push_back(objects[idx].MaxDist(q));
+  PV_DCHECK(fars.size() >= want);
+  std::nth_element(fars.begin(), fars.begin() + (want - 1), fars.end());
+  result.fmin = fars[want - 1];
+  for (uint32_t idx : superset) {
+    if (objects[idx].MinDist(q) <= result.fmin + kBoundarySlack) {
+      result.candidates.push_back(idx);
+    }
+  }
+  std::sort(result.candidates.begin(), result.candidates.end());
+  return result;
+}
+
+// The scan oracle behind FilterKByScan / FilterKByScan2D.
+template <typename Objects, typename Point>
+FilterResult KthFarPointScan(const Objects& objects, Point q, int k) {
+  PV_CHECK_MSG(k >= 1, "k must be positive");
+  FilterResult result;
+  if (objects.empty()) return result;
+  std::vector<double> fars;
+  fars.reserve(objects.size());
+  for (const auto& obj : objects) fars.push_back(obj.MaxDist(q));
+  size_t kth = std::min(objects.size(), static_cast<size_t>(k)) - 1;
+  std::nth_element(fars.begin(), fars.begin() + kth, fars.end());
+  result.fmin = fars[kth];
+  for (uint32_t i = 0; i < objects.size(); ++i) {
+    if (objects[i].MinDist(q) <= result.fmin + kBoundarySlack) {
+      result.candidates.push_back(i);
+    }
+  }
+  return result;
+}
+
 }  // namespace
 
 PnnFilter::PnnFilter(const Dataset& dataset) : dataset_(&dataset) {
@@ -32,6 +85,10 @@ FilterResult PnnFilter::Filter(double q) const {
       rtree_.WithinDistance(pt, result.fmin + kBoundarySlack);
   std::sort(result.candidates.begin(), result.candidates.end());
   return result;
+}
+
+FilterResult PnnFilter::FilterK(double q, int k) const {
+  return KthFarPointFilter(rtree_, *dataset_, {q}, q, k);
 }
 
 PnnFilter2D::PnnFilter2D(const Dataset2D& dataset) : dataset_(&dataset) {
@@ -67,72 +124,16 @@ FilterResult PnnFilter2D::Filter(Point2 q) const {
   return result;
 }
 
-FilterResult FilterByScan(const Dataset& dataset, double q) {
-  FilterResult result;
-  if (dataset.empty()) return result;
-  double fmin = std::numeric_limits<double>::infinity();
-  for (const UncertainObject& obj : dataset) {
-    fmin = std::min(fmin, obj.MaxDist(q));
-  }
-  result.fmin = fmin;
-  for (uint32_t i = 0; i < dataset.size(); ++i) {
-    if (dataset[i].MinDist(q) <= fmin + kBoundarySlack) {
-      result.candidates.push_back(i);
-    }
-  }
-  return result;
+FilterResult PnnFilter2D::FilterK(Point2 q, int k) const {
+  return KthFarPointFilter(rtree_, *dataset_, {q.x, q.y}, q, k);
 }
 
 FilterResult FilterKByScan(const Dataset& dataset, double q, int k) {
-  PV_CHECK_MSG(k >= 1, "k must be positive");
-  FilterResult result;
-  if (dataset.empty()) return result;
-  std::vector<double> fars;
-  fars.reserve(dataset.size());
-  for (const UncertainObject& obj : dataset) fars.push_back(obj.MaxDist(q));
-  size_t kth = std::min(dataset.size(), static_cast<size_t>(k)) - 1;
-  std::nth_element(fars.begin(), fars.begin() + kth, fars.end());
-  result.fmin = fars[kth];
-  for (uint32_t i = 0; i < dataset.size(); ++i) {
-    if (dataset[i].MinDist(q) <= result.fmin + kBoundarySlack) {
-      result.candidates.push_back(i);
-    }
-  }
-  return result;
+  return KthFarPointScan(dataset, q, k);
 }
 
 FilterResult FilterKByScan2D(const Dataset2D& dataset, Point2 q, int k) {
-  PV_CHECK_MSG(k >= 1, "k must be positive");
-  FilterResult result;
-  if (dataset.empty()) return result;
-  std::vector<double> fars;
-  fars.reserve(dataset.size());
-  for (const UncertainObject2D& obj : dataset) fars.push_back(obj.MaxDist(q));
-  size_t kth = std::min(dataset.size(), static_cast<size_t>(k)) - 1;
-  std::nth_element(fars.begin(), fars.begin() + kth, fars.end());
-  result.fmin = fars[kth];
-  for (uint32_t i = 0; i < dataset.size(); ++i) {
-    if (dataset[i].MinDist(q) <= result.fmin + kBoundarySlack) {
-      result.candidates.push_back(i);
-    }
-  }
-  return result;
-}
-
-FilterResult FilterByScan2D(const Dataset2D& dataset, Point2 q) {
-  FilterResult result;
-  if (dataset.empty()) return result;
-  double fmin = std::numeric_limits<double>::infinity();
-  for (const UncertainObject2D& obj : dataset) {
-    fmin = std::min(fmin, obj.MaxDist(q));
-  }
-  result.fmin = fmin;
-  for (uint32_t i = 0; i < dataset.size(); ++i) {
-    if (dataset[i].MinDist(q) <= fmin + kBoundarySlack) {
-      result.candidates.push_back(i);
-    }
-  }
-  return result;
+  return KthFarPointScan(dataset, q, k);
 }
 
 }  // namespace pverify

@@ -4,7 +4,8 @@
 // Objects whose minimum distance from q exceeds f_min — the smallest maximum
 // distance of any object — can never be the nearest neighbor and are pruned
 // with zero I/O over their pdfs. The survivors form the candidate set that
-// verification operates on.
+// verification operates on. The k-NN extension replaces f_min with f^(k),
+// the k-th smallest far point.
 #ifndef PVERIFY_SPATIAL_FILTER_H_
 #define PVERIFY_SPATIAL_FILTER_H_
 
@@ -41,6 +42,19 @@ class PnnFilter {
   /// Runs the filtering phase for query point q.
   FilterResult Filter(double q) const;
 
+  /// k-NN filtering from the index: fmin is f^(k), the k-th smallest far
+  /// point (the largest one when k exceeds the dataset), and candidates are
+  /// the objects whose near point does not exceed it (+ the boundary
+  /// slack), ascending. The result equals FilterKByScan's bit for bit.
+  ///
+  /// The k entries nearest to q by MINDIST (best-first) all lie within the
+  /// largest of their far points U, so f^(k) <= U. Every object with far
+  /// point <= U has near point <= U as well, so one ball probe of radius U
+  /// (+ slack) returns a superset of both the objects that rank f^(k) and
+  /// the candidates; the objects' own MinDist/MaxDist then cut it exactly,
+  /// with the scan's arithmetic.
+  FilterResult FilterK(double q, int k) const;
+
   const RTree<1, uint32_t>& rtree() const { return rtree_; }
 
  private:
@@ -55,23 +69,25 @@ class PnnFilter2D {
 
   FilterResult Filter(Point2 q) const;
 
+  /// 2-D k-NN filtering from the index over exact region distances
+  /// (UncertainObject2D::MinDist/MaxDist); equals FilterKByScan2D's result
+  /// bit for bit (see PnnFilter::FilterK).
+  FilterResult FilterK(Point2 q, int k) const;
+
  private:
   RTree<2, uint32_t> rtree_;
   const Dataset2D* dataset_;  // not owned
 };
 
-/// Reference implementation: linear scan over the dataset. Used by tests to
-/// validate the R-tree-based filter and by benches as an ablation baseline.
-FilterResult FilterByScan(const Dataset& dataset, double q);
-FilterResult FilterByScan2D(const Dataset2D& dataset, Point2 q);
-
-/// k-NN filtering by scan: fmin becomes the k-th smallest far point and
-/// candidates are the objects whose near point does not exceed it. Used by
-/// the C-PkNN extension.
+/// The test oracle: the k-th-far-point filter as a linear scan over the
+/// dataset — fmin is the k-th smallest far point (UncertainObject::MaxDist)
+/// and candidates are the objects whose near point does not exceed it,
+/// ascending. k = 1 is the plain PNN filter. No query path calls it; tests
+/// and the benchmark's answer oracle check the indexed filters against it.
 FilterResult FilterKByScan(const Dataset& dataset, double q, int k);
 
-/// 2-D analogue: the same k-th-far-point rule over exact region distances
-/// (UncertainObject2D::MinDist/MaxDist). Used by the 2-D C-PkNN pipeline.
+/// 2-D test oracle: the same rule over exact region distances
+/// (UncertainObject2D::MinDist/MaxDist).
 FilterResult FilterKByScan2D(const Dataset2D& dataset, Point2 q, int k);
 
 }  // namespace pverify

@@ -236,7 +236,7 @@ TEST(Engine2DTest, ShardedPoint2DBitIdenticalAcrossShardCountsAndPolicies) {
         reference.ExecuteBatch(std::move(ref_batch));
 
     for (size_t shards : {1u, 2u, 4u}) {
-      for (const std::string& policy : {"hash", "range"}) {
+      for (const std::string policy : {"hash", "range"}) {
         ShardedEngineOptions sopt;
         sopt.num_shards = shards;
         sopt.policy = MakePolicy2D(policy, data);
@@ -309,7 +309,7 @@ TEST(Engine2DTest, Point2DPruningNeverDropsContributingShard) {
         datagen::MakeQueryPoints2D(20, 0.0, domain_hi, /*seed=*/7 + d);
 
     for (size_t shards : {2u, 4u, 8u}) {
-      for (const std::string& policy : {"hash", "range"}) {
+      for (const std::string policy : {"hash", "range"}) {
         ShardedEngineOptions sopt;
         sopt.num_shards = shards;
         sopt.policy = MakePolicy2D(policy, data);
@@ -329,7 +329,7 @@ TEST(Engine2DTest, Point2DPruningNeverDropsContributingShard) {
         }
 
         for (Point2 q : points) {
-          const double fmin = FilterByScan2D(data, q).fmin;
+          const double fmin = FilterKByScan2D(data, q, 1).fmin;
           // Replicate the engine's phase-0 decision from its public bounds.
           double cap = std::numeric_limits<double>::infinity();
           for (size_t s = 0; s < engine.num_shards(); ++s) {

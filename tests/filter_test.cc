@@ -1,7 +1,10 @@
 #include "spatial/filter.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -48,7 +51,7 @@ TEST(FilterTest, MatchesScanOnSyntheticData) {
   for (int t = 0; t < 30; ++t) {
     double q = rng.Uniform(-50.0, 1050.0);
     FilterResult via_tree = filter.Filter(q);
-    FilterResult via_scan = FilterByScan(data, q);
+    FilterResult via_scan = FilterKByScan(data, q, 1);
     EXPECT_NEAR(via_tree.fmin, via_scan.fmin, 1e-9) << "q=" << q;
     EXPECT_EQ(std::set<uint32_t>(via_tree.candidates.begin(),
                                  via_tree.candidates.end()),
@@ -85,7 +88,7 @@ TEST(Filter2DTest, MatchesScan) {
   for (int t = 0; t < 15; ++t) {
     Point2 q{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)};
     FilterResult via_tree = filter.Filter(q);
-    FilterResult via_scan = FilterByScan2D(data, q);
+    FilterResult via_scan = FilterKByScan2D(data, q, 1);
     EXPECT_NEAR(via_tree.fmin, via_scan.fmin, 1e-9);
     EXPECT_EQ(std::set<uint32_t>(via_tree.candidates.begin(),
                                  via_tree.candidates.end()),
@@ -104,6 +107,155 @@ TEST(Filter2DTest, CircleFarPointTighterThanMbr) {
   FilterResult r = filter.Filter({0.0, 0.0});
   EXPECT_NEAR(r.fmin, 10.0, 1e-9);  // not 10·√2
   EXPECT_EQ(r.candidates, (std::vector<uint32_t>{0}));
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// The ks the oracle property covers for a dataset of n objects.
+std::vector<int> OracleKs(size_t n) {
+  std::vector<int> ks = {1, 3, 8};
+  const int size = static_cast<int>(n);
+  for (int k : {size - 1, size, size + 5}) {
+    if (k >= 1) ks.push_back(k);
+  }
+  return ks;
+}
+
+void ExpectSameCut(const FilterResult& indexed, const FilterResult& scan,
+                   const std::string& what) {
+  EXPECT_EQ(Bits(indexed.fmin), Bits(scan.fmin)) << what;
+  EXPECT_EQ(indexed.candidates, scan.candidates) << what;
+}
+
+// Uniform scatter plus duplicated intervals (tied far points) and intervals
+// of width 2^-30 (a 1-D pdf cannot have zero width).
+Dataset OracleDataset1D(uint64_t seed) {
+  Dataset data = datagen::MakeUniformScatter(300, 1000.0, 6.0, seed);
+  Rng rng(seed + 100);
+  const size_t base = data.size();
+  for (ObjectId id = 0; id < 40; ++id) {
+    const UncertainObject& twin = data[rng.UniformInt(0, base - 1)];
+    data.emplace_back(static_cast<ObjectId>(base) + id,
+                      MakeUniformPdf(twin.lo(), twin.hi()));
+  }
+  for (ObjectId id = 40; id < 60; ++id) {
+    const double lo = rng.Uniform(0.0, 1000.0);
+    data.emplace_back(static_cast<ObjectId>(base) + id,
+                      MakeUniformPdf(lo, lo + 1.0 / (1 << 30)));
+  }
+  return data;
+}
+
+TEST(KnnFilterOracleTest, IndexedMatchesScan1D) {
+  for (uint64_t seed : {3ULL, 4ULL}) {
+    const Dataset data = OracleDataset1D(seed);
+    const PnnFilter filter(data);
+    double lo = data.front().lo();
+    double hi = data.front().hi();
+    for (const UncertainObject& obj : data) {
+      lo = std::min(lo, obj.lo());
+      hi = std::max(hi, obj.hi());
+    }
+    Rng rng(seed);
+    std::vector<double> points = {lo, hi, lo - 0.5, hi + 0.5, lo - 5000.0,
+                                  hi + 5000.0, data[7].lo(), data[9].hi()};
+    for (int t = 0; t < 6; ++t) points.push_back(rng.Uniform(lo, hi));
+    for (double q : points) {
+      for (int k : OracleKs(data.size())) {
+        ExpectSameCut(filter.FilterK(q, k), FilterKByScan(data, q, k),
+                      "seed " + std::to_string(seed) + " q " +
+                          std::to_string(q) + " k " + std::to_string(k));
+      }
+    }
+  }
+}
+
+// Rectangles and disks plus duplicated regions, concentric disks (tied far
+// points along every ray) and zero-width rectangles (segments and points).
+Dataset2D OracleDataset2D(uint64_t seed) {
+  Dataset2D data = datagen::MakeSynthetic2D({.count = 250, .seed = seed});
+  Rng rng(seed + 100);
+  const size_t base = data.size();
+  for (ObjectId id = 0; id < 30; ++id) {
+    const UncertainObject2D& twin = data[rng.UniformInt(0, base - 1)];
+    const ObjectId dup = static_cast<ObjectId>(base) + id;
+    if (twin.is_rect()) {
+      data.emplace_back(dup, twin.rect());
+    } else {
+      data.emplace_back(dup, twin.circle());
+    }
+  }
+  for (ObjectId id = 30; id < 50; ++id) {
+    const double x = rng.Uniform(0.0, 1000.0);
+    const double y = rng.Uniform(0.0, 1000.0);
+    const ObjectId obj = static_cast<ObjectId>(base) + id;
+    switch (id % 3) {
+      case 0:
+        data.emplace_back(obj, Rect2{x, y, x, y});
+        break;
+      case 1:
+        data.emplace_back(obj, Rect2{x, y, x, y + 10.0});
+        break;
+      default:
+        data.emplace_back(obj, Circle2{500.0, 500.0, 5.0 * (id - 29)});
+        break;
+    }
+  }
+  return data;
+}
+
+TEST(KnnFilterOracleTest, IndexedMatchesScan2D) {
+  for (uint64_t seed : {5ULL, 6ULL}) {
+    const Dataset2D data = OracleDataset2D(seed);
+    const PnnFilter2D filter(data);
+    Rng rng(seed);
+    std::vector<Point2> points = {{0.0, 0.0},       {1000.0, 1000.0},
+                                  {0.0, 1000.0},    {-40.0, 500.0},
+                                  {500.0, 1040.0},  {-3000.0, -3000.0},
+                                  {500.0, 500.0},   {4000.0, 200.0}};
+    for (int t = 0; t < 6; ++t) {
+      points.push_back({rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)});
+    }
+    for (Point2 q : points) {
+      for (int k : OracleKs(data.size())) {
+        ExpectSameCut(filter.FilterK(q, k), FilterKByScan2D(data, q, k),
+                      "seed " + std::to_string(seed) + " q (" +
+                          std::to_string(q.x) + ", " + std::to_string(q.y) +
+                          ") k " + std::to_string(k));
+      }
+    }
+  }
+}
+
+TEST(KnnFilterOracleTest, EmptyAndTinyDatasets) {
+  const Dataset empty;
+  const PnnFilter filter(empty);
+  for (int k : {1, 3}) {
+    ExpectSameCut(filter.FilterK(5.0, k), FilterKByScan(empty, 5.0, k),
+                  "empty 1-D");
+  }
+  const Dataset2D empty2d;
+  const PnnFilter2D filter2d(empty2d);
+  ExpectSameCut(filter2d.FilterK({1.0, 2.0}, 2),
+                FilterKByScan2D(empty2d, {1.0, 2.0}, 2), "empty 2-D");
+
+  // Every object identical: all far points tie.
+  Dataset same;
+  for (ObjectId id = 0; id < 5; ++id) {
+    same.emplace_back(id, MakeUniformPdf(2.0, 4.0));
+  }
+  const PnnFilter same_filter(same);
+  for (double q : {0.0, 3.0, 9.0}) {
+    for (int k : OracleKs(same.size())) {
+      ExpectSameCut(same_filter.FilterK(q, k), FilterKByScan(same, q, k),
+                    "identical objects k " + std::to_string(k));
+    }
+  }
+  EXPECT_THROW(same_filter.FilterK(3.0, 0), std::logic_error);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // vs. the scan filter's invariants, Knn2DQuery pinned bit-identical to the
 // executor through QueryEngine (batch/submit/serial), and the sharded
 // KnnScatterPolicy<2> instantiation pinned bit-identical to the unsharded
-// answer at 1/2/4 shards under both sharding policies.
+// answer at 1/2/4 shards under both sharding policies, at interior and
+// domain-edge query points.
 #include <future>
 #include <string>
 #include <vector>
@@ -88,7 +89,7 @@ TEST(Knn2DTest, FilterKByScan2DInvariants) {
     }
     // k = 1 degenerates to the plain PNN filter.
     if (k == 1) {
-      FilterResult pnn = FilterByScan2D(data, q);
+      FilterResult pnn = PnnFilter2D(data).Filter(q);
       EXPECT_EQ(pnn.fmin, filtered.fmin);
       EXPECT_EQ(pnn.candidates, filtered.candidates);
     }
@@ -139,11 +140,18 @@ TEST(Knn2DTest, ShardedKnn2DBitIdenticalAcrossShardCountsAndPolicies) {
     const double domain = clustered ? 10000.0 : 1000.0;
     CpnnExecutor2D sequential(data);
     const QueryOptions opt = TestOptions();
-    const std::vector<Point2> points =
+    std::vector<Point2> points =
         datagen::MakeQueryPoints2D(6, 0.0, domain, /*seed=*/7);
+    // Domain corners and points beyond the edges, where f^(k) is large and
+    // the candidate sets span several shards.
+    for (Point2 edge : {Point2{0.0, 0.0}, Point2{domain, domain},
+                        Point2{-0.05 * domain, 0.5 * domain},
+                        Point2{1.2 * domain, 1.2 * domain}}) {
+      points.push_back(edge);
+    }
 
     for (size_t shards : {1u, 2u, 4u}) {
-      for (const std::string& policy : {"hash", "range"}) {
+      for (const std::string policy : {"hash", "range"}) {
         ShardedEngineOptions sopt;
         sopt.num_shards = shards;
         sopt.policy = MakePolicy2D(policy, data);

@@ -143,11 +143,12 @@ CandidateSet HandBuiltSet() {
 uint64_t PinDigest() {
   Fnv1a h;
   const Dataset data = PinDataset1D(11);
+  const PnnFilter filter(data);
   // Below the domain, on its lowest endpoint, inside, on its highest
   // endpoint and beyond it.
   for (double q : {-3.0, 1.875, 500.5, 1171.734375, 1250.0}) {
     for (int k : kKs) {
-      const FilterResult f = FilterKByScan(data, q, k);
+      const FilterResult f = filter.FilterK(q, k);
       AddFilter(f, h);
       const CandidateSet cands =
           CandidateSet::Build1D(data, f.candidates, q, k);
@@ -155,10 +156,11 @@ uint64_t PinDigest() {
     }
   }
   const Dataset2D data2d = PinDataset2D(21);
+  const PnnFilter2D filter2d(data2d);
   for (Point2 q : {Point2{500.0, 500.0}, Point2{0.0, 0.0},
                    Point2{-40.0, 700.0}, Point2{1100.0, 1100.0}}) {
     for (int k : kKs) {
-      const FilterResult f = FilterKByScan2D(data2d, q, k);
+      const FilterResult f = filter2d.FilterK(q, k);
       AddFilter(f, h);
       const CandidateSet cands =
           CandidateSet::Build2D(data2d, f.candidates, q, 64, k);
