@@ -162,29 +162,28 @@ void Sweep(const CandidateSet& cands, double fk, const GaussRule& rule,
            const std::vector<char>& todo, Tail tail, Visit&& visit) {
   const size_t n = cands.size();
   const std::vector<double> g = GlobalBreakpoints(cands);
-  const bool by_near = std::is_sorted(
-      cands.items().begin(), cands.items().end(),
-      [](const Candidate& x, const Candidate& y) {
-        return x.dist.near() < y.dist.near();
-      });
   constexpr uint32_t kAbsent = UINT32_MAX;
   std::vector<double> row(n);      // positive D_j(r), candidate order
   std::vector<uint32_t> slot(n);   // j's index in row, or kAbsent
   size_t row_size = 0;
   size_t row_span = 0;             // slot[] is valid for j < row_span
+  // Per-candidate pdf pieces of the last cdf / density lookup: r mostly
+  // steps forward, so lookups walk a piece or two instead of searching.
+  std::vector<size_t> cdf_piece(n, 0);
+  std::vector<size_t> pdf_piece(n, 0);
 
   auto fill_row = [&](double r) {
-    row_span = by_near ? static_cast<size_t>(
-                             std::partition_point(
-                                 cands.items().begin(), cands.items().end(),
-                                 [r](const Candidate& c) {
-                                   return c.dist.near() < r;
-                                 }) -
-                             cands.items().begin())
-                       : n;
+    // The candidate set is ordered by near point: the live ones are a
+    // prefix.
+    row_span = static_cast<size_t>(
+        std::partition_point(cands.items().begin(), cands.items().end(),
+                             [r](const Candidate& c) {
+                               return c.dist.near() < r;
+                             }) -
+        cands.items().begin());
     row_size = 0;
     for (size_t j = 0; j < row_span; ++j) {
-      const double p = cands[j].dist.Cdf(r);
+      const double p = cands[j].dist.Cdf(r, &cdf_piece[j]);
       if (p > 0.0) {
         slot[j] = static_cast<uint32_t>(row_size);
         row[row_size++] = p;
@@ -193,45 +192,46 @@ void Sweep(const CandidateSet& cands, double fk, const GaussRule& rule,
       }
     }
   };
-  // Adds w · d_i(r) · tail_i(r) to sums[i] for each candidate in ids, at
-  // the row fill_row(r) left.
-  struct Member {
-    uint32_t skip;  // row position of the candidate's own entry
-    uint32_t id;
-    double density;
-  };
+  // Adds w · d_i(r) · tail_i(r) to sums[i] for each candidate in ids
+  // (ascending), at the row fill_row(r) left. TailDp takes its members in
+  // row order: candidates with a row entry in candidate order, then the
+  // rare ones without (D_i(r) = 0), whose skip is the row end.
   std::vector<double> sums(n, 0.0);
-  std::vector<Member> members;
+  std::vector<uint32_t> members;
   std::vector<uint32_t> skips;
+  std::vector<double> density;
+  std::vector<uint32_t> unlisted;
   std::vector<double> tails;
   auto accumulate = [&](double r, double w, const uint32_t* ids,
                         size_t count) {
     members.clear();
+    skips.clear();
+    density.clear();
+    unlisted.clear();
     for (size_t c = 0; c < count; ++c) {
       const uint32_t i = ids[c];
-      const double d = cands[i].dist.Density(r);
+      const double d = cands[i].dist.Density(r, &pdf_piece[i]);
       // A zero density adds w · 0 = +0 to a non-negative sum: skip it.
       if (d == 0.0) continue;
-      const bool own = i < row_span && slot[i] != kAbsent;
-      members.push_back(
-          {own ? slot[i] : static_cast<uint32_t>(row_size), i, d});
+      if (i >= row_span || slot[i] == kAbsent) {
+        unlisted.push_back(i);
+        continue;
+      }
+      members.push_back(i);
+      skips.push_back(slot[i]);
+      density.push_back(d);
+    }
+    for (uint32_t i : unlisted) {
+      members.push_back(i);
+      skips.push_back(static_cast<uint32_t>(row_size));
+      density.push_back(cands[i].dist.Density(r, &pdf_piece[i]));
     }
     if (members.empty()) return;
-    // Candidates come in row order, except for a rare one without a row
-    // entry (D_i(r) = 0), whose skip is the row end.
-    auto by_skip = [](const Member& x, const Member& y) {
-      return x.skip < y.skip;
-    };
-    if (!std::is_sorted(members.begin(), members.end(), by_skip)) {
-      std::sort(members.begin(), members.end(), by_skip);
-    }
-    skips.clear();
-    for (const Member& mb : members) skips.push_back(mb.skip);
     tails.resize(members.size());
     tail.Tails(row.data(), row_size, skips.data(), members.size(),
                tails.data());
     for (size_t m = 0; m < members.size(); ++m) {
-      sums[members[m].id] += w * (members[m].density * tails[m]);
+      sums[members[m]] += w * (density[m] * tails[m]);
     }
   };
   auto integrate_alone = [&](size_t i, double a, double b) {
@@ -275,7 +275,7 @@ void Sweep(const CandidateSet& cands, double fk, const GaussRule& rule,
   size_t next = 0;
   for (size_t s = 0; next < queued.size() || !active.empty(); ++s) {
     if (active.empty()) s = spans[queued[next]].first;
-    // Candidate order is row order, which TailDp wants its members in.
+    // accumulate wants the active candidates in candidate order.
     const size_t before = active.size();
     while (next < queued.size() && spans[queued[next]].first == s) {
       active.push_back(queued[next++]);
@@ -326,16 +326,6 @@ double KthFarPoint(const CandidateSet& candidates, int k) {
   for (const Candidate& c : candidates.items()) fars.push_back(c.dist.far());
   std::nth_element(fars.begin(), fars.begin() + (k - 1), fars.end());
   return fars[k - 1];
-}
-
-std::vector<double> KnnRsUpperBounds(const CandidateSet& candidates, int k) {
-  const double fk = KthFarPoint(candidates, k);
-  std::vector<double> ub(candidates.size(), 1.0);
-  // p_i^(k) <= P(R_i <= f^(k)) = D_i(f^(k)).
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    ub[i] = candidates[i].dist.Cdf(fk);
-  }
-  return ub;
 }
 
 std::vector<double> ComputeKnnProbabilities(

@@ -50,10 +50,6 @@ namespace pverify {
 /// k <= |C|.
 double KthFarPoint(const CandidateSet& candidates, int k);
 
-/// RS-style upper bound for the k-NN probability of every candidate:
-/// p_i^(k) <= D_i(f^(k)).
-std::vector<double> KnnRsUpperBounds(const CandidateSet& candidates, int k);
-
 /// Exact k-NN qualification probabilities (Poisson-binomial integration).
 /// k = 1 reduces to the PNN probabilities.
 std::vector<double> ComputeKnnProbabilities(const CandidateSet& candidates,

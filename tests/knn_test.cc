@@ -85,10 +85,12 @@ TEST(KnnTest, KAtLeastCandidateCountIsCertain) {
 TEST(KnnTest, UpperBoundsHold) {
   for (int k : {1, 2, 3}) {
     CandidateSet cands = MakeCandidates(8, 23);
-    std::vector<double> ub = KnnRsUpperBounds(cands, k);
+    // The RS-style bound EvaluateCknn prunes with: p_i^(k) <= D_i(f^(k)).
+    const double fk = KthFarPoint(cands, k);
     std::vector<double> p = ComputeKnnProbabilities(cands, k, {});
     for (size_t i = 0; i < p.size(); ++i) {
-      EXPECT_LE(p[i], ub[i] + 1e-6) << "k=" << k << " i=" << i;
+      EXPECT_LE(p[i], cands[i].dist.Cdf(fk) + 1e-6)
+          << "k=" << k << " i=" << i;
     }
   }
 }
