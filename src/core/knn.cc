@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -200,7 +201,7 @@ void Sweep(const CandidateSet& cands, double fk, const GaussRule& rule,
   std::vector<uint32_t> members;
   std::vector<uint32_t> skips;
   std::vector<double> density;
-  std::vector<uint32_t> unlisted;
+  std::vector<std::pair<uint32_t, double>> unlisted;  // (i, d_i(r))
   std::vector<double> tails;
   auto accumulate = [&](double r, double w, const uint32_t* ids,
                         size_t count) {
@@ -214,17 +215,17 @@ void Sweep(const CandidateSet& cands, double fk, const GaussRule& rule,
       // A zero density adds w · 0 = +0 to a non-negative sum: skip it.
       if (d == 0.0) continue;
       if (i >= row_span || slot[i] == kAbsent) {
-        unlisted.push_back(i);
+        unlisted.emplace_back(i, d);
         continue;
       }
       members.push_back(i);
       skips.push_back(slot[i]);
       density.push_back(d);
     }
-    for (uint32_t i : unlisted) {
+    for (const auto& [i, d] : unlisted) {
       members.push_back(i);
       skips.push_back(static_cast<uint32_t>(row_size));
-      density.push_back(cands[i].dist.Density(r, &pdf_piece[i]));
+      density.push_back(d);
     }
     if (members.empty()) return;
     tails.resize(members.size());

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/integrate.h"
+#include "common/piecewise.h"
 #include "common/rng.h"
 #include "core/basic.h"
 #include "core/monte_carlo.h"
@@ -24,6 +26,44 @@ CandidateSet MakeCandidates(int n, uint64_t seed) {
   for (int i = 0; i < n; ++i) idx.push_back(i);
   // Keep k-NN-relevant candidates for every k used in these tests.
   return CandidateSet::Build1D(data, idx, rng.Uniform(0.0, 25.0), /*k=*/5);
+}
+
+// The per-candidate integration the k-NN sweep replaced, kept as a
+// bit-level oracle: IntegrateWithBreakpoints over [near, min(far, f^(k))]
+// of d_i(r) · P[at most k − 1 others below r], with the Poisson-binomial
+// DP over the other candidates in candidate order.
+double ReferenceKnnProbability(const CandidateSet& cands, size_t i, int k,
+                               const IntegrationOptions& options) {
+  std::vector<double> breaks;
+  for (const Candidate& c : cands.items()) {
+    breaks.insert(breaks.end(), c.dist.breakpoints().begin(),
+                  c.dist.breakpoints().end());
+  }
+  breaks = SortedUnique(std::move(breaks), 1e-12);
+  const double a = cands[i].dist.near();
+  const double b = std::min(cands[i].dist.far(), KthFarPoint(cands, k));
+  if (b <= a) return 0.0;
+  auto f = [&](double r) {
+    const double d = cands[i].dist.Density(r);
+    if (d == 0.0) return 0.0;
+    std::vector<double> dp(static_cast<size_t>(k), 0.0);
+    dp[0] = 1.0;
+    for (size_t j = 0; j < cands.size(); ++j) {
+      if (j == i) continue;
+      const double p = cands[j].dist.Cdf(r);
+      if (p <= 0.0) continue;
+      for (int t = k - 1; t >= 1; --t) {
+        dp[t] = dp[t] * (1.0 - p) + dp[t - 1] * p;
+      }
+      dp[0] *= 1.0 - p;
+    }
+    double sum = 0.0;
+    for (double v : dp) sum += v;
+    return d * std::min(1.0, sum);
+  };
+  return std::clamp(
+      IntegrateWithBreakpoints(f, a, b, breaks, options.gauss_points), 0.0,
+      1.0);
 }
 
 TEST(KthFarPointTest, OrderStatistics) {
@@ -48,6 +88,39 @@ TEST(KnnTest, KEqualsOneMatchesPnn) {
     ASSERT_EQ(pnn.size(), knn.size());
     for (size_t i = 0; i < pnn.size(); ++i) {
       EXPECT_NEAR(knn[i], pnn[i], 1e-6) << "seed=" << seed << " i=" << i;
+    }
+  }
+}
+
+TEST(KnnTest, SweepMatchesPerCandidateIntegrationBitForBit) {
+  std::vector<CandidateSet> sets;
+  for (uint64_t seed : {3ULL, 61ULL}) sets.push_back(MakeCandidates(14, seed));
+  // Breakpoints 2^-38 (~3.6e-12) apart survive the 1e-12 merge, and at
+  // magnitude 1000 the outer Gauss nodes of that segment round onto its
+  // ends: a node lands exactly on a candidate's near point.
+  const double e = 1.0 / (1ULL << 38);
+  std::vector<std::pair<ObjectId, DistanceDistribution>> narrow;
+  for (int j = 0; j < 13; ++j) {
+    const double near = 1000.0 + (j % 3) * e + 0.25 * (j / 3);
+    narrow.emplace_back(j, DistanceDistribution(StepFunction(
+                               {near, near + 2.0 + 0.5 * j},
+                               {1.0 / (2.0 + 0.5 * j)})));
+  }
+  sets.push_back(CandidateSet::FromDistances(std::move(narrow), 13));
+  // k up to 12 covers the DP sized at run time (k − 1 > 8).
+  for (const CandidateSet& cands : sets) {
+    for (int k : {1, 2, 3, 9, 10, 12}) {
+      if (static_cast<size_t>(k) >= cands.size()) continue;
+      for (int points : {2, 16}) {
+        IntegrationOptions options;
+        options.gauss_points = points;
+        const std::vector<double> p =
+            ComputeKnnProbabilities(cands, k, options);
+        for (size_t i = 0; i < cands.size(); ++i) {
+          EXPECT_EQ(p[i], ReferenceKnnProbability(cands, i, k, options))
+              << "k=" << k << " points=" << points << " i=" << i;
+        }
+      }
     }
   }
 }
