@@ -120,10 +120,11 @@ DistanceDistribution TwoStep(double near, double mid, double far) {
 }
 
 // Breakpoints 2^-42 (~2.3e-13) apart collide in the global merge, which
-// keeps only the smallest of each cluster: candidates 2 and 6 lose their
-// near point, 2, 9 and 10 their far point. For k = 4 the k-th far point is
-// 5 + 2^-42, itself dropped; for k = 1..4 candidate 7's near point lies
-// within 1e-12 above f^(k), and for k = 1 (f^(k) = 4) so does candidate 8's.
+// keeps only the smallest of each cluster: candidates 2, 6, 7 and 8 lose
+// their near point, 2, 9 and 10 their far point. For k = 2 and k = 4 the
+// k-th far point (4 + 2^-41, 5 + 2^-42) is itself dropped. Candidate 7's
+// near point lies within 1e-12 above f^(k) for k = 3 and 4, candidate 8's
+// for k = 1 (f^(k) = 4).
 CandidateSet HandBuiltSet() {
   const double e = 1.0 / (1ULL << 42);
   std::vector<std::pair<ObjectId, DistanceDistribution>> dists;
