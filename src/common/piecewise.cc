@@ -66,28 +66,6 @@ double StepFunction::IntegralTo(double x) const {
   return cum_[i] + values_[i] * (x - breaks_[i]);
 }
 
-size_t StepFunction::WalkToPiece(double x, size_t* piece) const {
-  PV_DCHECK(!empty());
-  PV_DCHECK(x >= breaks_.front() && x <= breaks_.back());
-  size_t p = std::min(*piece, values_.size() - 1);
-  while (p > 0 && breaks_[p] > x) --p;
-  while (p + 1 < values_.size() && breaks_[p + 1] <= x) ++p;
-  *piece = p;
-  return p;
-}
-
-double StepFunction::ValueFrom(double x, size_t* piece) const {
-  if (empty() || x < breaks_.front() || x > breaks_.back()) return 0.0;
-  return values_[WalkToPiece(x, piece)];
-}
-
-double StepFunction::IntegralToFrom(double x, size_t* piece) const {
-  if (empty() || x <= breaks_.front()) return 0.0;
-  if (x >= breaks_.back()) return cum_.back();
-  const size_t i = WalkToPiece(x, piece);
-  return cum_[i] + values_[i] * (x - breaks_[i]);
-}
-
 void StepFunction::IntegralToSorted(const double* xs, size_t n,
                                     double* out) const {
   if (empty()) {

@@ -64,13 +64,6 @@ class StepFunction {
   /// `xs`.
   void IntegralToSorted(const double* xs, size_t n, double* out) const;
 
-  /// Value(x) and IntegralTo(x), bit for bit, for a caller that steps x
-  /// through the support: `*piece` keeps the piece of the previous lookup
-  /// (start it at 0), and the lookup walks from there instead of binary
-  /// searching, so nearby successive x cost O(1).
-  double ValueFrom(double x, size_t* piece) const;
-  double IntegralToFrom(double x, size_t* piece) const;
-
   /// Batched IntegralTo without the sortedness requirement: a per-point
   /// binary-search loop, kept as the fallback for unsorted batches.
   /// Bit-identical to calling IntegralTo point by point (it is that loop).
@@ -103,8 +96,6 @@ class StepFunction {
 
  private:
   void ValidateAndBuildCum();
-  /// PieceIndex(x), found by walking from `*piece`, which it updates.
-  size_t WalkToPiece(double x, size_t* piece) const;
 
   std::vector<double> breaks_;  // n+1 breakpoints
   std::vector<double> values_;  // n piece heights

@@ -168,10 +168,6 @@ void Sweep(const CandidateSet& cands, double fk, const GaussRule& rule,
   std::vector<uint32_t> slot(n);   // j's index in row, or kAbsent
   size_t row_size = 0;
   size_t row_span = 0;             // slot[] is valid for j < row_span
-  // Per-candidate pdf pieces of the last cdf / density lookup: r mostly
-  // steps forward, so lookups walk a piece or two instead of searching.
-  std::vector<size_t> cdf_piece(n, 0);
-  std::vector<size_t> pdf_piece(n, 0);
 
   auto fill_row = [&](double r) {
     // The candidate set is ordered by near point: the live ones are a
@@ -184,7 +180,7 @@ void Sweep(const CandidateSet& cands, double fk, const GaussRule& rule,
         cands.items().begin());
     row_size = 0;
     for (size_t j = 0; j < row_span; ++j) {
-      const double p = cands[j].dist.Cdf(r, &cdf_piece[j]);
+      const double p = cands[j].dist.Cdf(r);
       if (p > 0.0) {
         slot[j] = static_cast<uint32_t>(row_size);
         row[row_size++] = p;
@@ -211,7 +207,7 @@ void Sweep(const CandidateSet& cands, double fk, const GaussRule& rule,
     unlisted.clear();
     for (size_t c = 0; c < count; ++c) {
       const uint32_t i = ids[c];
-      const double d = cands[i].dist.Density(r, &pdf_piece[i]);
+      const double d = cands[i].dist.Density(r);
       // A zero density adds w · 0 = +0 to a non-negative sum: skip it.
       if (d == 0.0) continue;
       if (i >= row_span || slot[i] == kAbsent) {

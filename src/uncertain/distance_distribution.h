@@ -52,15 +52,6 @@ class DistanceDistribution {
   /// Distance cdf D_i(r) = P(R_i <= r); 0 below near(), 1 above far().
   double Cdf(double r) const { return pdf_.IntegralTo(r); }
 
-  /// Density(r) and Cdf(r), bit for bit, for a caller stepping r: `*piece`
-  /// carries the pdf piece between calls (see StepFunction::ValueFrom).
-  double Density(double r, size_t* piece) const {
-    return pdf_.ValueFrom(r, piece);
-  }
-  double Cdf(double r, size_t* piece) const {
-    return pdf_.IntegralToFrom(r, piece);
-  }
-
   /// Batched cdf over a sorted (non-decreasing) batch of radii:
   /// out[j] = Cdf(rs[j]) via one merge-scan over the pdf's pieces —
   /// bit-identical to a per-point Cdf loop, O(pieces + n) instead of

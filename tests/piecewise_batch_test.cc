@@ -1,9 +1,8 @@
 // Pins the batched StepFunction evaluators (IntegralToSorted's merge scan,
-// IntegralToMany's per-point fallback), the cursor lookups
-// (ValueFrom/IntegralToFrom) and DistanceDistribution::CdfSorted
-// bit-identical to a scalar Value/IntegralTo/Cdf loop — the contract that
-// lets the subregion table build use the merge scan and the k-NN sweep the
-// cursors unconditionally.
+// IntegralToMany's per-point fallback) and DistanceDistribution::CdfSorted
+// bit-identical to a scalar IntegralTo/Cdf loop — the contract that lets
+// the subregion table build use the merge scan unconditionally in every
+// build configuration and kernel flavor.
 #include "common/piecewise.h"
 
 #include <algorithm>
@@ -64,33 +63,6 @@ std::vector<double> MakeSortedBatch(Rng& rng, const StepFunction& f,
     xs[xs.size() / 2] = xs[xs.size() / 2 - 1];
   }
   return xs;
-}
-
-TEST(PiecewiseBatchTest, CursorLookupsMatchScalarBitForBit) {
-  // ValueFrom / IntegralToFrom walk from the previous piece: a sorted
-  // sweep, the same points backwards, and a shuffled order (long jumps
-  // both ways) must all give the binary-search results.
-  Rng rng(2027);
-  for (int pieces : {1, 2, 7, 64, 300}) {
-    for (int rep = 0; rep < 4; ++rep) {
-      StepFunction f = MakeRandomStep(rng, pieces);
-      std::vector<double> xs = MakeSortedBatch(rng, f, 129);
-      std::vector<double> order = xs;
-      order.insert(order.end(), xs.rbegin(), xs.rend());
-      std::vector<double> shuffled = xs;
-      std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
-      order.insert(order.end(), shuffled.begin(), shuffled.end());
-      size_t value_piece = 0;
-      size_t cdf_piece = 0;
-      for (size_t i = 0; i < order.size(); ++i) {
-        const double x = order[i];
-        ASSERT_EQ(f.ValueFrom(x, &value_piece), f.Value(x))
-            << "pieces=" << pieces << " rep=" << rep << " i=" << i;
-        ASSERT_EQ(f.IntegralToFrom(x, &cdf_piece), f.IntegralTo(x))
-            << "pieces=" << pieces << " rep=" << rep << " i=" << i;
-      }
-    }
-  }
 }
 
 TEST(PiecewiseBatchTest, SortedMatchesScalarBitForBit) {
