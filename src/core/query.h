@@ -81,7 +81,7 @@ class CpnnExecutor {
 
   /// Runs only the k-NN filtering phase (the index's k-th-far-point
   /// filter; exposed for the sharded engine and tests).
-  FilterResult FilterK(double q, int k) const {
+  KnnFilterResult FilterK(double q, int k) const {
     return filter_.FilterK(q, k);
   }
 

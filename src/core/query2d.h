@@ -52,7 +52,7 @@ class CpnnExecutor2D {
   FilterResult Filter(Point2 q) const { return filter_.Filter(q); }
 
   /// k-NN filtering phase only (the index's k-th-far-point filter).
-  FilterResult FilterK(Point2 q, int k) const {
+  KnnFilterResult FilterK(Point2 q, int k) const {
     return filter_.FilterK(q, k);
   }
 

@@ -167,10 +167,9 @@ template <int Dim>
 struct ShardedQueryEngine::KnnScatterPolicy {
   static_assert(Dim == 1 || Dim == 2, "knn scatter is 1-D or 2-D");
   using Point = std::conditional_t<Dim == 1, double, Point2>;
-  struct Local {
-    FilterResult filtered;
-    std::vector<double> fars;  ///< far point of each local candidate
-  };
+  /// The shard's indexed k-NN filter result, with its candidates' far and
+  /// near points.
+  using Local = KnnFilterResult;
 
   const ShardedQueryEngine& engine;
   Point q;
@@ -237,29 +236,28 @@ struct ShardedQueryEngine::KnnScatterPolicy {
   }
 
   Local LocalFilter(const Shard& shard) const {
-    Local local;
     if constexpr (Dim == 1) {
-      local.filtered = shard.engine->executor().FilterK(q, k);
+      return shard.engine->executor().FilterK(q, k);
     } else {
-      local.filtered = shard.engine->executor2d()->FilterK(q, k);
+      return shard.engine->executor2d()->FilterK(q, k);
     }
-    local.fars.reserve(local.filtered.candidates.size());
-    for (uint32_t idx : local.filtered.candidates) {
-      local.fars.push_back(Objects(shard)[idx].MaxDist(q));
-    }
-    return local;
   }
 
   double GlobalCut(const std::vector<Local>& locals) {
     for (const Local& local : locals) {
       fars.insert(fars.end(), local.fars.begin(), local.fars.end());
     }
-    if (fars.empty()) return 0.0;
     const size_t total =
         Dim == 1 ? engine.total_objects_ : engine.total_objects2d_;
-    const size_t kth = std::min(total, static_cast<size_t>(k)) - 1;
-    std::nth_element(fars.begin(), fars.begin() + kth, fars.end());
-    return fars[kth];
+    const size_t want = std::min(total, static_cast<size_t>(k));
+    // Fewer far points than the cut's rank only when q is not a number
+    // (its distances compare false): no shard survives, as with no data.
+    if (fars.empty() || fars.size() < want) {
+      fars.clear();
+      return 0.0;
+    }
+    std::nth_element(fars.begin(), fars.begin() + (want - 1), fars.end());
+    return fars[want - 1];
   }
 
   bool Survives(const Shard& shard, double cut) const {
@@ -268,9 +266,9 @@ struct ShardedQueryEngine::KnnScatterPolicy {
 
   void CollectSurvivors(const Shard& shard, const Local& local, double cut,
                         Survivors* out) const {
-    for (uint32_t idx : local.filtered.candidates) {
-      const auto& obj = Objects(shard)[idx];
-      if (obj.MinDist(q) > cut + kFilterBoundarySlack) continue;
+    for (size_t i = 0; i < local.candidates.size(); ++i) {
+      if (local.nears[i] > cut + kFilterBoundarySlack) continue;
+      const auto& obj = Objects(shard)[local.candidates[i]];
       if constexpr (Dim == 1) {
         out->emplace_back(obj.id(),
                           DistanceDistribution::From1D(obj.pdf(), q));

@@ -14,12 +14,12 @@ constexpr double kBoundarySlack = kFilterBoundarySlack;
 
 // The k-th-far-point filter over an index (see PnnFilter::FilterK).
 template <int Dim, typename Objects, typename Point>
-FilterResult KthFarPointFilter(const RTree<Dim, uint32_t>& tree,
-                               const Objects& objects,
-                               const std::array<double, Dim>& pt, Point q,
-                               int k) {
+KnnFilterResult KthFarPointFilter(const RTree<Dim, uint32_t>& tree,
+                                  const Objects& objects,
+                                  const std::array<double, Dim>& pt, Point q,
+                                  int k) {
   PV_CHECK_MSG(k >= 1, "k must be positive");
-  FilterResult result;
+  KnnFilterResult result;
   if (tree.empty()) return result;
   const size_t want = std::min(objects.size(), static_cast<size_t>(k));
   double u = 0.0;
@@ -30,18 +30,27 @@ FilterResult KthFarPointFilter(const RTree<Dim, uint32_t>& tree,
   // ulps above its region's exact MinDist (disks, hypot) in the probe.
   std::vector<uint32_t> superset =
       tree.WithinDistance(pt, (u + kBoundarySlack) * (1.0 + 1e-9));
+  // A q that is not a number compares false with every distance, so the
+  // probe comes back short; the scan finds no candidates either.
+  if (superset.size() < want) {
+    result.fmin = std::numeric_limits<double>::quiet_NaN();
+    return result;
+  }
+  std::sort(superset.begin(), superset.end());
   std::vector<double> fars;
   fars.reserve(superset.size());
   for (uint32_t idx : superset) fars.push_back(objects[idx].MaxDist(q));
-  PV_DCHECK(fars.size() >= want);
-  std::nth_element(fars.begin(), fars.begin() + (want - 1), fars.end());
-  result.fmin = fars[want - 1];
-  for (uint32_t idx : superset) {
-    if (objects[idx].MinDist(q) <= result.fmin + kBoundarySlack) {
-      result.candidates.push_back(idx);
+  std::vector<double> ranked = fars;
+  std::nth_element(ranked.begin(), ranked.begin() + (want - 1), ranked.end());
+  result.fmin = ranked[want - 1];
+  for (size_t i = 0; i < superset.size(); ++i) {
+    const double near = objects[superset[i]].MinDist(q);
+    if (near <= result.fmin + kBoundarySlack) {
+      result.candidates.push_back(superset[i]);
+      result.fars.push_back(fars[i]);
+      result.nears.push_back(near);
     }
   }
-  std::sort(result.candidates.begin(), result.candidates.end());
   return result;
 }
 
@@ -87,7 +96,7 @@ FilterResult PnnFilter::Filter(double q) const {
   return result;
 }
 
-FilterResult PnnFilter::FilterK(double q, int k) const {
+KnnFilterResult PnnFilter::FilterK(double q, int k) const {
   return KthFarPointFilter(rtree_, *dataset_, {q}, q, k);
 }
 
@@ -124,7 +133,7 @@ FilterResult PnnFilter2D::Filter(Point2 q) const {
   return result;
 }
 
-FilterResult PnnFilter2D::FilterK(Point2 q, int k) const {
+KnnFilterResult PnnFilter2D::FilterK(Point2 q, int k) const {
   return KthFarPointFilter(rtree_, *dataset_, {q.x, q.y}, q, k);
 }
 

@@ -33,6 +33,15 @@ struct FilterResult {
   std::vector<uint32_t> candidates;
 };
 
+/// Result of the indexed k-NN filter: the cut and candidates, plus each
+/// candidate's far point (MaxDist) and near point (MinDist) as the filter
+/// computed them, parallel to `candidates`, for callers that re-cut the
+/// candidates (the sharded k-NN scatter).
+struct KnnFilterResult : FilterResult {
+  std::vector<double> fars;
+  std::vector<double> nears;
+};
+
 /// Index over a 1-D dataset for repeated PNN filtering.
 class PnnFilter {
  public:
@@ -52,8 +61,9 @@ class PnnFilter {
   /// point <= U has near point <= U as well, so one ball probe of radius U
   /// (+ slack) returns a superset of both the objects that rank f^(k) and
   /// the candidates; the objects' own MinDist/MaxDist then cut it exactly,
-  /// with the scan's arithmetic.
-  FilterResult FilterK(double q, int k) const;
+  /// with the scan's arithmetic. A q that is not a number gives a NaN
+  /// fmin and no candidates, as the scan does.
+  KnnFilterResult FilterK(double q, int k) const;
 
   const RTree<1, uint32_t>& rtree() const { return rtree_; }
 
@@ -72,7 +82,7 @@ class PnnFilter2D {
   /// 2-D k-NN filtering from the index over exact region distances
   /// (UncertainObject2D::MinDist/MaxDist); equals FilterKByScan2D's result
   /// bit for bit (see PnnFilter::FilterK).
-  FilterResult FilterK(Point2 q, int k) const;
+  KnnFilterResult FilterK(Point2 q, int k) const;
 
  private:
   RTree<2, uint32_t> rtree_;

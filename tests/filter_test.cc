@@ -1,8 +1,10 @@
 #include "spatial/filter.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -125,10 +127,20 @@ std::vector<int> OracleKs(size_t n) {
   return ks;
 }
 
-void ExpectSameCut(const FilterResult& indexed, const FilterResult& scan,
-                   const std::string& what) {
+// The indexed cut equals the scan's, and the far and near points it hands
+// on (to the sharded k-NN scatter) are the objects' own.
+template <typename Objects, typename Point>
+void ExpectSameCut(const KnnFilterResult& indexed, const FilterResult& scan,
+                   const Objects& objects, Point q, const std::string& what) {
   EXPECT_EQ(Bits(indexed.fmin), Bits(scan.fmin)) << what;
   EXPECT_EQ(indexed.candidates, scan.candidates) << what;
+  ASSERT_EQ(indexed.fars.size(), indexed.candidates.size()) << what;
+  ASSERT_EQ(indexed.nears.size(), indexed.candidates.size()) << what;
+  for (size_t i = 0; i < indexed.candidates.size(); ++i) {
+    const auto& obj = objects[indexed.candidates[i]];
+    EXPECT_EQ(Bits(indexed.fars[i]), Bits(obj.MaxDist(q))) << what;
+    EXPECT_EQ(Bits(indexed.nears[i]), Bits(obj.MinDist(q))) << what;
+  }
 }
 
 // Uniform scatter plus duplicated intervals (tied far points) and intervals
@@ -166,7 +178,7 @@ TEST(KnnFilterOracleTest, IndexedMatchesScan1D) {
     for (int t = 0; t < 6; ++t) points.push_back(rng.Uniform(lo, hi));
     for (double q : points) {
       for (int k : OracleKs(data.size())) {
-        ExpectSameCut(filter.FilterK(q, k), FilterKByScan(data, q, k),
+        ExpectSameCut(filter.FilterK(q, k), FilterKByScan(data, q, k), data, q,
                       "seed " + std::to_string(seed) + " q " +
                           std::to_string(q) + " k " + std::to_string(k));
       }
@@ -222,10 +234,10 @@ TEST(KnnFilterOracleTest, IndexedMatchesScan2D) {
     }
     for (Point2 q : points) {
       for (int k : OracleKs(data.size())) {
-        ExpectSameCut(filter.FilterK(q, k), FilterKByScan2D(data, q, k),
-                      "seed " + std::to_string(seed) + " q (" +
-                          std::to_string(q.x) + ", " + std::to_string(q.y) +
-                          ") k " + std::to_string(k));
+        ExpectSameCut(
+            filter.FilterK(q, k), FilterKByScan2D(data, q, k), data, q,
+            "seed " + std::to_string(seed) + " q (" + std::to_string(q.x) +
+                ", " + std::to_string(q.y) + ") k " + std::to_string(k));
       }
     }
   }
@@ -235,13 +247,14 @@ TEST(KnnFilterOracleTest, EmptyAndTinyDatasets) {
   const Dataset empty;
   const PnnFilter filter(empty);
   for (int k : {1, 3}) {
-    ExpectSameCut(filter.FilterK(5.0, k), FilterKByScan(empty, 5.0, k),
-                  "empty 1-D");
+    ExpectSameCut(filter.FilterK(5.0, k), FilterKByScan(empty, 5.0, k), empty,
+                  5.0, "empty 1-D");
   }
   const Dataset2D empty2d;
   const PnnFilter2D filter2d(empty2d);
   ExpectSameCut(filter2d.FilterK({1.0, 2.0}, 2),
-                FilterKByScan2D(empty2d, {1.0, 2.0}, 2), "empty 2-D");
+                FilterKByScan2D(empty2d, {1.0, 2.0}, 2), empty2d,
+                Point2{1.0, 2.0}, "empty 2-D");
 
   // Every object identical: all far points tie.
   Dataset same;
@@ -251,11 +264,39 @@ TEST(KnnFilterOracleTest, EmptyAndTinyDatasets) {
   const PnnFilter same_filter(same);
   for (double q : {0.0, 3.0, 9.0}) {
     for (int k : OracleKs(same.size())) {
-      ExpectSameCut(same_filter.FilterK(q, k), FilterKByScan(same, q, k),
-                    "identical objects k " + std::to_string(k));
+      ExpectSameCut(same_filter.FilterK(q, k), FilterKByScan(same, q, k), same,
+                    q, "identical objects k " + std::to_string(k));
     }
   }
   EXPECT_THROW(same_filter.FilterK(3.0, 0), std::logic_error);
+}
+
+TEST(KnnFilterOracleTest, NotANumberQueryHasNoCandidates) {
+  // No distance compares true with a NaN q: the scan finds a NaN f^(k) and
+  // no candidates, and the index's probe comes back empty.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Dataset data = OracleDataset1D(3);
+  const PnnFilter filter(data);
+  for (int k : OracleKs(data.size())) {
+    const FilterResult scan = FilterKByScan(data, nan, k);
+    const KnnFilterResult indexed = filter.FilterK(nan, k);
+    EXPECT_TRUE(std::isnan(scan.fmin));
+    EXPECT_TRUE(std::isnan(indexed.fmin)) << "k " << k;
+    EXPECT_TRUE(scan.candidates.empty());
+    EXPECT_TRUE(indexed.candidates.empty()) << "k " << k;
+  }
+  const Dataset2D data2d = OracleDataset2D(5);
+  const PnnFilter2D filter2d(data2d);
+  for (Point2 q : {Point2{nan, nan}, Point2{nan, 500.0}, Point2{500.0, nan}}) {
+    for (int k : OracleKs(data2d.size())) {
+      const FilterResult scan = FilterKByScan2D(data2d, q, k);
+      const KnnFilterResult indexed = filter2d.FilterK(q, k);
+      EXPECT_TRUE(std::isnan(scan.fmin));
+      EXPECT_TRUE(std::isnan(indexed.fmin)) << "k " << k;
+      EXPECT_TRUE(scan.candidates.empty());
+      EXPECT_TRUE(indexed.candidates.empty()) << "k " << k;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // answer at 1/2/4 shards under both sharding policies, at interior and
 // domain-edge query points.
 #include <future>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -151,7 +152,7 @@ TEST(Knn2DTest, ShardedKnn2DBitIdenticalAcrossShardCountsAndPolicies) {
     }
 
     for (size_t shards : {1u, 2u, 4u}) {
-      for (const std::string policy : {"hash", "range"}) {
+      for (const std::string& policy : {"hash", "range"}) {
         ShardedEngineOptions sopt;
         sopt.num_shards = shards;
         sopt.policy = MakePolicy2D(policy, data);
@@ -192,6 +193,43 @@ TEST(Knn2DTest, KLargerThanDatasetKeepsEveryObject) {
   EXPECT_EQ(expected.bounds.size(), data.size());
   ExpectIdenticalKnn(expected, sharded.Execute(Knn2DQuery{q, 50, opt}),
                      "k beyond dataset");
+}
+
+TEST(Knn2DTest, NotANumberQueryAnswersEmpty) {
+  // A NaN q compares false with every distance: like the scan filter, the
+  // engines find no candidates and answer empty, sharded ones included
+  // (8 range shards over 5 objects leave some shards without data).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const QueryOptions opt = TestOptions();
+  Dataset data1d;
+  for (ObjectId id = 0; id < 5; ++id) {
+    data1d.emplace_back(id, MakeUniformPdf(10.0 * id, 10.0 * id + 4.0));
+  }
+  const Dataset2D data2d = TestDataset2D(5, /*seed=*/9);
+  auto expect_empty = [](const QueryResult& result, const std::string& what) {
+    EXPECT_TRUE(result.ids.empty()) << what;
+    ASSERT_TRUE(result.knn.has_value()) << what;
+    EXPECT_TRUE(result.knn->bounds.empty()) << what;
+  };
+  QueryEngine engine(data1d, data2d, EngineOptions{1});
+  for (size_t shards : {1u, 8u}) {
+    ShardedEngineOptions sopt;
+    sopt.num_shards = shards;
+    sopt.num_threads = 2;
+    ShardedQueryEngine sharded(data1d, data2d, sopt);
+    for (int k : {1, 3, 5, 9}) {
+      const std::string what =
+          "shards " + std::to_string(shards) + " k " + std::to_string(k);
+      expect_empty(engine.Execute(KnnQuery{nan, k, opt}), "1-D " + what);
+      expect_empty(sharded.Execute(KnnQuery{nan, k, opt}),
+                   "sharded 1-D " + what);
+      for (Point2 q : {Point2{nan, nan}, Point2{nan, 300.0}}) {
+        expect_empty(engine.Execute(Knn2DQuery{q, k, opt}), "2-D " + what);
+        expect_empty(sharded.Execute(Knn2DQuery{q, k, opt}),
+                     "sharded 2-D " + what);
+      }
+    }
+  }
 }
 
 TEST(Knn2DTest, Knn2DWithoutDatasetThrows) {
