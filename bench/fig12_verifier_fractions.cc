@@ -12,8 +12,7 @@
 //
 // A third section times the verifier chain per stage, with every timed
 // region repeated to the measurement floor (PVERIFY_MIN_WALL_MS, default
-// 100 ms), and writes the per-stage times to machine-readable
-// BENCH_verifier_fractions.json for CI trend tracking.
+// 100 ms), and writes the per-stage times to fig12_stage_times.csv.
 #include <cstdio>
 #include <vector>
 
@@ -110,25 +109,14 @@ void RunStageTiming(size_t dataset_size, size_t queries) {
     if (!cands.empty()) base.push_back(std::move(cands));
   }
 
-  bench::BenchJsonWriter json("fig12_verifier_fractions",
-                              "BENCH_verifier_fractions.json");
-  json.Config("min_wall_ms", min_wall_ms);
-  json.Config("dataset", static_cast<double>(dataset_size));
-  json.Config("queries", static_cast<double>(base.size()));
-  json.Config("threshold", P);
-
   const StageTimes times = TimeChain(base, P, min_wall_ms);
 
   ResultTable table({"stage", "scalar_us"}, "fig12_stage_times.csv");
   const char* names[3] = {"rs", "lsr", "usr"};
   for (int s = 0; s < 3; ++s) {
     table.AddRow({names[s], FormatDouble(times.us[s], 2)});
-    json.BeginResult();
-    json.Field("stage", names[s]);
-    json.Field("scalar_us", times.us[s]);
   }
   table.Print();
-  json.Write();
 }
 
 }  // namespace

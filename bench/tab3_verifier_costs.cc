@@ -6,7 +6,7 @@
 // Every timed region repeats until it crosses the measurement floor
 // (PVERIFY_MIN_WALL_MS, default 100 ms); per-rep setup (candidate-set
 // copies, label resets) stays outside the timed region. Results land in
-// machine-readable BENCH_verifier.json for CI trend tracking.
+// tab3.csv and tab3_cdf_fill.csv.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -127,9 +127,6 @@ int main() {
   const double min_wall_ms = bench::MinWallMsFromEnv();
   std::printf("floor: %.0f ms per timed region\n\n", min_wall_ms);
 
-  bench::BenchJsonWriter json("tab3_verifier_costs", "BENCH_verifier.json");
-  json.Config("min_wall_ms", min_wall_ms);
-
   ResultTable table(
       {"candidates", "M", "rs_us", "lsr_us", "usr_us", "refresh_us"},
       "tab3.csv");
@@ -145,7 +142,6 @@ int main() {
     CandidateSet cands = CandidateSet::Build1D(data, idx, 0.0);
     SubregionTable tbl = SubregionTable::Build(cands);
 
-    const char* names[3] = {"rs", "lsr", "usr"};
     std::unique_ptr<Verifier> verifiers[3];
     verifiers[0] = std::make_unique<RsVerifier>();
     verifiers[1] = std::make_unique<LsrVerifier>();
@@ -162,14 +158,6 @@ int main() {
                   FormatDouble(tbl.num_subregions(), 0),
                   FormatDouble(us[0], 2), FormatDouble(us[1], 2),
                   FormatDouble(us[2], 2), FormatDouble(us[3], 2)});
-
-    for (int s = 0; s < 4; ++s) {
-      json.BeginResult();
-      json.Field("stage", s < 3 ? names[s] : "refresh_all_bounds");
-      json.Field("candidates", static_cast<double>(cands.size()));
-      json.Field("subregions", static_cast<double>(tbl.num_subregions()));
-      json.Field("scalar_us", us[s]);
-    }
   }
   table.Print();
 
@@ -194,18 +182,8 @@ int main() {
            FormatDouble(tbl.num_subregions(), 0), FormatDouble(pieces, 0),
            FormatDouble(pointwise_us, 2), FormatDouble(merge_us, 2),
            SpeedupCell(pointwise_us, merge_us)});
-      json.BeginResult();
-      json.Field("stage", "subregion_cdf_fill");
-      json.Field("pdf", gaussian ? "gaussian" : "uniform");
-      json.Field("candidates", static_cast<double>(cands.size()));
-      json.Field("subregions", static_cast<double>(tbl.num_subregions()));
-      json.Field("pdf_pieces", static_cast<double>(pieces));
-      json.Field("pointwise_us", pointwise_us);
-      json.Field("merge_us", merge_us);
-      json.Field("speedup", merge_us > 0.0 ? pointwise_us / merge_us : 0.0);
     }
   }
   fill_table.Print();
-  json.Write();
   return 0;
 }

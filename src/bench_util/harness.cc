@@ -1,6 +1,5 @@
 #include "bench_util/harness.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -55,7 +54,6 @@ ThroughputPoint TimeSequentialLoop(const CpnnExecutor& executor,
                                    const std::vector<double>& points,
                                    const QueryOptions& options) {
   ThroughputPoint point;
-  point.threads = 0;
   point.queries = points.size();
   Timer wall;
   for (double q : points) {
@@ -84,7 +82,6 @@ ThroughputPoint TimeBatchImpl(Engine& engine,
   std::vector<QueryResult> results =
       engine.ExecuteBatch(std::move(batch), &local_stats);
   ThroughputPoint point;
-  point.threads = engine.num_threads();
   point.queries = points.size();
   for (const QueryResult& r : results) point.answers += r.ids.size();
   point.wall_ms = local_stats.wall_ms;
@@ -98,7 +95,6 @@ ThroughputPoint TimeSequentialLoop(const CpnnExecutor2D& executor,
                                    const std::vector<Point2>& points,
                                    const QueryOptions& options) {
   ThroughputPoint point;
-  point.threads = 0;
   point.queries = points.size();
   Timer wall;
   for (Point2 q : points) {
@@ -116,168 +112,6 @@ ThroughputPoint TimeBatch(Engine& engine, const std::vector<double>& points,
 ThroughputPoint TimeBatch(Engine& engine, const std::vector<Point2>& points,
                           const QueryOptions& options, EngineStats* stats) {
   return TimeBatchImpl(engine, points, options, stats);
-}
-
-namespace {
-
-/// Repeats `measure` (one full workload pass returning a ThroughputPoint)
-/// until the accumulated wall time reaches the floor, folding every pass
-/// into one aggregate point.
-template <typename MeasureFn>
-ThroughputPoint RepeatToFloor(double min_wall_ms, MeasureFn&& measure) {
-  ThroughputPoint total;
-  total.reps = 0;
-  do {
-    ThroughputPoint pass = measure();
-    total.threads = pass.threads;
-    total.queries += pass.queries;
-    total.answers += pass.answers;
-    total.wall_ms += pass.wall_ms;
-    ++total.reps;
-  } while (total.wall_ms < min_wall_ms);
-  return total;
-}
-
-}  // namespace
-
-ThroughputPoint TimeSequentialLoopFloored(const CpnnExecutor& executor,
-                                          const std::vector<double>& points,
-                                          const QueryOptions& options,
-                                          double min_wall_ms) {
-  return RepeatToFloor(min_wall_ms, [&] {
-    return TimeSequentialLoop(executor, points, options);
-  });
-}
-
-ThroughputPoint TimeBatchFloored(Engine& engine,
-                                 const std::vector<double>& points,
-                                 const QueryOptions& options,
-                                 double min_wall_ms, EngineStats* stats) {
-  return RepeatToFloor(min_wall_ms, [&] {
-    return TimeBatchImpl(engine, points, options, stats);
-  });
-}
-
-ThroughputPoint TimeBatchFloored(Engine& engine,
-                                 const std::vector<Point2>& points,
-                                 const QueryOptions& options,
-                                 double min_wall_ms, EngineStats* stats) {
-  return RepeatToFloor(min_wall_ms, [&] {
-    return TimeBatchImpl(engine, points, options, stats);
-  });
-}
-
-ThroughputPoint TimeSubmitStreamFloored(Engine& engine,
-                                        const std::vector<double>& points,
-                                        const QueryOptions& options,
-                                        double min_wall_ms) {
-  return RepeatToFloor(min_wall_ms, [&] {
-    return TimeSubmitStream(engine, points, options);
-  });
-}
-
-ThroughputPoint TimeSubmitStreamFloored(Engine& engine,
-                                        const std::vector<Point2>& points,
-                                        const QueryOptions& options,
-                                        double min_wall_ms) {
-  return RepeatToFloor(min_wall_ms, [&] {
-    return TimeSubmitStream(engine, points, options);
-  });
-}
-
-namespace {
-
-std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  return buf;
-}
-
-std::string JsonString(const std::string& value) {
-  std::string out;
-  out.reserve(value.size() + 2);
-  out.push_back('"');
-  for (char c : value) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
-}  // namespace
-
-BenchJsonWriter::BenchJsonWriter(std::string bench, std::string path)
-    : bench_(std::move(bench)), path_(std::move(path)) {}
-
-void BenchJsonWriter::Config(const std::string& key, double value) {
-  config_.push_back({key, JsonNumber(value)});
-}
-
-void BenchJsonWriter::Config(const std::string& key,
-                             const std::string& value) {
-  config_.push_back({key, JsonString(value)});
-}
-
-void BenchJsonWriter::BeginResult() { results_.emplace_back(); }
-
-void BenchJsonWriter::Field(const std::string& key, double value) {
-  results_.back().push_back({key, JsonNumber(value)});
-}
-
-void BenchJsonWriter::Field(const std::string& key,
-                            const std::string& value) {
-  results_.back().push_back({key, JsonString(value)});
-}
-
-bool BenchJsonWriter::Write() const {
-  std::FILE* f = std::fopen(path_.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path_.c_str());
-    return false;
-  }
-  auto print_entries = [f](const std::vector<Entry>& entries) {
-    for (size_t i = 0; i < entries.size(); ++i) {
-      std::fprintf(f, "%s%s: %s", i == 0 ? "" : ", ",
-                   JsonString(entries[i].key).c_str(),
-                   entries[i].encoded.c_str());
-    }
-  };
-  std::fprintf(f, "{\n  \"bench\": %s,\n  \"config\": {",
-               JsonString(bench_).c_str());
-  print_entries(config_);
-  std::fprintf(f, "},\n  \"results\": [\n");
-  for (size_t r = 0; r < results_.size(); ++r) {
-    std::fprintf(f, "    {");
-    print_entries(results_[r]);
-    std::fprintf(f, "}%s\n", r + 1 < results_.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("json results written to %s\n", path_.c_str());
-  return true;
-}
-
-std::vector<size_t> ThreadCountsFromEnv(std::vector<size_t> fallback) {
-  const char* v = std::getenv("PVERIFY_THREADS");
-  if (v == nullptr) return fallback;
-  std::vector<size_t> counts;
-  const char* p = v;
-  while (*p != '\0') {
-    char* end = nullptr;
-    long n = std::strtol(p, &end, 10);
-    if (end == p) break;
-    if (n > 0) counts.push_back(static_cast<size_t>(n));
-    p = (*end == ',') ? end + 1 : end;
-  }
-  return counts.empty() ? fallback : counts;
 }
 
 }  // namespace bench

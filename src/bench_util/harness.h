@@ -44,8 +44,8 @@ size_t DatasetSizeFromEnv(size_t fallback);
 
 /// Minimum wall time of a timed region in milliseconds, overridable via
 /// PVERIFY_MIN_WALL_MS. Sub-100ms regions are overhead-dominated noise on
-/// shared hosts, so the *Floored timers below repeat the workload until
-/// the accumulated region crosses this floor.
+/// shared hosts, so the verifier benches repeat each timed region until
+/// the accumulated time crosses this floor.
 double MinWallMsFromEnv(double fallback = 100.0);
 
 /// Prints a standard header naming the figure and its setup.
@@ -53,11 +53,9 @@ void PrintHeader(const std::string& figure, const std::string& description);
 
 /// One throughput measurement of a query workload.
 struct ThroughputPoint {
-  size_t threads = 0;  ///< 0 for the sequential (no-engine) loop
-  size_t queries = 0;  ///< total across repetitions
+  size_t queries = 0;
   size_t answers = 0;  ///< total returned ids (cheap equivalence check)
-  size_t reps = 1;     ///< workload repetitions folded into this point
-  double wall_ms = 0.0;  ///< total across repetitions
+  double wall_ms = 0.0;
   double Qps() const {
     return wall_ms > 0.0 ? 1000.0 * static_cast<double>(queries) / wall_ms
                          : 0.0;
@@ -94,37 +92,6 @@ ThroughputPoint TimeBatch(Engine& engine, const std::vector<Point2>& points,
                           const QueryOptions& options,
                           EngineStats* stats = nullptr);
 
-/// Floored variants: repeat the workload until the accumulated timed
-/// region reaches `min_wall_ms`, folding every repetition into one point
-/// (Qps and per-query averages stay valid; `reps` records the count).
-/// Use these for any number that lands in a table — a sub-floor region
-/// measures scheduling overhead, not the engine. `stats`, when provided,
-/// holds the FINAL repetition's batch aggregate (per-rep quantities like
-/// AvgQueryMs stay meaningful; do not mix its wall_ms with the returned
-/// point's all-reps total).
-ThroughputPoint TimeSequentialLoopFloored(const CpnnExecutor& executor,
-                                          const std::vector<double>& points,
-                                          const QueryOptions& options,
-                                          double min_wall_ms);
-ThroughputPoint TimeBatchFloored(Engine& engine,
-                                 const std::vector<double>& points,
-                                 const QueryOptions& options,
-                                 double min_wall_ms,
-                                 EngineStats* stats = nullptr);
-ThroughputPoint TimeBatchFloored(Engine& engine,
-                                 const std::vector<Point2>& points,
-                                 const QueryOptions& options,
-                                 double min_wall_ms,
-                                 EngineStats* stats = nullptr);
-ThroughputPoint TimeSubmitStreamFloored(Engine& engine,
-                                        const std::vector<double>& points,
-                                        const QueryOptions& options,
-                                        double min_wall_ms);
-ThroughputPoint TimeSubmitStreamFloored(Engine& engine,
-                                        const std::vector<Point2>& points,
-                                        const QueryOptions& options,
-                                        double min_wall_ms);
-
 /// Times an async-submission stream: every point Submit()ed back to back
 /// (no explicit batch), then all futures drained. Measures the async
 /// path end to end, for any Engine and both dimensionalities.
@@ -135,7 +102,6 @@ ThroughputPoint TimeSubmitStream(Engine& engine,
   std::vector<std::future<QueryResult>> futures;
   futures.reserve(points.size());
   ThroughputPoint point;
-  point.threads = engine.num_threads();
   point.queries = points.size();
   Timer wall;
   for (Point q : points) {
@@ -147,48 +113,6 @@ ThroughputPoint TimeSubmitStream(Engine& engine,
   point.wall_ms = wall.ElapsedMs();
   return point;
 }
-
-/// Worker-thread counts to sweep, overridable via PVERIFY_THREADS
-/// (comma-separated list, e.g. "1,2,4,8").
-std::vector<size_t> ThreadCountsFromEnv(std::vector<size_t> fallback);
-
-/// Accumulates bench results and writes them as machine-readable JSON
-/// (e.g. BENCH_engine.json) alongside the human tables/CSVs, so CI can
-/// archive the perf trajectory per PR. Usage:
-///
-///   BenchJsonWriter json("engine_throughput", "BENCH_engine.json");
-///   json.Config("queries", 200);
-///   json.BeginResult();
-///   json.Field("name", "batch");
-///   json.Field("qps", point.Qps());
-///   json.Write();
-class BenchJsonWriter {
- public:
-  BenchJsonWriter(std::string bench, std::string path);
-
-  /// Top-level config scalars (workload shape, host facts).
-  void Config(const std::string& key, double value);
-  void Config(const std::string& key, const std::string& value);
-
-  /// Starts a new result record; subsequent Field() calls fill it.
-  void BeginResult();
-  void Field(const std::string& key, double value);
-  void Field(const std::string& key, const std::string& value);
-
-  /// Writes the file and reports the path on stdout. Returns false (after
-  /// a warning on stderr) when the file cannot be written.
-  bool Write() const;
-
- private:
-  struct Entry {
-    std::string key;
-    std::string encoded;  ///< pre-encoded JSON value
-  };
-  std::string bench_;
-  std::string path_;
-  std::vector<Entry> config_;
-  std::vector<std::vector<Entry>> results_;
-};
 
 }  // namespace bench
 }  // namespace pverify

@@ -102,11 +102,6 @@ void StepFunction::IntegralToSorted(const double* xs, size_t n,
   }
 }
 
-void StepFunction::IntegralToMany(const double* xs, size_t n,
-                                  double* out) const {
-  for (size_t i = 0; i < n; ++i) out[i] = IntegralTo(xs[i]);
-}
-
 double StepFunction::IntegralBetween(double a, double b) const {
   if (b <= a) return 0.0;
   return IntegralTo(b) - IntegralTo(a);

@@ -64,11 +64,6 @@ class StepFunction {
   /// `xs`.
   void IntegralToSorted(const double* xs, size_t n, double* out) const;
 
-  /// Batched IntegralTo without the sortedness requirement: a per-point
-  /// binary-search loop, kept as the fallback for unsorted batches.
-  /// Bit-identical to calling IntegralTo point by point (it is that loop).
-  void IntegralToMany(const double* xs, size_t n, double* out) const;
-
   /// Integral over [a, b] (exact; a may exceed b, in which case returns 0).
   double IntegralBetween(double a, double b) const;
 

@@ -60,11 +60,6 @@ class DistanceDistribution {
     pdf_.IntegralToSorted(rs, n, out);
   }
 
-  /// Batched cdf without the sortedness requirement (per-point fallback).
-  void CdfMany(const double* rs, size_t n, double* out) const {
-    pdf_.IntegralToMany(rs, n, out);
-  }
-
   /// P(a <= R_i <= b).
   double ProbIn(double a, double b) const {
     return pdf_.IntegralBetween(a, b);

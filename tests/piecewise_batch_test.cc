@@ -1,8 +1,8 @@
-// Pins the batched StepFunction evaluators (IntegralToSorted's merge scan,
-// IntegralToMany's per-point fallback) and DistanceDistribution::CdfSorted
-// bit-identical to a scalar IntegralTo/Cdf loop — the contract that lets
-// the subregion table build use the merge scan unconditionally in every
-// build configuration and kernel flavor.
+// Pins the batched StepFunction evaluator (IntegralToSorted's merge scan)
+// and DistanceDistribution::CdfSorted bit-identical to a scalar
+// IntegralTo/Cdf loop — the contract that lets the subregion table build
+// use the merge scan unconditionally in every build configuration and
+// kernel flavor.
 #include "common/piecewise.h"
 
 #include <algorithm>
@@ -82,21 +82,6 @@ TEST(PiecewiseBatchTest, SortedMatchesScalarBitForBit) {
   }
 }
 
-TEST(PiecewiseBatchTest, ManyMatchesScalarOnUnsortedBatch) {
-  Rng rng(7);
-  StepFunction f = MakeRandomStep(rng, 33);
-  std::vector<double> xs;
-  for (int i = 0; i < 200; ++i) {
-    xs.push_back(f.support_lo() +
-                 rng.Uniform(-0.3, 1.3) * (f.support_hi() - f.support_lo()));
-  }
-  std::vector<double> got(xs.size(), -1.0);
-  f.IntegralToMany(xs.data(), xs.size(), got.data());
-  for (size_t i = 0; i < xs.size(); ++i) {
-    ASSERT_EQ(got[i], f.IntegralTo(xs[i])) << "i=" << i;
-  }
-}
-
 TEST(PiecewiseBatchTest, EmptyFunctionYieldsZeros) {
   StepFunction f;
   const double xs[] = {-1.0, 0.0, 2.5};
@@ -105,17 +90,11 @@ TEST(PiecewiseBatchTest, EmptyFunctionYieldsZeros) {
   EXPECT_EQ(out[0], 0.0);
   EXPECT_EQ(out[1], 0.0);
   EXPECT_EQ(out[2], 0.0);
-  out[0] = out[1] = out[2] = 9.0;
-  f.IntegralToMany(xs, 3, out);
-  EXPECT_EQ(out[0], 0.0);
-  EXPECT_EQ(out[1], 0.0);
-  EXPECT_EQ(out[2], 0.0);
 }
 
 TEST(PiecewiseBatchTest, ZeroLengthBatchIsANoop) {
   StepFunction f = StepFunction::Constant(0.0, 1.0, 1.0);
   f.IntegralToSorted(nullptr, 0, nullptr);
-  f.IntegralToMany(nullptr, 0, nullptr);
 }
 
 TEST(PiecewiseBatchTest, OutMayAliasXs) {
@@ -141,9 +120,6 @@ TEST(PiecewiseBatchTest, CdfSortedMatchesCdfOnDistanceDistribution) {
   for (size_t i = 0; i < rs.size(); ++i) {
     ASSERT_EQ(got[i], dist.Cdf(rs[i])) << "i=" << i << " r=" << rs[i];
   }
-  std::vector<double> many(rs.size());
-  dist.CdfMany(rs.data(), rs.size(), many.data());
-  EXPECT_EQ(many, got);
 }
 
 }  // namespace
