@@ -6,6 +6,9 @@
 # against it over TCP (the CLI checks every remote answer against its own
 # sequential baseline, so a pass means the served answers are correct, not
 # just that bytes moved), then SIGTERM the daemon and require a clean exit.
+# A second leg does the same against a sharded, cached daemon and requires
+# the replayed batch to be served from its cache. A negative size flag
+# must be rejected with the usage exit code before the daemon listens.
 #
 # Usage: ci/serve_smoke.sh <build-dir>
 set -eu
@@ -32,44 +35,76 @@ awk 'BEGIN {
   }
 }' > "$work/data.txt"
 
-# --- start the daemon on an ephemeral port ---------------------------------
-"$build/pverify_serve" --dataset="$work/data.txt" --threads=2 \
-  --port=0 --port-file="$work/port" > "$work/server.log" 2>&1 &
-server_pid=$!
+# --- a negative size is a usage error, not a wrapped huge value ------------
+status=0
+"$build/pverify_serve" --dataset="$work/data.txt" --threads=-1 \
+  --port=0 --port-file="$work/port" > "$work/server.log" 2>&1 || status=$?
+if [ "$status" -ne 2 ] || [ -s "$work/port" ]; then
+  echo "FAILED: --threads=-1 exited $status (want 2, before listening)"
+  cat "$work/server.log"
+  exit 1
+fi
+echo "OK: pverify_serve --threads=-1 rejected with exit 2"
 
-for _ in $(seq 1 100); do
-  [ -s "$work/port" ] && break
-  if ! kill -0 "$server_pid" 2>/dev/null; then
-    echo "FAILED: server exited during startup"
+# Starts a daemon on an ephemeral port with the extra flags given and sets
+# $server_pid and $port.
+start_server() {
+  rm -f "$work/port"
+  "$build/pverify_serve" --dataset="$work/data.txt" --threads=2 \
+    --port=0 --port-file="$work/port" "$@" > "$work/server.log" 2>&1 &
+  server_pid=$!
+
+  for _ in $(seq 1 100); do
+    [ -s "$work/port" ] && break
+    if ! kill -0 "$server_pid" 2>/dev/null; then
+      echo "FAILED: server exited during startup"
+      cat "$work/server.log"
+      exit 1
+    fi
+    sleep 0.1
+  done
+  port="$(cat "$work/port" 2>/dev/null || true)"
+  if [ -z "$port" ]; then
+    echo "FAILED: server never wrote its port file"
     cat "$work/server.log"
     exit 1
   fi
-  sleep 0.1
-done
-port="$(cat "$work/port")"
-if [ -z "$port" ]; then
-  echo "FAILED: server never wrote its port file"
-  cat "$work/server.log"
-  exit 1
-fi
-echo "OK: pverify_serve listening on port $port"
+  echo "OK: pverify_serve listening on port $port${*:+ ($*)}"
+}
+
+# SIGTERMs the daemon and requires a clean exit.
+stop_server() {
+  kill -TERM "$server_pid"
+  status=0
+  wait "$server_pid" || status=$?
+  server_pid=
+  if [ "$status" -ne 0 ]; then
+    echo "FAILED: server exit status $status after SIGTERM"
+    cat "$work/server.log"
+    exit 1
+  fi
+  echo "OK: daemon shut down cleanly on SIGTERM"
+  grep "served" "$work/server.log" || true
+}
 
 # --- CLI batch over the wire (self-checking against local baseline) --------
 # --retries exercises the RetryingClient path even on a healthy server.
+start_server
 "$build/pverify_cli" batch "$work/data.txt" 40 2 \
   --connect="127.0.0.1:$port" --retries=3
 echo "OK: remote batch matches the CLI's sequential baseline"
+stop_server
 
-# --- clean shutdown on SIGTERM ---------------------------------------------
-kill -TERM "$server_pid"
-status=0
-wait "$server_pid" || status=$?
-server_pid=
-if [ "$status" -ne 0 ]; then
-  echo "FAILED: server exit status $status after SIGTERM"
-  cat "$work/server.log"
+# --- the same batch twice against a sharded, cached daemon -----------------
+start_server --shards=2 --cache=64
+"$build/pverify_cli" batch "$work/data.txt" 40 2 \
+  --connect="127.0.0.1:$port" --retries=3
+"$build/pverify_cli" batch "$work/data.txt" 40 2 \
+  --connect="127.0.0.1:$port" --retries=3 | tee "$work/replay.log"
+if ! grep -q "served from the server cache" "$work/replay.log"; then
+  echo "FAILED: the replayed batch never hit the server cache"
   exit 1
 fi
-echo "OK: daemon shut down cleanly on SIGTERM"
-grep "served" "$work/server.log" || true
+echo "OK: sharded + cached daemon answers exactly and serves the replay"
+stop_server
 echo "PASSED: loopback service smoke"

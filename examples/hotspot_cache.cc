@@ -5,9 +5,7 @@
 // repeat wastes the work the engine already did, so the service stacks a
 // CachingEngine on top: repeated queries become memoized lookups, while the
 // exactness contract (exact-fingerprint matching, see caching_engine.h)
-// keeps every served answer bit-identical to a fresh computation. When the
-// dataset changes — objects move, new readings land — one BumpEpoch() call
-// drops the whole memo so no stale answer survives.
+// keeps every served answer bit-identical to a fresh computation.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -83,23 +81,6 @@ int main() {
               100.0 * stats.cache.HitRate(), stats.cache.entries,
               stats.cache.bytes / 1024);
   std::printf("answers:   %zu of %zu served from the memo — bit-identical "
-              "to recomputation\n\n", served_from_cache, stats.queries);
-
-  // New position readings arrive: the dataset is (notionally) mutated, so
-  // every memoized answer is suspect. One epoch bump drops them all.
-  engine.BumpEpoch();
-  CacheStats after = engine.GetCacheStats();
-  std::printf("dataset update -> BumpEpoch(): %zu entries invalidated, "
-              "%zu now cached\n", after.invalidations, after.entries);
-
-  // The next wave of queries recomputes (cold) and re-populates the memo.
-  std::vector<QueryRequest> rewarm;
-  for (size_t i = 0; i < hotspots.size(); ++i) {
-    rewarm.push_back(PointQuery{hotspots[i], opt});
-  }
-  EngineStats rewarm_stats;
-  engine.ExecuteBatch(std::move(rewarm), &rewarm_stats);
-  std::printf("next wave: %zu misses (recomputed fresh), %zu hits\n",
-              rewarm_stats.cache.misses, rewarm_stats.cache.hits);
+              "to recomputation\n", served_from_cache, stats.queries);
   return 0;
 }

@@ -20,12 +20,17 @@
 
 namespace pverify {
 
+/// Radial-cdf resolution of the engines' 2-D pipeline (per object, per
+/// query).
+inline constexpr int kRadialPieces = 64;
+
 /// Executor over a fixed 2-D dataset of uniform-pdf rectangles and disks.
 class CpnnExecutor2D {
  public:
   /// `radial_pieces` controls the resolution of the radial-cdf
   /// discretization (per object, per query).
-  explicit CpnnExecutor2D(Dataset2D dataset, int radial_pieces = 64);
+  explicit CpnnExecutor2D(Dataset2D dataset,
+                          int radial_pieces = kRadialPieces);
 
   const Dataset2D& dataset() const { return dataset_; }
   int radial_pieces() const { return radial_pieces_; }

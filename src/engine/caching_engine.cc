@@ -1,7 +1,6 @@
 #include "engine/caching_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <utility>
 #include <variant>
@@ -19,22 +18,8 @@ uint64_t DoubleBits(double v) {
   return bits;
 }
 
-double BitsToDouble(uint64_t bits) {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-/// Bits of the quantization cell holding `v`: floor(v / quantum) collapses
-/// every point in a cell onto one key; quantum == 0 keeps the exact bits so
-/// distinct points never share a slot.
-uint64_t QuantizedBits(double v, double quantum) {
-  if (quantum <= 0.0) return DoubleBits(v);
-  return DoubleBits(std::floor(v / quantum));
-}
-
-/// FNV-1a over a word sequence — the coarse-key hash. Collisions are safe:
-/// the exact fingerprint check at hit time turns them into rechecks.
+/// FNV-1a over a word sequence — the key hash. Collisions are safe: the
+/// exact fingerprint check at hit time turns them into rechecks.
 uint64_t HashWords(const uint64_t* words, size_t count) {
   uint64_t h = 1469598103934665603ull;
   for (size_t i = 0; i < count; ++i) {
@@ -60,27 +45,6 @@ size_t ApproxResultBytes(const QueryResult& result) {
   return bytes;
 }
 
-/// True when any reported probability bound sits within `band` of the
-/// decision threshold — the entry then always rechecks instead of hitting.
-bool IsBorderline(const QueryResult& result, double threshold, double band) {
-  if (band <= 0.0) return false;
-  for (const AnswerEntry& entry : result.candidate_probabilities) {
-    if (std::abs(entry.bound.lower - threshold) <= band ||
-        std::abs(entry.bound.upper - threshold) <= band) {
-      return true;
-    }
-  }
-  if (result.knn.has_value()) {
-    for (const ProbabilityBound& bound : result.knn->bounds) {
-      if (std::abs(bound.lower - threshold) <= band ||
-          std::abs(bound.upper - threshold) <= band) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 Engine& DerefBackend(const std::unique_ptr<Engine>& backend) {
   PV_CHECK_MSG(backend != nullptr, "CachingEngine backend must not be null");
   return *backend;
@@ -102,16 +66,11 @@ bool CachingEngine::Fingerprint::operator==(const Fingerprint& other) const {
 
 CachingEngine::CachingEngine(Engine& backend, CachingEngineOptions options)
     : backend_(backend), options_(options) {
-  PV_CHECK_MSG(options_.point_quantum >= 0.0 &&
-                   options_.threshold_quantum >= 0.0 &&
-                   options_.guard_band >= 0.0,
-               "cache quanta and guard band must be non-negative");
-  const size_t shards = options_.capacity == 0
-                            ? 1
-                            : std::max<size_t>(1, std::min(options_.num_shards,
-                                                           options_.capacity));
+  const size_t shards =
+      std::max<size_t>(1, std::min(kCacheShards, options_.capacity));
+  // ceil(capacity / shards), without the overflow of capacity + shards - 1.
   shard_capacity_ =
-      options_.capacity == 0 ? 0 : (options_.capacity + shards - 1) / shards;
+      options_.capacity / shards + (options_.capacity % shards != 0);
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<CacheShard>());
@@ -176,33 +135,12 @@ bool CachingEngine::BuildCacheQuery(const QueryRequest& request,
   fp.mc_seed = opt.monte_carlo.seed;
   fp.report_probabilities = opt.report_probabilities;
 
-  // The coarse key: quantized point and bucketed threshold, exact bits for
-  // everything else. Entries inside one cell replace each other.
-  double qx = 0.0, qy = 0.0;
-  switch (fp.kind) {
-    case QueryKind::kPoint:
-      qx = std::get<PointQuery>(request.query).q;
-      break;
-    case QueryKind::kKnn:
-      qx = std::get<KnnQuery>(request.query).q;
-      break;
-    case QueryKind::kPoint2D:
-      qx = std::get<Point2DQuery>(request.query).q.x;
-      qy = std::get<Point2DQuery>(request.query).q.y;
-      break;
-    case QueryKind::kKnn2D:
-      qx = std::get<Knn2DQuery>(request.query).q.x;
-      qy = std::get<Knn2DQuery>(request.query).q.y;
-      break;
-    default:
-      break;
-  }
   const uint64_t words[] = {
       static_cast<uint64_t>(fp.kind),
-      QuantizedBits(qx, options_.point_quantum),
-      QuantizedBits(qy, options_.point_quantum),
+      fp.qx_bits,
+      fp.qy_bits,
       static_cast<uint64_t>(fp.k),
-      QuantizedBits(opt.params.threshold, options_.threshold_quantum),
+      fp.threshold_bits,
       fp.tolerance_bits,
       static_cast<uint64_t>(fp.strategy),
       static_cast<uint64_t>(fp.refine_order),
@@ -213,7 +151,6 @@ bool CachingEngine::BuildCacheQuery(const QueryRequest& request,
       static_cast<uint64_t>(fp.report_probabilities),
   };
   out->key = HashWords(words, sizeof(words) / sizeof(words[0]));
-  out->epoch = epoch_.load(std::memory_order_acquire);
   return true;
 }
 
@@ -226,10 +163,9 @@ std::optional<QueryResult> CachingEngine::Lookup(const CacheQuery& cq) {
     return std::nullopt;
   }
   Entry& entry = *it->second;
-  if (entry.epoch != cq.epoch || !(entry.fp == cq.fp) || entry.borderline) {
-    // Stale epoch, same-cell-different-request, or a guard-band borderline:
-    // recompute exactly on the backend (the fresh result refreshes the
-    // entry via Insert).
+  if (!(entry.fp == cq.fp)) {
+    // A key collision: recompute exactly on the backend (the fresh result
+    // refreshes the entry via Insert).
     rechecks_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
@@ -241,17 +177,9 @@ std::optional<QueryResult> CachingEngine::Lookup(const CacheQuery& cq) {
 }
 
 void CachingEngine::Insert(const CacheQuery& cq, const QueryResult& result) {
-  if (epoch_.load(std::memory_order_acquire) != cq.epoch) {
-    // The dataset moved on while this result was computed under the old
-    // epoch — discard rather than resurrect pre-bump state.
-    return;
-  }
   Entry entry;
   entry.key = cq.key;
   entry.fp = cq.fp;
-  entry.epoch = cq.epoch;
-  entry.borderline = IsBorderline(result, BitsToDouble(cq.fp.threshold_bits),
-                                  options_.guard_band);
   entry.result = result;
   entry.result.stats.served_from_cache = false;
   entry.bytes = sizeof(Entry) + ApproxResultBytes(entry.result);
@@ -336,7 +264,6 @@ std::vector<QueryResult> CachingEngine::ExecuteBatch(
     stats->cache.rechecks = after.rechecks - before.rechecks;
     stats->cache.bypasses = after.bypasses - before.bypasses;
     stats->cache.evictions = after.evictions - before.evictions;
-    stats->cache.invalidations = after.invalidations - before.invalidations;
     stats->cache.entries = after.entries;
     stats->cache.bytes = after.bytes;
   }
@@ -375,19 +302,6 @@ size_t CachingEngine::ScratchQueriesServed() const {
 
 size_t CachingEngine::ScratchBytes() const { return backend_.ScratchBytes(); }
 
-void CachingEngine::BumpEpoch() {
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  size_t dropped = 0;
-  for (const std::unique_ptr<CacheShard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    dropped += shard->lru.size();
-    shard->lru.clear();
-    shard->index.clear();
-    shard->bytes = 0;
-  }
-  invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-}
-
 CacheStats CachingEngine::CounterSnapshot() const {
   CacheStats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
@@ -395,7 +309,6 @@ CacheStats CachingEngine::CounterSnapshot() const {
   stats.rechecks = rechecks_.load(std::memory_order_relaxed);
   stats.bypasses = bypasses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.invalidations = invalidations_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -407,11 +320,6 @@ CacheStats CachingEngine::GetCacheStats() const {
     stats.bytes += shard->bytes;
   }
   return stats;
-}
-
-std::unique_ptr<CachingEngine> MakeCachingEngine(
-    std::unique_ptr<Engine> backend, CachingEngineOptions options) {
-  return std::make_unique<CachingEngine>(std::move(backend), options);
 }
 
 }  // namespace pverify

@@ -10,39 +10,28 @@
 //
 // Exactness contract — answers are BIT-IDENTICAL to the wrapped backend:
 //
-//  * Results are indexed by a coarse key (query kind, quantized query
-//    point, bucketed threshold, k) but each entry also stores the EXACT
-//    request fingerprint: the raw query-point bits and every
-//    answer-affecting option (threshold, tolerance, strategy, refinement
-//    order, integration and Monte-Carlo settings, report_probabilities).
-//    A hit is served only when the incoming request's fingerprint matches
-//    the entry's bit for bit; a same-cell request with a different exact
-//    point or any differing option falls through to an exact recheck on
-//    the backend (counted in CacheStats::rechecks) and refreshes the
-//    entry. Quantization therefore never changes an answer — it only
-//    bounds cache cardinality: all queries inside one cell share a slot,
-//    so a hot cluster cannot grow the cache without bound.
-//  * Guard band: an entry whose cached probability bound lies within
-//    CachingEngineOptions::guard_band of its decision threshold is marked
-//    borderline at insertion and always rechecks on the backend instead of
-//    hitting — a belt-and-suspenders knob for callers who want near-the-
-//    threshold answers recomputed every time (default 0: exact-fingerprint
-//    matching alone already guarantees bit-identical results).
+//  * Results are keyed by the EXACT request fingerprint: the query kind,
+//    the raw query-point bits, k, and every answer-affecting option
+//    (threshold, tolerance, strategy, refinement order, integration and
+//    Monte-Carlo settings, report_probabilities). The index holds a 64-bit
+//    FNV-1a hash of it; each entry also stores the fingerprint itself, and
+//    a hit is served only when the incoming request matches it bit for
+//    bit. A hash collision falls through to an exact recheck on the
+//    backend (counted in CacheStats::rechecks) and refreshes the entry.
 //  * CandidatesQuery requests carry a consumed-on-execute payload and pass
 //    straight through (CacheStats::bypasses), as does everything when
 //    capacity == 0 — a capacity-0 CachingEngine is a pure pass-through.
-//  * BumpEpoch() invalidates the whole cache wholesale — the hook for
-//    dataset updates (streaming ingest will call it per batch); in-flight
-//    results computed under the old epoch are discarded, not inserted.
+//  * No engine mutates its dataset, so entries are never invalidated; a
+//    future ingest path has to add its own invalidation.
 //
-// Concurrency: the LRU is striped over CachingEngineOptions::num_shards
-// shards, each guarded by its own mutex, so concurrent Execute/Submit
-// streams from work-stealing pool workers contend only per shard. The
-// Engine contract is preserved: ExecuteBatch from one thread at a time,
-// Execute and Submit from anywhere. SubmitThen answers a hit inline on the
-// caller's thread and forwards a miss through the backend's SubmitThen,
-// memoizing the result in the completion callback — no thread ever waits
-// on a backend future, so a slow miss never delays a hit behind it.
+// Concurrency: the LRU is striped over kCacheShards shards, each guarded
+// by its own mutex, so concurrent Execute/Submit streams from
+// work-stealing pool workers contend only per shard. The Engine contract
+// is preserved: ExecuteBatch from one thread at a time, Execute and Submit
+// from anywhere. SubmitThen answers a hit inline on the caller's thread
+// and forwards a miss through the backend's SubmitThen, memoizing the
+// result in the completion callback — no thread ever waits on a backend
+// future, so a slow miss never delays a hit behind it.
 #ifndef PVERIFY_ENGINE_CACHING_ENGINE_H_
 #define PVERIFY_ENGINE_CACHING_ENGINE_H_
 
@@ -64,22 +53,11 @@ struct CachingEngineOptions {
   /// Total cached results across all cache shards; 0 disables caching
   /// entirely (every request bypasses to the backend).
   size_t capacity = 4096;
-  /// Mutex-striped cache shards (clamped to [1, capacity]). More shards
-  /// mean less contention between concurrent submit streams.
-  size_t num_shards = 8;
-  /// Query-point quantization cell. Queries whose points fall in the same
-  /// cell share one cache slot (the latest exact point owns it); 0 keys on
-  /// the exact point bits, so distinct points never collide.
-  double point_quantum = 0.0;
-  /// Threshold bucketing width for the coarse key; 0 keys on exact bits.
-  /// Like point_quantum this only bounds cache cardinality — serving still
-  /// requires an exact threshold match.
-  double threshold_quantum = 0.0;
-  /// An entry whose cached probability bound lies within this distance of
-  /// its decision threshold is marked borderline and always rechecks on
-  /// the backend instead of serving the memoized copy.
-  double guard_band = 0.0;
 };
+
+/// Mutex-striped cache shards (clamped to [1, capacity]), so concurrent
+/// submit streams contend only per shard.
+inline constexpr size_t kCacheShards = 8;
 
 /// Memoizing decorator over any Engine backend. See the header comment for
 /// the exactness and concurrency contracts.
@@ -98,9 +76,9 @@ class CachingEngine : public Engine {
 
   size_t num_threads() const override { return backend_.num_threads(); }
 
-  /// Executes one request: served from the cache when an exact-fingerprint,
-  /// non-borderline entry exists, recomputed on the backend (and memoized)
-  /// otherwise. Answers match the backend bit for bit either way.
+  /// Executes one request: served from the cache when an exact-fingerprint
+  /// entry exists, recomputed on the backend (and memoized) otherwise.
+  /// Answers match the backend bit for bit either way.
   QueryResult Execute(QueryRequest request) override;
 
   /// Executes a batch: hits are answered from the cache, the misses are
@@ -115,12 +93,6 @@ class CachingEngine : public Engine {
   void SubmitThen(QueryRequest request, QueryCallback done) override;
   size_t ScratchQueriesServed() const override;
   size_t ScratchBytes() const override;
-
-  /// Dataset-epoch hook: advances the epoch and drops every cached result.
-  /// Call after any dataset mutation; in-flight queries keyed under the old
-  /// epoch recheck instead of hitting and are not re-inserted.
-  void BumpEpoch();
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Lifetime cache telemetry (counters since construction plus the
   /// current entries/bytes gauges).
@@ -150,41 +122,37 @@ class CachingEngine : public Engine {
   /// Key + fingerprint of one cacheable request, built before the request
   /// is moved into the backend.
   struct CacheQuery {
-    uint64_t key = 0;  ///< hash of the quantized/bucketed coarse key
+    uint64_t key = 0;  ///< FNV-1a hash of `fp`
     Fingerprint fp;
-    uint64_t epoch = 0;  ///< epoch snapshot at lookup time
   };
 
   struct Entry {
     uint64_t key = 0;
     Fingerprint fp;
-    uint64_t epoch = 0;
-    bool borderline = false;  ///< a bound sits inside the guard band
-    size_t bytes = 0;         ///< approximate heap held by `result`
+    size_t bytes = 0;  ///< approximate heap held by `result`
     QueryResult result;
   };
 
   struct CacheShard {
     std::mutex mu;
-    /// Front = most recently used. The index maps the coarse key to the
-    /// list node; key collisions are resolved by the fingerprint check at
-    /// hit time (a colliding entry rechecks and is overwritten).
+    /// Front = most recently used. The index maps the key to the list
+    /// node; key collisions are resolved by the fingerprint check at hit
+    /// time (a colliding entry rechecks and is overwritten).
     std::list<Entry> lru;
     std::unordered_map<uint64_t, std::list<Entry>::iterator> index;
     size_t bytes = 0;
   };
 
-  /// Builds the coarse key + exact fingerprint. False when the request is
+  /// Builds the key + exact fingerprint. False when the request is
   /// uncacheable (CandidatesQuery, or capacity 0).
   bool BuildCacheQuery(const QueryRequest& request, CacheQuery* out) const;
   CacheShard& ShardFor(uint64_t key) {
     return *shards_[key % shards_.size()];
   }
-  /// Returns the memoized result on an exact, current-epoch, non-borderline
-  /// hit; nullopt otherwise (with hit/miss/recheck counters updated).
+  /// Returns the memoized result on an exact hit; nullopt otherwise (with
+  /// hit/miss/recheck counters updated).
   std::optional<QueryResult> Lookup(const CacheQuery& cq);
   /// Memoizes `result` under `cq`, evicting LRU entries over capacity.
-  /// Skipped when the epoch moved since the lookup.
   void Insert(const CacheQuery& cq, const QueryResult& result);
 
   /// Snapshot of the monotone counters (for per-batch deltas).
@@ -196,14 +164,12 @@ class CachingEngine : public Engine {
   size_t shard_capacity_ = 0;  ///< per-shard entry cap
 
   std::vector<std::unique_ptr<CacheShard>> shards_;
-  std::atomic<uint64_t> epoch_{0};
 
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> misses_{0};
   std::atomic<size_t> rechecks_{0};
   std::atomic<size_t> bypasses_{0};
   std::atomic<size_t> evictions_{0};
-  std::atomic<size_t> invalidations_{0};
 
   /// Misses forwarded by SubmitThen whose callback has not finished; the
   /// destructor waits for zero, since those callbacks touch the shards.
@@ -211,10 +177,6 @@ class CachingEngine : public Engine {
   std::condition_variable inflight_cv_;
   size_t inflight_ = 0;
 };
-
-/// Factory: wraps an owned backend in a caching tier.
-std::unique_ptr<CachingEngine> MakeCachingEngine(
-    std::unique_ptr<Engine> backend, CachingEngineOptions options = {});
 
 }  // namespace pverify
 

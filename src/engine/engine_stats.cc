@@ -49,7 +49,6 @@ EngineStats MergeEngineStats(const std::vector<EngineStats>& parts) {
     merged.cache.rechecks += part.cache.rechecks;
     merged.cache.bypasses += part.cache.bypasses;
     merged.cache.evictions += part.cache.evictions;
-    merged.cache.invalidations += part.cache.invalidations;
     merged.cache.entries = std::max(merged.cache.entries, part.cache.entries);
     merged.cache.bytes = std::max(merged.cache.bytes, part.cache.bytes);
   }

@@ -21,15 +21,13 @@ namespace pverify {
 struct CacheStats {
   size_t hits = 0;       ///< requests served straight from the cache
   size_t misses = 0;     ///< no entry for the request's key
-  size_t rechecks = 0;   ///< entry found but unusable (borderline hit,
-                         ///< fingerprint mismatch, stale epoch) — the
+  size_t rechecks = 0;   ///< entry found under a colliding key — the
                          ///< backend recomputed and the entry was refreshed
   size_t bypasses = 0;   ///< uncacheable requests (consumed candidate-set
                          ///< payloads, capacity 0) passed straight through
-  size_t evictions = 0;      ///< entries dropped by the LRU policy
-  size_t invalidations = 0;  ///< entries dropped by dataset-epoch bumps
-  size_t entries = 0;        ///< gauge: results currently cached
-  size_t bytes = 0;          ///< gauge: approximate heap held by them
+  size_t evictions = 0;  ///< entries dropped by the LRU policy
+  size_t entries = 0;    ///< gauge: results currently cached
+  size_t bytes = 0;      ///< gauge: approximate heap held by them
 
   /// Fraction of cacheable lookups served from the cache.
   double HitRate() const {

@@ -22,7 +22,7 @@ QueryEngine::QueryEngine(Dataset2D dataset, EngineOptions options)
 QueryEngine::QueryEngine(Dataset dataset, Dataset2D dataset2d,
                          EngineOptions options)
     : QueryEngine(std::move(dataset), options) {
-  executor2d_.emplace(std::move(dataset2d), options.radial_pieces);
+  executor2d_.emplace(std::move(dataset2d));
 }
 
 QueryEngine::~QueryEngine() = default;

@@ -34,8 +34,6 @@ class WorkStealingPool;
 struct EngineOptions {
   /// Worker threads; 0 means hardware concurrency.
   size_t num_threads = 0;
-  /// Radial-cdf resolution of the 2-D executor (Point2DQuery requests).
-  int radial_pieces = 64;
 };
 
 /// Serves any number of queries over one dataset, sequentially or batched.

@@ -123,9 +123,8 @@ struct ShardedQueryEngine::PointScatterPolicy {
       for (uint32_t idx : local.candidates) {
         const UncertainObject2D& obj = objects[idx];
         if (obj.MinDist(q) <= cut + kFilterBoundarySlack) {
-          out->emplace_back(
-              obj.id(),
-              MakeDistanceDistribution2D(obj, q, engine.radial_pieces_));
+          out->emplace_back(obj.id(),
+                            MakeDistanceDistribution2D(obj, q, kRadialPieces));
         }
       }
     }
@@ -273,9 +272,8 @@ struct ShardedQueryEngine::KnnScatterPolicy {
         out->emplace_back(obj.id(),
                           DistanceDistribution::From1D(obj.pdf(), q));
       } else {
-        out->emplace_back(
-            obj.id(),
-            MakeDistanceDistribution2D(obj, q, engine.radial_pieces_));
+        out->emplace_back(obj.id(),
+                          MakeDistanceDistribution2D(obj, q, kRadialPieces));
       }
     }
   }
@@ -334,7 +332,6 @@ ShardedQueryEngine::ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
   total_objects_ = dataset.size();
   total_objects2d_ = dataset2d.size();
   has_2d_ = serve_2d;
-  radial_pieces_ = options.radial_pieces;
   const DomainBounds global = ComputeDomainBounds(dataset);
   if (!global.empty()) {
     domain_lo_ = global.lo;
@@ -355,7 +352,6 @@ ShardedQueryEngine::ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
     // cross-request parallelism belongs to this engine's own pool.
     EngineOptions eopt;
     eopt.num_threads = 1;
-    eopt.radial_pieces = options.radial_pieces;
     shard.engine = has_2d_
                        ? std::make_unique<QueryEngine>(
                              std::move(parts[s]), std::move(parts2d[s]), eopt)

@@ -57,8 +57,6 @@ struct ShardedEngineOptions {
   /// Scatter/gather worker threads; 0 means hardware concurrency. Shard
   /// engines themselves run single-threaded — parallelism lives here.
   size_t num_threads = 0;
-  /// Radial-cdf resolution of the 2-D pipeline (Point2DQuery requests).
-  int radial_pieces = 64;
 };
 
 /// Per-batch statistics of the sharded engine.
@@ -201,7 +199,6 @@ class ShardedQueryEngine : public Engine {
   size_t total_objects_ = 0;
   size_t total_objects2d_ = 0;
   bool has_2d_ = false;
-  int radial_pieces_ = 64;
   /// Global domain endpoints (same accumulation as the unsharded executor,
   /// so min/max queries evaluate at bit-identical virtual query points).
   double domain_lo_ = 0.0;

@@ -10,6 +10,9 @@ namespace net {
 
 namespace {
 
+/// Growth factor of the backoff between consecutive retries.
+constexpr double kBackoffMultiplier = 2.0;
+
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -22,7 +25,7 @@ uint64_t SplitMix64(uint64_t x) {
 uint32_t RetryBackoffMs(const RetryPolicy& policy, int attempt) {
   if (attempt <= 1) return 0;
   double base = static_cast<double>(policy.initial_backoff_ms);
-  for (int k = 2; k < attempt; ++k) base *= policy.multiplier;
+  for (int k = 2; k < attempt; ++k) base *= kBackoffMultiplier;
   base = std::min(base, static_cast<double>(policy.max_backoff_ms));
   // Deterministic jitter in [0.5, 1.0): a pure function of (seed, attempt),
   // so two clients with different seeds desynchronize their retry storms
@@ -61,20 +64,6 @@ void RetryingClient::Backoff(int attempt) {
   uint32_t ms = RetryBackoffMs(policy_, attempt);
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
-
-namespace {
-
-/// Retry decision for a typed server answer (connection-level WireErrors
-/// are always retryable — the request may never have been read).
-bool ShouldRetry(const RetryPolicy& policy, ErrorCode code) {
-  if (!IsRetryable(code)) return false;
-  if (code == ErrorCode::kDeadlineExceeded && !policy.retry_timeouts) {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::vector<ServeResponse> RetryingClient::Call(
     const std::vector<QueryRequest>& requests, uint32_t deadline_ms) {
@@ -116,7 +105,7 @@ std::vector<ServeResponse> RetryingClient::Call(
           if (response.code == ErrorCode::kDeadlineExceeded) {
             ++stats_.deadline_exceeded;
           }
-          if (ShouldRetry(policy_, response.code)) {
+          if (IsRetryable(response.code)) {
             still.push_back(idx);
           } else {
             done[idx] = true;  // typed, final: surface it as-is
@@ -167,7 +156,7 @@ QueryResult RetryingClient::Execute(const QueryRequest& request,
         ++stats_.deadline_exceeded;
       }
       last_error = response.error;
-      if (!ShouldRetry(policy_, response.code)) break;
+      if (!IsRetryable(response.code)) break;
     } catch (const WireError& e) {
       ++stats_.connection_errors;
       DropConnection();

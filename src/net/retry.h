@@ -32,14 +32,9 @@ struct RetryPolicy {
   int max_attempts = 3;
   uint32_t initial_backoff_ms = 10;
   uint32_t max_backoff_ms = 1000;
-  double multiplier = 2.0;
   /// Seed for the deterministic jitter (attempt k sleeps
   /// backoff_k × U[0.5, 1.0) where U is a pure function of seed and k).
   uint64_t jitter_seed = 1;
-  /// Whether kDeadlineExceeded answers are retried. Safe for pverify's
-  /// read-only queries; turn off for latency-budgeted callers that prefer
-  /// the typed error over a late answer.
-  bool retry_timeouts = true;
 };
 
 /// Client-side counterpart of ServerStats.
@@ -54,8 +49,9 @@ struct ClientStats {
   uint64_t exhausted = 0;          ///< requests failed after max_attempts
 };
 
-/// The backoff before attempt `attempt` (2 = first retry): exponential in
-/// the policy with deterministic jitter. Exposed for tests.
+/// The backoff before attempt `attempt` (2 = first retry): doubling per
+/// retry up to the policy's cap, with deterministic jitter. Exposed for
+/// tests.
 uint32_t RetryBackoffMs(const RetryPolicy& policy, int attempt);
 
 /// A Client that survives faults. Connects lazily on first use; any

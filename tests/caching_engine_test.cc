@@ -1,16 +1,21 @@
 // Lockdown tests for the memoizing CachingEngine tier: cold-miss → warm-hit
-// behavior on repeated streams, the exactness contract (quantized keys,
-// borderline guard band, LRU eviction and epoch invalidation never change
-// an answer bit), capacity-0 pass-through, CacheStats plumbing, hits that
-// never wait behind a pending miss, and a concurrent-Submit stress test
-// shared with the TSan CI job (this file carries the `engine` CTest label).
+// behavior on repeated streams, the exactness contract (every fingerprint
+// field keys the cache, LRU eviction never changes an answer bit),
+// capacity-0 pass-through, a capacity near SIZE_MAX, CacheStats plumbing,
+// hits that never wait behind a pending miss, and a concurrent-Submit
+// stress test shared with the TSan CI job (this file carries the `engine`
+// CTest label).
 #include "engine/caching_engine.h"
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,7 +138,6 @@ TEST(CachingEngineTest, MixedStreamBitIdenticalToUncachedOverRounds) {
   // A deliberately tiny cache so later rounds also exercise eviction.
   CachingEngineOptions tiny;
   tiny.capacity = 4;
-  tiny.num_shards = 2;
   std::unique_ptr<Engine> tiny_backend = MakeBackend("unsharded", data);
   CachingEngine cached_tiny(*tiny_backend, tiny);
 
@@ -153,42 +157,6 @@ TEST(CachingEngineTest, MixedStreamBitIdenticalToUncachedOverRounds) {
   EXPECT_GT(cached_tiny.GetCacheStats().evictions, 0u);
 }
 
-// Entries whose probability bounds sit inside the guard band are marked
-// borderline and recheck on every lookup — never served from memory.
-TEST(CachingEngineTest, BorderlineEntriesAlwaysRecheck) {
-  Dataset data = TestDataset();
-  QueryEngine backend(data, EngineOptions{2});
-  QueryEngine reference(data, EngineOptions{1});
-  // Probabilities live in [0, 1] and the threshold is 0.3, so a band of
-  // 1.0 makes every reported bound borderline by construction.
-  CachingEngineOptions copt;
-  copt.guard_band = 1.0;
-  CachingEngine cached(backend, copt);
-
-  const std::vector<double> points = TestQueryPoints();
-  const QueryOptions opt = OptionsFor(Strategy::kVR);
-  for (int round = 0; round < 3; ++round) {
-    EngineStats stats;
-    std::vector<QueryResult> got =
-        cached.ExecuteBatch(PointBatch(points, opt), &stats);
-    EXPECT_EQ(stats.cache.hits, 0u) << "round " << round;
-    if (round == 0) {
-      EXPECT_EQ(stats.cache.misses, points.size());
-    } else {
-      // The entries exist but every one rechecks.
-      EXPECT_EQ(stats.cache.rechecks, points.size()) << "round " << round;
-      EXPECT_EQ(stats.cache.misses, 0u) << "round " << round;
-    }
-    for (size_t i = 0; i < points.size(); ++i) {
-      EXPECT_FALSE(got[i].stats.served_from_cache);
-      testutil::ExpectEquivalentResult(
-          reference.Execute(PointQuery{points[i], opt}), got[i],
-          "borderline round " + std::to_string(round));
-    }
-  }
-  EXPECT_EQ(cached.GetCacheStats().hits, 0u);
-}
-
 // A capacity far below the working set evicts constantly; answers still
 // match the uncached reference on every round and the entry count never
 // exceeds the configured capacity.
@@ -198,7 +166,6 @@ TEST(CachingEngineTest, LruEvictionNeverChangesAnswers) {
   QueryEngine reference(data, EngineOptions{1});
   CachingEngineOptions copt;
   copt.capacity = 4;
-  copt.num_shards = 1;
   CachingEngine cached(backend, copt);
 
   const std::vector<double> points =
@@ -216,36 +183,6 @@ TEST(CachingEngineTest, LruEvictionNeverChangesAnswers) {
     EXPECT_LE(cached.GetCacheStats().entries, copt.capacity);
   }
   EXPECT_GT(cached.GetCacheStats().evictions, 0u);
-}
-
-// BumpEpoch drops the whole cache: entries go to zero, the next round
-// misses wholesale, and hits only resume after re-population.
-TEST(CachingEngineTest, EpochBumpInvalidatesWholesale) {
-  Dataset data = TestDataset();
-  QueryEngine backend(data, EngineOptions{2});
-  CachingEngine cached(backend);
-  const std::vector<double> points = TestQueryPoints();
-  const QueryOptions opt = OptionsFor(Strategy::kVR);
-
-  cached.ExecuteBatch(PointBatch(points, opt));
-  EXPECT_EQ(cached.GetCacheStats().entries, points.size());
-  EXPECT_EQ(cached.epoch(), 0u);
-
-  cached.BumpEpoch();
-  EXPECT_EQ(cached.epoch(), 1u);
-  CacheStats after_bump = cached.GetCacheStats();
-  EXPECT_EQ(after_bump.entries, 0u);
-  EXPECT_EQ(after_bump.bytes, 0u);
-  EXPECT_EQ(after_bump.invalidations, points.size());
-
-  EngineStats repopulate;
-  cached.ExecuteBatch(PointBatch(points, opt), &repopulate);
-  EXPECT_EQ(repopulate.cache.misses, points.size());
-  EXPECT_EQ(repopulate.cache.hits, 0u);
-
-  EngineStats warm;
-  cached.ExecuteBatch(PointBatch(points, opt), &warm);
-  EXPECT_EQ(warm.cache.hits, points.size());
 }
 
 // capacity == 0 is a pure pass-through: nothing is ever stored or looked
@@ -278,77 +215,86 @@ TEST(CachingEngineTest, CapacityZeroIsPassThrough) {
   EXPECT_EQ(cached.GetCacheStats().HitRate(), 0.0);
 }
 
-// Coarse quantization collapses distinct queries onto one cache slot —
-// which bounds cardinality but must never serve one point's answer for
-// another: same-cell lookups with a different exact point recheck.
-TEST(CachingEngineTest, QuantizationBoundsCardinalityNotAnswers) {
+// A capacity near SIZE_MAX must not overflow the per-stripe cap: more
+// distinct points than stripes all stay cached, and a replay hits on each.
+TEST(CachingEngineTest, HugeCapacityKeepsEveryEntry) {
   Dataset data = TestDataset();
   QueryEngine backend(data, EngineOptions{2});
-  QueryEngine reference(data, EngineOptions{1});
-  CachingEngineOptions copt;
-  copt.point_quantum = 1000.0;  // the whole domain is one cell
-  copt.num_shards = 1;
-  CachingEngine cached(backend, copt);
+  CachingEngine cached(
+      backend, CachingEngineOptions{std::numeric_limits<size_t>::max()});
 
-  const std::vector<double> points = TestQueryPoints();
+  const std::vector<double> points = TestQueryPoints(4 * kCacheShards);
   const QueryOptions opt = OptionsFor(Strategy::kVR);
-  // The batch path looks every request up before inserting any result, so
-  // the cold round misses wholesale — but all six same-cell inserts then
-  // collapse onto ONE entry (the last request in batch order owns it).
-  EngineStats stats;
-  std::vector<QueryResult> got =
-      cached.ExecuteBatch(PointBatch(points, opt), &stats);
-  EXPECT_EQ(stats.cache.misses, points.size());
-  EXPECT_EQ(stats.cache.hits, 0u);
-  EXPECT_EQ(stats.cache.entries, 1u);
-  for (size_t i = 0; i < points.size(); ++i) {
-    testutil::ExpectEquivalentResult(
-        reference.Execute(PointQuery{points[i], opt}), got[i],
-        "quantized request " + std::to_string(i));
-  }
-  // Replaying the stream: the cell owner hits; every other point lands on
-  // the occupied cell, rechecks (exact fingerprint mismatch), and computes
-  // its own answer — coarse keys never substitute a neighbor's result.
-  EngineStats warm_stats;
-  std::vector<QueryResult> warm =
-      cached.ExecuteBatch(PointBatch(points, opt), &warm_stats);
-  EXPECT_EQ(warm_stats.cache.hits, 1u);
-  EXPECT_EQ(warm_stats.cache.rechecks, points.size() - 1);
-  EXPECT_EQ(warm_stats.cache.misses, 0u);
-  EXPECT_EQ(warm_stats.cache.entries, 1u);
-  for (size_t i = 0; i < points.size(); ++i) {
-    testutil::ExpectEquivalentResult(
-        reference.Execute(PointQuery{points[i], opt}), warm[i],
-        "quantized replay " + std::to_string(i));
-  }
+  EngineStats cold;
+  cached.ExecuteBatch(PointBatch(points, opt), &cold);
+  EXPECT_EQ(cold.cache.entries, points.size());
+  EngineStats warm;
+  cached.ExecuteBatch(PointBatch(points, opt), &warm);
+  EXPECT_EQ(warm.cache.hits, points.size());
+  EXPECT_EQ(cached.GetCacheStats().evictions, 0u);
 }
 
-// Bucketed thresholds share a coarse key, but a lookup with different
-// options must compute its own answer — never the cached neighbor's.
-TEST(CachingEngineTest, OptionChangesNeverServeStaleAnswers) {
+// Every answer-affecting field keys the cache: at one query point, a
+// request that differs from a cached one in exactly one field is a miss —
+// never a hit on its neighbor — and gets the uncached reference answer.
+// A replay then hits each request's own entry.
+TEST(CachingEngineTest, EveryFingerprintFieldKeysTheCache) {
   Dataset data = TestDataset();
   QueryEngine backend(data, EngineOptions{2});
   QueryEngine reference(data, EngineOptions{1});
-  CachingEngineOptions copt;
-  copt.threshold_quantum = 1.0;  // 0.3 and 0.5 share one bucket
-  copt.num_shards = 1;
-  CachingEngine cached(backend, copt);
+  CachingEngine cached(backend);
 
   const double q = 125.0;
-  QueryOptions low = OptionsFor(Strategy::kVR);
-  QueryOptions high = OptionsFor(Strategy::kVR);
-  high.params.threshold = 0.5;
+  const QueryOptions base = OptionsFor(Strategy::kVR);
+  QueryOptions mc = base;  // the Monte-Carlo fields key an MC request
+  mc.strategy = Strategy::kMonteCarlo;
+  std::vector<std::pair<std::string, QueryOptions>> variants = {
+      {"base", base}, {"strategy", mc}};
+  auto vary = [&variants](const char* name, QueryOptions opt, auto change) {
+    change(opt);
+    variants.emplace_back(name, opt);
+  };
+  vary("threshold", base, [](QueryOptions& o) { o.params.threshold = 0.5; });
+  vary("tolerance", base, [](QueryOptions& o) { o.params.tolerance = 0.05; });
+  vary("refine_order", base, [](QueryOptions& o) {
+    o.refine_order = RefineOrder::kLeftToRight;
+  });
+  vary("gauss_points", base,
+       [](QueryOptions& o) { o.integration.gauss_points = 8; });
+  vary("splits_per_subregion", base,
+       [](QueryOptions& o) { o.integration.splits_per_subregion = 3; });
+  vary("report_probabilities", base,
+       [](QueryOptions& o) { o.report_probabilities = false; });
+  vary("mc samples", mc, [](QueryOptions& o) { o.monte_carlo.samples = 500; });
+  vary("mc seed", mc, [](QueryOptions& o) { o.monte_carlo.seed = 7; });
 
-  QueryResult first = cached.Execute(PointQuery{q, low});
-  QueryResult second = cached.Execute(PointQuery{q, high});
-  EXPECT_FALSE(second.stats.served_from_cache);
-  testutil::ExpectEquivalentResult(reference.Execute(PointQuery{q, high}),
-                                   second, "same-bucket different threshold");
-  testutil::ExpectEquivalentResult(reference.Execute(PointQuery{q, low}),
-                                   first, "low threshold");
+  std::vector<std::pair<std::string, std::function<QueryRequest()>>> requests;
+  for (const auto& [name, opt] : variants) {
+    requests.emplace_back(name, [q, opt = opt] { return PointQuery{q, opt}; });
+  }
+  requests.emplace_back("knn k=2", [q, base] { return KnnQuery{q, 2, base}; });
+  requests.emplace_back("knn k=3", [q, base] { return KnnQuery{q, 3, base}; });
+  requests.emplace_back("min", [base] { return MinQuery{base}; });
+  requests.emplace_back("max", [base] { return MaxQuery{base}; });
+
+  for (const auto& [name, make] : requests) {
+    QueryResult got = cached.Execute(make());
+    EXPECT_FALSE(got.stats.served_from_cache) << name;
+    testutil::ExpectEquivalentResult(reference.Execute(make()), got, name);
+  }
   CacheStats stats = cached.GetCacheStats();
   EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.rechecks, 1u);  // the 0.5 lookup found the 0.3 entry
+  EXPECT_EQ(stats.rechecks, 0u);
+  EXPECT_EQ(stats.misses, requests.size());
+  EXPECT_EQ(stats.entries, requests.size());
+
+  for (const auto& [name, make] : requests) {
+    QueryResult again = cached.Execute(make());
+    EXPECT_TRUE(again.stats.served_from_cache) << name;
+    testutil::ExpectEquivalentResult(reference.Execute(make()), again,
+                                     name + " replay");
+  }
+  EXPECT_EQ(cached.GetCacheStats().hits, requests.size());
 }
 
 // Candidate-set requests carry a consumed payload and bypass the cache —
@@ -374,12 +320,12 @@ TEST(CachingEngineTest, CandidateRequestsBypassTheCache) {
   EXPECT_EQ(stats.entries, 0u);
 }
 
-// The owning factory: the cache tier keeps its backend alive, and failures
-// submitted through the cache surface on their own future without
+// The owning constructor: the cache tier keeps its backend alive, and
+// failures submitted through the cache surface on their own future without
 // affecting the requests around them.
-TEST(CachingEngineTest, OwningFactoryAndSubmitFailureIsolation) {
+TEST(CachingEngineTest, OwningBackendAndSubmitFailureIsolation) {
   Dataset data = TestDataset();
-  std::unique_ptr<CachingEngine> cached = MakeCachingEngine(
+  auto cached = std::make_unique<CachingEngine>(
       std::make_unique<QueryEngine>(data, EngineOptions{2}));
   const QueryOptions opt = OptionsFor(Strategy::kVR);
 
@@ -398,17 +344,16 @@ TEST(CachingEngineTest, OwningFactoryAndSubmitFailureIsolation) {
 }
 
 // The TSan stress test (CI re-runs this file under ThreadSanitizer):
-// several threads stream Zipf-skewed Submits at ONE shared CachingEngine
-// while the main thread runs batches and bumps the dataset epoch — racing
-// Lookup/Insert against wholesale invalidation. Every future must resolve
-// to the uncached reference answer.
+// several threads stream Zipf-skewed Submits at ONE shared, small
+// CachingEngine while the main thread runs batches — racing Lookup/Insert
+// against eviction. Every future must resolve to the uncached reference
+// answer.
 TEST(CachingEngineTest, ConcurrentSubmitStressOnSharedCache) {
   Dataset data = TestDataset(200);
   QueryEngine backend(data, EngineOptions{4});
   QueryEngine reference(data, EngineOptions{1});
   CachingEngineOptions copt;
   copt.capacity = 16;  // small enough that eviction races too
-  copt.num_shards = 4;
   CachingEngine cached(backend, copt);
 
   const QueryOptions opt = OptionsFor(Strategy::kVR);
@@ -443,7 +388,6 @@ TEST(CachingEngineTest, ConcurrentSubmitStressOnSharedCache) {
                                        "batch under stress round " +
                                            std::to_string(round));
     }
-    cached.BumpEpoch();  // invalidation races the submit streams
   }
   for (std::thread& th : submitters) th.join();
 

@@ -89,7 +89,6 @@ TEST(RetryBackoffTest, DeterministicExponentialWithCappedJitter) {
   net::RetryPolicy policy;
   policy.initial_backoff_ms = 10;
   policy.max_backoff_ms = 100;
-  policy.multiplier = 2.0;
   policy.jitter_seed = 7;
 
   // First attempt never waits; retries wait base × U[0.5, 1.0).

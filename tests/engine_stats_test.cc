@@ -53,7 +53,6 @@ EngineStats RandomPart(Rng& rng) {
   part.cache.rechecks = static_cast<size_t>(rng.UniformInt(0, 10));
   part.cache.bypasses = static_cast<size_t>(rng.UniformInt(0, 10));
   part.cache.evictions = static_cast<size_t>(rng.UniformInt(0, 10));
-  part.cache.invalidations = static_cast<size_t>(rng.UniformInt(0, 10));
   part.cache.entries = static_cast<size_t>(rng.UniformInt(0, 100));
   part.cache.bytes = static_cast<size_t>(rng.UniformInt(0, 1 << 20));
   return part;
@@ -134,14 +133,13 @@ TEST(EngineStatsTest, MergeSumsPhaseAndStageTotalsExactly) {
     // Cache counters sum exactly; the entries/bytes gauges take the max
     // (per-part gauges snapshot the same cache, not disjoint shares).
     size_t hits = 0, misses = 0, rechecks = 0, bypasses = 0;
-    size_t evictions = 0, invalidations = 0, entries = 0, bytes = 0;
+    size_t evictions = 0, entries = 0, bytes = 0;
     for (const EngineStats& part : parts) {
       hits += part.cache.hits;
       misses += part.cache.misses;
       rechecks += part.cache.rechecks;
       bypasses += part.cache.bypasses;
       evictions += part.cache.evictions;
-      invalidations += part.cache.invalidations;
       entries = std::max(entries, part.cache.entries);
       bytes = std::max(bytes, part.cache.bytes);
     }
@@ -150,7 +148,6 @@ TEST(EngineStatsTest, MergeSumsPhaseAndStageTotalsExactly) {
     EXPECT_EQ(merged.cache.rechecks, rechecks);
     EXPECT_EQ(merged.cache.bypasses, bypasses);
     EXPECT_EQ(merged.cache.evictions, evictions);
-    EXPECT_EQ(merged.cache.invalidations, invalidations);
     EXPECT_EQ(merged.cache.entries, entries);
     EXPECT_EQ(merged.cache.bytes, bytes);
     // HitRate is a fraction of cacheable lookups, finite and in [0, 1].

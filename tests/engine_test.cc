@@ -259,7 +259,7 @@ std::vector<NamedFactory> SubmitEngines() {
        }},
       {"CachingEngine",
        [](const Dataset& data) {
-         return MakeCachingEngine(
+         return std::make_unique<CachingEngine>(
              std::make_unique<QueryEngine>(data, EngineOptions{2}));
        }},
   };

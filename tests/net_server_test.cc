@@ -309,11 +309,10 @@ TEST(NetServerTest, RequestLevelErrorKeepsConnectionOpen) {
 TEST(NetServerTest, CachingServerMarksReplaysAndStaysExact) {
   Dataset data = TestDataset();
   QueryEngine local(data, SmallEngine());
-  CachingEngineOptions copt;
-  copt.capacity = 64;
-  std::unique_ptr<CachingEngine> served = MakeCachingEngine(
-      std::make_unique<QueryEngine>(std::move(data), SmallEngine()), copt);
-  net::Server server(*served);
+  CachingEngine served(
+      std::make_unique<QueryEngine>(std::move(data), SmallEngine()),
+      CachingEngineOptions{64});
+  net::Server server(served);
   server.Start();
 
   const QueryOptions opt = TestOptions();

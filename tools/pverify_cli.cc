@@ -192,9 +192,10 @@ int ReportBatch(const bench::ThroughputPoint& seq,
 }
 
 // Builds the batch-mode engine from the --flags: the ONLY place the batch
-// modes distinguish sharded from unsharded. Everything downstream runs
-// against Engine&. The optional out-param hands back the concrete sharded
-// engine for its scatter telemetry. `range_policy` supplies the
+// modes distinguish sharded from unsharded, cached from uncached.
+// Everything downstream runs against Engine&. The out-params hand back the
+// concrete sharded engine for its scatter telemetry and the caching tier
+// for its stats (null when absent). `range_policy` supplies the
 // dimensionality-specific range policy when --policy=range.
 std::unique_ptr<Engine> MakeBatchEngine(
     const BatchFlags& flags, size_t threads,
@@ -204,25 +205,35 @@ std::unique_ptr<Engine> MakeBatchEngine(
         unsharded,
     const std::function<std::unique_ptr<ShardedQueryEngine>(
         ShardedEngineOptions)>& sharded,
-    ShardedQueryEngine** sharded_out) {
+    ShardedQueryEngine** sharded_out, CachingEngine** cache_out) {
   *sharded_out = nullptr;
+  *cache_out = nullptr;
+  std::unique_ptr<Engine> engine;
   if (flags.shards == 0) {
     EngineOptions eopt;
     eopt.num_threads = threads;
-    return unsharded(eopt);
+    engine = unsharded(eopt);
+  } else {
+    ShardedEngineOptions sopt;
+    sopt.num_shards = flags.shards;
+    sopt.num_threads = threads;  // 0 = hardware concurrency
+    if (flags.policy == "range") {
+      sopt.policy = range_policy();
+    } else if (flags.policy != "hash") {
+      std::fprintf(stderr, "error: unknown policy '%s'\n",
+                   flags.policy.c_str());
+      return nullptr;
+    }
+    std::unique_ptr<ShardedQueryEngine> sharded_engine = sharded(sopt);
+    *sharded_out = sharded_engine.get();
+    engine = std::move(sharded_engine);
   }
-  ShardedEngineOptions sopt;
-  sopt.num_shards = flags.shards;
-  sopt.num_threads = threads;  // 0 = hardware concurrency
-  if (flags.policy == "range") {
-    sopt.policy = range_policy();
-  } else if (flags.policy != "hash") {
-    std::fprintf(stderr, "error: unknown policy '%s'\n",
-                 flags.policy.c_str());
-    return nullptr;
+  if (flags.cache > 0) {
+    auto cache = std::make_unique<CachingEngine>(
+        std::move(engine), CachingEngineOptions{flags.cache});
+    *cache_out = cache.get();
+    engine = std::move(cache);
   }
-  std::unique_ptr<ShardedQueryEngine> engine = sharded(sopt);
-  *sharded_out = engine.get();
   return engine;
 }
 
@@ -372,6 +383,7 @@ int RunBatch(const Dataset& data, size_t num_queries, size_t threads,
   }
 
   ShardedQueryEngine* sharded = nullptr;
+  CachingEngine* cache = nullptr;
   std::unique_ptr<Engine> engine = MakeBatchEngine(
       flags, threads,
       [&] {
@@ -384,17 +396,8 @@ int RunBatch(const Dataset& data, size_t num_queries, size_t threads,
       [&](ShardedEngineOptions sopt) {
         return std::make_unique<ShardedQueryEngine>(data, sopt);
       },
-      &sharded);
+      &sharded, &cache);
   if (engine == nullptr) return 2;
-  CachingEngine* cache = nullptr;
-  if (flags.cache > 0) {
-    CachingEngineOptions copt;
-    copt.capacity = flags.cache;
-    std::unique_ptr<CachingEngine> wrapped =
-        MakeCachingEngine(std::move(engine), copt);
-    cache = wrapped.get();
-    engine = std::move(wrapped);
-  }
   return RunBatchOnEngine(*engine, sharded, cache, seq, points, opt, flags,
                           threshold, tolerance);
 }
@@ -424,6 +427,7 @@ int RunBatch2D(size_t count, size_t num_queries, size_t threads,
   }
 
   ShardedQueryEngine* sharded = nullptr;
+  CachingEngine* cache = nullptr;
   std::unique_ptr<Engine> engine = MakeBatchEngine(
       flags, threads,
       [&] {
@@ -436,17 +440,8 @@ int RunBatch2D(size_t count, size_t num_queries, size_t threads,
       [&](ShardedEngineOptions sopt) {
         return std::make_unique<ShardedQueryEngine>(data, sopt);
       },
-      &sharded);
+      &sharded, &cache);
   if (engine == nullptr) return 2;
-  CachingEngine* cache = nullptr;
-  if (flags.cache > 0) {
-    CachingEngineOptions copt;
-    copt.capacity = flags.cache;
-    std::unique_ptr<CachingEngine> wrapped =
-        MakeCachingEngine(std::move(engine), copt);
-    cache = wrapped.get();
-    engine = std::move(wrapped);
-  }
   return RunBatchOnEngine(*engine, sharded, cache, seq, points, opt, flags,
                           threshold, tolerance);
 }

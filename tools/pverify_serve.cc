@@ -34,6 +34,8 @@
 //
 // Clients: pverify_cli batch ... --connect=host:port, the net_server tests
 // and the pvbench driver all speak the same src/net/client.h library.
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -95,10 +97,13 @@ struct ServeFlags {
   size_t drain_ms = 2000;
 };
 
+// Digits only: strtoull alone would wrap a leading '-' to a huge value.
 bool ParseSize(const char* s, size_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
   char* end = nullptr;
+  errno = 0;
   unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+  if (*end != '\0' || errno == ERANGE) return false;
   *out = static_cast<size_t>(v);
   return true;
 }
@@ -133,7 +138,7 @@ std::unique_ptr<Engine> BuildEngine(const ServeFlags& flags, Dataset data,
   if (flags.cache > 0) {
     CachingEngineOptions copt;
     copt.capacity = flags.cache;
-    engine = MakeCachingEngine(std::move(engine), copt);
+    engine = std::make_unique<CachingEngine>(std::move(engine), copt);
   }
   return engine;
 }
