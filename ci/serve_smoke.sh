@@ -6,9 +6,11 @@
 # against it over TCP (the CLI checks every remote answer against its own
 # sequential baseline, so a pass means the served answers are correct, not
 # just that bytes moved), then SIGTERM the daemon and require a clean exit.
-# A second leg does the same against a sharded, cached daemon and requires
-# the replayed batch to be served from its cache. A negative size flag
-# must be rejected with the usage exit code before the daemon listens.
+# A second leg does the same against a sharded (range, the only layout),
+# cached daemon and requires the replayed batch to be served from its
+# cache. A negative size flag and any sharding policy but range must be
+# rejected with the usage exit code before the daemon listens, and the
+# CLI must reject counts that are not digits-only integers the same way.
 #
 # Usage: ci/serve_smoke.sh <build-dir>
 set -eu
@@ -35,16 +37,34 @@ awk 'BEGIN {
   }
 }' > "$work/data.txt"
 
-# --- a negative size is a usage error, not a wrapped huge value ------------
-status=0
-"$build/pverify_serve" --dataset="$work/data.txt" --threads=-1 \
-  --port=0 --port-file="$work/port" > "$work/server.log" 2>&1 || status=$?
-if [ "$status" -ne 2 ] || [ -s "$work/port" ]; then
-  echo "FAILED: --threads=-1 exited $status (want 2, before listening)"
-  cat "$work/server.log"
-  exit 1
-fi
-echo "OK: pverify_serve --threads=-1 rejected with exit 2"
+# --- bad flags are usage errors, rejected before the daemon listens -------
+# (the timeout turns a daemon that accepts the flag and serves into a
+# failure instead of a hang)
+for flag in --threads=-1 --policy=hash; do
+  status=0
+  timeout 10 "$build/pverify_serve" --dataset="$work/data.txt" "$flag" \
+    --port=0 --port-file="$work/port" > "$work/server.log" 2>&1 || status=$?
+  if [ "$status" -ne 2 ] || [ -s "$work/port" ]; then
+    echo "FAILED: $flag exited $status (want 2, before listening)"
+    cat "$work/server.log"
+    exit 1
+  fi
+  echo "OK: pverify_serve $flag rejected with exit 2"
+done
+
+# --- CLI counts are digits only: NaN and fractions are usage errors --------
+for args in "40 2 --shards=nan" "nan" "40 2 --cache=0.5"; do
+  status=0
+  # shellcheck disable=SC2086  # split the argument list on purpose
+  timeout 60 "$build/pverify_cli" batch "$work/data.txt" $args \
+    > "$work/cli.log" 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAILED: pverify_cli batch <data> $args exited $status (want 2)"
+    cat "$work/cli.log"
+    exit 1
+  fi
+  echo "OK: pverify_cli batch <data> $args rejected with exit 2"
+done
 
 # Starts a daemon on an ephemeral port with the extra flags given and sets
 # $server_pid and $port.
@@ -95,7 +115,7 @@ start_server
 echo "OK: remote batch matches the CLI's sequential baseline"
 stop_server
 
-# --- the same batch twice against a sharded, cached daemon -----------------
+# --- the same batch twice against a range-sharded, cached daemon -----------
 start_server --shards=2 --cache=64
 "$build/pverify_cli" batch "$work/data.txt" 40 2 \
   --connect="127.0.0.1:$port" --retries=3

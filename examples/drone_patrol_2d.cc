@@ -5,7 +5,6 @@
 // requests batch across worker threads with per-worker scratch reuse, and a
 // range-sharded engine shows the same queries pruning distant sectors.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -75,12 +74,11 @@ int main() {
               stats.queries, stats.threads, stats.wall_ms,
               stats.QueriesPerSec(), answers, control.ScratchBytes());
 
-  // Same swarm range-sharded into 8 x-stripes: per-shard Mbr bounds let
-  // each incident skip distant sectors, and answers stay bit-identical.
+  // Same swarm range-sharded into 8 x-stripes over its own extent: per-shard
+  // Mbr bounds let each incident skip distant sectors, and answers stay
+  // bit-identical.
   ShardedEngineOptions sopt;
   sopt.num_shards = 8;
-  sopt.policy = std::make_shared<const RangeShardingPolicy>(
-      RangeShardingPolicy::ForDataset2D(swarm));
   ShardedQueryEngine sectors(swarm, sopt);
   std::vector<QueryResult> sharded_results = run_shift(sectors, nullptr);
   size_t sharded_answers = 0;

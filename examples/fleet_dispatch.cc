@@ -10,7 +10,6 @@
 // engine for an unsharded QueryEngine is a one-line construction change.
 #include <cstdio>
 #include <future>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -30,12 +29,11 @@ int main() {
     fleet.emplace_back(i, MakeUniformPdf(center - radius, center + radius));
   }
 
-  // Range-shard the fleet into 8 district shards. Each shard owns its own
-  // R-tree; per-shard domain bounds let queries skip distant districts.
+  // Range-shard the fleet into 8 district shards over its own extent. Each
+  // shard owns its own R-tree; per-shard domain bounds let queries skip
+  // distant districts.
   ShardedEngineOptions sopt;
   sopt.num_shards = 8;
-  sopt.policy = std::make_shared<const RangeShardingPolicy>(
-      RangeShardingPolicy::ForDataset(fleet));
   ShardedQueryEngine dispatch(fleet, sopt);
   Engine& service = dispatch;  // everything below is backend-agnostic
 
@@ -76,14 +74,16 @@ int main() {
   }
   audit.push_back(MinQuery{options});
   audit.push_back(MaxQuery{options});
-  ShardedBatchStats stats;
+  const size_t visits_before = dispatch.ShardVisits();
+  const size_t pruned_before = dispatch.ShardsPruned();
+  EngineStats stats;
   std::vector<QueryResult> results =
       dispatch.ExecuteBatch(std::move(audit), &stats);
   std::printf("\naudit: %zu queries in %.2f ms (%.0f q/s); "
               "scatter visited %zu shard(s), pruned %zu\n",
-              stats.gathered.queries, stats.gathered.wall_ms,
-              stats.gathered.QueriesPerSec(), stats.shard_visits,
-              stats.shards_pruned);
+              stats.queries, stats.wall_ms, stats.QueriesPerSec(),
+              dispatch.ShardVisits() - visits_before,
+              dispatch.ShardsPruned() - pruned_before);
   std::printf("vehicles possibly at the start of the highway:");
   for (ObjectId id : results[results.size() - 2].ids) {
     std::printf(" #%lld", static_cast<long long>(id));

@@ -53,7 +53,6 @@ int main() {
   // (Within ONE batch all lookups happen before any insert, so repeats
   // only start hitting from the next wave on.)
   const size_t wave_size = 200;
-  std::vector<EngineStats> waves;
   size_t served_from_cache = 0;
   for (size_t start = 0; start < query_log.size(); start += wave_size) {
     std::vector<QueryRequest> batch;
@@ -61,26 +60,20 @@ int main() {
          ++i) {
       batch.push_back(PointQuery{query_log[i], opt});
     }
-    EngineStats wave_stats;
-    std::vector<QueryResult> results =
-        engine.ExecuteBatch(std::move(batch), &wave_stats);
-    for (const QueryResult& r : results) {
+    for (const QueryResult& r : engine.ExecuteBatch(std::move(batch))) {
       if (r.stats.served_from_cache) ++served_from_cache;
     }
-    waves.push_back(wave_stats);
   }
-  // Per-wave deltas merge into the log's aggregate: counters sum, the
-  // entries/bytes gauges keep the high-water snapshot.
-  EngineStats stats = MergeEngineStats(waves);
+  // The cache's lifetime counters cover the whole log.
+  const CacheStats stats = engine.GetCacheStats();
 
   std::printf("query log: %zu queries over %zu hot spots, waves of %zu\n",
               query_log.size(), hotspots.size(), wave_size);
   std::printf("cache:     %zu hits, %zu misses, hit rate %.1f%%, "
               "%zu results held (%zu KiB)\n",
-              stats.cache.hits, stats.cache.misses,
-              100.0 * stats.cache.HitRate(), stats.cache.entries,
-              stats.cache.bytes / 1024);
+              stats.hits, stats.misses, 100.0 * stats.HitRate(),
+              stats.entries, stats.bytes / 1024);
   std::printf("answers:   %zu of %zu served from the memo — bit-identical "
-              "to recomputation\n", served_from_cache, stats.queries);
+              "to recomputation\n", served_from_cache, query_log.size());
   return 0;
 }

@@ -61,6 +61,9 @@ struct QueryAnswer {
 class CpnnExecutor {
  public:
   explicit CpnnExecutor(Dataset dataset);
+  // Neither copyable nor movable: the filter points into dataset_.
+  CpnnExecutor(const CpnnExecutor&) = delete;
+  CpnnExecutor& operator=(const CpnnExecutor&) = delete;
 
   const Dataset& dataset() const { return dataset_; }
 

@@ -31,6 +31,9 @@ class CpnnExecutor2D {
   /// discretization (per object, per query).
   explicit CpnnExecutor2D(Dataset2D dataset,
                           int radial_pieces = kRadialPieces);
+  // Neither copyable nor movable: the filter points into dataset_.
+  CpnnExecutor2D(const CpnnExecutor2D&) = delete;
+  CpnnExecutor2D& operator=(const CpnnExecutor2D&) = delete;
 
   const Dataset2D& dataset() const { return dataset_; }
   int radial_pieces() const { return radial_pieces_; }

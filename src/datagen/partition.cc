@@ -1,40 +1,11 @@
 #include "datagen/partition.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
 
 #include "common/check.h"
 #include "spatial/bounds.h"
 
 namespace pverify {
-
-namespace {
-
-// splitmix64 finalizer: cheap, well-mixed, deterministic across platforms.
-uint64_t MixId(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-size_t HashShard(ObjectId id, size_t num_shards) {
-  PV_CHECK_MSG(num_shards >= 1, "num_shards must be positive");
-  return static_cast<size_t>(MixId(static_cast<uint64_t>(id)) % num_shards);
-}
-
-}  // namespace
-
-size_t HashShardingPolicy::ShardOf(const UncertainObject& obj,
-                                   size_t num_shards) const {
-  return HashShard(obj.id(), num_shards);
-}
-
-size_t HashShardingPolicy::ShardOf2D(const UncertainObject2D& obj,
-                                     size_t num_shards) const {
-  return HashShard(obj.id(), num_shards);
-}
 
 RangeShardingPolicy::RangeShardingPolicy(double domain_lo, double domain_hi)
     : domain_lo_(domain_lo), domain_hi_(domain_hi) {
@@ -60,7 +31,7 @@ size_t RangeShardingPolicy::SlotOf(double mid, size_t num_shards) const {
   if (width <= 0.0) return 0;
   double slot = std::floor((mid - domain_lo_) / width *
                            static_cast<double>(num_shards));
-  if (slot < 0.0) slot = 0.0;
+  if (!(slot > 0.0)) slot = 0.0;  // also a midpoint that is not a number
   const double last = static_cast<double>(num_shards - 1);
   if (slot > last) slot = last;
   return static_cast<size_t>(slot);
@@ -79,26 +50,22 @@ size_t RangeShardingPolicy::ShardOf2D(const UncertainObject2D& obj,
 
 std::vector<Dataset> PartitionDataset(const Dataset& dataset,
                                       size_t num_shards,
-                                      const ShardingPolicy& policy) {
+                                      const RangeShardingPolicy& policy) {
   PV_CHECK_MSG(num_shards >= 1, "num_shards must be positive");
   std::vector<Dataset> shards(num_shards);
   for (const UncertainObject& obj : dataset) {
-    const size_t s = policy.ShardOf(obj, num_shards);
-    PV_CHECK_MSG(s < num_shards, "policy returned an out-of-range shard");
-    shards[s].push_back(obj);
+    shards[policy.ShardOf(obj, num_shards)].push_back(obj);
   }
   return shards;
 }
 
 std::vector<Dataset2D> PartitionDataset2D(const Dataset2D& dataset,
                                           size_t num_shards,
-                                          const ShardingPolicy& policy) {
+                                          const RangeShardingPolicy& policy) {
   PV_CHECK_MSG(num_shards >= 1, "num_shards must be positive");
   std::vector<Dataset2D> shards(num_shards);
   for (const UncertainObject2D& obj : dataset) {
-    const size_t s = policy.ShardOf2D(obj, num_shards);
-    PV_CHECK_MSG(s < num_shards, "policy returned an out-of-range shard");
-    shards[s].push_back(obj);
+    shards[policy.ShardOf2D(obj, num_shards)].push_back(obj);
   }
   return shards;
 }

@@ -1,18 +1,16 @@
 // Dataset partitioning for the sharded query engine.
 //
-// A ShardingPolicy maps each uncertain object — 1-D interval or 2-D region —
-// to one of N shards; PartitionDataset / PartitionDataset2D materialize the
-// per-shard datasets. Two built-in policies cover the two classic layouts:
-// hash sharding (balanced, domain oblivious — every shard sees every query)
-// and range sharding (spatial locality — bounds-based pruning lets most
-// queries skip most shards). Either way the shard datasets are a disjoint
-// cover of the input, which is all the scatter/gather engine needs for
-// exact answers.
+// A RangeShardingPolicy maps each uncertain object — 1-D interval or 2-D
+// region — to one of N shards by where its midpoint falls in a fixed
+// domain; PartitionDataset / PartitionDataset2D materialize the per-shard
+// datasets. Range sharding keeps spatially close objects together, so
+// bounds-based pruning lets most queries skip most shards. The shard
+// datasets are a disjoint cover of the input, which is all the
+// scatter/gather engine needs for exact answers.
 #ifndef PVERIFY_DATAGEN_PARTITION_H_
 #define PVERIFY_DATAGEN_PARTITION_H_
 
 #include <cstddef>
-#include <string_view>
 #include <vector>
 
 #include "uncertain/distance2d.h"
@@ -20,43 +18,13 @@
 
 namespace pverify {
 
-/// Maps objects to shards. Implementations must be pure functions of the
-/// object (stateless and thread-safe): the engine calls ShardOf concurrently
-/// and relies on the assignment being reproducible.
-class ShardingPolicy {
- public:
-  virtual ~ShardingPolicy() = default;
-
-  /// Shard index in [0, num_shards) for the 1-D object. num_shards >= 1.
-  virtual size_t ShardOf(const UncertainObject& obj,
-                         size_t num_shards) const = 0;
-
-  /// Shard index in [0, num_shards) for the 2-D object. num_shards >= 1.
-  virtual size_t ShardOf2D(const UncertainObject2D& obj,
-                           size_t num_shards) const = 0;
-
-  virtual std::string_view name() const = 0;
-};
-
-/// Hash sharding on the object id (splitmix64 finalizer) — balanced shard
-/// sizes regardless of the id distribution or spatial layout, in any
-/// dimensionality.
-class HashShardingPolicy final : public ShardingPolicy {
- public:
-  size_t ShardOf(const UncertainObject& obj,
-                 size_t num_shards) const override;
-  size_t ShardOf2D(const UncertainObject2D& obj,
-                   size_t num_shards) const override;
-  std::string_view name() const override { return "hash"; }
-};
-
 /// Range sharding on the region midpoint over a fixed domain: shard i
 /// covers the i-th of num_shards equal-width slices of [domain_lo,
-/// domain_hi] (midpoints outside the domain clamp to the end shards). Keeps
-/// spatially close objects together, so per-shard bounds prune effectively.
+/// domain_hi] (midpoints outside the domain clamp to the end shards).
 /// 2-D objects are sliced along the x-axis by their bounding-box midpoint —
-/// stripes, the 2-D analogue of interval ranges.
-class RangeShardingPolicy final : public ShardingPolicy {
+/// stripes, the 2-D analogue of interval ranges. A pure function of the
+/// object: reproducible and safe to call concurrently.
+class RangeShardingPolicy {
  public:
   RangeShardingPolicy(double domain_lo, double domain_hi);
 
@@ -66,11 +34,11 @@ class RangeShardingPolicy final : public ShardingPolicy {
   /// Policy over a 2-D dataset's own x-extent (degenerate when empty).
   static RangeShardingPolicy ForDataset2D(const Dataset2D& dataset);
 
-  size_t ShardOf(const UncertainObject& obj,
-                 size_t num_shards) const override;
-  size_t ShardOf2D(const UncertainObject2D& obj,
-                   size_t num_shards) const override;
-  std::string_view name() const override { return "range"; }
+  /// Shard index in [0, num_shards) for the 1-D object. num_shards >= 1.
+  size_t ShardOf(const UncertainObject& obj, size_t num_shards) const;
+
+  /// Shard index in [0, num_shards) for the 2-D object. num_shards >= 1.
+  size_t ShardOf2D(const UncertainObject2D& obj, size_t num_shards) const;
 
  private:
   size_t SlotOf(double mid, size_t num_shards) const;
@@ -83,12 +51,12 @@ class RangeShardingPolicy final : public ShardingPolicy {
 /// preserve the input's relative object order; some may be empty.
 std::vector<Dataset> PartitionDataset(const Dataset& dataset,
                                       size_t num_shards,
-                                      const ShardingPolicy& policy);
+                                      const RangeShardingPolicy& policy);
 
 /// 2-D counterpart of PartitionDataset (dispatches through ShardOf2D).
 std::vector<Dataset2D> PartitionDataset2D(const Dataset2D& dataset,
                                           size_t num_shards,
-                                          const ShardingPolicy& policy);
+                                          const RangeShardingPolicy& policy);
 
 }  // namespace pverify
 

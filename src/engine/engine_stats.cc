@@ -1,7 +1,5 @@
 #include "engine/engine_stats.h"
 
-#include <algorithm>
-
 namespace pverify {
 
 namespace {
@@ -30,29 +28,6 @@ void AccumulateBatchResult(const QueryStats& stats, EngineStats* agg) {
   stats.AccumulateInto(agg->totals);
   AccumulateVerifierStages(stats, agg);
   if (stats.served_from_cache) ++agg->cache.hits;
-}
-
-EngineStats MergeEngineStats(const std::vector<EngineStats>& parts) {
-  EngineStats merged;
-  for (const EngineStats& part : parts) {
-    merged.queries += part.queries;
-    merged.threads = std::max(merged.threads, part.threads);
-    merged.wall_ms = std::max(merged.wall_ms, part.wall_ms);
-    part.totals.AccumulateInto(merged.totals);
-    for (const EngineStats::StageTotal& stage : part.verifier_stages) {
-      EngineStats::StageTotal* slot = StageSlot(stage.name, &merged);
-      slot->ms += stage.ms;
-      slot->runs += stage.runs;
-    }
-    merged.cache.hits += part.cache.hits;
-    merged.cache.misses += part.cache.misses;
-    merged.cache.rechecks += part.cache.rechecks;
-    merged.cache.bypasses += part.cache.bypasses;
-    merged.cache.evictions += part.cache.evictions;
-    merged.cache.entries = std::max(merged.cache.entries, part.cache.entries);
-    merged.cache.bytes = std::max(merged.cache.bytes, part.cache.bytes);
-  }
-  return merged;
 }
 
 }  // namespace pverify

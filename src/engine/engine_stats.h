@@ -1,9 +1,7 @@
 // Batch-level statistics shared by every Engine implementation.
 //
 // EngineStats aggregates the per-query QueryStats of one batch (phase
-// totals, verifier stage totals, derived rates); MergeEngineStats folds
-// per-part aggregates — e.g. one EngineStats per shard — into one.
-// SubmitQueueStats counts Engine::Submit calls.
+// totals, verifier stage totals, derived rates). SubmitQueueStats counts Engine::Submit calls.
 #ifndef PVERIFY_ENGINE_ENGINE_STATS_H_
 #define PVERIFY_ENGINE_ENGINE_STATS_H_
 
@@ -81,15 +79,6 @@ void AccumulateVerifierStages(const QueryStats& stats, EngineStats* agg);
 /// Folds one query's outcome (phase totals + verifier stages + query count)
 /// into a batch aggregate. wall_ms/threads are left to the caller.
 void AccumulateBatchResult(const QueryStats& stats, EngineStats* agg);
-
-/// Merges per-part aggregates (e.g. one EngineStats per shard) into one:
-/// queries, phase totals, verifier stage totals and cache counters sum
-/// exactly (stages matched by name, ordered by first appearance across
-/// parts); threads, wall_ms and the cache entries/bytes gauges take the
-/// max, since parts run concurrently (per-batch gauges from one cache are
-/// snapshots of the same contents, not disjoint shares). Merging an empty
-/// vector yields a zero aggregate whose derived rates are all finite.
-EngineStats MergeEngineStats(const std::vector<EngineStats>& parts);
 
 /// Telemetry of Engine::Submit. Submit posts each request to the pool on
 /// its own, so `batches` equals `requests` and `max_coalesced` is 1 once

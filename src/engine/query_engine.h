@@ -74,8 +74,7 @@ class QueryEngine : public Engine {
   QueryResult Run(Knn2DQuery&& q, QueryScratch* scratch) const;
 
   /// Spawns the worker pool on first use, from any thread, so engines
-  /// that never batch or submit (e.g. the sharded engine's per-shard
-  /// executors) never park idle worker threads.
+  /// that never batch or submit never park idle worker threads.
   WorkStealingPool& Pool();
 
   CpnnExecutor executor_;

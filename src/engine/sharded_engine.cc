@@ -90,9 +90,9 @@ struct ShardedQueryEngine::PointScatterPolicy {
 
   Local LocalFilter(const Shard& shard) const {
     if constexpr (Dim == 1) {
-      return shard.engine->executor().Filter(q);
+      return shard.executor->Filter(q);
     } else {
-      return shard.engine->executor2d()->Filter(q);
+      return shard.executor2d->Filter(q);
     }
   }
 
@@ -109,7 +109,7 @@ struct ShardedQueryEngine::PointScatterPolicy {
   void CollectSurvivors(const Shard& shard, const Local& local, double cut,
                         Survivors* out) const {
     if constexpr (Dim == 1) {
-      const Dataset& objects = shard.engine->executor().dataset();
+      const Dataset& objects = shard.executor->dataset();
       for (uint32_t idx : local.candidates) {
         const UncertainObject& obj = objects[idx];
         if (MakeInterval(obj.lo(), obj.hi()).MinDist({q}) <=
@@ -119,7 +119,7 @@ struct ShardedQueryEngine::PointScatterPolicy {
         }
       }
     } else {
-      const Dataset2D& objects = shard.engine->executor2d()->dataset();
+      const Dataset2D& objects = shard.executor2d->dataset();
       for (uint32_t idx : local.candidates) {
         const UncertainObject2D& obj = objects[idx];
         if (obj.MinDist(q) <= cut + kFilterBoundarySlack) {
@@ -192,9 +192,9 @@ struct ShardedQueryEngine::KnnScatterPolicy {
 
   static const auto& Objects(const Shard& shard) {
     if constexpr (Dim == 1) {
-      return shard.engine->executor().dataset();
+      return shard.executor->dataset();
     } else {
-      return shard.engine->executor2d()->dataset();
+      return shard.executor2d->dataset();
     }
   }
 
@@ -236,9 +236,9 @@ struct ShardedQueryEngine::KnnScatterPolicy {
 
   Local LocalFilter(const Shard& shard) const {
     if constexpr (Dim == 1) {
-      return shard.engine->executor().FilterK(q, k);
+      return shard.executor->FilterK(q, k);
     } else {
-      return shard.engine->executor2d()->FilterK(q, k);
+      return shard.executor2d->FilterK(q, k);
     }
   }
 
@@ -322,10 +322,7 @@ ShardedQueryEngine::ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
 ShardedQueryEngine::ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
                                        ShardedEngineOptions options,
                                        bool serve_2d)
-    : policy_(options.policy != nullptr
-                  ? std::move(options.policy)
-                  : std::make_shared<const HashShardingPolicy>()),
-      scratches_(options.num_threads == 0
+    : scratches_(options.num_threads == 0
                      ? WorkStealingPool::DefaultThreadCount()
                      : options.num_threads),
       pool_(scratches_.workers()) {
@@ -337,26 +334,24 @@ ShardedQueryEngine::ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
     domain_lo_ = global.lo;
     domain_hi_ = global.hi;
   }
+  const RangeShardingPolicy policy =
+      options.policy != nullptr ? *options.policy
+      : !dataset.empty()        ? RangeShardingPolicy::ForDataset(dataset)
+                                : RangeShardingPolicy::ForDataset2D(dataset2d);
   const size_t num_shards = std::max<size_t>(1, options.num_shards);
-  std::vector<Dataset> parts =
-      PartitionDataset(dataset, num_shards, *policy_);
+  std::vector<Dataset> parts = PartitionDataset(dataset, num_shards, policy);
   std::vector<Dataset2D> parts2d =
-      PartitionDataset2D(dataset2d, num_shards, *policy_);
+      PartitionDataset2D(dataset2d, num_shards, policy);
   shards_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     Shard shard;
     shard.bounds = ComputeDomainBounds(parts[s]);
     shard.bounds2d = ComputeShardBounds2D(parts2d[s]);
-    // Shard engines run single-threaded (and never spawn their pool: the
-    // scatter path drives their executors directly) — cross-shard and
-    // cross-request parallelism belongs to this engine's own pool.
-    EngineOptions eopt;
-    eopt.num_threads = 1;
-    shard.engine = has_2d_
-                       ? std::make_unique<QueryEngine>(
-                             std::move(parts[s]), std::move(parts2d[s]), eopt)
-                       : std::make_unique<QueryEngine>(std::move(parts[s]),
-                                                       eopt);
+    shard.executor = std::make_unique<const CpnnExecutor>(std::move(parts[s]));
+    if (has_2d_) {
+      shard.executor2d =
+          std::make_unique<const CpnnExecutor2D>(std::move(parts2d[s]));
+    }
     shards_.push_back(std::move(shard));
   }
 }
@@ -365,18 +360,29 @@ ShardedQueryEngine::~ShardedQueryEngine() = default;
 
 QueryResult ShardedQueryEngine::Execute(QueryRequest request) {
   return scratches_.OnSerial([&](QueryScratch* scratch) {
-    return ExecuteOne(std::move(request), scratch, nullptr);
+    return ExecuteOne(std::move(request), scratch);
   });
 }
 
 std::vector<QueryResult> ShardedQueryEngine::ExecuteBatch(
     std::vector<QueryRequest> requests, EngineStats* stats) {
-  return ExecuteBatchImpl(std::move(requests), stats, nullptr);
-}
-
-std::vector<QueryResult> ShardedQueryEngine::ExecuteBatch(
-    std::vector<QueryRequest> requests, ShardedBatchStats* stats) {
-  return ExecuteBatchImpl(std::move(requests), nullptr, stats);
+  std::vector<QueryResult> results(requests.size());
+  Timer wall;
+  // Requests fan out over the pool; each one additionally scatters its
+  // shards through a nested ParallelFor (idle workers steal the shard
+  // tasks).
+  pool_.ParallelFor(requests.size(), [&](size_t worker, size_t index) {
+    results[index] = scratches_.OnWorker(worker, [&](QueryScratch* scratch) {
+      return ExecuteOne(std::move(requests[index]), scratch);
+    });
+  });
+  if (stats != nullptr) {
+    *stats = EngineStats{};
+    stats->threads = pool_.size();
+    stats->wall_ms = wall.ElapsedMs();
+    for (const QueryResult& r : results) AccumulateBatchResult(r.stats, stats);
+  }
+  return results;
 }
 
 void ShardedQueryEngine::SubmitThen(QueryRequest request,
@@ -386,7 +392,7 @@ void ShardedQueryEngine::SubmitThen(QueryRequest request,
   pool_.Post([this, boxed, done = std::move(done)](size_t worker) {
     Complete(done, [&] {
       return scratches_.OnWorker(worker, [&](QueryScratch* scratch) {
-        return ExecuteOne(std::move(*boxed), scratch, nullptr);
+        return ExecuteOne(std::move(*boxed), scratch);
       });
     });
   });
@@ -406,119 +412,56 @@ size_t ShardedQueryEngine::ScratchQueriesServed() const {
 
 size_t ShardedQueryEngine::ScratchBytes() const { return scratches_.Bytes(); }
 
-std::vector<QueryResult> ShardedQueryEngine::ExecuteBatchImpl(
-    std::vector<QueryRequest>&& requests, EngineStats* gathered,
-    ShardedBatchStats* sharded) {
-  std::vector<QueryResult> results(requests.size());
-  std::vector<ScatterRecord> records;
-  if (sharded != nullptr) records.resize(requests.size());
-  Timer wall;
-  // Requests fan out over the pool; each one additionally scatters its
-  // shards through a nested ParallelFor (idle workers steal the shard
-  // tasks).
-  pool_.ParallelFor(requests.size(), [&](size_t worker, size_t index) {
-    ScatterRecord* record = nullptr;
-    if (sharded != nullptr) {
-      records[index].shards.resize(shards_.size());
-      record = &records[index];
-    }
-    results[index] = scratches_.OnWorker(worker, [&](QueryScratch* scratch) {
-      return ExecuteOne(std::move(requests[index]), scratch, record);
-    });
-  });
-  const double wall_ms = wall.ElapsedMs();
-
-  if (gathered == nullptr && sharded == nullptr) return results;
-  EngineStats agg;
-  agg.threads = pool_.size();
-  agg.wall_ms = wall_ms;
-  for (const QueryResult& r : results) AccumulateBatchResult(r.stats, &agg);
-  if (gathered != nullptr) *gathered = std::move(agg);
-  if (sharded != nullptr) {
-    *sharded = ShardedBatchStats{};
-    sharded->gathered = std::move(agg);
-    sharded->per_shard.assign(shards_.size(), EngineStats{});
-    for (const ScatterRecord& record : records) {
-      sharded->shard_visits += record.visits;
-      sharded->shards_pruned += record.pruned;
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        const ShardContrib& contrib = record.shards[s];
-        if (!contrib.visited) continue;
-        EngineStats& ps = sharded->per_shard[s];
-        ++ps.queries;
-        ps.threads = 1;
-        ps.totals.filter_ms += contrib.filter_ms;
-        ps.totals.init_ms += contrib.init_ms;
-        ps.totals.total_ms += contrib.filter_ms + contrib.init_ms;
-        ps.totals.candidates += contrib.candidates;
-        ps.totals.dataset_size +=
-            shards_[s].engine->executor().dataset().size();
-      }
-    }
-    sharded->scatter_totals = MergeEngineStats(sharded->per_shard);
-  }
-  return results;
-}
-
 QueryResult ShardedQueryEngine::ExecuteOne(QueryRequest&& request,
-                                           QueryScratch* scratch,
-                                           ScatterRecord* record) {
+                                           QueryScratch* scratch) {
   return std::visit(
-      [&](auto&& payload) {
-        return Run(std::move(payload), scratch, record);
-      },
+      [&](auto&& payload) { return Run(std::move(payload), scratch); },
       std::move(request.query));
 }
 
-QueryResult ShardedQueryEngine::Run(PointQuery&& q, QueryScratch* scratch,
-                                    ScatterRecord* record) {
+QueryResult ShardedQueryEngine::Run(PointQuery&& q, QueryScratch* scratch) {
   PointScatterPolicy<1> policy{*this, q.q, q.options};
-  return ScatterGather(policy, scratch, record);
+  return ScatterGather(policy, scratch);
 }
 
-QueryResult ShardedQueryEngine::Run(MinQuery&& q, QueryScratch* scratch,
-                                    ScatterRecord* record) {
+QueryResult ShardedQueryEngine::Run(MinQuery&& q, QueryScratch* scratch) {
   // The global domain makes this bit-identical to the unsharded executor's
   // virtual query point (per-shard domains would not be).
   PointScatterPolicy<1> policy{*this, domain_lo_ - 1.0, q.options};
-  return ScatterGather(policy, scratch, record);
+  return ScatterGather(policy, scratch);
 }
 
-QueryResult ShardedQueryEngine::Run(MaxQuery&& q, QueryScratch* scratch,
-                                    ScatterRecord* record) {
+QueryResult ShardedQueryEngine::Run(MaxQuery&& q, QueryScratch* scratch) {
   PointScatterPolicy<1> policy{*this, domain_hi_ + 1.0, q.options};
-  return ScatterGather(policy, scratch, record);
+  return ScatterGather(policy, scratch);
 }
 
-QueryResult ShardedQueryEngine::Run(KnnQuery&& q, QueryScratch* scratch,
-                                    ScatterRecord* record) {
+QueryResult ShardedQueryEngine::Run(KnnQuery&& q, QueryScratch* scratch) {
   PV_CHECK_MSG(q.k >= 1, "k must be positive");
   KnnScatterPolicy<1> policy(*this, q.q, q.k, q.options);
-  return ScatterGather(policy, scratch, record);
+  return ScatterGather(policy, scratch);
 }
 
 QueryResult ShardedQueryEngine::Run(CandidatesQuery&& q,
-                                    QueryScratch* scratch, ScatterRecord*) {
+                                    QueryScratch* scratch) {
   // The payload already is the gathered candidate set — no scatter.
   // TakeCandidates throws on a consumed (re-submitted) request.
   return ToQueryResult(
       ExecuteOnCandidates(q.TakeCandidates(), q.options, scratch));
 }
 
-QueryResult ShardedQueryEngine::Run(Point2DQuery&& q, QueryScratch* scratch,
-                                    ScatterRecord* record) {
+QueryResult ShardedQueryEngine::Run(Point2DQuery&& q, QueryScratch* scratch) {
   PV_CHECK_MSG(has_2d_,
                "Point2DQuery on an engine without a 2-D dataset");
   PointScatterPolicy<2> policy{*this, q.q, q.options};
-  return ScatterGather(policy, scratch, record);
+  return ScatterGather(policy, scratch);
 }
 
-QueryResult ShardedQueryEngine::Run(Knn2DQuery&& q, QueryScratch* scratch,
-                                    ScatterRecord* record) {
+QueryResult ShardedQueryEngine::Run(Knn2DQuery&& q, QueryScratch* scratch) {
   PV_CHECK_MSG(has_2d_, "Knn2DQuery on an engine without a 2-D dataset");
   PV_CHECK_MSG(q.k >= 1, "k must be positive");
   KnnScatterPolicy<2> policy(*this, q.q, q.k, q.options);
-  return ScatterGather(policy, scratch, record);
+  return ScatterGather(policy, scratch);
 }
 
 void ShardedQueryEngine::ForEachIndex(size_t n,
@@ -532,8 +475,7 @@ void ShardedQueryEngine::ForEachIndex(size_t n,
 
 template <typename Policy>
 QueryResult ShardedQueryEngine::ScatterGather(Policy& policy,
-                                              QueryScratch* scratch,
-                                              ScatterRecord* record) {
+                                              QueryScratch* scratch) {
   // Reentrancy invariant for nested scatter: a pool worker waiting on one
   // of the ForEachIndex loops below may STEAL another request's task and
   // execute it to completion on its own stack, reusing its per-worker
@@ -628,17 +570,6 @@ QueryResult ShardedQueryEngine::ScatterGather(Policy& policy,
 
   shard_visits_.fetch_add(visits, std::memory_order_relaxed);
   shards_pruned_.fetch_add(pruned, std::memory_order_relaxed);
-  if (record != nullptr) {
-    record->visits += visits;
-    record->pruned += pruned;
-    for (size_t j = 0; j < eligible.size(); ++j) {
-      ShardContrib& contrib = record->shards[eligible[j]];
-      contrib.visited = true;
-      contrib.filter_ms += filter_ms[j];
-      contrib.init_ms += build_ms[j];
-      contrib.candidates += parts[j].size();
-    }
-  }
   return result;
 }
 

@@ -1,15 +1,14 @@
 // The sharded scatter/gather query engine.
 //
-// A ShardedQueryEngine partitions one Dataset (1-D intervals, 2-D regions,
-// or both) across N QueryEngine shards (hash or range on the object domain,
-// pluggable via ShardingPolicy) so filtering and candidate construction
-// scale past one R-tree. It is the scatter/gather implementation of the
-// pverify::Engine interface: each request is scattered only to the shards
-// that can contribute candidates — per-shard domain bounds prune the rest
-// exactly: 1-D interval bounds for point/min/max/k-NN, 2-D Mbr bounds for
-// Point2DQuery (see spatial/bounds.h) — and the per-shard answers are
-// gathered back into the same QueryResult shape the unsharded engine
-// produces.
+// A ShardedQueryEngine range-partitions one Dataset (1-D intervals, 2-D
+// regions, or both) across N shards, each its own executor and R-tree, so
+// filtering and candidate construction scale past one R-tree. It is the
+// scatter/gather implementation of the pverify::Engine interface: each
+// request is scattered only to the shards that can contribute candidates —
+// per-shard domain bounds prune the rest exactly: 1-D interval bounds for
+// point/min/max/k-NN, 2-D Mbr bounds for Point2DQuery (see
+// spatial/bounds.h) — and the per-shard answers are gathered back into the
+// same QueryResult shape the unsharded engine produces.
 //
 // Every request kind runs through ONE scatter/gather driver
 // (ScatterGather): phase 0 caps the reachable distance per shard and prunes
@@ -42,8 +41,11 @@
 #include <memory>
 #include <vector>
 
+#include "core/query.h"
+#include "core/query2d.h"
 #include "datagen/partition.h"
-#include "engine/query_engine.h"
+#include "engine/engine.h"
+#include "engine/scratch.h"
 #include "engine/work_steal_pool.h"
 #include "spatial/bounds.h"
 
@@ -52,36 +54,23 @@ namespace pverify {
 struct ShardedEngineOptions {
   /// Number of shards the dataset is partitioned into (clamped to >= 1).
   size_t num_shards = 2;
-  /// Object-to-shard assignment; null means hash sharding on object id.
-  std::shared_ptr<const ShardingPolicy> policy;
-  /// Scatter/gather worker threads; 0 means hardware concurrency. Shard
-  /// engines themselves run single-threaded — parallelism lives here.
+  /// Object-to-shard slicing; null means RangeShardingPolicy::ForDataset
+  /// of the 1-D dataset, or ForDataset2D of the 2-D one when there are no
+  /// 1-D objects.
+  std::shared_ptr<const RangeShardingPolicy> policy;
+  /// Scatter/gather worker threads; 0 means hardware concurrency.
   size_t num_threads = 0;
 };
 
-/// Per-batch statistics of the sharded engine.
-struct ShardedBatchStats {
-  /// Aggregate over the batch's final per-request stats — the same
-  /// semantics as the EngineStats QueryEngine::ExecuteBatch fills.
-  EngineStats gathered;
-  /// Scatter-phase contribution of each shard: queries that visited it,
-  /// its filter/candidate-build time and the candidates it contributed.
-  std::vector<EngineStats> per_shard;
-  /// MergeEngineStats(per_shard): the scatter phases summed across shards.
-  EngineStats scatter_totals;
-  size_t shard_visits = 0;   ///< shard scatter executions in this batch
-  size_t shards_pruned = 0;  ///< scatter executions skipped via bounds
-};
-
-/// Serves queries over a dataset partitioned across N QueryEngine shards.
+/// Serves queries over a dataset partitioned across N shards.
 /// Same concurrency contract as QueryEngine: ExecuteBatch from one thread
 /// at a time; Execute and Submit from anywhere.
 class ShardedQueryEngine : public Engine {
  public:
   explicit ShardedQueryEngine(Dataset dataset,
                               ShardedEngineOptions options = {});
-  /// 2-D engine: partitions a Dataset2D via ShardingPolicy::ShardOf2D and
-  /// serves Point2DQuery requests with Mbr-based shard pruning.
+  /// 2-D engine: partitions a Dataset2D via RangeShardingPolicy::ShardOf2D
+  /// and serves Point2DQuery requests with Mbr-based shard pruning.
   explicit ShardedQueryEngine(Dataset2D dataset,
                               ShardedEngineOptions options = {});
   /// Dual-mode engine: both datasets partitioned by the same policy.
@@ -92,9 +81,11 @@ class ShardedQueryEngine : public Engine {
   size_t num_shards() const { return shards_.size(); }
   size_t num_threads() const override { return pool_.size(); }
   size_t total_objects() const { return total_objects_; }
-  const ShardingPolicy& policy() const { return *policy_; }
-  /// The i-th shard's engine (its dataset is the i-th partition).
-  const QueryEngine& shard(size_t i) const { return *shards_[i].engine; }
+  /// The i-th shard's 2-D executor (its dataset is the i-th 2-D
+  /// partition), or nullptr for a 1-D-only engine.
+  const CpnnExecutor2D* shard_executor2d(size_t i) const {
+    return shards_[i].executor2d.get();
+  }
   /// The i-th shard's domain bounds (empty for an empty shard).
   const DomainBounds& shard_bounds(size_t i) const {
     return shards_[i].bounds;
@@ -113,8 +104,6 @@ class ShardedQueryEngine : public Engine {
   /// scattering over the shards it needs. Results are in request order.
   std::vector<QueryResult> ExecuteBatch(std::vector<QueryRequest> requests,
                                         EngineStats* stats = nullptr) override;
-  std::vector<QueryResult> ExecuteBatch(std::vector<QueryRequest> requests,
-                                        ShardedBatchStats* stats);
 
   /// Posts the request to the worker pool, as QueryEngine::SubmitThen;
   /// its shard loops nest, so even one submitted query uses every core.
@@ -130,21 +119,11 @@ class ShardedQueryEngine : public Engine {
 
  private:
   struct Shard {
-    std::unique_ptr<QueryEngine> engine;
+    std::unique_ptr<const CpnnExecutor> executor;
+    /// Null when the engine has no 2-D dataset.
+    std::unique_ptr<const CpnnExecutor2D> executor2d;
     DomainBounds bounds;
     ShardBounds2D bounds2d;
-  };
-  /// Per-shard scatter contribution of one request (stats only).
-  struct ShardContrib {
-    double filter_ms = 0.0;
-    double init_ms = 0.0;
-    size_t candidates = 0;
-    bool visited = false;
-  };
-  struct ScatterRecord {
-    std::vector<ShardContrib> shards;  ///< size num_shards when recording
-    size_t visits = 0;                 ///< shards that collected candidates
-    size_t pruned = 0;                 ///< shards skipped via bounds
   };
 
   /// Scatter/gather policies instantiating the one driver below: point
@@ -162,40 +141,30 @@ class ShardedQueryEngine : public Engine {
   ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
                      ShardedEngineOptions options, bool serve_2d);
 
-  QueryResult ExecuteOne(QueryRequest&& request, QueryScratch* scratch,
-                         ScatterRecord* record);
+  QueryResult ExecuteOne(QueryRequest&& request, QueryScratch* scratch);
   /// Per-kind dispatch, one overload per variant alternative; each builds
   /// its policy and runs the one ScatterGather driver (CandidatesQuery is
   /// the exception: its payload already is the gathered set).
-  QueryResult Run(PointQuery&& q, QueryScratch* scratch,
-                  ScatterRecord* record);
-  QueryResult Run(MinQuery&& q, QueryScratch* scratch, ScatterRecord* record);
-  QueryResult Run(MaxQuery&& q, QueryScratch* scratch, ScatterRecord* record);
-  QueryResult Run(KnnQuery&& q, QueryScratch* scratch, ScatterRecord* record);
-  QueryResult Run(CandidatesQuery&& q, QueryScratch* scratch,
-                  ScatterRecord* record);
-  QueryResult Run(Point2DQuery&& q, QueryScratch* scratch,
-                  ScatterRecord* record);
-  QueryResult Run(Knn2DQuery&& q, QueryScratch* scratch,
-                  ScatterRecord* record);
+  QueryResult Run(PointQuery&& q, QueryScratch* scratch);
+  QueryResult Run(MinQuery&& q, QueryScratch* scratch);
+  QueryResult Run(MaxQuery&& q, QueryScratch* scratch);
+  QueryResult Run(KnnQuery&& q, QueryScratch* scratch);
+  QueryResult Run(CandidatesQuery&& q, QueryScratch* scratch);
+  QueryResult Run(Point2DQuery&& q, QueryScratch* scratch);
+  QueryResult Run(Knn2DQuery&& q, QueryScratch* scratch);
 
   /// THE scatter/gather driver — the only place the phase-0 cap → local
   /// filter → exact global recheck → merge skeleton exists. `policy`
   /// supplies the kind-specific pieces (bounds metric, local filter,
   /// global cut, survivor construction, final evaluation).
   template <typename Policy>
-  QueryResult ScatterGather(Policy& policy, QueryScratch* scratch,
-                            ScatterRecord* record);
+  QueryResult ScatterGather(Policy& policy, QueryScratch* scratch);
 
   /// Runs fn(i) for i in [0, n): on the pool when there is more than one
   /// index and more than one worker, sequentially otherwise.
   void ForEachIndex(size_t n, const std::function<void(size_t)>& fn);
-  std::vector<QueryResult> ExecuteBatchImpl(
-      std::vector<QueryRequest>&& requests, EngineStats* gathered,
-      ShardedBatchStats* sharded);
 
   std::vector<Shard> shards_;
-  std::shared_ptr<const ShardingPolicy> policy_;
   size_t total_objects_ = 0;
   size_t total_objects2d_ = 0;
   bool has_2d_ = false;

@@ -4,8 +4,8 @@
 // and probability bounds bit-identical.
 //
 // The Engine contract says answers must not depend on the implementation:
-// unsharded vs. sharded 1/2/4-way, hash vs. range policy, cached vs.
-// uncached — only scheduling may differ.
+// unsharded vs. sharded 1/2/4-way, disjoint or overlapping range shards,
+// cached vs. uncached — only scheduling may differ.
 // This header is that contract as a reusable assertion. Tests build a
 // stream of request FACTORIES (requests are move-only, so each engine and
 // each round rebuilds its own), hand the harness a reference and a list of

@@ -1,6 +1,6 @@
 // Engine-native 2-D C-PNN tests: QueryKind::kPoint2D pinned bit-identical
 // to CpnnExecutor2D::Execute, sharded-vs-unsharded 2-D equivalence across
-// shard counts and policies, a property test that 2-D shard pruning never
+// shard counts, a property test that 2-D shard pruning never
 // drops a shard that could contribute, and scratch-footprint stability over
 // a 100+-query 2-D batch.
 #include <future>
@@ -50,13 +50,6 @@ QueryOptions OptionsFor(Strategy strategy) {
   opt.strategy = strategy;
   opt.report_probabilities = true;
   return opt;
-}
-
-std::shared_ptr<const ShardingPolicy> MakePolicy2D(const std::string& name,
-                                                   const Dataset2D& data) {
-  if (name == "hash") return std::make_shared<const HashShardingPolicy>();
-  return std::make_shared<const RangeShardingPolicy>(
-      RangeShardingPolicy::ForDataset2D(data));
 }
 
 // Bit-identical, not approximately equal: the engine-native 2-D path must
@@ -216,7 +209,7 @@ TEST(Engine2DTest, ShardedGatherDoesNotGrowScratchUnboundedly) {
   EXPECT_EQ(sharded.ScratchQueriesServed(), 4 * points.size());
 }
 
-TEST(Engine2DTest, ShardedPoint2DBitIdenticalAcrossShardCountsAndPolicies) {
+TEST(Engine2DTest, ShardedPoint2DBitIdenticalAcrossShardCounts) {
   std::vector<Dataset2D> datasets;
   datasets.push_back(TestDataset2D(300, /*seed=*/21));
   datasets.push_back(TestDataset2D(300, /*seed=*/99));
@@ -236,33 +229,29 @@ TEST(Engine2DTest, ShardedPoint2DBitIdenticalAcrossShardCountsAndPolicies) {
         reference.ExecuteBatch(std::move(ref_batch));
 
     for (size_t shards : {1u, 2u, 4u}) {
-      for (const std::string& policy : {"hash", "range"}) {
-        ShardedEngineOptions sopt;
-        sopt.num_shards = shards;
-        sopt.policy = MakePolicy2D(policy, data);
-        sopt.num_threads = 2;
-        ShardedQueryEngine sharded(data, sopt);
-        ASSERT_EQ(sharded.num_shards(), shards);
+      ShardedEngineOptions sopt;
+      sopt.num_shards = shards;
+      sopt.num_threads = 2;
+      ShardedQueryEngine sharded(data, sopt);
+      ASSERT_EQ(sharded.num_shards(), shards);
 
-        std::vector<QueryRequest> batch;
-        for (Point2 p : points) batch.push_back(Point2DQuery{p, opt});
-        std::vector<QueryResult> got = sharded.ExecuteBatch(std::move(batch));
-        ASSERT_EQ(expected.size(), got.size());
-        for (size_t i = 0; i < expected.size(); ++i) {
-          ExpectIdentical(
-        expected[i], got[i],
-        "dataset " + std::to_string(d) + " shards " +
-            std::to_string(shards) + " policy " + policy + " query " +
-            std::to_string(i));
-        }
-        // Single Execute and async Submit run the same scatter/gather.
-        ExpectIdentical(expected[0],
-                        sharded.Execute(Point2DQuery{points[0], opt}),
-                        "single execute");
-        std::future<QueryResult> f =
-            sharded.Submit(Point2DQuery{points[1], opt});
-        ExpectIdentical(expected[1], f.get(), "async submit");
+      std::vector<QueryRequest> batch;
+      for (Point2 p : points) batch.push_back(Point2DQuery{p, opt});
+      std::vector<QueryResult> got = sharded.ExecuteBatch(std::move(batch));
+      ASSERT_EQ(expected.size(), got.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ExpectIdentical(expected[i], got[i],
+                        "dataset " + std::to_string(d) + " shards " +
+                            std::to_string(shards) + " query " +
+                            std::to_string(i));
       }
+      // Single Execute and async Submit run the same scatter/gather.
+      ExpectIdentical(expected[0],
+                      sharded.Execute(Point2DQuery{points[0], opt}),
+                      "single execute");
+      std::future<QueryResult> f =
+          sharded.Submit(Point2DQuery{points[1], opt});
+      ExpectIdentical(expected[1], f.get(), "async submit");
     }
   }
 }
@@ -271,7 +260,6 @@ TEST(Engine2DTest, RangeSharding2DPrunesDistantShards) {
   Dataset2D data = ClusteredDataset2D();
   ShardedEngineOptions sopt;
   sopt.num_shards = 8;
-  sopt.policy = MakePolicy2D("range", data);
   sopt.num_threads = 2;
   ShardedQueryEngine sharded(data, sopt);
   QueryEngine reference(data, EngineOptions{1});
@@ -309,49 +297,45 @@ TEST(Engine2DTest, Point2DPruningNeverDropsContributingShard) {
         datagen::MakeQueryPoints2D(20, 0.0, domain_hi, /*seed=*/7 + d);
 
     for (size_t shards : {2u, 4u, 8u}) {
-      for (const std::string& policy : {"hash", "range"}) {
-        ShardedEngineOptions sopt;
-        sopt.num_shards = shards;
-        sopt.policy = MakePolicy2D(policy, data);
-        sopt.num_threads = 1;
-        ShardedQueryEngine engine(data, sopt);
+      ShardedEngineOptions sopt;
+      sopt.num_shards = shards;
+      sopt.num_threads = 1;
+      ShardedQueryEngine engine(data, sopt);
 
-        // Bounds sandwich every contained object's exact distances.
-        for (size_t s = 0; s < engine.num_shards(); ++s) {
-          const ShardBounds2D& b = engine.shard_bounds2d(s);
-          const Dataset2D& part = engine.shard(s).executor2d()->dataset();
-          for (Point2 q : points) {
-            for (const UncertainObject2D& obj : part) {
-              EXPECT_LE(MbrMinDistToBounds2D(q, b), obj.MinDist(q) + 1e-9);
-              EXPECT_GE(MbrMaxDistToBounds2D(q, b), obj.MaxDist(q) - 1e-9);
-            }
+      // Bounds sandwich every contained object's exact distances.
+      for (size_t s = 0; s < engine.num_shards(); ++s) {
+        const ShardBounds2D& b = engine.shard_bounds2d(s);
+        const Dataset2D& part = engine.shard_executor2d(s)->dataset();
+        for (Point2 q : points) {
+          for (const UncertainObject2D& obj : part) {
+            EXPECT_LE(MbrMinDistToBounds2D(q, b), obj.MinDist(q) + 1e-9);
+            EXPECT_GE(MbrMaxDistToBounds2D(q, b), obj.MaxDist(q) - 1e-9);
           }
         }
+      }
 
-        for (Point2 q : points) {
-          const double fmin = FilterKByScan2D(data, q, 1).fmin;
-          // Replicate the engine's phase-0 decision from its public bounds.
-          double cap = std::numeric_limits<double>::infinity();
-          for (size_t s = 0; s < engine.num_shards(); ++s) {
-            const ShardBounds2D& b = engine.shard_bounds2d(s);
-            if (b.empty()) continue;
-            cap = std::min(cap, MbrMaxDistToBounds2D(q, b));
-          }
-          for (size_t s = 0; s < engine.num_shards(); ++s) {
-            const ShardBounds2D& b = engine.shard_bounds2d(s);
-            if (b.empty()) continue;
-            const bool pruned =
-                MbrMinDistToBounds2D(q, b) > cap + kFilterBoundarySlack;
-            if (!pruned) continue;
-            const Dataset2D& part = engine.shard(s).executor2d()->dataset();
-            for (const UncertainObject2D& obj : part) {
-              // No pruned object survives the global filter cut — the
-              // shard could not have contributed a candidate (and, since
-              // MinDist <= MaxDist, could not have lowered f_min either).
-              EXPECT_GT(obj.MinDist(q), fmin + kFilterBoundarySlack)
-                  << "policy " << policy << " shards " << shards
-                  << " dropped a contributing shard";
-            }
+      for (Point2 q : points) {
+        const double fmin = FilterKByScan2D(data, q, 1).fmin;
+        // Replicate the engine's phase-0 decision from its public bounds.
+        double cap = std::numeric_limits<double>::infinity();
+        for (size_t s = 0; s < engine.num_shards(); ++s) {
+          const ShardBounds2D& b = engine.shard_bounds2d(s);
+          if (b.empty()) continue;
+          cap = std::min(cap, MbrMaxDistToBounds2D(q, b));
+        }
+        for (size_t s = 0; s < engine.num_shards(); ++s) {
+          const ShardBounds2D& b = engine.shard_bounds2d(s);
+          if (b.empty()) continue;
+          const bool pruned =
+              MbrMinDistToBounds2D(q, b) > cap + kFilterBoundarySlack;
+          if (!pruned) continue;
+          const Dataset2D& part = engine.shard_executor2d(s)->dataset();
+          for (const UncertainObject2D& obj : part) {
+            // No pruned object survives the global filter cut — the shard
+            // could not have contributed a candidate (and, since MinDist <=
+            // MaxDist, could not have lowered f_min either).
+            EXPECT_GT(obj.MinDist(q), fmin + kFilterBoundarySlack)
+                << "shards " << shards << " dropped a contributing shard";
           }
         }
       }

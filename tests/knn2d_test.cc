@@ -2,8 +2,7 @@
 // vs. the scan filter's invariants, Knn2DQuery pinned bit-identical to the
 // executor through QueryEngine (batch/submit/serial), and the sharded
 // KnnScatterPolicy<2> instantiation pinned bit-identical to the unsharded
-// answer at 1/2/4 shards under both sharding policies, at interior and
-// domain-edge query points.
+// answer at 1/2/4 shards, at interior and domain-edge query points.
 #include <future>
 #include <limits>
 #include <string>
@@ -46,13 +45,6 @@ QueryOptions TestOptions() {
   QueryOptions opt;
   opt.params = {0.2, 0.01};
   return opt;
-}
-
-std::shared_ptr<const ShardingPolicy> MakePolicy2D(const std::string& name,
-                                                   const Dataset2D& data) {
-  if (name == "hash") return std::make_shared<const HashShardingPolicy>();
-  return std::make_shared<const RangeShardingPolicy>(
-      RangeShardingPolicy::ForDataset2D(data));
 }
 
 // Bit-identical, not approximately equal: every path must run the exact
@@ -135,7 +127,7 @@ TEST(Knn2DTest, EngineKnn2DBitIdenticalToExecutorBatchSubmitSerial) {
                      "serial execute");
 }
 
-TEST(Knn2DTest, ShardedKnn2DBitIdenticalAcrossShardCountsAndPolicies) {
+TEST(Knn2DTest, ShardedKnn2DBitIdenticalAcrossShardCounts) {
   for (bool clustered : {false, true}) {
     Dataset2D data = clustered ? ClusteredDataset2D() : TestDataset2D();
     const double domain = clustered ? 10000.0 : 1000.0;
@@ -152,27 +144,24 @@ TEST(Knn2DTest, ShardedKnn2DBitIdenticalAcrossShardCountsAndPolicies) {
     }
 
     for (size_t shards : {1u, 2u, 4u}) {
-      for (const std::string& policy : {"hash", "range"}) {
-        ShardedEngineOptions sopt;
-        sopt.num_shards = shards;
-        sopt.policy = MakePolicy2D(policy, data);
-        sopt.num_threads = 2;
-        ShardedQueryEngine sharded(data, sopt);
+      ShardedEngineOptions sopt;
+      sopt.num_shards = shards;
+      sopt.num_threads = 2;
+      ShardedQueryEngine sharded(data, sopt);
 
-        for (int k : {1, 3, 7}) {
-          std::vector<QueryRequest> batch;
-          for (Point2 p : points) batch.push_back(Knn2DQuery{p, k, opt});
-          std::vector<QueryResult> results =
-              sharded.ExecuteBatch(std::move(batch));
-          for (size_t i = 0; i < points.size(); ++i) {
-            CknnAnswer expected = sequential.ExecuteKnn(
-                points[i], k, opt.params, opt.integration);
-            ExpectIdenticalKnn(
-                expected, results[i],
-                (clustered ? "clustered " : "uniform ") + policy + " shards " +
-                    std::to_string(shards) + " k " + std::to_string(k) +
-                    " query " + std::to_string(i));
-          }
+      for (int k : {1, 3, 7}) {
+        std::vector<QueryRequest> batch;
+        for (Point2 p : points) batch.push_back(Knn2DQuery{p, k, opt});
+        std::vector<QueryResult> results =
+            sharded.ExecuteBatch(std::move(batch));
+        for (size_t i = 0; i < points.size(); ++i) {
+          CknnAnswer expected = sequential.ExecuteKnn(
+              points[i], k, opt.params, opt.integration);
+          ExpectIdenticalKnn(expected, results[i],
+                             std::string(clustered ? "clustered" : "uniform") +
+                                 " shards " + std::to_string(shards) + " k " +
+                                 std::to_string(k) + " query " +
+                                 std::to_string(i));
         }
       }
     }

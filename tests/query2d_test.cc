@@ -1,6 +1,7 @@
 #include "core/query2d.h"
 
 #include <set>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -97,6 +98,14 @@ TEST(Executor2DTest, StatsPopulated) {
 
 TEST(Executor2DTest, ValidatesRadialPieces) {
   EXPECT_THROW(CpnnExecutor2D(SmallFleet(), 2), std::logic_error);
+}
+
+// The filter points into the executor's own dataset, so a moved or copied
+// executor would filter through a dangling pointer.
+TEST(Executor2DTest, ExecutorIsNeitherCopyableNorMovable) {
+  EXPECT_FALSE(std::is_copy_constructible_v<CpnnExecutor2D>);
+  EXPECT_FALSE(std::is_move_constructible_v<CpnnExecutor2D>);
+  EXPECT_FALSE(std::is_move_assignable_v<CpnnExecutor2D>);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -266,6 +267,14 @@ TEST(QueryTest, InvalidParamsRejected) {
   QueryOptions opt;
   opt.params = {0.0, 0.0};
   EXPECT_THROW(exec.Execute(1.0, opt), std::logic_error);
+}
+
+// The filter points into the executor's own dataset, so a moved or copied
+// executor would filter through a dangling pointer.
+TEST(QueryTest, ExecutorIsNeitherCopyableNorMovable) {
+  EXPECT_FALSE(std::is_copy_constructible_v<CpnnExecutor>);
+  EXPECT_FALSE(std::is_move_constructible_v<CpnnExecutor>);
+  EXPECT_FALSE(std::is_move_assignable_v<CpnnExecutor>);
 }
 
 }  // namespace

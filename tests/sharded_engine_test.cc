@@ -1,6 +1,6 @@
 // Engine-grade tests for the sharded scatter/gather engine: bit-identical
-// equivalence with the unsharded QueryEngine across shard counts, sharding
-// policies and every QueryKind, plus bounds-pruning, batch-stats and async
+// equivalence with the unsharded QueryEngine across shard counts, shard
+// overlap and every QueryKind, plus bounds-pruning, batch-stats and async
 // Submit behavior on the sharded path.
 #include "engine/sharded_engine.h"
 
@@ -16,6 +16,7 @@
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
 #include "differential_testutil.h"
+#include "engine/query_engine.h"
 
 namespace pverify {
 namespace {
@@ -26,13 +27,6 @@ QueryOptions OptionsFor(Strategy strategy) {
   opt.strategy = strategy;
   opt.report_probabilities = true;
   return opt;
-}
-
-std::shared_ptr<const ShardingPolicy> MakePolicy(const std::string& name,
-                                                 const Dataset& data) {
-  if (name == "hash") return std::make_shared<const HashShardingPolicy>();
-  return std::make_shared<const RangeShardingPolicy>(
-      RangeShardingPolicy::ForDataset(data));
 }
 
 void ExpectIdenticalResult(const QueryResult& expected,
@@ -64,7 +58,7 @@ void ExpectIdenticalResult(const QueryResult& expected,
   EXPECT_EQ(expected.stats.candidates, got.stats.candidates) << what;
 }
 
-TEST(ShardedEngineTest, AllKindsBitIdenticalAcrossShardCountsAndPolicies) {
+TEST(ShardedEngineTest, AllKindsBitIdenticalAcrossShardCounts) {
   // Randomized datasets: overlap-heavy uniform scatter and a clustered
   // Long-Beach-like layout, several seeds each.
   std::vector<Dataset> datasets;
@@ -105,24 +99,82 @@ TEST(ShardedEngineTest, AllKindsBitIdenticalAcrossShardCountsAndPolicies) {
       });
     }
 
-    // The sharded variants: 1/2/4-way under both sharding policies. All
-    // must answer bit-identically to the unsharded reference.
+    // The sharded variants: 1/2/4-way. All must answer bit-identically to
+    // the unsharded reference.
     std::vector<std::unique_ptr<ShardedQueryEngine>> variants;
     std::vector<testutil::NamedEngine> named;
     for (size_t shards : {1u, 2u, 4u}) {
-      for (const char* policy : {"hash", "range"}) {
-        ShardedEngineOptions sopt;
-        sopt.num_shards = shards;
-        sopt.policy = MakePolicy(policy, data);
-        sopt.num_threads = 2;
-        variants.push_back(std::make_unique<ShardedQueryEngine>(data, sopt));
-        ASSERT_EQ(variants.back()->num_shards(), shards);
-        named.push_back({"dataset " + std::to_string(d) + " shards " +
-                             std::to_string(shards) + " policy " + policy,
-                         variants.back().get()});
-      }
+      ShardedEngineOptions sopt;
+      sopt.num_shards = shards;
+      sopt.num_threads = 2;
+      variants.push_back(std::make_unique<ShardedQueryEngine>(data, sopt));
+      ASSERT_EQ(variants.back()->num_shards(), shards);
+      named.push_back({"dataset " + std::to_string(d) + " shards " +
+                           std::to_string(shards),
+                       variants.back().get()});
     }
     testutil::RunDifferentialStream(reference, named, stream);
+  }
+}
+
+// Range shards whose objects are about as wide as a stripe: each shard's
+// bounds reach well into its neighbours', so phase-0 pruning and the global
+// cut run on interleaved shards rather than disjoint ranges.
+TEST(ShardedEngineTest, OverlappingRangeShardsBitIdentical) {
+  const QueryOptions opt = OptionsFor(Strategy::kVR);
+  const std::vector<double> points =
+      datagen::MakeQueryPoints(4, 0.0, 1000.0, /*seed=*/57);
+  const std::vector<Point2> points2d =
+      datagen::MakeQueryPoints2D(4, 0.0, 1000.0, /*seed=*/59);
+  std::vector<testutil::RequestFactory> stream2d;
+  for (Point2 q : points2d) {
+    stream2d.push_back([q, opt] { return QueryRequest(Point2DQuery{q, opt}); });
+    stream2d.push_back(
+        [q, opt] { return QueryRequest(Knn2DQuery{q, 3, opt}); });
+  }
+
+  for (size_t shards : {2u, 4u, 8u}) {
+    const double stripe = 1000.0 / static_cast<double>(shards);
+    datagen::SyntheticConfig config;
+    config.count = 80;
+    config.domain_hi = 1000.0;
+    config.mean_length = stripe;
+    config.max_length = 2.0 * stripe;
+    config.num_clusters = 0;
+    config.seed = 60 + shards;
+    Dataset data = datagen::MakeSynthetic(config);
+    datagen::Synthetic2DConfig config2d;
+    config2d.count = 60;
+    config2d.mean_extent = stripe;
+    config2d.max_extent = 2.0 * stripe;
+    config2d.seed = 70 + shards;
+    Dataset2D data2d = datagen::MakeSynthetic2D(config2d);
+
+    ShardedEngineOptions sopt;
+    sopt.num_shards = shards;
+    sopt.num_threads = 2;
+    ShardedQueryEngine sharded(data, sopt);
+    ShardedQueryEngine sharded2d(data2d, sopt);
+    const std::string name = std::to_string(shards) + " shards";
+    for (size_t s = 0; s + 1 < shards; ++s) {
+      const DomainBounds& left = sharded.shard_bounds(s);
+      const DomainBounds& right = sharded.shard_bounds(s + 1);
+      ASSERT_FALSE(left.empty() || right.empty()) << name;
+      EXPECT_GT(left.hi - right.lo, 0.25 * stripe) << name << " shard " << s;
+      const Mbr<2>& left2d = sharded2d.shard_bounds2d(s).mbr;
+      const Mbr<2>& right2d = sharded2d.shard_bounds2d(s + 1).mbr;
+      ASSERT_FALSE(left2d.IsEmpty() || right2d.IsEmpty()) << name;
+      EXPECT_GT(left2d.hi[0] - right2d.lo[0], 0.25 * stripe)
+          << name << " 2-D shard " << s;
+    }
+
+    QueryEngine reference(data, EngineOptions{1});
+    testutil::RunDifferentialStream(
+        reference, {{name, &sharded}},
+        testutil::MakeMixedKindStream(points, opt, /*seed=*/shards));
+    QueryEngine reference2d(data2d, EngineOptions{1});
+    testutil::RunDifferentialStream(reference2d, {{name + " 2-D", &sharded2d}},
+                                    stream2d);
   }
 }
 
@@ -159,7 +211,6 @@ TEST(ShardedEngineTest, RangeShardingPrunesDistantShards) {
 
   ShardedEngineOptions sopt;
   sopt.num_shards = 8;
-  sopt.policy = MakePolicy("range", data);
   sopt.num_threads = 2;
   ShardedQueryEngine sharded(data, sopt);
 
@@ -174,52 +225,6 @@ TEST(ShardedEngineTest, RangeShardingPrunesDistantShards) {
   EXPECT_GT(sharded.ShardVisits(), 0u);
   // Pruning skipped real work: not every query visited every shard.
   EXPECT_LT(sharded.ShardVisits(), 6u * sharded.num_shards());
-}
-
-TEST(ShardedEngineTest, ShardedBatchStatsSumAcrossShards) {
-  Dataset data = datagen::MakeUniformScatter(300, 250.0, 2.0, /*seed=*/8);
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 4;
-  sopt.num_threads = 2;
-  ShardedQueryEngine sharded(data, sopt);
-
-  const QueryOptions opt = OptionsFor(Strategy::kVR);
-  std::vector<QueryRequest> batch;
-  for (double q : datagen::MakeQueryPoints(10, 0.0, 250.0, /*seed=*/4)) {
-    batch.push_back(PointQuery{q, opt});
-  }
-  ShardedBatchStats stats;
-  std::vector<QueryResult> results =
-      sharded.ExecuteBatch(std::move(batch), &stats);
-  ASSERT_EQ(results.size(), 10u);
-
-  EXPECT_EQ(stats.gathered.queries, 10u);
-  EXPECT_GT(stats.gathered.wall_ms, 0.0);
-  EXPECT_GT(stats.gathered.totals.candidates, 0u);
-  ASSERT_FALSE(stats.gathered.verifier_stages.empty());
-
-  ASSERT_EQ(stats.per_shard.size(), 4u);
-  // scatter_totals is exactly the merge of the per-shard aggregates.
-  EngineStats remerged = MergeEngineStats(stats.per_shard);
-  EXPECT_EQ(stats.scatter_totals.queries, remerged.queries);
-  EXPECT_EQ(stats.scatter_totals.totals.filter_ms,
-            remerged.totals.filter_ms);
-  EXPECT_EQ(stats.scatter_totals.totals.candidates,
-            remerged.totals.candidates);
-  // Every query visited at least one shard, and the per-shard query counts
-  // sum to the visit count.
-  size_t shard_queries = 0;
-  for (const EngineStats& ps : stats.per_shard) shard_queries += ps.queries;
-  EXPECT_GE(shard_queries, 10u);
-  EXPECT_GT(stats.shard_visits, 0u);
-  // The candidates the shards contributed cover the gathered candidate
-  // total (FinishConstruction may prune a few boundary survivors).
-  EXPECT_GE(stats.scatter_totals.totals.candidates,
-            stats.gathered.totals.candidates);
-  // Rates stay finite even for the scatter-side aggregates (no wall time).
-  EXPECT_TRUE(std::isfinite(stats.scatter_totals.QueriesPerSec()));
-  EXPECT_TRUE(
-      std::isfinite(stats.scatter_totals.PhaseFraction(&QueryStats::filter_ms)));
 }
 
 TEST(ShardedEngineTest, AsyncSubmitMatchesReferenceUnderConcurrency) {
@@ -349,39 +354,36 @@ TEST(ShardedEngineTest, DegenerateShapesMatchUnsharded) {
   {
     Dataset data = datagen::MakeUniformScatter(20, 50.0, 2.0, /*seed=*/6);
     ShardedQueryEngine sharded(data, ShardedEngineOptions{2, nullptr, 2});
-    ShardedBatchStats stats;
+    EngineStats stats;
     EXPECT_TRUE(sharded.ExecuteBatch({}, &stats).empty());
-    EXPECT_EQ(stats.gathered.queries, 0u);
-    EXPECT_TRUE(std::isfinite(stats.gathered.QueriesPerSec()));
-    EXPECT_TRUE(std::isfinite(stats.gathered.AvgQueryMs()));
-    EXPECT_TRUE(
-        std::isfinite(stats.gathered.PhaseFraction(&QueryStats::verify_ms)));
+    EXPECT_EQ(stats.queries, 0u);
+    EXPECT_TRUE(std::isfinite(stats.QueriesPerSec()));
+    EXPECT_TRUE(std::isfinite(stats.AvgQueryMs()));
+    EXPECT_TRUE(std::isfinite(stats.PhaseFraction(&QueryStats::verify_ms)));
   }
 }
 
 TEST(ShardedEngineTest, PartitionDisjointCoverAndPolicyDeterminism) {
   Dataset data = datagen::MakeUniformScatter(200, 100.0, 1.5, /*seed=*/14);
-  for (const std::string& name : {"hash", "range"}) {
-    std::shared_ptr<const ShardingPolicy> policy = MakePolicy(name, data);
-    std::vector<Dataset> shards = PartitionDataset(data, 4, *policy);
-    ASSERT_EQ(shards.size(), 4u);
-    size_t total = 0;
-    std::vector<ObjectId> seen;
-    for (const Dataset& shard : shards) {
-      total += shard.size();
-      for (const UncertainObject& obj : shard) seen.push_back(obj.id());
-    }
-    EXPECT_EQ(total, data.size()) << name;
-    std::sort(seen.begin(), seen.end());
-    EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
-        << name << ": object assigned twice";
-    // Deterministic: partitioning again yields the same assignment.
-    std::vector<Dataset> again = PartitionDataset(data, 4, *policy);
-    for (size_t s = 0; s < 4; ++s) {
-      ASSERT_EQ(shards[s].size(), again[s].size()) << name;
-      for (size_t i = 0; i < shards[s].size(); ++i) {
-        EXPECT_EQ(shards[s][i].id(), again[s][i].id()) << name;
-      }
+  const RangeShardingPolicy policy = RangeShardingPolicy::ForDataset(data);
+  std::vector<Dataset> shards = PartitionDataset(data, 4, policy);
+  ASSERT_EQ(shards.size(), 4u);
+  size_t total = 0;
+  std::vector<ObjectId> seen;
+  for (const Dataset& shard : shards) {
+    total += shard.size();
+    for (const UncertainObject& obj : shard) seen.push_back(obj.id());
+  }
+  EXPECT_EQ(total, data.size());
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
+      << "object assigned twice";
+  // Deterministic: partitioning again yields the same assignment.
+  std::vector<Dataset> again = PartitionDataset(data, 4, policy);
+  for (size_t s = 0; s < 4; ++s) {
+    ASSERT_EQ(shards[s].size(), again[s].size());
+    for (size_t i = 0; i < shards[s].size(); ++i) {
+      EXPECT_EQ(shards[s][i].id(), again[s][i].id());
     }
   }
 }

@@ -9,8 +9,7 @@
 //   pverify_cli batch <dataset> <n> [threads] [P]   batched throughput run
 //
 // batch also understands flags (anywhere after the positionals):
-//   --shards=N         scatter/gather across N QueryEngine shards
-//   --policy=hash|range  sharding policy (default hash)
+//   --shards=N         scatter/gather across N range shards
 //   --async            drive the run through Submit() futures
 //   --cache=N          wrap the engine in a CachingEngine memoizing up to
 //                      N results (exact answers; see caching_engine.h) and
@@ -34,7 +33,12 @@
 //                      each frame; the server answers kDeadlineExceeded
 //                      instead of running an expired request (default 0 =
 //                      no deadline)
+//
+// Counts (objects, queries, threads, k and the N of every flag) are
+// digits only; anything else prints the usage and exits 2.
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,7 +51,6 @@
 #include "core/query.h"
 #include "core/range_query.h"
 #include "datagen/dataset_io.h"
-#include "datagen/partition.h"
 #include "datagen/workload.h"
 #include "common/timer.h"
 #include "engine/caching_engine.h"
@@ -56,6 +59,7 @@
 #include "engine/sharded_engine.h"
 #include "net/client.h"
 #include "net/retry.h"
+#include "parse_size.h"
 
 using namespace pverify;
 
@@ -72,8 +76,7 @@ int Usage() {
       "  pverify_cli stats <dataset>\n"
       "  pverify_cli batch <dataset> <num_queries> [threads] [P] "
       "[tolerance]\n"
-      "               [--shards=N] [--policy=hash|range] [--async] "
-      "[--dim=2]\n"
+      "               [--shards=N] [--async] [--dim=2]\n"
       "               [--cache=N] [--connect=host:port] [--retries=N] "
       "[--deadline-ms=N]\n"
       "               (--dim=2 reads <dataset> as a synthetic 2-D object "
@@ -86,7 +89,6 @@ int Usage() {
 /// Options carried by the batch mode's --flags.
 struct BatchFlags {
   size_t shards = 0;  ///< 0 = unsharded QueryEngine
-  std::string policy = "hash";
   bool async = false;
   int dim = 1;  ///< 2 = synthetic 2-D workload through kPoint2D
   size_t cache = 0;  ///< 0 = no caching tier; N = CachingEngine capacity
@@ -103,6 +105,16 @@ double ParseDouble(const char* s) {
     std::exit(2);
   }
   return v;
+}
+
+// A count in [min, max] (see ParseSize); anything else is a usage error.
+size_t ParseCount(const char* s, size_t min = 0, size_t max = SIZE_MAX) {
+  size_t n = 0;
+  if (!ParseSize(s, &n) || n < min || n > max) {
+    std::fprintf(stderr, "error: bad count: %s\n", s);
+    std::exit(Usage());
+  }
+  return n;
 }
 
 int RunPnn(const Dataset& data, double q) {
@@ -195,12 +207,9 @@ int ReportBatch(const bench::ThroughputPoint& seq,
 // modes distinguish sharded from unsharded, cached from uncached.
 // Everything downstream runs against Engine&. The out-params hand back the
 // concrete sharded engine for its scatter telemetry and the caching tier
-// for its stats (null when absent). `range_policy` supplies the
-// dimensionality-specific range policy when --policy=range.
+// for its stats (null when absent).
 std::unique_ptr<Engine> MakeBatchEngine(
     const BatchFlags& flags, size_t threads,
-    const std::function<std::shared_ptr<const ShardingPolicy>()>&
-        range_policy,
     const std::function<std::unique_ptr<QueryEngine>(EngineOptions)>&
         unsharded,
     const std::function<std::unique_ptr<ShardedQueryEngine>(
@@ -217,13 +226,6 @@ std::unique_ptr<Engine> MakeBatchEngine(
     ShardedEngineOptions sopt;
     sopt.num_shards = flags.shards;
     sopt.num_threads = threads;  // 0 = hardware concurrency
-    if (flags.policy == "range") {
-      sopt.policy = range_policy();
-    } else if (flags.policy != "hash") {
-      std::fprintf(stderr, "error: unknown policy '%s'\n",
-                   flags.policy.c_str());
-      return nullptr;
-    }
     std::unique_ptr<ShardedQueryEngine> sharded_engine = sharded(sopt);
     *sharded_out = sharded_engine.get();
     engine = std::move(sharded_engine);
@@ -252,10 +254,10 @@ int RunBatchOnEngine(Engine& engine, ShardedQueryEngine* sharded,
       flags.async ? bench::TimeSubmitStream(engine, points, opt)
                   : bench::TimeBatch(engine, points, opt, &stats);
   if (sharded != nullptr) {
-    std::printf("# sharded: %zu shards (%s policy), %zu shard visits, "
+    std::printf("# sharded: %zu range shards, %zu shard visits, "
                 "%zu pruned by bounds\n",
-                sharded->num_shards(), sharded->policy().name().data(),
-                sharded->ShardVisits(), sharded->ShardsPruned());
+                sharded->num_shards(), sharded->ShardVisits(),
+                sharded->ShardsPruned());
   }
   if (cache != nullptr) {
     // The first pass populated the memo; replay the same workload warm so
@@ -386,10 +388,6 @@ int RunBatch(const Dataset& data, size_t num_queries, size_t threads,
   CachingEngine* cache = nullptr;
   std::unique_ptr<Engine> engine = MakeBatchEngine(
       flags, threads,
-      [&] {
-        return std::make_shared<const RangeShardingPolicy>(
-            RangeShardingPolicy::ForDataset(data));
-      },
       [&](EngineOptions eopt) {
         return std::make_unique<QueryEngine>(data, eopt);
       },
@@ -397,7 +395,6 @@ int RunBatch(const Dataset& data, size_t num_queries, size_t threads,
         return std::make_unique<ShardedQueryEngine>(data, sopt);
       },
       &sharded, &cache);
-  if (engine == nullptr) return 2;
   return RunBatchOnEngine(*engine, sharded, cache, seq, points, opt, flags,
                           threshold, tolerance);
 }
@@ -430,10 +427,6 @@ int RunBatch2D(size_t count, size_t num_queries, size_t threads,
   CachingEngine* cache = nullptr;
   std::unique_ptr<Engine> engine = MakeBatchEngine(
       flags, threads,
-      [&] {
-        return std::make_shared<const RangeShardingPolicy>(
-            RangeShardingPolicy::ForDataset2D(data));
-      },
       [&](EngineOptions eopt) {
         return std::make_unique<QueryEngine>(data, eopt);
       },
@@ -441,7 +434,6 @@ int RunBatch2D(size_t count, size_t num_queries, size_t threads,
         return std::make_unique<ShardedQueryEngine>(data, sopt);
       },
       &sharded, &cache);
-  if (engine == nullptr) return 2;
   return RunBatchOnEngine(*engine, sharded, cache, seq, points, opt, flags,
                           threshold, tolerance);
 }
@@ -479,46 +471,20 @@ int main(int argc, char** argv) {
     const char* a = argv[i];
     if (std::strncmp(a, "--", 2) == 0) saw_flags = true;
     if (std::strncmp(a, "--shards=", 9) == 0) {
-      double n = ParseDouble(a + 9);
-      if (n < 1) {
-        std::fprintf(stderr, "error: --shards must be >= 1\n");
-        return 2;
-      }
-      flags.shards = static_cast<size_t>(n);
-    } else if (std::strncmp(a, "--policy=", 9) == 0) {
-      flags.policy = a + 9;
+      flags.shards = ParseCount(a + 9, 1);
     } else if (std::strcmp(a, "--async") == 0) {
       flags.async = true;
     } else if (std::strncmp(a, "--connect=", 10) == 0) {
       flags.connect = a + 10;
     } else if (std::strncmp(a, "--retries=", 10) == 0) {
-      double n = ParseDouble(a + 10);
-      if (n < 1) {
-        std::fprintf(stderr, "error: --retries must be >= 1\n");
-        return 2;
-      }
-      flags.retries = static_cast<int>(n);
+      flags.retries = static_cast<int>(ParseCount(a + 10, 1, INT_MAX));
     } else if (std::strncmp(a, "--deadline-ms=", 14) == 0) {
-      double n = ParseDouble(a + 14);
-      if (n < 0) {
-        std::fprintf(stderr, "error: --deadline-ms must be >= 0\n");
-        return 2;
-      }
-      flags.deadline_ms = static_cast<uint32_t>(n);
+      flags.deadline_ms =
+          static_cast<uint32_t>(ParseCount(a + 14, 0, UINT32_MAX));
     } else if (std::strncmp(a, "--cache=", 8) == 0) {
-      double n = ParseDouble(a + 8);
-      if (n < 0) {
-        std::fprintf(stderr, "error: --cache must be >= 0\n");
-        return 2;
-      }
-      flags.cache = static_cast<size_t>(n);
+      flags.cache = ParseCount(a + 8);
     } else if (std::strncmp(a, "--dim=", 6) == 0) {
-      double d = ParseDouble(a + 6);
-      if (d != 1 && d != 2) {
-        std::fprintf(stderr, "error: --dim must be 1 or 2\n");
-        return 2;
-      }
-      flags.dim = static_cast<int>(d);
+      flags.dim = static_cast<int>(ParseCount(a + 6, 1, 2));
     } else if (std::strncmp(a, "--", 2) == 0) {
       std::fprintf(stderr, "error: unknown flag %s\n", a);
       return 2;
@@ -533,7 +499,7 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   if (saw_flags && cmd != "batch") {
     std::fprintf(stderr,
-                 "error: --shards/--policy/--async/--dim/--cache/"
+                 "error: --shards/--async/--dim/--cache/"
                  "--connect/--retries/--deadline-ms apply to batch only\n");
     return 2;
   }
@@ -545,12 +511,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!flags.connect.empty() &&
-      (flags.shards != 0 || flags.async || flags.cache != 0 ||
-       flags.policy != "hash")) {
+      (flags.shards != 0 || flags.async || flags.cache != 0)) {
     std::fprintf(stderr,
                  "error: --connect ships the batch to a server; the engine "
-                 "shape (--shards/--policy/--async/--cache) is the "
-                 "server's\n");
+                 "shape (--shards/--async/--cache) is the server's\n");
     return 2;
   }
   // The 2-D batch mode synthesizes its dataset: <dataset> is an object
@@ -558,21 +522,13 @@ int main(int argc, char** argv) {
   // a wrong argument count is a usage error).
   if (cmd == "batch" && flags.dim == 2) {
     if (argc < 4 || argc > 7) return Usage();
-    double count = ParseDouble(argv[2]);
-    double num_queries = ParseDouble(argv[3]);
-    double threads = argc >= 5 ? ParseDouble(argv[4]) : 0.0;
-    if (count < 1 || num_queries < 1 || threads < 0) {
-      std::fprintf(stderr,
-                   "error: count and num_queries must be >= 1, threads >= "
-                   "0\n");
-      return 2;
-    }
+    const size_t count = ParseCount(argv[2], 1);
+    const size_t num_queries = ParseCount(argv[3], 1);
+    const size_t threads = argc >= 5 ? ParseCount(argv[4]) : 0;
     double threshold = argc >= 6 ? ParseDouble(argv[5]) : 0.3;
     double tolerance = argc >= 7 ? ParseDouble(argv[6]) : 0.01;
     try {
-      return RunBatch2D(static_cast<size_t>(count),
-                        static_cast<size_t>(num_queries),
-                        static_cast<size_t>(threads), threshold, tolerance,
+      return RunBatch2D(count, num_queries, threads, threshold, tolerance,
                         flags);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
@@ -596,7 +552,7 @@ int main(int argc, char** argv) {
     }
     if (cmd == "knn" && argc == 6) {
       return RunKnn(data, ParseDouble(argv[3]),
-                    static_cast<int>(ParseDouble(argv[4])),
+                    static_cast<int>(ParseCount(argv[4], 1, INT_MAX)),
                     ParseDouble(argv[5]));
     }
     if (cmd == "range" && (argc == 5 || argc == 6)) {
@@ -608,17 +564,11 @@ int main(int argc, char** argv) {
       return RunStats(data);
     }
     if (cmd == "batch" && argc >= 4 && argc <= 7) {
-      double num_queries = ParseDouble(argv[3]);
-      double threads = argc >= 5 ? ParseDouble(argv[4]) : 0.0;
-      if (num_queries < 1 || threads < 0) {
-        std::fprintf(stderr,
-                     "error: num_queries must be >= 1 and threads >= 0\n");
-        return 2;
-      }
+      const size_t num_queries = ParseCount(argv[3], 1);
+      const size_t threads = argc >= 5 ? ParseCount(argv[4]) : 0;
       double threshold = argc >= 6 ? ParseDouble(argv[5]) : 0.3;
       double tolerance = argc >= 7 ? ParseDouble(argv[6]) : 0.01;
-      return RunBatch(data, static_cast<size_t>(num_queries),
-                      static_cast<size_t>(threads), threshold, tolerance,
+      return RunBatch(data, num_queries, threads, threshold, tolerance,
                       flags);
     }
   } catch (const std::exception& e) {

@@ -17,7 +17,8 @@
 //                   engine dual-mode (kPoint2D/kKnn2D served too)
 //   --threads=N     worker threads (0 = hardware concurrency)
 //   --shards=N      scatter/gather across N shards
-//   --policy=P      sharding policy: hash (default) or range
+//   --policy=range  accepted for compatibility: range sharding is the only
+//                   layout
 //   --cache=N       wrap the engine in a CachingEngine of capacity N —
 //                   repeated identical requests from ANY connection hit
 //                   the memo
@@ -34,24 +35,21 @@
 //
 // Clients: pverify_cli batch ... --connect=host:port, the net_server tests
 // and the pvbench driver all speak the same src/net/client.h library.
-#include <cctype>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <memory>
 #include <string>
 
 #include "datagen/dataset_io.h"
-#include "datagen/partition.h"
 #include "datagen/synthetic.h"
 #include "engine/caching_engine.h"
 #include "engine/engine.h"
 #include "engine/query_engine.h"
 #include "engine/sharded_engine.h"
 #include "net/server.h"
+#include "parse_size.h"
 
 using namespace pverify;
 
@@ -71,7 +69,7 @@ int Usage() {
       stderr,
       "usage: pverify_serve (--dataset=FILE | --synthetic=N) [--dim2=N]\n"
       "                     [--port=N] [--port-file=FILE] [--threads=N]\n"
-      "                     [--shards=N] [--policy=hash|range] [--cache=N]\n"
+      "                     [--shards=N] [--policy=range] [--cache=N]\n"
       "                     [--max-conns=N] [--max-frame=BYTES] "
       "[--inflight=N]\n"
       "                     [--admission=N] [--write-timeout-ms=N] "
@@ -87,7 +85,6 @@ struct ServeFlags {
   size_t dim2 = 0;
   size_t threads = 0;
   size_t shards = 0;
-  std::string policy = "hash";
   size_t cache = 0;
   size_t max_conns = 64;
   size_t max_frame = 0;  // 0 = keep the library default
@@ -96,17 +93,6 @@ struct ServeFlags {
   size_t write_timeout_ms = 5000;
   size_t drain_ms = 2000;
 };
-
-// Digits only: strtoull alone would wrap a leading '-' to a huge value.
-bool ParseSize(const char* s, size_t* out) {
-  if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (*end != '\0' || errno == ERANGE) return false;
-  *out = static_cast<size_t>(v);
-  return true;
-}
 
 std::unique_ptr<Engine> BuildEngine(const ServeFlags& flags, Dataset data,
                                     Dataset2D data2d) {
@@ -122,14 +108,6 @@ std::unique_ptr<Engine> BuildEngine(const ServeFlags& flags, Dataset data,
     ShardedEngineOptions sopt;
     sopt.num_shards = flags.shards;
     sopt.num_threads = flags.threads;
-    if (flags.policy == "range") {
-      sopt.policy = std::make_shared<const RangeShardingPolicy>(
-          RangeShardingPolicy::ForDataset(data));
-    } else if (flags.policy != "hash") {
-      std::fprintf(stderr, "error: unknown policy '%s'\n",
-                   flags.policy.c_str());
-      return nullptr;
-    }
     engine = dual ? std::make_unique<ShardedQueryEngine>(
                         std::move(data), std::move(data2d), sopt)
                   : std::make_unique<ShardedQueryEngine>(std::move(data),
@@ -167,8 +145,8 @@ int main(int argc, char** argv) {
       flags.threads = n;
     } else if (std::strncmp(a, "--shards=", 9) == 0 && ParseSize(a + 9, &n)) {
       flags.shards = n;
-    } else if (std::strncmp(a, "--policy=", 9) == 0) {
-      flags.policy = a + 9;
+    } else if (std::strcmp(a, "--policy=range") == 0) {
+      // The one sharding layout; the flag stays for existing scripts.
     } else if (std::strncmp(a, "--cache=", 8) == 0 && ParseSize(a + 8, &n)) {
       flags.cache = n;
     } else if (std::strncmp(a, "--max-conns=", 12) == 0 &&
@@ -223,7 +201,6 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<Engine> engine =
         BuildEngine(flags, std::move(data), std::move(data2d));
-    if (engine == nullptr) return 2;
 
     net::ServerOptions sopt;
     sopt.port = flags.port;
