@@ -6,7 +6,9 @@
 # against it over TCP (the CLI checks every remote answer against its own
 # sequential baseline, so a pass means the served answers are correct, not
 # just that bytes moved), then SIGTERM the daemon and require a clean exit.
-# A second leg does the same against a sharded (range, the only layout),
+# The same batch runs again with a per-request deadline, so every reply
+# takes the deadline-carrying path (timed by the connection's writer
+# thread) and must still match. A second leg does the same against a sharded (range, the only layout),
 # cached daemon and requires the replayed batch to be served from its
 # cache. A negative size flag and any sharding policy but range must be
 # rejected with the usage exit code before the daemon listens, and the
@@ -113,6 +115,9 @@ start_server
 "$build/pverify_cli" batch "$work/data.txt" 40 2 \
   --connect="127.0.0.1:$port" --retries=3
 echo "OK: remote batch matches the CLI's sequential baseline"
+"$build/pverify_cli" batch "$work/data.txt" 40 2 \
+  --connect="127.0.0.1:$port" --deadline-ms=10000
+echo "OK: remote batch with per-request deadlines matches the baseline"
 stop_server
 
 # --- the same batch twice against a range-sharded, cached daemon -----------

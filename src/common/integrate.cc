@@ -4,8 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "common/check.h"
-
 namespace pverify {
 namespace {
 
@@ -83,18 +81,6 @@ double IntegrateWithBreakpoints(const std::function<double(double)>& f,
   }
   total += GaussLegendre(f, prev, b, points);
   return total;
-}
-
-double Simpson(const std::function<double(double)>& f, double a, double b,
-               int n) {
-  PV_CHECK_MSG(n >= 2 && n % 2 == 0, "Simpson needs an even interval count");
-  if (b <= a) return 0.0;
-  const double h = (b - a) / n;
-  double sum = f(a) + f(b);
-  for (int i = 1; i < n; ++i) {
-    sum += f(a + i * h) * ((i % 2 == 1) ? 4.0 : 2.0);
-  }
-  return sum * h / 3.0;
 }
 
 }  // namespace pverify

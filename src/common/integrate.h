@@ -43,11 +43,6 @@ double IntegrateWithBreakpoints(const std::function<double(double)>& f,
                                 const std::vector<double>& breakpoints,
                                 int points);
 
-/// Composite Simpson rule with n (even, >= 2) intervals; kept as a simple
-/// cross-check implementation for tests and ablations.
-double Simpson(const std::function<double(double)>& f, double a, double b,
-               int n);
-
 }  // namespace pverify
 
 #endif  // PVERIFY_COMMON_INTEGRATE_H_

@@ -205,6 +205,7 @@ void CachingEngine::Insert(const CacheQuery& cq, const QueryResult& result) {
 }
 
 QueryResult CachingEngine::Execute(QueryRequest request) {
+  Validate(request);
   CacheQuery cq;
   if (!BuildCacheQuery(request, &cq)) {
     bypasses_.fetch_add(1, std::memory_order_relaxed);
@@ -220,6 +221,7 @@ QueryResult CachingEngine::Execute(QueryRequest request) {
 
 std::vector<QueryResult> CachingEngine::ExecuteBatch(
     std::vector<QueryRequest> requests, EngineStats* stats) {
+  for (const QueryRequest& request : requests) Validate(request);
   const CacheStats before = CounterSnapshot();
   Timer wall;
   std::vector<QueryResult> results(requests.size());
@@ -271,6 +273,7 @@ std::vector<QueryResult> CachingEngine::ExecuteBatch(
 }
 
 void CachingEngine::SubmitThen(QueryRequest request, QueryCallback done) {
+  if (!Admit(request, done)) return;
   CacheQuery cq;
   if (!BuildCacheQuery(request, &cq)) {
     bypasses_.fetch_add(1, std::memory_order_relaxed);

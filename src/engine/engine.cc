@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 namespace pverify {
@@ -22,6 +23,16 @@ std::future<QueryResult> Engine::Submit(QueryRequest request) {
                }
              });
   return future;
+}
+
+bool Engine::Admit(const QueryRequest& request, const QueryCallback& done) {
+  try {
+    Validate(request);
+  } catch (const std::invalid_argument&) {
+    done(QueryResult{}, std::current_exception());
+    return false;
+  }
+  return true;
 }
 
 SubmitQueueStats Engine::SubmitStats() const {

@@ -75,6 +75,10 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
+  /// Validate(request) for the async path: when the request is invalid,
+  /// hands the exception to `done` and returns false.
+  static bool Admit(const QueryRequest& request, const QueryCallback& done);
+
   /// Runs `run` (returning a QueryResult) and hands its result, or the
   /// exception it threw, to `done`.
   template <typename Run>

@@ -28,6 +28,7 @@ QueryEngine::QueryEngine(Dataset dataset, Dataset2D dataset2d,
 QueryEngine::~QueryEngine() = default;
 
 QueryResult QueryEngine::Execute(QueryRequest request) {
+  Validate(request);
   return scratches_.OnSerial([&](QueryScratch* scratch) {
     return ExecuteOne(std::move(request), scratch);
   });
@@ -42,6 +43,7 @@ WorkStealingPool& QueryEngine::Pool() {
 
 std::vector<QueryResult> QueryEngine::ExecuteBatch(
     std::vector<QueryRequest> requests, EngineStats* stats) {
+  for (const QueryRequest& request : requests) Validate(request);
   std::vector<QueryResult> results(requests.size());
   Timer wall;
   Pool().ParallelFor(requests.size(), [&](size_t worker, size_t index) {
@@ -61,6 +63,7 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(
 }
 
 void QueryEngine::SubmitThen(QueryRequest request, QueryCallback done) {
+  if (!Admit(request, done)) return;
   // Boxed: QueryRequest is move-only and the posted task must be copyable.
   auto boxed = std::make_shared<QueryRequest>(std::move(request));
   Pool().Post([this, boxed, done = std::move(done)](size_t worker) {

@@ -1,5 +1,9 @@
 #include "engine/request.h"
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include "common/check.h"
 
 namespace pverify {
@@ -43,6 +47,31 @@ const QueryOptions& QueryRequest::options() const {
         return payload.options;
       },
       query);
+}
+
+namespace {
+
+void RequireFinite(double v, const char* what) {
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument(std::string("query coordinate ") + what +
+                                " must be finite");
+  }
+}
+
+}  // namespace
+
+void Validate(const QueryRequest& request) {
+  if (const auto* p = std::get_if<PointQuery>(&request.query)) {
+    RequireFinite(p->q, "q");
+  } else if (const auto* k = std::get_if<KnnQuery>(&request.query)) {
+    RequireFinite(k->q, "q");
+  } else if (const auto* p2 = std::get_if<Point2DQuery>(&request.query)) {
+    RequireFinite(p2->q.x, "x");
+    RequireFinite(p2->q.y, "y");
+  } else if (const auto* k2 = std::get_if<Knn2DQuery>(&request.query)) {
+    RequireFinite(k2->q.x, "x");
+    RequireFinite(k2->q.y, "y");
+  }
 }
 
 QueryResult ToQueryResult(QueryAnswer&& answer) {

@@ -183,6 +183,12 @@ struct QueryResult {
   std::optional<CknnAnswer> knn;
 };
 
+/// Rejects a request whose query coordinates are not finite (NaN or ±inf)
+/// with std::invalid_argument. Every engine calls it first in Execute,
+/// ExecuteBatch and SubmitThen, so a bad coordinate never reaches the
+/// integrals or a cache key.
+void Validate(const QueryRequest& request);
+
 /// Repackages a core QueryAnswer as an engine QueryResult.
 QueryResult ToQueryResult(QueryAnswer&& answer);
 

@@ -359,6 +359,7 @@ ShardedQueryEngine::ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
 ShardedQueryEngine::~ShardedQueryEngine() = default;
 
 QueryResult ShardedQueryEngine::Execute(QueryRequest request) {
+  Validate(request);
   return scratches_.OnSerial([&](QueryScratch* scratch) {
     return ExecuteOne(std::move(request), scratch);
   });
@@ -366,6 +367,7 @@ QueryResult ShardedQueryEngine::Execute(QueryRequest request) {
 
 std::vector<QueryResult> ShardedQueryEngine::ExecuteBatch(
     std::vector<QueryRequest> requests, EngineStats* stats) {
+  for (const QueryRequest& request : requests) Validate(request);
   std::vector<QueryResult> results(requests.size());
   Timer wall;
   // Requests fan out over the pool; each one additionally scatters its
@@ -387,6 +389,7 @@ std::vector<QueryResult> ShardedQueryEngine::ExecuteBatch(
 
 void ShardedQueryEngine::SubmitThen(QueryRequest request,
                                     QueryCallback done) {
+  if (!Admit(request, done)) return;
   // Boxed: QueryRequest is move-only and the posted task must be copyable.
   auto boxed = std::make_shared<QueryRequest>(std::move(request));
   pool_.Post([this, boxed, done = std::move(done)](size_t worker) {

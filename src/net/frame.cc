@@ -1,5 +1,7 @@
 #include "net/frame.h"
 
+#include <cstring>
+
 namespace pverify {
 namespace net {
 
@@ -17,18 +19,23 @@ uint32_t GetLe32(const uint8_t* in) {
 
 }  // namespace
 
+std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t request_id,
+                                 const WireWriter& body) {
+  const size_t n = body.size();
+  std::vector<uint8_t> frame(kFrameHeaderBytes + n + kFrameChecksumBytes);
+  EncodeFrameHeader(type, request_id, static_cast<uint32_t>(n), frame.data());
+  if (n > 0) {
+    std::memcpy(frame.data() + kFrameHeaderBytes, body.bytes().data(), n);
+  }
+  PutLe32(frame.data() + kFrameHeaderBytes + n,
+          Crc32(frame.data(), kFrameHeaderBytes + n));
+  return frame;
+}
+
 void SendFrameOn(Socket& sock, MessageType type, uint64_t request_id,
                  const WireWriter& body) {
-  uint8_t header[kFrameHeaderBytes];
-  EncodeFrameHeader(type, request_id, static_cast<uint32_t>(body.size()),
-                    header);
-  sock.WriteAll(header, sizeof(header));
-  if (body.size() > 0) sock.WriteAll(body.bytes().data(), body.size());
-  uint32_t crc = Crc32(header, sizeof(header));
-  crc = Crc32(body.bytes().data(), body.size(), crc);
-  uint8_t trailer[kFrameChecksumBytes];
-  PutLe32(trailer, crc);
-  sock.WriteAll(trailer, sizeof(trailer));
+  const std::vector<uint8_t> frame = EncodeFrame(type, request_id, body);
+  sock.WriteAll(frame.data(), frame.size());
 }
 
 bool ReceiveFrame(Socket& sock, uint32_t max_body_bytes, ReceivedFrame* out) {
@@ -36,20 +43,19 @@ bool ReceiveFrame(Socket& sock, uint32_t max_body_bytes, ReceivedFrame* out) {
   if (!sock.ReadExact(header_bytes, sizeof(header_bytes))) return false;
   out->header_at = std::chrono::steady_clock::now();
   out->header = DecodeFrameHeader(header_bytes, max_body_bytes);
-  out->body.resize(out->header.body_bytes);
-  if (out->header.body_bytes > 0 &&
-      !sock.ReadExact(out->body.data(), out->body.size())) {
+  // Body and trailer arrive with one read; the trailer is cut off after
+  // the checksum is verified.
+  const size_t n = out->header.body_bytes;
+  out->body.resize(n + kFrameChecksumBytes);
+  if (!sock.ReadExact(out->body.data(), out->body.size())) {
     throw WireError("wire: connection closed before the frame body");
   }
-  uint8_t trailer[kFrameChecksumBytes];
-  if (!sock.ReadExact(trailer, sizeof(trailer))) {
-    throw WireError("wire: connection closed before the frame checksum");
-  }
   uint32_t crc = Crc32(header_bytes, sizeof(header_bytes));
-  crc = Crc32(out->body.data(), out->body.size(), crc);
-  if (crc != GetLe32(trailer)) {
+  crc = Crc32(out->body.data(), n, crc);
+  if (crc != GetLe32(out->body.data() + n)) {
     throw WireError("wire: frame checksum mismatch");
   }
+  out->body.resize(n);
   return true;
 }
 

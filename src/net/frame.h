@@ -26,9 +26,15 @@ struct ReceivedFrame {
   std::chrono::steady_clock::time_point header_at{};
 };
 
-/// Writes a complete frame (header, body and the CRC-32 trailer over
-/// both). Callers serialize concurrent senders on one socket themselves; a
-/// frame must never interleave with another.
+/// Encodes a complete frame (header, body and the CRC-32 trailer over
+/// both) into one buffer.
+std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t request_id,
+                                 const WireWriter& body);
+
+/// Writes EncodeFrame's buffer with one Socket::WriteAll, so every request
+/// and reply crosses the network as one write. Callers serialize
+/// concurrent senders on one socket themselves; a frame must never
+/// interleave with another.
 void SendFrameOn(Socket& sock, MessageType type, uint64_t request_id,
                  const WireWriter& body);
 

@@ -1,18 +1,220 @@
 #include "net/server.h"
 
-#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <exception>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "net/codec.h"
+#include "net/frame.h"
 
 namespace pverify {
 namespace net {
 
 using Clock = std::chrono::steady_clock;
 
+namespace {
+
+/// Over this many backlogged bytes the reader stops reading frames until
+/// the writer thread has flushed the backlog: TCP backpressure on a client
+/// that sends faster than it reads its replies.
+constexpr size_t kMaxBacklogBytes = size_t{1} << 20;
+
+std::vector<uint8_t> ErrorFrame(uint64_t request_id, ErrorCode code,
+                                const std::string& message) {
+  WireWriter body;
+  EncodeErrorBody(code, message, body);
+  return EncodeFrame(MessageType::kError, request_id, body);
+}
+
+}  // namespace
+
+struct Server::Counters {
+  std::atomic<uint64_t> connections_accepted{0};
+  std::atomic<uint64_t> connections_rejected{0};
+  std::atomic<uint64_t> requests_served{0};
+  std::atomic<uint64_t> request_errors{0};
+  std::atomic<uint64_t> protocol_errors{0};
+  std::atomic<uint64_t> overload_rejections{0};
+  std::atomic<uint64_t> deadline_expirations{0};
+  std::atomic<uint64_t> slow_reader_disconnects{0};
+  std::atomic<uint64_t> shutdown_rejections{0};
+  /// Submitted-but-unanswered requests across all connections (the
+  /// admission-limit gauge; also Drain's "work left" signal).
+  std::atomic<size_t> pending{0};
+};
+
+struct Server::Connection {
+  /// Orders a connection's deadlines: (deadline, per-connection sequence).
+  using DeadlineKey = std::pair<Clock::time_point, uint64_t>;
+
+  Connection(Socket s, std::shared_ptr<Counters> c)
+      : sock(std::move(s)), counters(std::move(c)) {}
+
+  /// Writes `frame` with a non-blocking send and queues whatever the socket
+  /// does not take for the writer thread. Never blocks. Caller holds mu.
+  void SendLocked(const std::vector<uint8_t>& frame);
+  /// Tears the connection down: nothing more is sent, and its unanswered
+  /// requests leave the admission gauge. Caller holds mu.
+  void KillLocked();
+  /// The completion callback: writes one request's reply on the calling
+  /// thread, unless its deadline or the teardown settled it first.
+  void Finish(uint64_t request_id, const DeadlineKey* key, QueryResult result,
+              std::exception_ptr error);
+  /// The writer thread: flushes the backlog, expires deadlines and sends
+  /// the final protocol error, until the connection is done or dead.
+  void WriterLoop();
+
+  Socket sock;
+  const std::shared_ptr<Counters> counters;
+  std::thread reader;
+  std::thread writer;
+  std::atomic<bool> finished{false};  ///< writer exited; reapable
+
+  std::mutex mu;
+  /// Wakes the writer (backlog, deadline, reader done, last reply) and a
+  /// reader paused on a full backlog.
+  std::condition_variable cv;
+  // Everything below is guarded by mu.
+  bool dead = false;         ///< torn down: nothing more is sent
+  bool reader_done = false;
+  bool flushing = false;     ///< the writer is writing a taken backlog
+  size_t inflight = 0;       ///< submitted-but-unanswered requests
+  uint64_t next_seq = 0;
+  std::vector<uint8_t> backlog;      ///< bytes the socket has not taken yet
+  std::vector<uint8_t> final_frame;  ///< protocol error, after the last reply
+  std::map<DeadlineKey, uint64_t> deadlines;  ///< → request id
+};
+
+void Server::Connection::SendLocked(const std::vector<uint8_t>& frame) {
+  if (dead) return;
+  size_t sent = 0;
+  if (backlog.empty() && !flushing) {
+    try {
+      sent = sock.WriteSome(frame.data(), frame.size());
+    } catch (const WireError&) {
+      KillLocked();
+      return;
+    }
+  }
+  if (sent < frame.size()) {
+    backlog.insert(backlog.end(), frame.begin() + sent, frame.end());
+    cv.notify_all();
+  }
+}
+
+void Server::Connection::KillLocked() {
+  if (dead) return;
+  dead = true;
+  counters->pending -= inflight;
+  inflight = 0;
+  deadlines.clear();
+  backlog.clear();
+  final_frame.clear();
+  // Unblocks the reader parked in recv and a writer mid-flush.
+  sock.ShutdownBoth();
+  cv.notify_all();
+}
+
+void Server::Connection::Finish(uint64_t request_id, const DeadlineKey* key,
+                                QueryResult result,
+                                std::exception_ptr error) {
+  // Encode outside the lock: only the write itself is serialized.
+  WireWriter body;
+  MessageType type = MessageType::kResponse;
+  try {
+    if (error) std::rethrow_exception(error);
+    EncodeResult(result, body);
+  } catch (const std::exception& e) {
+    // Request-level failure (engine rejected the query): report it on this
+    // request id and keep the connection alive.
+    type = MessageType::kError;
+    body.Clear();
+    EncodeErrorBody(ErrorCode::kInvalidRequest, e.what(), body);
+  }
+  const std::vector<uint8_t> frame = EncodeFrame(type, request_id, body);
+  std::lock_guard<std::mutex> lock(mu);
+  if (dead) return;  // the teardown settled it
+  if (key != nullptr && deadlines.erase(*key) == 0) return;  // expired
+  --inflight;
+  --counters->pending;
+  if (type == MessageType::kResponse) {
+    ++counters->requests_served;
+  } else {
+    ++counters->request_errors;
+  }
+  SendLocked(frame);
+  if (reader_done && inflight == 0) cv.notify_all();
+}
+
+void Server::Connection::WriterLoop() {
+  std::unique_lock<std::mutex> lock(mu);
+  while (!dead) {
+    if (!backlog.empty()) {
+      // Take the backlog and write it without the lock. Completions keep
+      // appending behind it; nobody else writes while `flushing` is set.
+      std::vector<uint8_t> chunk;
+      chunk.swap(backlog);
+      flushing = true;
+      lock.unlock();
+      bool failed = false;
+      try {
+        sock.WriteAll(chunk.data(), chunk.size());
+      } catch (const WireTimeout&) {
+        // The peer stopped draining its socket: the slow-reader policy cuts
+        // it loose rather than let it pin an unbounded backlog.
+        ++counters->slow_reader_disconnects;
+        failed = true;
+      } catch (const WireError&) {
+        failed = true;
+      }
+      lock.lock();
+      flushing = false;
+      if (failed) KillLocked();
+      cv.notify_all();  // a reader paused on the backlog
+      continue;
+    }
+    const Clock::time_point now = Clock::now();
+    while (!dead && !deadlines.empty() &&
+           deadlines.begin()->first.first <= now) {
+      // Queue time counts: the budget was anchored when the frame header
+      // arrived. The engine keeps working; its completion is dropped.
+      const uint64_t request_id = deadlines.begin()->second;
+      deadlines.erase(deadlines.begin());
+      --inflight;
+      --counters->pending;
+      ++counters->deadline_expirations;
+      SendLocked(ErrorFrame(request_id, ErrorCode::kDeadlineExceeded,
+                            "deadline exceeded while queued or executing"));
+    }
+    if (dead || !backlog.empty()) continue;
+    if (reader_done && inflight == 0) {
+      if (final_frame.empty()) break;  // every reply is written
+      SendLocked(final_frame);
+      final_frame.clear();
+      continue;
+    }
+    if (deadlines.empty()) {
+      cv.wait(lock);
+    } else {
+      // A copy: the node may be erased while the lock is released.
+      const Clock::time_point next = deadlines.begin()->first.first;
+      cv.wait_until(lock, next);
+    }
+  }
+  // Done or dead: shutting the socket down also ends the reader; the accept
+  // loop (or Stop) then reaps both threads.
+  KillLocked();
+  finished.store(true, std::memory_order_release);
+}
+
 Server::Server(Engine& engine, ServerOptions options)
-    : engine_(engine), options_(options) {}
+    : engine_(engine),
+      options_(options),
+      counters_(std::make_shared<Counters>()) {}
 
 Server::~Server() { Stop(); }
 
@@ -27,17 +229,19 @@ bool Server::Drain(uint32_t deadline_ms) {
   draining_.store(true, std::memory_order_release);
   listener_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
-  // In-flight work is everything submitted-but-unanswered
-  // (global_pending_) plus queued error frames the writers still owe;
-  // readers reject anything new with kShuttingDown from here on.
-  Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
+  // In-flight work is everything submitted-but-unanswered plus bytes and
+  // error frames the connections still owe; readers reject anything new
+  // with kShuttingDown from here on.
+  Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(deadline_ms);
   for (;;) {
-    bool idle = global_pending_.load(std::memory_order_acquire) == 0;
+    bool idle = counters_->pending.load() == 0;
     if (idle) {
       std::lock_guard<std::mutex> lock(conns_mu_);
       for (auto& conn : conns_) {
         std::lock_guard<std::mutex> conn_lock(conn->mu);
-        if (!conn->queue.empty()) {
+        if (!conn->backlog.empty() || conn->flushing ||
+            !conn->final_frame.empty()) {
           idle = false;
           break;
         }
@@ -57,8 +261,8 @@ void Server::Stop() {
 
   std::lock_guard<std::mutex> lock(conns_mu_);
   for (auto& conn : conns_) {
-    conn->sock.ShutdownBoth();
-    conn->cv.notify_all();
+    std::lock_guard<std::mutex> conn_lock(conn->mu);
+    conn->KillLocked();
   }
   for (auto& conn : conns_) {
     if (conn->reader.joinable()) conn->reader.join();
@@ -69,8 +273,18 @@ void Server::Stop() {
 }
 
 ServerStats Server::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  const Counters& c = *counters_;
+  ServerStats s;
+  s.connections_accepted = c.connections_accepted;
+  s.connections_rejected = c.connections_rejected;
+  s.requests_served = c.requests_served;
+  s.request_errors = c.request_errors;
+  s.protocol_errors = c.protocol_errors;
+  s.overload_rejections = c.overload_rejections;
+  s.deadline_expirations = c.deadline_expirations;
+  s.slow_reader_disconnects = c.slow_reader_disconnects;
+  s.shutdown_rejections = c.shutdown_rejections;
+  return s;
 }
 
 void Server::ReapFinishedLocked() {
@@ -106,89 +320,60 @@ void Server::AcceptLoop() {
     if (conns_.size() >= options_.max_connections) {
       // Over the cap: tell the client why, then hang up. A best-effort
       // write — a peer that already vanished only costs us the syscall.
-      WireWriter body;
-      EncodeErrorBody(ErrorCode::kOverloaded, "server connection limit reached",
-                      body);
-      {
-        // Count before the write: a client that has read the rejection
-        // frame must already observe the counter.
-        std::lock_guard<std::mutex> stats_lock(stats_mu_);
-        ++stats_.connections_rejected;
-      }
+      // Count before the write: a client that has read the rejection frame
+      // must already observe the counter.
+      ++counters_->connections_rejected;
+      const std::vector<uint8_t> frame = ErrorFrame(
+          0, ErrorCode::kOverloaded, "server connection limit reached");
       try {
-        SendFrameOn(sock, MessageType::kError, 0, body);
+        sock.WriteAll(frame.data(), frame.size());
       } catch (const WireError&) {
       }
       continue;
     }
-    {
-      // Count before the reader starts: a client that has been answered
-      // must already observe the counter.
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.connections_accepted;
-    }
-    auto conn = std::make_unique<Connection>();
-    conn->sock = std::move(sock);
+    // Count before the reader starts: a client that has been answered must
+    // already observe the counter.
+    ++counters_->connections_accepted;
+    auto conn = std::make_shared<Connection>(std::move(sock), counters_);
     Connection* raw = conn.get();
-    conn->reader = std::thread([this, raw] { ReaderLoop(raw); });
-    conn->writer = std::thread([this, raw] { WriterLoop(raw); });
+    conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
+    conn->writer = std::thread([raw] { raw->WriterLoop(); });
     conns_.push_back(std::move(conn));
   }
 }
 
-bool Server::SendOnConn(Connection* conn, MessageType type,
-                        uint64_t request_id, const WireWriter& body) {
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  try {
-    SendFrameOn(conn->sock, type, request_id, body);
-    return true;
-  } catch (const WireTimeout&) {
-    // The peer stopped draining its socket: the slow-reader policy cuts it
-    // loose rather than let one stalled connection pin a writer thread and
-    // an unbounded backlog.
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.slow_reader_disconnects;
-    }
-    conn->sock.ShutdownBoth();
-    return false;
-  } catch (const WireError&) {
-    conn->sock.ShutdownBoth();
-    return false;
-  }
-}
-
-bool Server::RejectNow(Connection* conn, uint64_t request_id, ErrorCode code,
-                       const std::string& message) {
-  WireWriter body;
-  EncodeErrorBody(code, message, body);
-  return SendOnConn(conn, MessageType::kError, request_id, body);
-}
-
-void Server::QueueProtocolError(Connection* conn, uint64_t request_id,
-                                ErrorCode code, const std::string& message) {
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.protocol_errors;
-  }
-  std::lock_guard<std::mutex> lock(conn->mu);
-  if (conn->writer_exited) return;
-  Outgoing out;
-  out.type = MessageType::kError;
-  out.request_id = request_id;
-  out.code = code;
-  out.error = message;
-  out.close_after = true;
-  conn->queue.push_back(std::move(out));
-  conn->cv.notify_one();
-}
-
-void Server::ReaderLoop(Connection* conn) {
+void Server::ReaderLoop(const std::shared_ptr<Connection>& conn) {
+  Connection& c = *conn;
+  Counters& counters = *counters_;
+  // Sends one typed answer from this thread; false once the connection is
+  // dead.
+  auto reply_error = [&c](uint64_t request_id, ErrorCode code,
+                          const std::string& message) {
+    const std::vector<uint8_t> frame = ErrorFrame(request_id, code, message);
+    std::lock_guard<std::mutex> lock(c.mu);
+    c.SendLocked(frame);
+    return !c.dead;
+  };
+  // A malformed frame ends the connection: its typed error goes out after
+  // the in-flight replies, then the writer closes.
+  auto protocol_error = [&c, &counters](uint64_t request_id, ErrorCode code,
+                                        const std::string& message) {
+    ++counters.protocol_errors;
+    std::lock_guard<std::mutex> lock(c.mu);
+    if (!c.dead) c.final_frame = ErrorFrame(request_id, code, message);
+  };
   for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(c.mu);
+      c.cv.wait(lock, [&c] {
+        return c.dead || c.backlog.size() <= kMaxBacklogBytes;
+      });
+      if (c.dead) break;
+    }
     ReceivedFrame frame;
     uint64_t request_id = 0;
     try {
-      if (!ReceiveFrame(conn->sock, options_.max_body_bytes, &frame)) {
+      if (!ReceiveFrame(c.sock, options_.max_body_bytes, &frame)) {
         break;  // clean EOF between frames: client is done
       }
       request_id = frame.header.request_id;
@@ -201,204 +386,89 @@ void Server::ReaderLoop(Connection* conn) {
       reader.ExpectEnd();
 
       // Admission control, in rejection-priority order. Every rejection is
-      // sent by this thread directly (the protocol allows out-of-order
-      // frames), so a client whose responses are stuck behind a full
-      // writer queue still hears the backpressure immediately.
-      bool has_deadline = ext.deadline_ms > 0;
-      Clock::time_point deadline =
+      // sent by this thread at once (the protocol allows any reply order),
+      // so a client whose requests are stuck in the engine still hears the
+      // backpressure.
+      const bool has_deadline = ext.deadline_ms > 0;
+      const Clock::time_point deadline =
           frame.header_at + std::chrono::milliseconds(ext.deadline_ms);
       if (has_deadline && Clock::now() >= deadline) {
         // Expired on arrival (or while the body trickled in): answer
         // without ever running the engine.
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mu_);
-          ++stats_.deadline_expirations;
-        }
-        if (!RejectNow(conn, request_id, ErrorCode::kDeadlineExceeded,
-                       "deadline expired before execution")) {
+        ++counters.deadline_expirations;
+        if (!reply_error(request_id, ErrorCode::kDeadlineExceeded,
+                         "deadline expired before execution")) {
           break;
         }
         continue;
       }
       if (draining_.load(std::memory_order_acquire)) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mu_);
-          ++stats_.shutdown_rejections;
-        }
-        if (!RejectNow(conn, request_id, ErrorCode::kShuttingDown,
-                       "server is draining")) {
+        ++counters.shutdown_rejections;
+        if (!reply_error(request_id, ErrorCode::kShuttingDown,
+                         "server is draining")) {
           break;
         }
         continue;
       }
       if (options_.max_pending > 0 &&
-          global_pending_.load(std::memory_order_acquire) >=
-              options_.max_pending) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mu_);
-          ++stats_.overload_rejections;
-        }
-        if (!RejectNow(conn, request_id, ErrorCode::kOverloaded,
-                       "server admission limit reached")) {
+          counters.pending.load() >= options_.max_pending) {
+        ++counters.overload_rejections;
+        if (!reply_error(request_id, ErrorCode::kOverloaded,
+                         "server admission limit reached")) {
           break;
         }
         continue;
       }
-      if (options_.max_inflight_per_conn > 0 &&
-          conn->inflight.load(std::memory_order_acquire) >=
-              options_.max_inflight_per_conn) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mu_);
-          ++stats_.overload_rejections;
-        }
-        if (!RejectNow(conn, request_id, ErrorCode::kOverloaded,
-                       "per-connection in-flight limit reached")) {
-          break;
-        }
-        continue;
-      }
-
-      global_pending_.fetch_add(1, std::memory_order_acq_rel);
-      conn->inflight.fetch_add(1, std::memory_order_acq_rel);
-      Outgoing out;
-      out.type = MessageType::kResponse;
-      out.request_id = request_id;
-      out.has_deadline = has_deadline;
-      out.deadline = deadline;
-      out.future = engine_.Submit(std::move(request));
-      bool writer_gone = false;
+      Connection::DeadlineKey key{deadline, 0};
+      bool over_cap = false;
       {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (conn->writer_exited) {
-          writer_gone = true;
-        } else {
-          conn->queue.push_back(std::move(out));
-          conn->cv.notify_one();
+        std::lock_guard<std::mutex> lock(c.mu);
+        if (c.dead) break;
+        over_cap = options_.max_inflight_per_conn > 0 &&
+                   c.inflight >= options_.max_inflight_per_conn;
+        if (!over_cap) {
+          ++c.inflight;
+          ++counters.pending;
+          if (has_deadline) {
+            key.second = c.next_seq++;
+            // The writer sleeps until the earliest deadline; wake it when
+            // this one is earlier.
+            const auto it = c.deadlines.emplace(key, request_id).first;
+            if (it == c.deadlines.begin()) c.cv.notify_all();
+          }
         }
       }
-      if (writer_gone) {
-        conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-        global_pending_.fetch_sub(1, std::memory_order_acq_rel);
-        break;
+      if (over_cap) {
+        ++counters.overload_rejections;
+        if (!reply_error(request_id, ErrorCode::kOverloaded,
+                         "per-connection in-flight limit reached")) {
+          break;
+        }
+        continue;
       }
+      engine_.SubmitThen(
+          std::move(request),
+          [conn, request_id, has_deadline, key](QueryResult result,
+                                                std::exception_ptr error) {
+            conn->Finish(request_id, has_deadline ? &key : nullptr,
+                         std::move(result), error);
+          });
     } catch (const WireTooLarge& e) {
-      // Oversized frame: answer kTooLarge (after earlier responses drain),
-      // then close — resynchronizing with an unread multi-megabyte body is
-      // not worth trusting the peer's framing again.
-      QueueProtocolError(conn, request_id, ErrorCode::kTooLarge, e.what());
+      // Oversized frame: resynchronizing with an unread multi-megabyte body
+      // is not worth trusting the peer's framing again.
+      protocol_error(request_id, ErrorCode::kTooLarge, e.what());
       break;
     } catch (const WireError& e) {
-      // Malformed frame (or socket error): queue a final error frame and
-      // drop the connection once earlier responses have drained. The frame
-      // is best effort — if the socket itself died, the writer's send just
-      // fails and the teardown path is the same.
-      QueueProtocolError(conn, request_id, ErrorCode::kProtocol, e.what());
+      // Malformed frame (or socket error). The frame is best effort — if
+      // the socket itself died, its send just fails and the teardown path
+      // is the same.
+      protocol_error(request_id, ErrorCode::kProtocol, e.what());
       break;
     }
   }
-  std::lock_guard<std::mutex> lock(conn->mu);
-  conn->reader_done = true;
-  conn->cv.notify_all();
-}
-
-bool Server::DeliverResponse(Connection* conn, Outgoing& out) {
-  // Bounded wait: poll the stop flag so a hard Stop() never deadlocks on
-  // an engine future that will not resolve, and cut over to the deadline
-  // answer the moment the request's budget runs out (queue time counted —
-  // the budget was anchored when the frame header arrived).
-  bool expired = false;
-  for (;;) {
-    if (stopping_.load(std::memory_order_acquire)) return false;
-    std::chrono::milliseconds wait(50);
-    if (out.has_deadline) {
-      Clock::time_point now = Clock::now();
-      if (now >= out.deadline) {
-        expired = true;
-        break;
-      }
-      auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      out.deadline - now) +
-                  std::chrono::milliseconds(1);
-      wait = std::min(wait, left);
-    }
-    if (out.future.wait_for(wait) == std::future_status::ready) break;
-  }
-  WireWriter body;
-  MessageType type = MessageType::kResponse;
-  if (expired) {
-    type = MessageType::kError;
-    EncodeErrorBody(ErrorCode::kDeadlineExceeded,
-                    "deadline exceeded while queued or executing", body);
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.deadline_expirations;
-  } else {
-    try {
-      // The future resolves even while this connection's peer pipelines
-      // more frames — the reader keeps Submitting concurrently.
-      QueryResult result = out.future.get();
-      EncodeResult(result, body);
-    } catch (const std::exception& e) {
-      // Request-level failure (engine rejected the query): report it on
-      // this request id and keep the connection alive.
-      type = MessageType::kError;
-      body.Clear();
-      EncodeErrorBody(ErrorCode::kInvalidRequest, e.what(), body);
-    }
-  }
-  if (!SendOnConn(conn, type, out.request_id, body)) return false;
-  std::lock_guard<std::mutex> stats_lock(stats_mu_);
-  if (type == MessageType::kResponse) {
-    ++stats_.requests_served;
-  } else if (!expired) {
-    ++stats_.request_errors;
-  }
-  return true;
-}
-
-void Server::WriterLoop(Connection* conn) {
-  bool close = false;
-  while (!close) {
-    Outgoing out;
-    {
-      std::unique_lock<std::mutex> lock(conn->mu);
-      conn->cv.wait(lock, [conn] {
-        return !conn->queue.empty() || conn->reader_done;
-      });
-      if (conn->queue.empty()) break;  // reader done and nothing pending
-      out = std::move(conn->queue.front());
-      conn->queue.pop_front();
-    }
-    close = out.close_after;
-    if (out.type == MessageType::kResponse) {
-      bool sent = DeliverResponse(conn, out);
-      conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-      global_pending_.fetch_sub(1, std::memory_order_acq_rel);
-      if (!sent) break;
-    } else {
-      WireWriter body;
-      EncodeErrorBody(out.code, out.error, body);
-      if (!SendOnConn(conn, MessageType::kError, out.request_id, body)) break;
-    }
-  }
-  // Account for anything still queued (and stop the reader from queueing
-  // more) so Drain's pending gauge cannot leak entries this writer will
-  // never send.
-  std::deque<Outgoing> leftovers;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->writer_exited = true;
-    leftovers.swap(conn->queue);
-  }
-  for (const Outgoing& left : leftovers) {
-    if (left.type == MessageType::kResponse) {
-      conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-      global_pending_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  }
-  // Unblock the reader if it is still parked in recv, then let the accept
-  // loop (or Stop) reap both threads.
-  conn->sock.ShutdownBoth();
-  conn->finished.store(true, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(c.mu);
+  c.reader_done = true;
+  c.cv.notify_all();
 }
 
 }  // namespace net

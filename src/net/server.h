@@ -4,69 +4,77 @@
 // accepted socket) behind a hard connection cap — NOT epoll. The trade was
 // deliberate: a pverify query costs milliseconds of CPU in the engine, so
 // the scalability bottleneck is the worker pool, not socket readiness —
-// every connection's requests are funneled through Engine::Submit, which
-// posts each one to the engine's shared work-stealing pool (and an
-// optional CachingEngine wrapper memoizes across connections). Blocking reads keep the decode path a straight line with
-// strict frame sequencing per connection, and the cap bounds the thread
-// count (2 × max_connections) so thread-per-connection stays cheap: at the
-// point where thousands of concurrent sockets would demand epoll, the
-// engine would be saturated long before the kernel is.
+// every connection's requests are funneled through Engine::SubmitThen,
+// which posts each one to the engine's shared work-stealing pool (and an
+// optional CachingEngine wrapper memoizes across connections). Blocking
+// reads keep the decode path a straight line with strict frame sequencing
+// per connection, and the cap bounds the thread count (2 × max_connections)
+// so thread-per-connection stays cheap: at the point where thousands of
+// concurrent sockets would demand epoll, the engine would be saturated long
+// before the kernel is.
 //
 // Per connection: the reader thread decodes frames into typed
-// QueryRequests and Submits them (so one connection's pipelined requests
-// run in parallel on the pool), handing each pending future to the writer
-// thread, which streams response frames back tagged with the client's
-// request ids. The protocol permits out-of-order responses (ids are the
-// correlation tags), but this implementation drains each connection's
-// futures FIFO: a slow request still holds back the replies queued behind
-// it on the same connection, though not their execution.
+// QueryRequests and hands each to SubmitThen (so one connection's
+// pipelined requests run in parallel on the pool). The thread that
+// finishes a request writes its reply, tagged with the client's request
+// id: a pool worker, or the reader itself on a CachingEngine hit. Replies
+// therefore leave in completion order — a slow request holds back no other
+// reply on its connection. Each frame is one write. A worker never blocks
+// on the socket: it tries a non-blocking send, and whatever the kernel
+// will not take joins a per-connection backlog. The writer thread exists
+// only for that backlog, which it flushes with blocking sends, and for
+// the deadlines of the requests that carry one.
 //
 // Overload and failure discipline:
 //  * backpressure — a per-connection in-flight cap and a global admission
 //    limit on queued-but-unstarted requests. Requests over either cap are
-//    answered kOverloaded *immediately by the reader thread* (out of order,
-//    which the protocol permits) so a client pipelining into a stalled
-//    writer still hears the rejection and can back off; the connection
-//    survives. Because rejected requests never enter the writer queue, the
-//    in-flight cap is also the bound on the per-connection write backlog.
+//    answered kOverloaded immediately by the reader thread (the protocol
+//    permits any reply order), so a client pipelining into a stalled
+//    engine still hears the rejection and can back off; the connection
+//    survives. The reader reads no further frame while the connection's
+//    backlog holds more than 1 MiB, so the backlog stays within that plus
+//    the replies of the requests already in flight.
 //  * deadlines — a client can stamp deadline_ms on each request. The
-//    budget is anchored when the frame header arrives and checked twice:
-//    at decode (an already-expired request is answered kDeadlineExceeded
-//    without ever touching the engine) and again at dequeue in the writer
-//    (queue time counts; the writer abandons the future and answers
-//    kDeadlineExceeded when the budget ran out while the engine worked).
-//  * slow readers — response sends run under options.write_timeout_ms
-//    (SO_SNDTIMEO) with an optionally shrunk kernel send buffer. A peer
-//    that stops draining its socket stalls a send past the timeout and is
-//    disconnected (slow_reader_disconnects counts them); other
-//    connections are unaffected.
+//    budget is anchored when the frame header arrives. An already-expired
+//    request is answered kDeadlineExceeded at decode without ever touching
+//    the engine; otherwise the writer thread is the request's timer.
+//    Whichever comes first — completion, expiry or Stop — settles the
+//    request id, and at most one frame goes out for it: a completion after
+//    the expiry is dropped.
+//  * slow readers — the writer flushes the backlog under
+//    options.write_timeout_ms (SO_SNDTIMEO) with an optionally shrunk
+//    kernel send buffer. A peer that stops draining its socket stalls that
+//    flush past the timeout and is disconnected (slow_reader_disconnects
+//    counts them); other connections, and the pool, are unaffected.
 //  * graceful drain — Drain(deadline) stops accepting, answers new
 //    requests kShuttingDown, and waits for in-flight ones to finish within
-//    the deadline. pverify_serve calls it on SIGTERM.
+//    the deadline. pverify_serve calls it on SIGTERM. A client that
+//    half-closes after pipelining still receives every reply: the
+//    connection closes once the last one is written.
 //  * protocol errors (bad magic/version, checksum mismatch, oversized
-//    length, unknown kind, truncated body) → best-effort typed kError
-//    frame (kTooLarge for cap violations, else kProtocol), then the
-//    connection is closed. The server itself always stays up.
+//    length, unknown kind, truncated body) → a best-effort typed kError
+//    frame (kTooLarge for cap violations, else kProtocol), sent after the
+//    connection's in-flight replies; then the connection is closed. The
+//    server itself always stays up.
 //  * request-level failures (engine exceptions, e.g. a 2-D query against a
-//    1-D-only engine) → kError/kInvalidRequest tagged with the request id;
-//    the connection stays open.
+//    1-D-only engine or a non-finite coordinate) → kError/kInvalidRequest
+//    tagged with the request id; the connection stays open.
+//
+// Lifetimes: completion callbacks hold their connection, and through it the
+// server's counters, by shared_ptr, so a request the engine resolves after
+// Stop() or ~Server only finds a dead connection and sends nothing.
 #ifndef PVERIFY_NET_SERVER_H_
 #define PVERIFY_NET_SERVER_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 
 #include "engine/engine.h"
-#include "net/frame.h"
 #include "net/socket.h"
 #include "net/wire.h"
 
@@ -84,15 +92,15 @@ struct ServerOptions {
   uint32_t max_body_bytes = kDefaultMaxBodyBytes;
   int listen_backlog = 64;
   /// Requests one connection may have submitted-but-unanswered before the
-  /// reader answers kOverloaded instead of Submitting. Also bounds the
-  /// writer queue. 0 = unlimited.
+  /// reader answers kOverloaded instead of submitting. 0 = unlimited.
   size_t max_inflight_per_conn = 128;
   /// Global admission limit across all connections on
   /// submitted-but-unanswered requests; over it the reader answers
   /// kOverloaded. 0 = unlimited.
   size_t max_pending = 1024;
-  /// SO_SNDTIMEO on every response send; a send blocked past this is the
-  /// slow-reader signal and drops the connection. 0 = wait forever.
+  /// SO_SNDTIMEO on the writer thread's backlog flush; a flush blocked
+  /// past this is the slow-reader signal and drops the connection.
+  /// 0 = wait forever.
   uint32_t write_timeout_ms = 5000;
   /// When > 0, shrink each accepted socket's kernel send buffer so a slow
   /// reader's backlog is bounded by the kernel too (tests use this to
@@ -133,9 +141,11 @@ class Server {
   /// Call Stop() afterwards either way; callable before Start() (no-op).
   bool Drain(uint32_t deadline_ms);
 
-  /// Hard stop: shuts every socket down and joins every thread. Responses
-  /// still in flight are dropped (writers waiting on engine futures give
-  /// up promptly, even if the engine never resolves them). Idempotent.
+  /// Hard stop: shuts every socket down and joins every thread. Replies
+  /// not yet written are dropped; a request the engine resolves later
+  /// (even after the server is destroyed) finds its connection dead and
+  /// sends nothing, so engines that never resolve cannot hold Stop up.
+  /// Idempotent.
   void Stop();
 
   /// The bound port (valid after Start(); the ephemeral port when
@@ -148,55 +158,11 @@ class Server {
   ServerStats stats() const;
 
  private:
-  struct Outgoing {
-    MessageType type = MessageType::kResponse;
-    uint64_t request_id = 0;
-    std::future<QueryResult> future;  ///< engaged for kResponse entries
-    ErrorCode code = ErrorCode::kGeneric;  ///< for kError entries
-    std::string error;                ///< message for kError entries
-    bool close_after = false;         ///< protocol error: drop the connection
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
-  };
-
-  struct Connection {
-    Socket sock;
-    std::thread reader;
-    std::thread writer;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Outgoing> queue;
-    bool reader_done = false;
-    bool writer_exited = false;  ///< guarded by mu; reader stops queueing
-    std::atomic<bool> finished{false};  ///< writer exited; reapable
-    /// Submitted-but-unanswered requests on this connection.
-    std::atomic<size_t> inflight{0};
-    /// Serializes reader-side immediate error frames against writer-side
-    /// response frames on the one socket.
-    std::mutex write_mu;
-  };
+  struct Counters;
+  struct Connection;
 
   void AcceptLoop();
-  void ReaderLoop(Connection* conn);
-  void WriterLoop(Connection* conn);
-  /// Sends one frame under the connection's write lock. Returns false when
-  /// the send failed (timeout counts a slow reader) — the connection is
-  /// already shut down then.
-  bool SendOnConn(Connection* conn, MessageType type, uint64_t request_id,
-                  const WireWriter& body);
-  /// Reader-side immediate rejection (kOverloaded / kDeadlineExceeded /
-  /// kShuttingDown): bypasses the writer queue so backpressure answers
-  /// cannot sit behind blocked futures.
-  bool RejectNow(Connection* conn, uint64_t request_id, ErrorCode code,
-                 const std::string& message);
-  /// Queues the final typed error frame for a malformed frame; the writer
-  /// sends it after earlier responses drain, then closes.
-  void QueueProtocolError(Connection* conn, uint64_t request_id,
-                          ErrorCode code, const std::string& message);
-  /// Finishes one popped kResponse entry: waits for the future (bounded by
-  /// the deadline and the stop flag), encodes the response or a typed
-  /// error, sends it. Returns false when the connection must close.
-  bool DeliverResponse(Connection* conn, Outgoing& out);
+  void ReaderLoop(const std::shared_ptr<Connection>& conn);
   /// Joins and erases connections whose writer has exited. Called from the
   /// accept loop so a long-lived server does not accumulate dead threads.
   void ReapFinishedLocked();
@@ -209,15 +175,12 @@ class Server {
   std::atomic<bool> draining_{false};
   bool started_ = false;
 
-  /// Submitted-but-unanswered requests across all connections (the
-  /// admission-limit gauge; also Drain's "work left" signal).
-  std::atomic<size_t> global_pending_{0};
+  /// Shared with every connection and, through it, every in-flight
+  /// completion callback.
+  std::shared_ptr<Counters> counters_;
 
   std::mutex conns_mu_;
-  std::list<std::unique_ptr<Connection>> conns_;
-
-  mutable std::mutex stats_mu_;
-  ServerStats stats_;
+  std::list<std::shared_ptr<Connection>> conns_;
 };
 
 }  // namespace net

@@ -57,6 +57,47 @@ void SetTimeoutOpt(int fd, int opt, uint32_t timeout_ms,
   }
 }
 
+// Applies the fault injector's plan for one n-byte write on `sock`: returns
+// the bytes to send (`p`, or a corrupted copy held in `mangled`), or shuts
+// the socket down and throws for a truncate or sever.
+const uint8_t* ApplyWriteFault(Socket& sock, const uint8_t* p, size_t n,
+                               std::vector<uint8_t>* mangled) {
+  FaultInjector& faults = FaultInjector::Global();
+  if (!faults.enabled() || n == 0) return p;
+  FaultPlan plan = faults.PlanWrite(n);
+  if (plan.delay_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(plan.delay_ms));
+  }
+  switch (plan.kind) {
+    case FaultKind::kNone:
+    case FaultKind::kDelay:
+      return p;
+    case FaultKind::kCorrupt:
+      mangled->assign(p, p + n);
+      (*mangled)[plan.at] ^= 0x80;
+      return mangled->data();
+    case FaultKind::kTruncate: {
+      // Deliver a prefix so the peer sees a frame cut off mid-flight,
+      // then kill the connection from this side. Non-blocking: a full
+      // send buffer only shortens the prefix.
+      size_t prefix = plan.at;
+      while (prefix > 0) {
+        ssize_t written = ::send(sock.fd(), p, prefix,
+                                 MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (written <= 0) break;
+        p += written;
+        prefix -= static_cast<size_t>(written);
+      }
+      sock.ShutdownBoth();
+      throw WireError("fault injection: write truncated");
+    }
+    case FaultKind::kSever:
+      sock.ShutdownBoth();
+      throw WireError("fault injection: connection severed");
+  }
+  return p;
+}
+
 }  // namespace
 
 Socket& Socket::operator=(Socket&& other) noexcept {
@@ -80,42 +121,9 @@ void Socket::ShutdownBoth() {
 }
 
 void Socket::WriteAll(const void* data, size_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
   std::vector<uint8_t> mangled;  // only allocated when a fault corrupts
-  FaultInjector& faults = FaultInjector::Global();
-  if (faults.enabled() && n > 0) {
-    FaultPlan plan = faults.PlanWrite(n);
-    if (plan.delay_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(plan.delay_ms));
-    }
-    switch (plan.kind) {
-      case FaultKind::kNone:
-      case FaultKind::kDelay:
-        break;
-      case FaultKind::kCorrupt:
-        mangled.assign(p, p + n);
-        mangled[plan.at] ^= 0x80;
-        p = mangled.data();
-        break;
-      case FaultKind::kTruncate: {
-        // Deliver a prefix so the peer sees a frame cut off mid-flight,
-        // then kill the connection from this side.
-        size_t prefix = plan.at;
-        const uint8_t* q = static_cast<const uint8_t*>(data);
-        while (prefix > 0) {
-          ssize_t written = ::send(fd_, q, prefix, MSG_NOSIGNAL);
-          if (written <= 0) break;
-          q += written;
-          prefix -= static_cast<size_t>(written);
-        }
-        ShutdownBoth();
-        throw WireError("fault injection: write truncated");
-      }
-      case FaultKind::kSever:
-        ShutdownBoth();
-        throw WireError("fault injection: connection severed");
-    }
-  }
+  const uint8_t* p =
+      ApplyWriteFault(*this, static_cast<const uint8_t*>(data), n, &mangled);
   while (n > 0) {
     ssize_t written = ::send(fd_, p, n, MSG_NOSIGNAL);
     if (written < 0) {
@@ -126,6 +134,25 @@ void Socket::WriteAll(const void* data, size_t n) {
     p += written;
     n -= static_cast<size_t>(written);
   }
+}
+
+size_t Socket::WriteSome(const void* data, size_t n) {
+  std::vector<uint8_t> mangled;
+  const uint8_t* p =
+      ApplyWriteFault(*this, static_cast<const uint8_t*>(data), n, &mangled);
+  size_t sent = 0;
+  while (sent < n) {
+    ssize_t written =
+        ::send(fd_, p + sent, n - sent, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (written < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;  // buffer full
+      ThrowErrno("socket write");
+    }
+    if (written == 0) throw WireError("socket write: connection closed");
+    sent += static_cast<size_t>(written);
+  }
+  return sent;
 }
 
 bool Socket::ReadExact(void* data, size_t n) {

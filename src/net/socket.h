@@ -1,8 +1,9 @@
 // Thin RAII wrappers over POSIX TCP sockets, shared by the server and the
-// client library. Blocking I/O only: the serving model is
-// thread-per-connection (see net/server.h for why), so nothing here needs
-// readiness notification. All failures throw net::WireError with errno
-// context; SIGPIPE is avoided via MSG_NOSIGNAL on every send (plus
+// client library. Blocking I/O, plus one non-blocking write (WriteSome) so
+// a server pool worker can hand a reply to the kernel without waiting; the
+// serving model is thread-per-connection (see net/server.h for why), so
+// nothing here needs readiness notification. All failures throw
+// net::WireError with errno context; SIGPIPE is avoided via MSG_NOSIGNAL on every send (plus
 // SO_NOSIGPIPE where the platform has it) rather than a global signal
 // disposition. Optional per-socket send/receive timeouts (SO_SNDTIMEO /
 // SO_RCVTIMEO) surface as net::WireTimeout — the server's slow-reader
@@ -46,6 +47,13 @@ class Socket {
   /// WireTimeout when a send timeout is configured and the peer stops
   /// draining (the slow-reader signal).
   void WriteAll(const void* data, size_t n);
+
+  /// Non-blocking write: sends what the kernel takes right now and returns
+  /// that byte count (0 when the send buffer is full), ignoring any send
+  /// timeout. Throws WireError on any error or peer reset. Consults the
+  /// fault injector like WriteAll; bytes a corrupt fault mangled but the
+  /// kernel did not take are left unmangled in `data`.
+  size_t WriteSome(const void* data, size_t n);
 
   /// Reads exactly n bytes. Returns false on EOF before the first byte (a
   /// clean peer close between frames); throws WireError on EOF mid-buffer

@@ -25,6 +25,8 @@
 #include "net/fault.h"
 #include "net/retry.h"
 #include "net/server.h"
+#include "net/socket.h"
+#include "net/wire.h"
 
 namespace pverify {
 namespace {
@@ -147,6 +149,31 @@ TEST(ChaosTest, CorruptedFrameIsDetectedNeverMisdecoded) {
   net::ServeResponse response = again.Await(id);
   EXPECT_TRUE(response.ok);
   server.Stop();
+}
+
+TEST(ChaosTest, TruncatedSendDeliversAPrefixOfTheWholeFrame) {
+  // A frame is one write, so a truncating fault cuts the frame itself: the
+  // peer gets exactly its first 30 bytes — a whole header and 10 body
+  // bytes — then the close. A frame written as header, body and trailer
+  // would lose the fault to the 20-byte header write (30 % 20 = 10 bytes).
+  net::Listener listener = net::Listener::Bind(0, 4);
+  net::Client client = net::Client::Connect(kLoopback, listener.port());
+  net::Socket peer = listener.Accept();
+  {
+    net::FaultConfig off;
+    FaultScope scope(off);
+    net::FaultInjector::Global().ForceOnce(net::FaultKind::kTruncate, 30);
+    EXPECT_THROW(client.Send(QueryRequest(PointQuery{100.0, TestOptions()})),
+                 net::WireError);
+  }
+  std::vector<uint8_t> got;
+  uint8_t byte = 0;
+  while (peer.ReadExact(&byte, 1)) got.push_back(byte);
+  ASSERT_EQ(got.size(), 30u);
+  const net::FrameHeader header =
+      net::DecodeFrameHeader(got.data(), net::kDefaultMaxBodyBytes);
+  EXPECT_EQ(header.type, net::MessageType::kRequest);
+  EXPECT_GT(header.body_bytes + net::kFrameHeaderBytes, 30u);
 }
 
 TEST(ChaosTest, SeveredConnectionIsACleanTypedFailure) {

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -299,6 +301,49 @@ TEST(QueryEngineTest, SubmitResolvesToTheSequentialAnswer) {
     EXPECT_EQ(stats.batches, stats.requests);
     EXPECT_EQ(stats.max_coalesced, 1u);
   }
+}
+
+// Non-finite query coordinates are rejected up front by every engine and
+// every entry point: q = +-inf used to trip a PV_CHECK deep in the distance
+// pdf, and q = NaN returned an empty answer that a cache then memoized.
+TEST(QueryEngineTest, NonFiniteCoordinatesAreInvalidArguments) {
+  Dataset data = datagen::MakeUniformScatter(200, 1000.0);
+  const QueryOptions opt = OptionsFor(Strategy::kVR);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::function<QueryRequest()>> bad = {
+      [&] { return QueryRequest(PointQuery{inf, opt}); },
+      [&] { return QueryRequest(PointQuery{-inf, opt}); },
+      [&] { return QueryRequest(PointQuery{nan, opt}); },
+      [&] { return QueryRequest(KnnQuery{inf, 2, opt}); },
+      [&] { return QueryRequest(KnnQuery{-inf, 2, opt}); },
+      [&] { return QueryRequest(KnnQuery{nan, 2, opt}); },
+      [&] { return QueryRequest(Point2DQuery{{nan, 1.0}, opt}); },
+      [&] { return QueryRequest(Point2DQuery{{1.0, inf}, opt}); },
+      [&] { return QueryRequest(Knn2DQuery{{-inf, 1.0}, 2, opt}); },
+      [&] { return QueryRequest(Knn2DQuery{{1.0, nan}, 2, opt}); },
+  };
+  for (const NamedFactory& factory : SubmitEngines()) {
+    SCOPED_TRACE(factory.name);
+    std::unique_ptr<Engine> engine = factory.make(data);
+    for (size_t i = 0; i < bad.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_THROW(engine->Execute(bad[i]()), std::invalid_argument);
+      std::vector<QueryRequest> batch;
+      batch.push_back(PointQuery{500.0, opt});
+      batch.push_back(bad[i]());
+      EXPECT_THROW(engine->ExecuteBatch(std::move(batch)),
+                   std::invalid_argument);
+      EXPECT_THROW(engine->Submit(bad[i]()).get(), std::invalid_argument);
+    }
+  }
+
+  // A rejected request never becomes a cache entry.
+  CachingEngine cache(std::make_unique<QueryEngine>(data, EngineOptions{2}));
+  EXPECT_THROW(cache.Execute(PointQuery{nan, opt}), std::invalid_argument);
+  EXPECT_THROW(cache.Submit(PointQuery{nan, opt}).get(),
+               std::invalid_argument);
+  EXPECT_EQ(cache.GetCacheStats().entries, 0u);
 }
 
 // Destroying an engine right after a burst of Submits resolves every

@@ -1,7 +1,6 @@
 #include "common/integrate.h"
 
 #include <cmath>
-#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -65,20 +64,6 @@ TEST(IntegrateWithBreakpointsTest, StepIntegrandExact) {
   std::vector<double> breaks = {2.0};
   // ∫_0^4 = 2·1 + 2·3 = 8.
   EXPECT_NEAR(IntegrateWithBreakpoints(f, 0.0, 4.0, breaks, 2), 8.0, 1e-12);
-}
-
-TEST(SimpsonTest, MatchesGaussOnSmooth) {
-  auto f = [](double x) { return std::cos(x); };
-  double gauss = GaussLegendre(f, 0.0, 1.0, 16);
-  double simpson = Simpson(f, 0.0, 1.0, 128);
-  EXPECT_NEAR(gauss, simpson, 1e-8);
-  EXPECT_NEAR(simpson, std::sin(1.0), 1e-8);
-}
-
-TEST(SimpsonTest, ValidatesIntervalCount) {
-  auto f = [](double x) { return x; };
-  EXPECT_THROW(Simpson(f, 0.0, 1.0, 3), std::logic_error);
-  EXPECT_THROW(Simpson(f, 0.0, 1.0, 0), std::logic_error);
 }
 
 }  // namespace

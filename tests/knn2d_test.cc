@@ -5,11 +5,13 @@
 // answer at 1/2/4 shards, at interior and domain-edge query points.
 #include <future>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/query.h"
 #include "core/query2d.h"
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
@@ -184,10 +186,11 @@ TEST(Knn2DTest, KLargerThanDatasetKeepsEveryObject) {
                      "k beyond dataset");
 }
 
-TEST(Knn2DTest, NotANumberQueryAnswersEmpty) {
-  // A NaN q compares false with every distance: like the scan filter, the
-  // engines find no candidates and answer empty, sharded ones included
-  // (8 range shards over 5 objects leave some shards without data).
+TEST(Knn2DTest, NotANumberQueryIsRejectedByEnginesAnsweredEmptyByExecutors) {
+  // The engines reject a NaN q before it reaches a filter, sharded ones
+  // included (8 range shards over 5 objects leave some shards without
+  // data). The core executors still answer it empty: a NaN q compares false
+  // with every distance, so their filters find no candidates.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const QueryOptions opt = TestOptions();
   Dataset data1d;
@@ -195,11 +198,8 @@ TEST(Knn2DTest, NotANumberQueryAnswersEmpty) {
     data1d.emplace_back(id, MakeUniformPdf(10.0 * id, 10.0 * id + 4.0));
   }
   const Dataset2D data2d = TestDataset2D(5, /*seed=*/9);
-  auto expect_empty = [](const QueryResult& result, const std::string& what) {
-    EXPECT_TRUE(result.ids.empty()) << what;
-    ASSERT_TRUE(result.knn.has_value()) << what;
-    EXPECT_TRUE(result.knn->bounds.empty()) << what;
-  };
+  const CpnnExecutor executor(data1d);
+  const CpnnExecutor2D executor2d(data2d);
   QueryEngine engine(data1d, data2d, EngineOptions{1});
   for (size_t shards : {1u, 8u}) {
     ShardedEngineOptions sopt;
@@ -209,13 +209,27 @@ TEST(Knn2DTest, NotANumberQueryAnswersEmpty) {
     for (int k : {1, 3, 5, 9}) {
       const std::string what =
           "shards " + std::to_string(shards) + " k " + std::to_string(k);
-      expect_empty(engine.Execute(KnnQuery{nan, k, opt}), "1-D " + what);
-      expect_empty(sharded.Execute(KnnQuery{nan, k, opt}),
-                   "sharded 1-D " + what);
+      EXPECT_THROW(engine.Execute(KnnQuery{nan, k, opt}),
+                   std::invalid_argument)
+          << "1-D " << what;
+      EXPECT_THROW(sharded.Execute(KnnQuery{nan, k, opt}),
+                   std::invalid_argument)
+          << "sharded 1-D " << what;
+      EXPECT_TRUE(
+          executor.ExecuteKnn(nan, k, opt.params, opt.integration)
+              .bounds.empty())
+          << "executor 1-D " << what;
       for (Point2 q : {Point2{nan, nan}, Point2{nan, 300.0}}) {
-        expect_empty(engine.Execute(Knn2DQuery{q, k, opt}), "2-D " + what);
-        expect_empty(sharded.Execute(Knn2DQuery{q, k, opt}),
-                     "sharded 2-D " + what);
+        EXPECT_THROW(engine.Execute(Knn2DQuery{q, k, opt}),
+                     std::invalid_argument)
+            << "2-D " << what;
+        EXPECT_THROW(sharded.Execute(Knn2DQuery{q, k, opt}),
+                     std::invalid_argument)
+            << "sharded 2-D " << what;
+        const CknnAnswer answer =
+            executor2d.ExecuteKnn(q, k, opt.params, opt.integration);
+        EXPECT_TRUE(answer.ids.empty()) << "executor 2-D " << what;
+        EXPECT_TRUE(answer.bounds.empty()) << "executor 2-D " << what;
       }
     }
   }

@@ -1,10 +1,12 @@
 // ManualEngine: an Engine whose async path answers only when the test says
-// so. SubmitThen parks the request, ResolveAll() executes the backlog
-// through a real QueryEngine and runs the callbacks. This makes states like
+// so. SubmitThen parks the request; ResolveAll() executes the backlog (and
+// ResolveLast() only the newest request) through a real QueryEngine and
+// runs the callbacks on the calling thread. This makes states like
 // "N requests in flight" and "future never resolves" deterministic.
 #ifndef PVERIFY_TESTS_MANUAL_ENGINE_H_
 #define PVERIFY_TESTS_MANUAL_ENGINE_H_
 
+#include <iterator>
 #include <list>
 #include <mutex>
 #include <utility>
@@ -47,9 +49,17 @@ class ManualEngine : public Engine {
       std::lock_guard<std::mutex> lock(mu_);
       taken.swap(pending_);
     }
-    for (Parked& p : taken) {
-      Complete(p.done, [&] { return inner_.Execute(std::move(p.request)); });
+    Run(taken);
+  }
+
+  void ResolveLast() {
+    std::list<Parked> taken;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (pending_.empty()) return;
+      taken.splice(taken.begin(), pending_, std::prev(pending_.end()));
     }
+    Run(taken);
   }
 
   size_t ScratchQueriesServed() const override { return 0; }
@@ -60,6 +70,12 @@ class ManualEngine : public Engine {
     QueryRequest request;
     QueryCallback done;
   };
+
+  void Run(std::list<Parked>& taken) {
+    for (Parked& p : taken) {
+      Complete(p.done, [&] { return inner_.Execute(std::move(p.request)); });
+    }
+  }
 
   QueryEngine inner_;
   std::mutex mu_;

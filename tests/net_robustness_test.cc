@@ -1,18 +1,25 @@
-// Overload, deadline and shutdown behavior of the serving path, pinned at
-// the wire level: the in-flight and admission caps answer kOverloaded
-// without dropping the connection, deadlines fire both before submission
-// and at writer dequeue, slow readers are disconnected within the write
-// timeout while other connections keep serving, Stop() wins races against
-// in-flight Submit futures (even ones that never resolve), and Drain()
-// finishes in-flight work while rejecting new requests as kShuttingDown.
+// Overload, deadline, reply-order and shutdown behavior of the serving
+// path, pinned at the wire level: the in-flight and admission caps answer
+// kOverloaded without dropping the connection; deadlines fire before
+// submission and, on the writer thread's timer, while the engine works,
+// with exactly one frame per request id when a completion races its
+// expiry; replies leave in completion order, so a parked request holds
+// back no later reply; slow readers are disconnected within the write
+// timeout while other connections keep serving and no pool worker blocks
+// on their socket; a half-closed client still gets every reply; Stop()
+// wins races against in-flight requests (even ones that never resolve, or
+// resolve after the server is gone); and Drain() finishes in-flight work
+// while rejecting new requests as kShuttingDown.
 //
 // Most tests use ManualEngine (tests/manual_engine.h) — an Engine whose
-// SubmitThen parks requests until the test resolves them — so "the future is still pending" is a
-// controlled state instead of a timing accident.
+// SubmitThen parks requests until the test resolves them — so "the request
+// is still in the engine" is a controlled state instead of a timing
+// accident.
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -407,6 +414,172 @@ TEST(NetRobustnessTest, RetiredWireVersionIsAProtocolError) {
   ASSERT_TRUE(response.ok) << response.error;
   EXPECT_EQ(local.Execute(MakePoint(250.0)).ids, response.result.ids);
   server.Stop();
+}
+
+TEST(NetRobustnessTest, LaterReplyOvertakesAParkedRequest) {
+  ManualEngine engine(TestDataset());
+  net::Server server(engine);
+  server.Start();
+
+  // A reply that waited behind the parked request would time this read out.
+  net::ClientOptions copt;
+  copt.recv_timeout_ms = 3000;
+  net::Client client = net::Client::Connect(kLoopback, server.port(), copt);
+  uint64_t parked = client.Send(MakePoint(100.0));
+  uint64_t quick = client.Send(MakePoint(200.0));
+  ASSERT_TRUE(WaitFor([&] { return engine.PendingCount() == 2; }));
+
+  engine.ResolveLast();
+  net::ServeResponse first = client.ReadNext();
+  EXPECT_EQ(first.request_id, quick);
+  EXPECT_TRUE(first.ok) << first.error;
+  EXPECT_EQ(engine.PendingCount(), 1u);
+
+  engine.ResolveAll();
+  net::ServeResponse second = client.ReadNext();
+  EXPECT_EQ(second.request_id, parked);
+  EXPECT_TRUE(second.ok) << second.error;
+  server.Stop();
+}
+
+TEST(NetRobustnessTest, StalledReaderBlocksNoPoolWorker) {
+  // One pool worker. It writes every reply itself, so if it ever blocked on
+  // the stalled connection's full socket, nobody else would be answered.
+  Dataset data = TestDataset();
+  QueryEngine engine(data, EngineOptions{1});
+  net::ServerOptions sopt;
+  sopt.write_timeout_ms = 5000;
+  sopt.send_buffer_bytes = 4096;
+  sopt.max_inflight_per_conn = 0;
+  sopt.max_pending = 0;
+  net::Server server(engine, sopt);
+  server.Start();
+
+  // The stalled reader pipelines far more replies than the two shrunk
+  // kernel buffers hold and never reads one back.
+  constexpr size_t kStalled = 1000;
+  net::Socket stalled = net::ConnectTcp(kLoopback, server.port(),
+                                        /*recv_buffer_bytes=*/4096);
+  const QueryOptions opt = TestOptions();
+  for (uint64_t id = 1; id <= kStalled; ++id) {
+    net::WireWriter body;
+    net::EncodeRequestExtensions(net::RequestExtensions{}, body);
+    net::EncodeRequest(QueryRequest(PointQuery{
+                           static_cast<double>(id % 200) * 5.0, opt}),
+                       body);
+    net::SendFrameOn(stalled, net::MessageType::kRequest, id, body);
+  }
+  ASSERT_TRUE(WaitFor(
+      [&] { return engine.ScratchQueriesServed() >= kStalled; }));
+
+  net::ClientOptions copt;
+  copt.recv_timeout_ms = 3000;
+  net::Client good = net::Client::Connect(kLoopback, server.port(), copt);
+  const Clock::time_point sent = Clock::now();
+  net::ServeResponse response = good.Await(good.Send(MakePoint(300.0)));
+  EXPECT_TRUE(response.ok) << response.error;
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                Clock::now() - sent)
+                .count(),
+            1000);
+  // The stalled connection is still inside its write timeout.
+  EXPECT_EQ(server.stats().slow_reader_disconnects, 0u);
+  server.Stop();
+}
+
+TEST(NetRobustnessTest, CompletionRacingItsDeadlineSendsOneFrame) {
+  ManualEngine engine(TestDataset());
+  net::ServerOptions sopt;
+  sopt.max_inflight_per_conn = 0;
+  sopt.max_pending = 0;
+  net::Server server(engine, sopt);
+  server.Start();
+
+  // Every frame a round owes is written by the time its reads start, so a
+  // read that times out means no frame is on the way.
+  net::ClientOptions copt;
+  copt.recv_timeout_ms = 1000;
+  net::Client client = net::Client::Connect(kLoopback, server.port(), copt);
+  constexpr size_t kRequests = 100;
+  size_t frames = 0;
+  // Resolving 100 requests on this thread takes milliseconds, so each round
+  // resolves some before and some after their 20 ms budgets run out.
+  for (int lead_ms : {0, 10, 15, 20, 30}) {
+    std::set<uint64_t> ids;
+    for (size_t i = 0; i < kRequests; ++i) {
+      ids.insert(client.Send(MakePoint(5.0 * i), /*deadline_ms=*/20));
+    }
+    ASSERT_TRUE(WaitFor([&] { return engine.PendingCount() == kRequests; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(lead_ms));
+    engine.ResolveAll();
+    for (size_t i = 0; i < kRequests; ++i) {
+      net::ServeResponse r = client.ReadNext();
+      ASSERT_EQ(ids.erase(r.request_id), 1u)
+          << "second frame for id " << r.request_id;
+      if (!r.ok) EXPECT_EQ(r.code, net::ErrorCode::kDeadlineExceeded);
+      ++frames;
+    }
+  }
+  EXPECT_THROW(client.ReadNext(), net::WireTimeout);
+  const net::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests_served + stats.deadline_expirations, frames);
+  // The rounds span both outcomes: at lead 0 replies win, at 30 ms expiry.
+  EXPECT_GT(stats.requests_served, 0u);
+  EXPECT_GT(stats.deadline_expirations, 0u);
+  server.Stop();
+}
+
+TEST(NetRobustnessTest, HalfClosedClientStillGetsEveryReply) {
+  ManualEngine engine(TestDataset());
+  net::Server server(engine);
+  server.Start();
+
+  net::ClientOptions copt;
+  copt.recv_timeout_ms = 3000;
+  net::Client client = net::Client::Connect(kLoopback, server.port(), copt);
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 5; ++i) ids.push_back(client.Send(MakePoint(100.0 * i)));
+  ASSERT_TRUE(WaitFor([&] { return engine.PendingCount() == 5; }));
+  client.Close();
+  // Let the reader see the EOF before any answer exists.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  engine.ResolveAll();
+  for (uint64_t id : ids) {
+    net::ServeResponse r = client.Await(id);
+    EXPECT_TRUE(r.ok) << r.error;
+  }
+  // After the last reply the server closes the connection.
+  EXPECT_THROW(client.ReadNext(), net::WireError);
+  server.Stop();
+}
+
+TEST(NetRobustnessTest, ResolvedAfterStopAndAfterDestructionIsClean) {
+  ManualEngine engine(TestDataset());
+  {
+    net::Server server(engine);
+    server.Start();
+    net::Client client = net::Client::Connect(kLoopback, server.port());
+    client.Send(MakePoint(100.0));
+    client.Send(MakePoint(200.0), /*deadline_ms=*/60000);
+    ASSERT_TRUE(WaitFor([&] { return engine.PendingCount() == 2; }));
+    server.Stop();
+    // The callbacks find a dead connection and send nothing.
+    engine.ResolveAll();
+    EXPECT_EQ(server.stats().requests_served, 0u);
+  }
+  {
+    auto server = std::make_unique<net::Server>(engine);
+    server->Start();
+    net::Client client = net::Client::Connect(kLoopback, server->port());
+    client.Send(MakePoint(100.0));
+    client.Send(MakePoint(200.0), /*deadline_ms=*/60000);
+    ASSERT_TRUE(WaitFor([&] { return engine.PendingCount() == 2; }));
+    server.reset();
+    // The callbacks outlive the server: they hold the connection and the
+    // counters themselves (ASan checks).
+    engine.ResolveAll();
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // drop only their own connection, request-level errors keep it open, the
 // connection cap rejects politely, and a caching server marks replays.
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -298,6 +299,29 @@ TEST(NetServerTest, RequestLevelErrorKeepsConnectionOpen) {
   EXPECT_FALSE(error.ok);
   EXPECT_EQ(error.request_id, bad);
   EXPECT_FALSE(error.error.empty());
+
+  uint64_t good =
+      client.Send(QueryRequest(PointQuery{500.0, TestOptions()}));
+  net::ServeResponse response = client.Await(good);
+  EXPECT_TRUE(response.ok) << response.error;
+  EXPECT_EQ(server.stats().request_errors, 1u);
+}
+
+TEST(NetServerTest, NonFiniteCoordinateIsAnInvalidRequest) {
+  // The engine's Validate rejects a NaN q; over the wire that is a typed
+  // kInvalidRequest on the request's id, and the connection stays open.
+  Dataset data = TestDataset();
+  QueryEngine served(std::move(data), SmallEngine());
+  net::Server server(served);
+  server.Start();
+
+  net::Client client = net::Client::Connect(kLoopback, server.port());
+  uint64_t bad = client.Send(QueryRequest(
+      PointQuery{std::numeric_limits<double>::quiet_NaN(), TestOptions()}));
+  net::ServeResponse error = client.Await(bad);
+  EXPECT_FALSE(error.ok);
+  EXPECT_EQ(error.code, net::ErrorCode::kInvalidRequest);
+  EXPECT_NE(error.error.find("finite"), std::string::npos) << error.error;
 
   uint64_t good =
       client.Send(QueryRequest(PointQuery{500.0, TestOptions()}));
