@@ -75,6 +75,7 @@ class CachingEngine : public Engine {
   const CachingEngineOptions& options() const { return options_; }
 
   size_t num_threads() const override { return backend_.num_threads(); }
+  size_t IdleWorkers() const override { return backend_.IdleWorkers(); }
 
   /// Executes one request: served from the cache when an exact-fingerprint
   /// entry exists, recomputed on the backend (and memoized) otherwise.

@@ -16,9 +16,15 @@
 //    front of the pool, so a slow request occupies one worker and never
 //    holds back the requests submitted after it.
 //  * ExecuteBatch may be called from one thread at a time; Execute and
-//    Submit may be called concurrently with everything.
+//    Submit may be called concurrently with everything. Concurrent Execute
+//    callers never wait on each other: each borrows a scratch arena of its
+//    own (pverify_serve's reader threads are such callers).
+//  * IdleWorkers says how many pool workers are parked, so a caller holding
+//    one cheap request can run it with Execute instead of paying a
+//    worker's wake-up through SubmitThen.
 //  * Scratch telemetry (ScratchQueriesServed / ScratchBytes) exposes the
-//    per-worker arenas so callers can pin steady-state footprint.
+//    per-worker and per-caller arenas so callers can pin steady-state
+//    footprint.
 #ifndef PVERIFY_ENGINE_ENGINE_H_
 #define PVERIFY_ENGINE_ENGINE_H_
 
@@ -47,6 +53,11 @@ class Engine {
   /// Worker threads the batch paths fan out over.
   virtual size_t num_threads() const = 0;
 
+  /// Pool workers parked right now: the ones SubmitThen would have to wake
+  /// (all of them while a lazily spawned pool does not exist yet). A racy
+  /// snapshot, for the caller's choice between Execute and SubmitThen.
+  virtual size_t IdleWorkers() const = 0;
+
   /// Executes one request on the calling thread (no pool dispatch).
   virtual QueryResult Execute(QueryRequest request) = 0;
 
@@ -65,7 +76,7 @@ class Engine {
   /// Submit telemetry. With no queue every request is its own batch.
   SubmitQueueStats SubmitStats() const;
 
-  /// Total queries served from the per-worker scratches (telemetry).
+  /// Total queries served from the scratch arenas (telemetry).
   virtual size_t ScratchQueriesServed() const = 0;
   /// Approximate heap footprint of all scratch arenas.
   virtual size_t ScratchBytes() const = 0;

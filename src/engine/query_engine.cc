@@ -29,7 +29,7 @@ QueryEngine::~QueryEngine() = default;
 
 QueryResult QueryEngine::Execute(QueryRequest request) {
   Validate(request);
-  return scratches_.OnSerial([&](QueryScratch* scratch) {
+  return scratches_.OnCaller([&](QueryScratch* scratch) {
     return ExecuteOne(std::move(request), scratch);
   });
 }
@@ -37,8 +37,14 @@ QueryResult QueryEngine::Execute(QueryRequest request) {
 WorkStealingPool& QueryEngine::Pool() {
   std::call_once(pool_once_, [this] {
     pool_ = std::make_unique<WorkStealingPool>(num_threads_);
+    spawned_pool_.store(pool_.get());
   });
   return *pool_;
+}
+
+size_t QueryEngine::IdleWorkers() const {
+  const WorkStealingPool* pool = spawned_pool_.load();
+  return pool == nullptr ? num_threads_ : pool->parked();
 }
 
 std::vector<QueryResult> QueryEngine::ExecuteBatch(

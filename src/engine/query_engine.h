@@ -17,6 +17,7 @@
 #ifndef PVERIFY_ENGINE_QUERY_ENGINE_H_
 #define PVERIFY_ENGINE_QUERY_ENGINE_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -54,6 +55,8 @@ class QueryEngine : public Engine {
     return executor2d_.has_value() ? &*executor2d_ : nullptr;
   }
   size_t num_threads() const override { return num_threads_; }
+  /// The pool's parked workers; num_threads() before the pool exists.
+  size_t IdleWorkers() const override;
 
   QueryResult Execute(QueryRequest request) override;
   std::vector<QueryResult> ExecuteBatch(std::vector<QueryRequest> requests,
@@ -83,6 +86,8 @@ class QueryEngine : public Engine {
   size_t num_threads_;
   ScratchArenas scratches_;
   std::once_flag pool_once_;
+  /// pool_, published once it exists, for IdleWorkers on any thread.
+  std::atomic<const WorkStealingPool*> spawned_pool_{nullptr};
   /// Declared last: its destructor runs every submitted request while the
   /// executors and scratches above still exist.
   std::unique_ptr<WorkStealingPool> pool_;

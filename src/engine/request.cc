@@ -58,6 +58,10 @@ void RequireFinite(double v, const char* what) {
   }
 }
 
+void RequirePositiveK(int k) {
+  if (k < 1) throw std::invalid_argument("k must be positive");
+}
+
 }  // namespace
 
 void Validate(const QueryRequest& request) {
@@ -65,12 +69,22 @@ void Validate(const QueryRequest& request) {
     RequireFinite(p->q, "q");
   } else if (const auto* k = std::get_if<KnnQuery>(&request.query)) {
     RequireFinite(k->q, "q");
+    RequirePositiveK(k->k);
   } else if (const auto* p2 = std::get_if<Point2DQuery>(&request.query)) {
     RequireFinite(p2->q.x, "x");
     RequireFinite(p2->q.y, "y");
   } else if (const auto* k2 = std::get_if<Knn2DQuery>(&request.query)) {
     RequireFinite(k2->q.x, "x");
     RequireFinite(k2->q.y, "y");
+    RequirePositiveK(k2->k);
+  }
+  // Written so that NaN fails both: every comparison with it is false.
+  const CpnnParams& params = request.options().params;
+  if (!(params.threshold > 0.0 && params.threshold <= 1.0)) {
+    throw std::invalid_argument("threshold P must be in (0, 1]");
+  }
+  if (!(params.tolerance >= 0.0 && params.tolerance <= 1.0)) {
+    throw std::invalid_argument("tolerance must be in [0, 1]");
   }
 }
 

@@ -183,10 +183,11 @@ struct QueryResult {
   std::optional<CknnAnswer> knn;
 };
 
-/// Rejects a request whose query coordinates are not finite (NaN or ±inf)
-/// with std::invalid_argument. Every engine calls it first in Execute,
-/// ExecuteBatch and SubmitThen, so a bad coordinate never reaches the
-/// integrals or a cache key.
+/// Rejects with std::invalid_argument a request whose query coordinates are
+/// not finite (NaN or ±inf), whose threshold P is outside (0, 1], whose
+/// tolerance Δ is outside [0, 1], or whose k-NN k is below 1. Every engine
+/// calls it first in Execute, ExecuteBatch and SubmitThen, so a bad field
+/// never reaches a queue, the integrals or a cache key.
 void Validate(const QueryRequest& request);
 
 /// Repackages a core QueryAnswer as an engine QueryResult.

@@ -360,7 +360,7 @@ ShardedQueryEngine::~ShardedQueryEngine() = default;
 
 QueryResult ShardedQueryEngine::Execute(QueryRequest request) {
   Validate(request);
-  return scratches_.OnSerial([&](QueryScratch* scratch) {
+  return scratches_.OnCaller([&](QueryScratch* scratch) {
     return ExecuteOne(std::move(request), scratch);
   });
 }
@@ -440,7 +440,6 @@ QueryResult ShardedQueryEngine::Run(MaxQuery&& q, QueryScratch* scratch) {
 }
 
 QueryResult ShardedQueryEngine::Run(KnnQuery&& q, QueryScratch* scratch) {
-  PV_CHECK_MSG(q.k >= 1, "k must be positive");
   KnnScatterPolicy<1> policy(*this, q.q, q.k, q.options);
   return ScatterGather(policy, scratch);
 }
@@ -462,7 +461,6 @@ QueryResult ShardedQueryEngine::Run(Point2DQuery&& q, QueryScratch* scratch) {
 
 QueryResult ShardedQueryEngine::Run(Knn2DQuery&& q, QueryScratch* scratch) {
   PV_CHECK_MSG(has_2d_, "Knn2DQuery on an engine without a 2-D dataset");
-  PV_CHECK_MSG(q.k >= 1, "k must be positive");
   KnnScatterPolicy<2> policy(*this, q.q, q.k, q.options);
   return ScatterGather(policy, scratch);
 }

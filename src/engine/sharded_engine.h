@@ -80,6 +80,7 @@ class ShardedQueryEngine : public Engine {
 
   size_t num_shards() const { return shards_.size(); }
   size_t num_threads() const override { return pool_.size(); }
+  size_t IdleWorkers() const override { return pool_.parked(); }
   size_t total_objects() const { return total_objects_; }
   /// The i-th shard's 2-D executor (its dataset is the i-th 2-D
   /// partition), or nullptr for a 1-D-only engine.

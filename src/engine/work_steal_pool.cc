@@ -185,10 +185,12 @@ void WorkStealingPool::WorkerLoop(size_t worker_id) {
     if (RunOneTask(worker_id)) continue;
     if (stopping_.load(std::memory_order_acquire)) return;  // drained
     std::unique_lock<std::mutex> lk(sleep_mu_);
+    ++parked_;
     sleep_cv_.wait(lk, [this, epoch] {
       return stopping_.load(std::memory_order_relaxed) ||
              work_epoch_.load(std::memory_order_relaxed) != epoch;
     });
+    --parked_;
   }
 }
 

@@ -76,6 +76,10 @@ class WorkStealingPool {
   /// Number of worker threads (>= 1).
   size_t size() const { return deques_.size(); }
 
+  /// Workers parked on the sleep condition variable right now: the ones a
+  /// Post would have to wake. A racy snapshot, for scheduling hints only.
+  size_t parked() const { return parked_.load(); }
+
   /// Runs fn(worker, index) for every index in [0, n), distributing
   /// indices dynamically over the workers. Blocks until every index is
   /// processed. `worker` is a stable id in [0, size()). If any callback
@@ -150,6 +154,7 @@ class WorkStealingPool {
   std::atomic<uint64_t> work_epoch_{0};
   std::mutex sleep_mu_;
   std::condition_variable sleep_cv_;
+  std::atomic<size_t> parked_{0};  ///< workers inside the sleep_cv_ wait
   std::atomic<bool> stopping_{false};
 
   std::vector<std::thread> workers_;  ///< last: threads see members above

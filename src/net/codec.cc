@@ -60,12 +60,6 @@ QueryOptions DecodeOptions(WireReader& r) {
   return o;
 }
 
-int32_t DecodeK(WireReader& r) {
-  int32_t k = r.I32();
-  if (k < 1) throw WireError("wire: k-NN k must be >= 1");
-  return k;
-}
-
 void EncodeQueryStats(const QueryStats& s, WireWriter& w) {
   w.F64(s.filter_ms);
   w.F64(s.init_ms);
@@ -199,7 +193,7 @@ QueryRequest DecodeRequest(WireReader& r) {
       return MaxQuery{DecodeOptions(r)};
     case QueryKind::kKnn: {
       double q = r.F64();
-      int32_t k = DecodeK(r);
+      int32_t k = r.I32();
       return KnnQuery{q, k, DecodeOptions(r)};
     }
     case QueryKind::kCandidates:
@@ -214,7 +208,7 @@ QueryRequest DecodeRequest(WireReader& r) {
       Point2 q;
       q.x = r.F64();
       q.y = r.F64();
-      int32_t k = DecodeK(r);
+      int32_t k = r.I32();
       return Knn2DQuery{q, k, DecodeOptions(r)};
     }
   }

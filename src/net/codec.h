@@ -28,9 +28,10 @@ namespace net {
 void EncodeRequest(const QueryRequest& request, WireWriter& w);
 
 /// Decodes a request body. Throws WireError on unknown kind bytes,
-/// out-of-range enums or structurally invalid fields (e.g. k < 1). The
-/// caller still runs semantic validation (CpnnParams::Validate) at
-/// execution time and reports failures as request-level errors.
+/// out-of-range enums or truncated fields. Field values (P, Δ, k, finite
+/// coordinates) are the engine's to check: its Validate rejects them
+/// before execution, and the server reports that as a request-level
+/// error, not a protocol error.
 QueryRequest DecodeRequest(WireReader& r);
 
 /// Serializes a result body (ids, stats, candidate bounds, k-NN answer).

@@ -23,6 +23,13 @@ namespace {
 /// that sends faster than it reads its replies.
 constexpr size_t kMaxBacklogBytes = size_t{1} << 20;
 
+/// k-NN costs 20-25 point queries, so a worker's wake-up is noise next to
+/// it, while running it on the reader would hold the connection's next
+/// frames for milliseconds: it always goes to the pool.
+bool IsKnn(QueryKind kind) {
+  return kind == QueryKind::kKnn || kind == QueryKind::kKnn2D;
+}
+
 std::vector<uint8_t> ErrorFrame(uint64_t request_id, ErrorCode code,
                                 const std::string& message) {
   WireWriter body;
@@ -421,12 +428,14 @@ void Server::ReaderLoop(const std::shared_ptr<Connection>& conn) {
       }
       Connection::DeadlineKey key{deadline, 0};
       bool over_cap = false;
+      bool alone = false;  // nothing else of this connection in flight
       {
         std::lock_guard<std::mutex> lock(c.mu);
         if (c.dead) break;
         over_cap = options_.max_inflight_per_conn > 0 &&
                    c.inflight >= options_.max_inflight_per_conn;
         if (!over_cap) {
+          alone = c.inflight == 0;
           ++c.inflight;
           ++counters.pending;
           if (has_deadline) {
@@ -446,13 +455,30 @@ void Server::ReaderLoop(const std::shared_ptr<Connection>& conn) {
         }
         continue;
       }
-      engine_.SubmitThen(
-          std::move(request),
-          [conn, request_id, has_deadline, key](QueryResult result,
-                                                std::exception_ptr error) {
-            conn->Finish(request_id, has_deadline ? &key : nullptr,
-                         std::move(result), error);
-          });
+      auto done = [conn, request_id, has_deadline, key](
+                      QueryResult result, std::exception_ptr error) {
+        conn->Finish(request_id, has_deadline ? &key : nullptr,
+                     std::move(result), error);
+      };
+      // Run to completion here when posting would only wake a parked worker
+      // for one request: the connection has nothing else in flight, no
+      // further frame is waiting behind this one, the request is not a
+      // k-NN, and a worker is idle (with every worker busy the post wakes
+      // nobody, and running here would oversubscribe the cores). The
+      // socket probe is a syscall, so it goes last.
+      if (alone && !IsKnn(request.kind()) && engine_.IdleWorkers() > 0 &&
+          c.sock.BytesAvailable() == 0) {
+        QueryResult result;
+        std::exception_ptr error;
+        try {
+          result = engine_.Execute(std::move(request));
+        } catch (...) {
+          error = std::current_exception();
+        }
+        done(std::move(result), error);
+      } else {
+        engine_.SubmitThen(std::move(request), std::move(done));
+      }
     } catch (const WireTooLarge& e) {
       // Oversized frame: resynchronizing with an unread multi-megabyte body
       // is not worth trusting the peer's framing again.

@@ -2,28 +2,38 @@
 //
 // Serving model: thread-per-connection (one reader + one writer thread per
 // accepted socket) behind a hard connection cap — NOT epoll. The trade was
-// deliberate: a pverify query costs milliseconds of CPU in the engine, so
-// the scalability bottleneck is the worker pool, not socket readiness —
-// every connection's requests are funneled through Engine::SubmitThen,
-// which posts each one to the engine's shared work-stealing pool (and an
-// optional CachingEngine wrapper memoizes across connections). Blocking
-// reads keep the decode path a straight line with strict frame sequencing
-// per connection, and the cap bounds the thread count (2 × max_connections)
-// so thread-per-connection stays cheap: at the point where thousands of
-// concurrent sockets would demand epoll, the engine would be saturated long
-// before the kernel is.
+// deliberate: a pverify query costs tens of microseconds to milliseconds
+// of CPU in the engine, so the scalability bottleneck is the worker pool,
+// not socket readiness — a connection's requests run on the engine's
+// shared work-stealing pool (and an optional CachingEngine wrapper
+// memoizes across connections). Blocking reads keep the decode path a
+// straight line with strict frame sequencing per connection, and the cap
+// bounds the thread count (2 × max_connections) so thread-per-connection
+// stays cheap: at the point where thousands of concurrent sockets would
+// demand epoll, the engine would be saturated long before the kernel is.
 //
-// Per connection: the reader thread decodes frames into typed
-// QueryRequests and hands each to SubmitThen (so one connection's
-// pipelined requests run in parallel on the pool). The thread that
-// finishes a request writes its reply, tagged with the client's request
-// id: a pool worker, or the reader itself on a CachingEngine hit. Replies
-// therefore leave in completion order — a slow request holds back no other
-// reply on its connection. Each frame is one write. A worker never blocks
-// on the socket: it tries a non-blocking send, and whatever the kernel
-// will not take joins a per-connection backlog. The writer thread exists
-// only for that backlog, which it flushes with blocking sends, and for
-// the deadlines of the requests that carry one.
+// Who executes a request: the reader thread decodes frames into typed
+// QueryRequests. It runs one itself, with Engine::Execute, when all of
+// these hold: the connection has nothing else in flight, the socket holds
+// no further bytes, the request is not a 1-D or 2-D k-NN, and the engine
+// reports a parked pool worker (Engine::IdleWorkers). That lone request
+// would otherwise pay a parked worker's wake-up, often longer than the
+// verification itself. Every other request goes to Engine::SubmitThen, so
+// a connection's pipelined requests still run in parallel on the pool,
+// k-NN never holds up the frames behind it, and a busy pool is not
+// oversubscribed by readers.
+//
+// The thread that finishes a request writes its reply, tagged with the
+// client's request id: a pool worker, or the reader itself (a request it
+// ran, or a CachingEngine hit). Replies therefore leave in completion
+// order — a slow request holds back no other reply on its connection.
+// Each frame is one write. A finisher never blocks on the socket: it tries
+// a non-blocking send, and whatever the kernel will not take joins a
+// per-connection backlog. The writer thread exists only for that backlog,
+// which it flushes with blocking sends, and for the deadlines of the
+// requests that carry one. Both dispatch paths settle a request through
+// the same completion, so deadlines, admission counters and the
+// one-frame-per-id rule do not depend on who ran it.
 //
 // Overload and failure discipline:
 //  * backpressure — a per-connection in-flight cap and a global admission
@@ -144,8 +154,10 @@ class Server {
   /// Hard stop: shuts every socket down and joins every thread. Replies
   /// not yet written are dropped; a request the engine resolves later
   /// (even after the server is destroyed) finds its connection dead and
-  /// sends nothing, so engines that never resolve cannot hold Stop up.
-  /// Idempotent.
+  /// sends nothing, so engines that never resolve a SubmitThen cannot hold
+  /// Stop up. A request a reader thread is running itself is the one
+  /// exception: joining that reader waits for it to finish, which bounds
+  /// Stop by one non-k-NN request per connection. Idempotent.
   void Stop();
 
   /// The bound port (valid after Start(); the ephemeral port when

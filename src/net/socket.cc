@@ -3,6 +3,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -185,6 +186,12 @@ bool Socket::ReadExact(void* data, size_t n) {
   }
   if (plan.kind == FaultKind::kCorrupt) p[plan.at] ^= 0x80;
   return true;
+}
+
+size_t Socket::BytesAvailable() const {
+  int bytes = 0;
+  if (::ioctl(fd_, FIONREAD, &bytes) < 0 || bytes < 0) return 0;
+  return static_cast<size_t>(bytes);
 }
 
 void Socket::SetSendTimeoutMs(uint32_t timeout_ms) {

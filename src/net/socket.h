@@ -61,6 +61,10 @@ class Socket {
   /// receive timeout is configured and expires.
   bool ReadExact(void* data, size_t n);
 
+  /// Bytes the kernel holds ready to read right now (FIONREAD); 0 when
+  /// the query fails. Reads nothing.
+  size_t BytesAvailable() const;
+
   /// Bounds how long one send may block on a full socket buffer
   /// (SO_SNDTIMEO); 0 disables. A blocked send past the timeout throws
   /// WireTimeout from WriteAll.

@@ -2,10 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "datagen/workload.h"
 #include "differential_testutil.h"
 #include "engine/caching_engine.h"
+#include "engine/scratch.h"
 #include "engine/sharded_engine.h"
 
 namespace pverify {
@@ -303,14 +306,22 @@ TEST(QueryEngineTest, SubmitResolvesToTheSequentialAnswer) {
   }
 }
 
-// Non-finite query coordinates are rejected up front by every engine and
-// every entry point: q = +-inf used to trip a PV_CHECK deep in the distance
-// pdf, and q = NaN returned an empty answer that a cache then memoized.
-TEST(QueryEngineTest, NonFiniteCoordinatesAreInvalidArguments) {
+// Invalid fields are rejected up front by every engine and every entry
+// point, before the async path posts anything and before a cache
+// fingerprints the request: q = +-inf used to trip a PV_CHECK deep in the
+// distance pdf, q = NaN returned an empty answer that a cache then
+// memoized, and P, Δ and k were checked only inside the executors (whose
+// PV_CHECKs stay, as internal invariants).
+TEST(QueryEngineTest, InvalidFieldsAreInvalidArguments) {
   Dataset data = datagen::MakeUniformScatter(200, 1000.0);
   const QueryOptions opt = OptionsFor(Strategy::kVR);
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto with = [](double threshold, double tolerance) {
+    QueryOptions o = OptionsFor(Strategy::kVR);
+    o.params = {threshold, tolerance};
+    return o;
+  };
   const std::vector<std::function<QueryRequest()>> bad = {
       [&] { return QueryRequest(PointQuery{inf, opt}); },
       [&] { return QueryRequest(PointQuery{-inf, opt}); },
@@ -322,6 +333,18 @@ TEST(QueryEngineTest, NonFiniteCoordinatesAreInvalidArguments) {
       [&] { return QueryRequest(Point2DQuery{{1.0, inf}, opt}); },
       [&] { return QueryRequest(Knn2DQuery{{-inf, 1.0}, 2, opt}); },
       [&] { return QueryRequest(Knn2DQuery{{1.0, nan}, 2, opt}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(0.0, 0.01)}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(-0.1, 0.01)}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(1.5, 0.01)}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(nan, 0.01)}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(0.3, -0.01)}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(0.3, 1.5)}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(0.3, nan)}); },
+      [&] { return QueryRequest(MinQuery{with(nan, 0.01)}); },
+      [&] { return QueryRequest(KnnQuery{500.0, 0, opt}); },
+      [&] { return QueryRequest(KnnQuery{500.0, -1, opt}); },
+      [&] { return QueryRequest(Knn2DQuery{{1.0, 2.0}, 0, opt}); },
+      [&] { return QueryRequest(Knn2DQuery{{1.0, 2.0}, -1, opt}); },
   };
   for (const NamedFactory& factory : SubmitEngines()) {
     SCOPED_TRACE(factory.name);
@@ -336,14 +359,90 @@ TEST(QueryEngineTest, NonFiniteCoordinatesAreInvalidArguments) {
                    std::invalid_argument);
       EXPECT_THROW(engine->Submit(bad[i]()).get(), std::invalid_argument);
     }
+    // A rejected request never reaches a cache lookup or becomes an entry.
+    if (auto* cache = dynamic_cast<CachingEngine*>(engine.get())) {
+      EXPECT_EQ(cache->GetCacheStats().misses, 0u);
+      EXPECT_EQ(cache->GetCacheStats().entries, 0u);
+    }
   }
+}
 
-  // A rejected request never becomes a cache entry.
-  CachingEngine cache(std::make_unique<QueryEngine>(data, EngineOptions{2}));
-  EXPECT_THROW(cache.Execute(PointQuery{nan, opt}), std::invalid_argument);
-  EXPECT_THROW(cache.Submit(PointQuery{nan, opt}).get(),
-               std::invalid_argument);
-  EXPECT_EQ(cache.GetCacheStats().entries, 0u);
+// Concurrent Execute callers each get an arena of their own: caller A
+// waits inside its query until caller B's query, running meanwhile,
+// releases it. With one arena shared under a lock, B could not start until
+// A returned, and A's bounded wait would fail.
+TEST(ScratchArenasTest, ConcurrentCallersDoNotWaitOnEachOther) {
+  ScratchArenas arenas(/*workers=*/1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+  QueryScratch* a_scratch = nullptr;
+  QueryScratch* b_scratch = nullptr;
+  std::thread a([&] {
+    arenas.OnCaller([&](QueryScratch* scratch) {
+      std::unique_lock<std::mutex> lock(mu);
+      a_scratch = scratch;
+      cv.notify_all();
+      EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                              [&] { return released; }))
+          << "caller B never ran while caller A held an arena";
+      return 0;
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return a_scratch != nullptr; });
+  }
+  arenas.OnCaller([&](QueryScratch* scratch) {
+    std::lock_guard<std::mutex> lock(mu);
+    b_scratch = scratch;
+    released = true;
+    cv.notify_all();
+    return 0;
+  });
+  a.join();
+  EXPECT_NE(a_scratch, b_scratch);
+
+  // With nobody holding one, an arena is reused instead of made.
+  const size_t bytes = arenas.Bytes();
+  for (int i = 0; i < 3; ++i) {
+    arenas.OnCaller([&](QueryScratch* scratch) {
+      EXPECT_TRUE(scratch == a_scratch || scratch == b_scratch);
+      return 0;
+    });
+  }
+  EXPECT_EQ(arenas.Bytes(), bytes);
+}
+
+// Two threads issuing Execute hold at most two caller arenas, reused query
+// after query: once warm, the scratch footprint stays flat at two arenas
+// of the query's size, however many queries follow.
+TEST(QueryEngineTest, ConcurrentExecuteKeepsScratchBytesFlat) {
+  Dataset data = TestDataset(300);
+  const QueryOptions opt = OptionsFor(Strategy::kVR);
+  const double q = TestQueryPoints(1)[0];
+  for (const NamedFactory& factory : SubmitEngines()) {
+    SCOPED_TRACE(factory.name);
+    std::unique_ptr<Engine> engine = factory.make(data);
+    const size_t idle = engine->ScratchBytes();  // the workers' arenas
+    // One caller at a time: a single caller arena, warmed to this query.
+    QueryResult expected;
+    for (int i = 0; i < 10; ++i) expected = engine->Execute(PointQuery{q, opt});
+    const size_t arena = engine->ScratchBytes() - idle;
+    for (int round = 0; round < 5; ++round) {
+      std::vector<std::thread> threads;
+      for (int t = 0; t < 2; ++t) {
+        threads.emplace_back([&] {
+          for (int i = 0; i < 100; ++i) {
+            QueryResult r = engine->Execute(PointQuery{q, opt});
+            EXPECT_EQ(r.ids, expected.ids);
+          }
+        });
+      }
+      for (std::thread& t : threads) t.join();
+      EXPECT_LE(engine->ScratchBytes(), idle + 2 * arena) << "round " << round;
+    }
+  }
 }
 
 // Destroying an engine right after a burst of Submits resolves every

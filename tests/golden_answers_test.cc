@@ -1,7 +1,10 @@
 // Bit-identity pin on the answers the engines produce.
 //
 // A seeded 1-D workload runs through QueryEngine, a 4-shard
-// ShardedQueryEngine and a CachingEngine (cold and warm). Every answer id
+// ShardedQueryEngine, a CachingEngine (cold and warm), two threads calling
+// Execute concurrently on one engine, and a loopback net::Server on both
+// of its dispatch paths (requests one at a time run on the reader thread;
+// a pipelined batch fans out to the pool). Every answer id
 // and the raw bit pattern of every probability bound is folded into one
 // 64-bit FNV-1a digest, which must equal a constant recorded from an
 // earlier build. Any change to the verifier numerics (subregion table,
@@ -19,16 +22,22 @@
 // cannot reach the data either.
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "counting_engine.h"
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
 #include "engine/caching_engine.h"
 #include "engine/query_engine.h"
 #include "engine/sharded_engine.h"
 #include "fnv1a_testutil.h"
+#include "net/client.h"
+#include "net/server.h"
 
 namespace pverify {
 namespace {
@@ -133,6 +142,57 @@ TEST(GoldenAnswersTest, EveryEngineReproducesTheRecordedDigest) {
   EXPECT_EQ(Hex(Digest(cached.ExecuteBatch(GoldenRequests()))), Hex(digest))
       << "CachingEngine, warm";
   EXPECT_GT(cached.GetCacheStats().hits, 0u);
+
+  // Two threads calling Execute at once on one engine, each on a caller
+  // arena of its own.
+  QueryEngine shared(data, EngineOptions{2});
+  std::vector<QueryRequest> requests = GoldenRequests();
+  std::vector<QueryResult> concurrent(n);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      for (size_t i = t; i < n; i += 2) {
+        concurrent[i] = shared.Execute(std::move(requests[i]));
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(Hex(Digest(concurrent)), Hex(digest))
+      << "two concurrent Execute callers";
+}
+
+std::vector<QueryResult> Unwrap(std::vector<net::ServeResponse> responses) {
+  std::vector<QueryResult> results;
+  for (net::ServeResponse& response : responses) {
+    EXPECT_TRUE(response.ok) << response.error;
+    results.push_back(std::move(response.result));
+  }
+  return results;
+}
+
+// Every answer field crosses the wire bit for bit, whichever thread ran
+// the request.
+TEST(GoldenAnswersTest, LoopbackServerReproducesTheRecordedDigest) {
+  QueryEngine backend(GoldenDataset(), EngineOptions{2});
+  CountingEngine engine(backend);
+  net::ServerOptions sopt;
+  sopt.max_inflight_per_conn = 0;  // the pipelined leg sends every request
+  net::Server server(engine, sopt);
+  server.Start();
+  net::Client client = net::Client::Connect("127.0.0.1", server.port());
+
+  std::vector<net::ServeResponse> one_at_a_time;
+  for (const QueryRequest& request : GoldenRequests()) {
+    one_at_a_time.push_back(client.Await(client.Send(request)));
+  }
+  EXPECT_EQ(Hex(Digest(Unwrap(std::move(one_at_a_time)))),
+            Hex(kGoldenDigest))
+      << "loopback, one request at a time";
+  EXPECT_GT(engine.executes(), 0u);  // the reader ran the lone ones
+  EXPECT_GT(engine.submits(), 0u);   // k-NN always goes to the pool
+  EXPECT_EQ(Hex(Digest(Unwrap(client.Call(GoldenRequests())))),
+            Hex(kGoldenDigest))
+      << "loopback, whole batch pipelined";
 }
 
 }  // namespace

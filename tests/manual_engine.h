@@ -23,6 +23,9 @@ class ManualEngine : public Engine {
       : inner_(std::move(data), EngineOptions{}) {}
 
   size_t num_threads() const override { return 1; }
+  /// No worker is ever idle, so a server never runs a request with Execute
+  /// on its reader thread: every request parks.
+  size_t IdleWorkers() const override { return 0; }
 
   QueryResult Execute(QueryRequest request) override {
     return inner_.Execute(std::move(request));

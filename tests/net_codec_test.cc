@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -364,18 +365,20 @@ TEST(NetCodecTest, OutOfRangeEnumsAreRejected) {
   EXPECT_THROW(DecodeRequest(r), WireError);
 }
 
-TEST(NetCodecTest, NonPositiveKIsRejected) {
-  WireWriter w;
-  EncodeRequest(QueryRequest(KnnQuery{1.0, 3, QueryOptions{}}), w);
-  std::vector<uint8_t> bytes = w.bytes();
-  // k sits right after the kind byte and the query coordinate.
-  const size_t k_offset = 1 + 8;
-  bytes[k_offset] = 0;
-  bytes[k_offset + 1] = 0;
-  bytes[k_offset + 2] = 0;
-  bytes[k_offset + 3] = 0;
-  WireReader r(bytes.data(), bytes.size());
-  EXPECT_THROW(DecodeRequest(r), WireError);
+TEST(NetCodecTest, NonPositiveKIsLeftToTheEngineToReject) {
+  // k is a field value, not framing: it decodes intact, and the engine's
+  // Validate rejects it, so the server answers kInvalidRequest on the
+  // request's id and keeps the connection.
+  for (int k : {0, -1}) {
+    WireWriter w;
+    EncodeRequest(QueryRequest(KnnQuery{1.0, k, QueryOptions{}}), w);
+    WireReader r(w.bytes().data(), w.size());
+    QueryRequest decoded = DecodeRequest(r);
+    r.ExpectEnd();
+    ASSERT_EQ(decoded.kind(), QueryKind::kKnn);
+    EXPECT_EQ(std::get<KnnQuery>(decoded.query).k, k);
+    EXPECT_THROW(Validate(decoded), std::invalid_argument);
+  }
 }
 
 TEST(NetCodecTest, HostileCountFieldFailsBeforeAllocation) {

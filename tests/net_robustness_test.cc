@@ -14,7 +14,10 @@
 // Most tests use ManualEngine (tests/manual_engine.h) — an Engine whose
 // SubmitThen parks requests until the test resolves them — so "the request
 // is still in the engine" is a controlled state instead of a timing
-// accident.
+// accident. ManualEngine reports no idle worker, so the server never runs
+// its requests on the reader thread. The tests of that path hold the
+// reader inside Execute with a CountingEngine::Hold
+// (tests/counting_engine.h) instead.
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -27,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include "counting_engine.h"
 #include "datagen/synthetic.h"
 #include "engine/engine.h"
 #include "engine/query_engine.h"
@@ -580,6 +584,64 @@ TEST(NetRobustnessTest, ResolvedAfterStopAndAfterDestructionIsClean) {
     // counters themselves (ASan checks).
     engine.ResolveAll();
   }
+}
+
+TEST(NetRobustnessTest, DeadlineExpiringWhileTheReaderRunsSendsOneFrame) {
+  QueryEngine backend(TestDataset(), EngineOptions{2});
+  CountingEngine engine(backend);
+  net::Server server(engine);
+  server.Start();
+
+  net::ClientOptions copt;
+  copt.recv_timeout_ms = 1000;
+  net::Client client = net::Client::Connect(kLoopback, server.port(), copt);
+  CountingEngine::Hold hold(engine);
+  const uint64_t id = client.Send(MakePoint(100.0), /*deadline_ms=*/50);
+  // A lone request on an idle engine: the reader runs it, and the gate
+  // holds it there past its deadline.
+  ASSERT_TRUE(WaitFor([&] { return engine.executes() == 1; }));
+  net::ServeResponse expired = client.ReadNext();
+  EXPECT_EQ(expired.request_id, id);
+  EXPECT_FALSE(expired.ok);
+  EXPECT_EQ(expired.code, net::ErrorCode::kDeadlineExceeded);
+
+  // The late completion finds its id settled and sends nothing.
+  hold.Release();
+  ASSERT_TRUE(WaitFor([&] { return engine.executes_finished() == 1; }));
+  net::ServeResponse next = client.Await(client.Send(MakePoint(200.0)));
+  EXPECT_TRUE(next.ok) << next.error;
+  EXPECT_THROW(client.ReadNext(), net::WireTimeout);
+  EXPECT_EQ(engine.submits(), 0u);
+  const net::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.deadline_expirations, 1u);
+  EXPECT_EQ(stats.requests_served, 1u);
+  server.Stop();
+}
+
+TEST(NetRobustnessTest, StopWaitsForTheRequestTheReaderRuns) {
+  QueryEngine backend(TestDataset(), EngineOptions{2});
+  CountingEngine engine(backend);
+  net::Server server(engine);
+  server.Start();
+
+  net::Client client = net::Client::Connect(kLoopback, server.port());
+  CountingEngine::Hold hold(engine);
+  client.Send(MakePoint(100.0));
+  ASSERT_TRUE(WaitFor([&] { return engine.executes() == 1; }));
+
+  // Stop joins the reader, which is inside Execute: it returns only once
+  // that request has finished.
+  std::future<void> stopped =
+      std::async(std::launch::async, [&] { server.Stop(); });
+  EXPECT_EQ(stopped.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  EXPECT_EQ(engine.executes_finished(), 0u);
+  hold.Release();
+  ASSERT_EQ(stopped.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  stopped.get();
+  EXPECT_EQ(engine.executes_finished(), 1u);
+  EXPECT_EQ(server.stats().requests_served, 0u);
 }
 
 }  // namespace

@@ -4,7 +4,12 @@
 // Also covers the failure matrix the protocol promises: malformed frames
 // drop only their own connection, request-level errors keep it open, the
 // connection cap rejects politely, and a caching server marks replays.
+// And the dispatch rule: a lone request on an idle engine runs on the
+// reader thread (Execute); pipelined bursts, k-NN and a busy pool go
+// through SubmitThen.
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -14,11 +19,13 @@
 #include <gtest/gtest.h>
 
 #include "datagen/synthetic.h"
+#include "counting_engine.h"
 #include "datagen/workload.h"
 #include "differential_testutil.h"
 #include "engine/caching_engine.h"
 #include "engine/query_engine.h"
 #include "net/client.h"
+#include "net/codec.h"
 #include "net/frame.h"
 #include "net/server.h"
 
@@ -48,6 +55,17 @@ EngineOptions SmallEngine() {
   return eopt;
 }
 
+/// Polls `cond` until true or ~5 s passed.
+template <typename Cond>
+bool WaitFor(Cond cond) {
+  const auto limit = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!cond()) {
+    if (std::chrono::steady_clock::now() > limit) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 /// Engine adapter over a net::Client, so RunDifferentialStream can drive a
 /// remote server exactly like any local backend. Execute round-trips one
 /// frame; ExecuteBatch pipelines the lot. Telemetry accessors return zeros
@@ -58,6 +76,7 @@ class RemoteEngine : public Engine {
       : client_(net::Client::Connect(host, port)) {}
 
   size_t num_threads() const override { return 0; }
+  size_t IdleWorkers() const override { return 0; }
 
   QueryResult Execute(QueryRequest request) override {
     uint64_t id = client_.Send(request);
@@ -355,6 +374,190 @@ TEST(NetServerTest, CachingServerMarksReplaysAndStaysExact) {
   EXPECT_TRUE(second.result.stats.served_from_cache);
   // The memoized answer crosses the wire bit-identical too.
   testutil::ExpectEquivalentResult(expected, second.result, "warm");
+}
+
+// A closed-loop client (one request in flight, nothing behind it) on an
+// engine whose workers are all parked is served entirely on the reader
+// thread: no request pays a worker's wake-up.
+TEST(NetServerTest, ClosedLoopClientOnIdleEngineRunsOnTheReader) {
+  Dataset data = TestDataset();
+  QueryEngine local(data, SmallEngine());
+  QueryEngine backend(std::move(data), SmallEngine());
+  // Spawn the pool, so the rule reads the parked-worker count itself.
+  backend.ExecuteBatch({});
+  CountingEngine served(backend);
+  net::Server server(served);
+  server.Start();
+
+  const QueryOptions opt = TestOptions();
+  const std::vector<double> points =
+      datagen::MakeQueryPoints(12, 0.0, 1000.0, /*seed=*/37);
+  std::vector<std::function<QueryRequest()>> requests;
+  for (double q : points) {
+    requests.push_back([q, opt] { return QueryRequest(PointQuery{q, opt}); });
+  }
+  requests.push_back([opt] { return QueryRequest(MinQuery{opt}); });
+  requests.push_back([opt] { return QueryRequest(MaxQuery{opt}); });
+
+  net::Client client = net::Client::Connect(kLoopback, server.port());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(WaitFor([&] { return backend.IdleWorkers() == 2; }));
+    net::ServeResponse response = client.Await(client.Send(requests[i]()));
+    ASSERT_TRUE(response.ok) << response.error;
+    testutil::ExpectEquivalentResult(local.Execute(requests[i]()),
+                                     response.result,
+                                     "closed loop " + std::to_string(i));
+  }
+  EXPECT_EQ(served.executes(), requests.size());
+  EXPECT_EQ(served.submits(), 0u);
+}
+
+// 64 frames in one send: the reader finds bytes behind the first frame,
+// so the burst fans out to the pool, and every reply is still exact.
+TEST(NetServerTest, PipelinedBurstInOneSendFansOutToThePool) {
+  Dataset data = TestDataset();
+  QueryEngine local(data, SmallEngine());
+  QueryEngine backend(std::move(data), SmallEngine());
+  CountingEngine served(backend);
+  net::Server server(served);
+  server.Start();
+
+  constexpr size_t kFrames = 64;
+  const QueryOptions opt = TestOptions();
+  const std::vector<double> points =
+      datagen::MakeQueryPoints(kFrames, 0.0, 1000.0, /*seed=*/41);
+  std::vector<uint8_t> burst;
+  for (size_t i = 0; i < kFrames; ++i) {
+    net::WireWriter body;
+    net::EncodeRequestExtensions(net::RequestExtensions{}, body);
+    net::EncodeRequest(QueryRequest(PointQuery{points[i], opt}), body);
+    const std::vector<uint8_t> frame =
+        net::EncodeFrame(net::MessageType::kRequest, /*request_id=*/i, body);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  net::Socket sock = net::ConnectTcp(kLoopback, server.port());
+  sock.SetRecvTimeoutMs(5000);
+  sock.WriteAll(burst.data(), burst.size());
+
+  std::vector<bool> answered(kFrames, false);
+  for (size_t n = 0; n < kFrames; ++n) {
+    net::ReceivedFrame frame;
+    ASSERT_TRUE(net::ReceiveFrame(sock, net::kDefaultMaxBodyBytes, &frame));
+    ASSERT_EQ(frame.header.type, net::MessageType::kResponse);
+    const uint64_t id = frame.header.request_id;
+    ASSERT_LT(id, kFrames);
+    ASSERT_FALSE(answered[id]) << "second reply for id " << id;
+    answered[id] = true;
+    net::WireReader reader(frame.body.data(), frame.body.size());
+    testutil::ExpectEquivalentResult(
+        local.Execute(PointQuery{points[id], opt}), net::DecodeResult(reader),
+        "burst frame " + std::to_string(id));
+  }
+  EXPECT_GE(served.submits(), 1u);
+  EXPECT_EQ(served.executes() + served.submits(), kFrames);
+}
+
+// k-NN costs 20-25 point queries: it always goes to the pool, even alone
+// on an idle engine, so it never holds up a connection's later frames.
+TEST(NetServerTest, KnnAlwaysGoesThroughThePool) {
+  Dataset data = TestDataset();
+  Dataset2D data2d = TestDataset2D();
+  QueryEngine local(data, data2d, SmallEngine());
+  QueryEngine backend(std::move(data), std::move(data2d), SmallEngine());
+  CountingEngine served(backend);
+  net::Server server(served);
+  server.Start();
+
+  const QueryOptions opt = TestOptions();
+  net::Client client = net::Client::Connect(kLoopback, server.port());
+  size_t sent = 0;
+  for (double x : {120.0, 480.0, 910.0}) {
+    for (int k : {1, 3}) {
+      QueryResult got =
+          client.Await(client.Send(QueryRequest(KnnQuery{x, k, opt}))).result;
+      testutil::ExpectEquivalentResult(local.Execute(KnnQuery{x, k, opt}), got,
+                                       "knn");
+      const Point2 q{x, 1000.0 - x};
+      got = client.Await(client.Send(QueryRequest(Knn2DQuery{q, k, opt})))
+                .result;
+      testutil::ExpectEquivalentResult(local.Execute(Knn2DQuery{q, k, opt}),
+                                       got, "knn2d");
+      sent += 2;
+    }
+  }
+  EXPECT_EQ(served.executes(), 0u);
+  EXPECT_EQ(served.submits(), sent);
+}
+
+// With no parked worker, posting wakes nobody and running on the reader
+// would oversubscribe the cores: every request goes through SubmitThen.
+TEST(NetServerTest, EngineWithoutIdleWorkersAlwaysGetsSubmitThen) {
+  Dataset data = TestDataset();
+  QueryEngine local(data, SmallEngine());
+  QueryEngine backend(std::move(data), SmallEngine());
+  CountingEngine served(backend, /*idle_workers=*/0);
+  net::Server server(served);
+  server.Start();
+
+  const QueryOptions opt = TestOptions();
+  net::Client client = net::Client::Connect(kLoopback, server.port());
+  const std::vector<double> points =
+      datagen::MakeQueryPoints(8, 0.0, 1000.0, /*seed=*/43);
+  for (double q : points) {
+    net::ServeResponse response =
+        client.Await(client.Send(QueryRequest(PointQuery{q, opt})));
+    ASSERT_TRUE(response.ok) << response.error;
+    testutil::ExpectEquivalentResult(local.Execute(PointQuery{q, opt}),
+                                     response.result, "busy pool");
+  }
+  EXPECT_EQ(served.executes(), 0u);
+  EXPECT_EQ(served.submits(), points.size());
+}
+
+// Out-of-range P, Δ and k are the request's failure on either dispatch
+// path: kInvalidRequest on its id, the connection stays open, and the
+// cache in front of the engine gains no entry.
+TEST(NetServerTest, OutOfRangeParametersAreInvalidRequestsOnBothPaths) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto with = [](double threshold, double tolerance) {
+    QueryOptions opt = TestOptions();
+    opt.params = {threshold, tolerance};
+    return opt;
+  };
+  const std::vector<std::function<QueryRequest()>> bad = {
+      [&] { return QueryRequest(PointQuery{500.0, with(0.0, 0.01)}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(-0.1, 0.01)}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(1.5, 0.01)}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(nan, 0.01)}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(0.3, -0.01)}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(0.3, 1.5)}); },
+      [&] { return QueryRequest(PointQuery{500.0, with(0.3, nan)}); },
+      [&] { return QueryRequest(KnnQuery{500.0, 0, TestOptions()}); },
+      [&] { return QueryRequest(KnnQuery{500.0, -1, TestOptions()}); },
+      [&] { return QueryRequest(Knn2DQuery{{1.0, 2.0}, 0, TestOptions()}); },
+      [&] { return QueryRequest(Knn2DQuery{{1.0, 2.0}, -1, TestOptions()}); },
+  };
+  for (size_t idle : {size_t{2}, size_t{0}}) {
+    SCOPED_TRACE(idle == 0 ? "SubmitThen path" : "reader path");
+    CachingEngine cache(
+        std::make_unique<QueryEngine>(TestDataset(), SmallEngine()));
+    CountingEngine served(cache, idle);
+    net::Server server(served);
+    server.Start();
+    net::Client client = net::Client::Connect(kLoopback, server.port());
+    for (size_t i = 0; i < bad.size(); ++i) {
+      SCOPED_TRACE(i);
+      net::ServeResponse error = client.Await(client.Send(bad[i]()));
+      EXPECT_FALSE(error.ok);
+      EXPECT_EQ(error.code, net::ErrorCode::kInvalidRequest);
+    }
+    EXPECT_EQ(cache.GetCacheStats().entries, 0u);
+    EXPECT_EQ(server.stats().request_errors, bad.size());
+    EXPECT_EQ(server.stats().protocol_errors, 0u);
+    net::ServeResponse good = client.Await(
+        client.Send(QueryRequest(PointQuery{500.0, TestOptions()})));
+    EXPECT_TRUE(good.ok) << good.error;
+  }
 }
 
 TEST(NetServerTest, StopWithConnectedClientsShutsDownCleanly) {

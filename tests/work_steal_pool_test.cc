@@ -3,9 +3,10 @@
 // start loops of their own, exceptions propagating out of inner loops to
 // the nested call site, worker ids stable under stealing, foreign-work
 // accounting, a randomized nested stress run, and Post: a blocked posted
-// task never delays another, and destruction runs every posted task
-// (registered under the `engine` label so the TSan CI job covers the
-// pool's synchronization).
+// task never delays another, destruction runs every posted task, and
+// parked() counts the workers a Post would have to wake (registered under
+// the `engine` label so the TSan CI job covers the pool's
+// synchronization).
 #include "engine/work_steal_pool.h"
 
 #include <array>
@@ -299,6 +300,34 @@ TEST(WorkStealPoolTest, BlockedPostDoesNotDelayTheNextPost) {
             std::future_status::ready);
   EXPECT_LT(second.get(), 2u);
   release.set_value();
+}
+
+/// Polls `cond` until true or ~5 s passed.
+template <typename Cond>
+bool WaitFor(Cond cond) {
+  const auto limit = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!cond()) {
+    if (std::chrono::steady_clock::now() > limit) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(WorkStealPoolTest, ParkedCountsTheWorkersAPostWouldWake) {
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  std::promise<void> started;
+  WorkStealingPool pool(2);  // declared last: joins before the above die
+  ASSERT_TRUE(WaitFor([&] { return pool.parked() == 2; }));
+  pool.Post([&](size_t) {
+    started.set_value();
+    latch.wait();
+  });
+  started.get_future().wait();
+  // One worker runs the task; the other finds nothing and parks again.
+  ASSERT_TRUE(WaitFor([&] { return pool.parked() == 1; }));
+  release.set_value();
+  EXPECT_TRUE(WaitFor([&] { return pool.parked() == 2; }));
 }
 
 // The destructor runs every posted task — including tasks posted from
