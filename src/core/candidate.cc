@@ -47,59 +47,65 @@ size_t CandidateArena::ApproxBytes() const {
   return total;
 }
 
-void CandidateSet::BorrowItemsBuffer(CandidateArena* arena) {
-  if (arena == nullptr) return;
-  items_ = std::move(arena->items);
-  items_.clear();
+CandidateSet CandidateSet::Begin(CandidateArena* arena) {
+  CandidateSet set;
+  if (arena != nullptr) {
+    set.items_ = std::move(arena->items);
+    set.items_.clear();
+  }
+  return set;
+}
+
+void CandidateSet::Add1D(const UncertainObject& obj, double q,
+                         CandidateArena* arena) {
+  Candidate& c = items_.emplace_back();
+  c.id = obj.id();
+  if (arena != nullptr) {
+    c.dist = arena->TakeDistribution();
+    DistanceDistribution::From1DInto(obj.pdf(), q, &c.dist,
+                                     arena->work_breaks, arena->work_values);
+  } else {
+    c.dist = DistanceDistribution::From1D(obj.pdf(), q);
+  }
+}
+
+void CandidateSet::Add2D(const UncertainObject2D& obj, Point2 q,
+                         int radial_pieces, CandidateArena* arena) {
+  Candidate& c = items_.emplace_back();
+  c.id = obj.id();
+  if (arena != nullptr) {
+    c.dist = arena->TakeDistribution();
+    MakeDistanceDistribution2DInto(obj, q, radial_pieces, &c.dist,
+                                   arena->work_breaks, arena->work_values,
+                                   &arena->work_cuts);
+  } else {
+    c.dist = MakeDistanceDistribution2D(obj, q, radial_pieces);
+  }
 }
 
 CandidateSet CandidateSet::Build1D(
     const Dataset& dataset, const std::vector<uint32_t>& candidate_indices,
     double q, int k, CandidateArena* arena) {
-  CandidateSet set;
-  set.BorrowItemsBuffer(arena);
+  CandidateSet set = Begin(arena);
   set.items_.reserve(candidate_indices.size());
   for (uint32_t idx : candidate_indices) {
     PV_CHECK_MSG(idx < dataset.size(), "candidate index out of range");
-    const UncertainObject& obj = dataset[idx];
-    Candidate c;
-    c.id = obj.id();
-    if (arena != nullptr) {
-      c.dist = arena->TakeDistribution();
-      DistanceDistribution::From1DInto(obj.pdf(), q, &c.dist,
-                                       arena->work_breaks,
-                                       arena->work_values);
-    } else {
-      c.dist = DistanceDistribution::From1D(obj.pdf(), q);
-    }
-    set.items_.push_back(std::move(c));
+    set.Add1D(dataset[idx], q, arena);
   }
-  set.FinishConstruction(k, arena);
+  set.Finish(k, arena);
   return set;
 }
 
 CandidateSet CandidateSet::Build2D(
     const Dataset2D& dataset, const std::vector<uint32_t>& candidate_indices,
     Point2 q, int radial_pieces, int k, CandidateArena* arena) {
-  CandidateSet set;
-  set.BorrowItemsBuffer(arena);
+  CandidateSet set = Begin(arena);
   set.items_.reserve(candidate_indices.size());
   for (uint32_t idx : candidate_indices) {
     PV_CHECK_MSG(idx < dataset.size(), "candidate index out of range");
-    const UncertainObject2D& obj = dataset[idx];
-    Candidate c;
-    c.id = obj.id();
-    if (arena != nullptr) {
-      c.dist = arena->TakeDistribution();
-      MakeDistanceDistribution2DInto(obj, q, radial_pieces, &c.dist,
-                                     arena->work_breaks, arena->work_values,
-                                     &arena->work_cuts);
-    } else {
-      c.dist = MakeDistanceDistribution2D(obj, q, radial_pieces);
-    }
-    set.items_.push_back(std::move(c));
+    set.Add2D(dataset[idx], q, radial_pieces, arena);
   }
-  set.FinishConstruction(k, arena);
+  set.Finish(k, arena);
   return set;
 }
 
@@ -113,11 +119,11 @@ CandidateSet CandidateSet::FromDistances(
     c.dist = std::move(dist);
     set.items_.push_back(std::move(c));
   }
-  set.FinishConstruction(k);
+  set.Finish(k);
   return set;
 }
 
-void CandidateSet::FinishConstruction(int k, CandidateArena* arena) {
+void CandidateSet::Finish(int k, CandidateArena* arena) {
   PV_CHECK_MSG(k >= 1, "k must be positive");
   if (items_.empty()) {
     fmin_ = std::numeric_limits<double>::infinity();

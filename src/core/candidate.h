@@ -47,9 +47,9 @@ struct CandidateArena {
   /// Returns a finished candidate set's storage (items buffer and every
   /// remaining distribution) to the arena. The distribution pool is capped
   /// at the largest per-query TakeDistribution demand seen so far, so
-  /// query paths that recycle without arena-backed construction (sharded
-  /// gathers, external kCandidates payloads) do not grow the pool
-  /// unboundedly — their distributions are simply freed.
+  /// query paths that recycle without arena-backed construction (external
+  /// kCandidates payloads) do not grow the pool unboundedly — their
+  /// distributions are simply freed.
   void Recycle(CandidateSet&& set);
 
   /// Approximate heap footprint of all pooled storage (capacity, not size).
@@ -97,10 +97,23 @@ class CandidateSet {
                               Point2 q, int radial_pieces, int k = 1,
                               CandidateArena* arena = nullptr);
 
-  /// Builds from pre-computed distance distributions (used by tests and by
-  /// scatter/gather paths that merge per-shard distributions).
+  /// Builds from pre-computed distance distributions (used by tests and
+  /// examples that hand-craft their candidates).
   static CandidateSet FromDistances(
       std::vector<std::pair<ObjectId, DistanceDistribution>> dists, int k = 1);
+
+  /// Incremental construction, for callers that gather one set from several
+  /// datasets (the sharded engine's shards): Begin borrows the arena's
+  /// items buffer, Add1D / Add2D append one object's distance distribution,
+  /// and Finish prunes and orders the set. Build1D and Build2D are exactly
+  /// these steps over one dataset. The finished set does not depend on the
+  /// order objects were added in (the ordering is total on (near, id)).
+  static CandidateSet Begin(CandidateArena* arena = nullptr);
+  void Add1D(const UncertainObject& obj, double q,
+             CandidateArena* arena = nullptr);
+  void Add2D(const UncertainObject2D& obj, Point2 q, int radial_pieces,
+             CandidateArena* arena = nullptr);
+  void Finish(int k = 1, CandidateArena* arena = nullptr);
 
   size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
@@ -123,9 +136,6 @@ class CandidateSet {
   std::vector<ObjectId> SatisfyingIds() const;
 
  private:
-  void BorrowItemsBuffer(CandidateArena* arena);
-  void FinishConstruction(int k, CandidateArena* arena = nullptr);
-
   std::vector<Candidate> items_;
   double fmin_ = 0.0;
   double fmax_ = 0.0;

@@ -39,9 +39,7 @@ class ScratchArenas {
 
   size_t workers() const { return slots_.size(); }
 
-  /// Runs fn(scratch) on `worker`'s arena. Only that worker calls this (a
-  /// sharded worker may re-enter it from a nested shard loop while its
-  /// outer query leaves the arena untouched; see sharded_engine.cc).
+  /// Runs fn(scratch) on `worker`'s arena. Only that worker calls this.
   template <typename Fn>
   auto OnWorker(size_t worker, Fn&& fn) {
     return Run(*slots_[worker], fn);

@@ -8,8 +8,9 @@
 
 #include "common/check.h"
 #include "common/timer.h"
+#include "core/candidate.h"
+#include "core/scratch.h"
 #include "spatial/filter.h"
-#include "uncertain/distance_distribution.h"
 
 namespace pverify {
 
@@ -17,39 +18,37 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The gather currency: each shard's surviving (id, distance distribution)
-/// pairs, merged before the single verification pass.
-using Survivors = std::vector<std::pair<ObjectId, DistanceDistribution>>;
-
 }  // namespace
 
 // ------------------------------------------------------------------------
 // Scatter/gather policies. Each supplies the kind-specific pieces of the
 // one ScatterGather driver below:
 //
-//   using Local = ...;                 per-shard phase-1 result
+//   using Local = ...;                per-shard local filter result
+//   k                                 pruning rank of the gathered set
 //   static bool HasData(shard)        does the shard participate at all
-//   double Phase0Cap(shards)          upper bound on the reachable cut
-//   double MinDist(shard)             bound checked against cap and cut
-//   Local LocalFilter(shard)          phase 1 (runs concurrently; const)
+//   double MinDist(shard)             bounds metric: picks the home shard
+//                                     and is checked against cap and cut
+//   Local LocalFilter(shard)          the shard's local filter
+//   double Cap(home_local, shards)    upper bound on the global cut
 //   double GlobalCut(locals)          exact global cut from the locals
 //   bool Survives(shard, cut)         phase-2 shard recheck
-//   void CollectSurvivors(shard, local, cut, out)
-//   QueryResult Finish(merged, scratch, filter_total, build_total, total)
+//   void AddSurvivors(shard, local, cut, candidates, arena)
+//   QueryResult Finish(candidates, scratch, filter_ms, build_ms, total)
 // ------------------------------------------------------------------------
 
-/// Point C-PNN scatter, generic over dimensionality. Phase 0: U := min over
-/// shards of MAXDIST(q, bounds) upper-bounds the global f_min (each shard's
-/// local f_min is at most its bounds MAXDIST), so a shard whose bounds
-/// MINDIST exceeds U can neither lower f_min nor hold a candidate. The
-/// global f_min is the min of the local ones (each local f_min is an exact
-/// min over that shard's entries), so the phase-2 per-object predicate
-/// reproduces the unsharded filter's cut bit for bit.
+/// Point C-PNN scatter, generic over dimensionality. The cap is the home
+/// shard's local f_min: the global f_min is at most it, so a shard whose
+/// bounds MINDIST exceeds it can neither lower f_min nor hold a candidate.
+/// The global f_min is the min of the local ones (each local f_min is an
+/// exact min over that shard's entries), so the phase-2 per-object
+/// predicate reproduces the unsharded filter's cut bit for bit.
 template <int Dim>
 struct ShardedQueryEngine::PointScatterPolicy {
   static_assert(Dim == 1 || Dim == 2, "point scatter is 1-D or 2-D");
   using Point = std::conditional_t<Dim == 1, double, Point2>;
   using Local = FilterResult;
+  static constexpr int k = 1;
 
   const ShardedQueryEngine& engine;
   Point q;
@@ -71,29 +70,16 @@ struct ShardedQueryEngine::PointScatterPolicy {
     }
   }
 
-  double MaxDist(const Shard& shard) const {
-    if constexpr (Dim == 1) {
-      return MbrMaxDistToBounds(q, shard.bounds);
-    } else {
-      return MbrMaxDistToBounds2D(q, shard.bounds2d);
-    }
-  }
-
-  double Phase0Cap(const std::vector<Shard>& shards) const {
-    double cap = kInf;
-    for (const Shard& shard : shards) {
-      if (!HasData(shard)) continue;
-      cap = std::min(cap, MaxDist(shard));
-    }
-    return cap;
-  }
-
   Local LocalFilter(const Shard& shard) const {
     if constexpr (Dim == 1) {
       return shard.executor->Filter(q);
     } else {
       return shard.executor2d->Filter(q);
     }
+  }
+
+  double Cap(const Local& home, const std::vector<Shard>&) const {
+    return home.fmin;
   }
 
   double GlobalCut(const std::vector<Local>& locals) const {
@@ -106,16 +92,15 @@ struct ShardedQueryEngine::PointScatterPolicy {
     return MinDist(shard) <= cut + kFilterBoundarySlack;
   }
 
-  void CollectSurvivors(const Shard& shard, const Local& local, double cut,
-                        Survivors* out) const {
+  void AddSurvivors(const Shard& shard, const Local& local, double cut,
+                    CandidateSet* candidates, CandidateArena* arena) const {
     if constexpr (Dim == 1) {
       const Dataset& objects = shard.executor->dataset();
       for (uint32_t idx : local.candidates) {
         const UncertainObject& obj = objects[idx];
         if (MakeInterval(obj.lo(), obj.hi()).MinDist({q}) <=
             cut + kFilterBoundarySlack) {
-          out->emplace_back(obj.id(),
-                            DistanceDistribution::From1D(obj.pdf(), q));
+          candidates->Add1D(obj, q, arena);
         }
       }
     } else {
@@ -123,27 +108,19 @@ struct ShardedQueryEngine::PointScatterPolicy {
       for (uint32_t idx : local.candidates) {
         const UncertainObject2D& obj = objects[idx];
         if (obj.MinDist(q) <= cut + kFilterBoundarySlack) {
-          out->emplace_back(obj.id(),
-                            MakeDistanceDistribution2D(obj, q, kRadialPieces));
+          candidates->Add2D(obj, q, kRadialPieces, arena);
         }
       }
     }
   }
 
-  QueryResult Finish(Survivors&& merged, QueryScratch* scratch,
-                     double filter_total, double build_total,
+  QueryResult Finish(CandidateSet&& candidates, QueryScratch* scratch,
+                     double filter_ms, double build_ms,
                      const Timer& total) const {
-    // FromDistances re-sorts by (near point, id) — a total order — so the
-    // merge order is irrelevant and the set is identical to the unsharded
-    // CandidateSet::Build1D / Build2D result.
-    Timer gather_timer;
-    CandidateSet candidates = CandidateSet::FromDistances(std::move(merged));
-    const double gather_ms = gather_timer.ElapsedMs();
-
     QueryAnswer answer =
         ExecuteOnCandidates(std::move(candidates), options, scratch);
-    answer.stats.filter_ms = filter_total;
-    answer.stats.init_ms += build_total + gather_ms;
+    answer.stats.filter_ms = filter_ms;
+    answer.stats.init_ms += build_ms;
     answer.stats.dataset_size =
         Dim == 1 ? engine.total_objects_ : engine.total_objects2d_;
     answer.stats.total_ms = total.ElapsedMs();
@@ -151,17 +128,19 @@ struct ShardedQueryEngine::PointScatterPolicy {
   }
 };
 
-/// Constrained k-NN scatter, generic over dimensionality. Phase 0: walk
-/// shards by ascending bounds MAXDIST until they cover k objects; that
-/// MAXDIST upper-bounds the global k-th far point, so shards whose bounds
-/// MINDIST exceeds it hold none of the k smallest far points and no
-/// candidates. Phase 1 runs each shard executor's indexed k-NN filter. Its
-/// candidates include every object whose far point is within the shard's
-/// k-th far point, so they hold each of the global k smallest far points
-/// (each lives in its shard's local top k), and the k-th smallest far point
-/// over all local candidates equals the unsharded filter's f^(k) exactly.
-/// That global cut is at most every local one, so phase 2 re-cuts each
-/// shard's local candidates with the same per-object arithmetic.
+/// Constrained k-NN scatter, generic over dimensionality. The cap is the
+/// home shard's k-th far point when it holds at least k objects (the global
+/// k-th far point is at most it); otherwise shards are walked by ascending
+/// bounds MAXDIST until they cover k objects, and that MAXDIST is the cap.
+/// Either way shards whose bounds MINDIST exceeds the cap hold none of the
+/// k smallest far points and no candidates. Each shard runs its executor's
+/// indexed k-NN filter. Its candidates include every object whose far point
+/// is within the shard's k-th far point, so they hold each of the global k
+/// smallest far points (each lives in its shard's local top k), and the
+/// k-th smallest far point over all local candidates equals the unsharded
+/// filter's f^(k) exactly. That global cut is at most every local one, so
+/// phase 2 re-cuts each shard's local candidates with the same per-object
+/// arithmetic.
 template <int Dim>
 struct ShardedQueryEngine::KnnScatterPolicy {
   static_assert(Dim == 1 || Dim == 2, "knn scatter is 1-D or 2-D");
@@ -218,7 +197,8 @@ struct ShardedQueryEngine::KnnScatterPolicy {
     }
   }
 
-  double Phase0Cap(const std::vector<Shard>& shards) const {
+  double Cap(const Local& home, const std::vector<Shard>& shards) const {
+    if (home.fars.size() >= static_cast<size_t>(k)) return home.fmin;
     std::vector<std::pair<double, size_t>> caps;
     caps.reserve(shards.size());
     for (size_t i = 0; i < shards.size(); ++i) {
@@ -263,34 +243,30 @@ struct ShardedQueryEngine::KnnScatterPolicy {
     return !fars.empty() && MinDist(shard) <= cut + kFilterBoundarySlack;
   }
 
-  void CollectSurvivors(const Shard& shard, const Local& local, double cut,
-                        Survivors* out) const {
+  void AddSurvivors(const Shard& shard, const Local& local, double cut,
+                    CandidateSet* candidates, CandidateArena* arena) const {
     for (size_t i = 0; i < local.candidates.size(); ++i) {
       if (local.nears[i] > cut + kFilterBoundarySlack) continue;
       const auto& obj = Objects(shard)[local.candidates[i]];
       if constexpr (Dim == 1) {
-        out->emplace_back(obj.id(),
-                          DistanceDistribution::From1D(obj.pdf(), q));
+        candidates->Add1D(obj, q, arena);
       } else {
-        out->emplace_back(obj.id(),
-                          MakeDistanceDistribution2D(obj, q, kRadialPieces));
+        candidates->Add2D(obj, q, kRadialPieces, arena);
       }
     }
   }
 
-  QueryResult Finish(Survivors&& merged, QueryScratch*, double filter_total,
-                     double build_total, const Timer& total) const {
-    // Rebuild the (order-normalized) candidate set with the k-aware
-    // pruning rule and evaluate the constrained k-NN once.
-    CandidateSet candidates =
-        CandidateSet::FromDistances(std::move(merged), k);
+  QueryResult Finish(CandidateSet&& candidates, QueryScratch* scratch,
+                     double filter_ms, double build_ms,
+                     const Timer& total) const {
     CknnAnswer answer =
         EvaluateCknn(candidates, k, options.params, options.integration);
+    if (scratch != nullptr) scratch->candidates.Recycle(std::move(candidates));
 
     QueryResult result;
     result.stats.total_ms = total.ElapsedMs();
-    result.stats.filter_ms = filter_total;
-    result.stats.init_ms = build_total;
+    result.stats.filter_ms = filter_ms;
+    result.stats.init_ms = build_ms;
     result.stats.dataset_size =
         Dim == 1 ? engine.total_objects_ : engine.total_objects2d_;
     result.stats.candidates = answer.bounds.size();
@@ -370,9 +346,8 @@ std::vector<QueryResult> ShardedQueryEngine::ExecuteBatch(
   for (const QueryRequest& request : requests) Validate(request);
   std::vector<QueryResult> results(requests.size());
   Timer wall;
-  // Requests fan out over the pool; each one additionally scatters its
-  // shards through a nested ParallelFor (idle workers steal the shard
-  // tasks).
+  // Requests fan out over the pool; each one scatters over its shards on
+  // the worker that runs it.
   pool_.ParallelFor(requests.size(), [&](size_t worker, size_t index) {
     results[index] = scratches_.OnWorker(worker, [&](QueryScratch* scratch) {
       return ExecuteOne(std::move(requests[index]), scratch);
@@ -407,6 +382,10 @@ size_t ShardedQueryEngine::ShardVisits() const {
 
 size_t ShardedQueryEngine::ShardsPruned() const {
   return shards_pruned_.load(std::memory_order_relaxed);
+}
+
+size_t ShardedQueryEngine::ShardFilters() const {
+  return shard_filters_.load(std::memory_order_relaxed);
 }
 
 size_t ShardedQueryEngine::ScratchQueriesServed() const {
@@ -465,112 +444,75 @@ QueryResult ShardedQueryEngine::Run(Knn2DQuery&& q, QueryScratch* scratch) {
   return ScatterGather(policy, scratch);
 }
 
-void ShardedQueryEngine::ForEachIndex(size_t n,
-                                      const std::function<void(size_t)>& fn) {
-  if (n > 1 && pool_.size() > 1) {
-    pool_.ParallelFor(n, [&fn](size_t, size_t index) { fn(index); });
-  } else {
-    for (size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
 template <typename Policy>
 QueryResult ShardedQueryEngine::ScatterGather(Policy& policy,
                                               QueryScratch* scratch) {
-  // Reentrancy invariant for nested scatter: a pool worker waiting on one
-  // of the ForEachIndex loops below may STEAL another request's task and
-  // execute it to completion on its own stack, reusing its per-worker
-  // QueryScratch. That is safe only because `scratch` is untouched until
-  // policy.Finish() — the phases that fan out (local filter, survivor
-  // construction) never borrow scratch state, so at every possible steal
-  // point the worker's scratch is quiescent. Keep it that way: no nested
-  // ParallelFor may ever run while scratch buffers are borrowed.
-  //
-  // Telemetry companion of the same mechanism: the wall timer below keeps
-  // running while the worker drains/steals, so the pool's per-thread
-  // foreign-work clock is snapshotted around this request and its delta —
-  // time this thread spent executing OTHER requests' stolen tasks —
-  // subtracted from stats.total_ms. Without the correction, batch
-  // aggregates of per-query totals over-report whenever multiple requests
-  // are in flight on the work-stealing pool (the phase timings, measured
-  // inside the loop bodies, were always accurate).
-  const double foreign0 = pool_.ForeignWorkMsOnThisThread();
   Timer total;
-  // Shard pruning, phase 0: shards whose bounds MINDIST exceeds the
-  // policy's reachable-cut cap cannot contribute — skip them before any
-  // filtering.
-  const double cap = policy.Phase0Cap(shards_);
-  std::vector<size_t> eligible;
-  size_t pruned = 0;
+  // The home shard: data and the smallest bounds MINDIST to q (ties go to
+  // the lowest index).
+  size_t home = shards_.size();
+  double home_dist = kInf;
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (!Policy::HasData(shards_[i])) continue;
-    if (policy.MinDist(shards_[i]) <= cap + kFilterBoundarySlack) {
-      eligible.push_back(i);
-    } else {
-      ++pruned;
+    const double dist = policy.MinDist(shards_[i]);
+    if (home == shards_.size() || dist < home_dist) {
+      home = i;
+      home_dist = dist;
     }
   }
 
-  // Scatter, phase 1: the eligible shards' local filters.
-  std::vector<typename Policy::Local> locals(eligible.size());
-  std::vector<double> filter_ms(eligible.size(), 0.0);
-  ForEachIndex(eligible.size(), [&](size_t j) {
-    Timer t;
-    locals[j] = policy.LocalFilter(shards_[eligible[j]]);
-    filter_ms[j] = t.ElapsedMs();
-  });
+  // Phase 1: the home shard's local filter caps the reachable cut; only
+  // the other shards whose bounds MINDIST is within the cap are filtered.
+  // Every phase runs here, on the calling thread: a local filter costs a
+  // few microseconds, less than waking a pool worker would.
+  Timer phase;
+  std::vector<size_t> filtered;
+  std::vector<typename Policy::Local> locals;
+  size_t pruned = 0;
+  if (home < shards_.size()) {
+    filtered.push_back(home);
+    locals.push_back(policy.LocalFilter(shards_[home]));
+    const double cap = policy.Cap(locals.front(), shards_);
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      if (i == home || !Policy::HasData(shards_[i])) continue;
+      if (policy.MinDist(shards_[i]) <= cap + kFilterBoundarySlack) {
+        filtered.push_back(i);
+        locals.push_back(policy.LocalFilter(shards_[i]));
+      } else {
+        ++pruned;
+      }
+    }
+  }
+  const double filter_ms = phase.ElapsedMs();
   // The exact global cut recovered from the locals (f_min for point
   // queries, the k-th far point for k-NN).
   const double cut = policy.GlobalCut(locals);
 
-  // Scatter, phase 2: shards surviving the now-exact cut build their
-  // survivors' (id, distance distribution) pairs.
-  std::vector<Survivors> parts(eligible.size());
-  std::vector<double> build_ms(eligible.size(), 0.0);
-  std::vector<char> contributed(eligible.size(), 0);
-  ForEachIndex(eligible.size(), [&](size_t j) {
-    const Shard& shard = shards_[eligible[j]];
-    if (!policy.Survives(shard, cut)) {
-      return;  // counted as pruned below
-    }
-    contributed[j] = 1;
-    Timer t;
-    policy.CollectSurvivors(shard, locals[j], cut, &parts[j]);
-    build_ms[j] = t.ElapsedMs();
-  });
-
-  // Gather: merge the parts (order irrelevant — the candidate-set
-  // construction order-normalizes) and let the policy evaluate once.
+  // Phase 2: shards surviving the now-exact cut add their objects within it
+  // to one candidate set, built in the caller's scratch arena. Its
+  // construction order-normalizes by (near point, id), so the shard order
+  // is irrelevant and the set equals the unsharded Build1D / Build2D one.
+  phase.Restart();
+  CandidateArena* arena = scratch != nullptr ? &scratch->candidates : nullptr;
+  CandidateSet candidates = CandidateSet::Begin(arena);
   size_t visits = 0;
-  size_t total_pairs = 0;
-  for (size_t j = 0; j < eligible.size(); ++j) {
-    if (contributed[j]) {
-      ++visits;
-      total_pairs += parts[j].size();
-    } else {
+  for (size_t j = 0; j < filtered.size(); ++j) {
+    const Shard& shard = shards_[filtered[j]];
+    if (!policy.Survives(shard, cut)) {
       ++pruned;
+      continue;
     }
+    ++visits;
+    policy.AddSurvivors(shard, locals[j], cut, &candidates, arena);
   }
-  Survivors merged;
-  merged.reserve(total_pairs);
-  for (Survivors& part : parts) {
-    for (std::pair<ObjectId, DistanceDistribution>& item : part) {
-      merged.push_back(std::move(item));
-    }
-  }
-  double filter_total = 0.0;
-  for (double ms : filter_ms) filter_total += ms;
-  double build_total = 0.0;
-  for (double ms : build_ms) build_total += ms;
-  QueryResult result = policy.Finish(std::move(merged), scratch,
-                                     filter_total, build_total, total);
-  const double foreign = pool_.ForeignWorkMsOnThisThread() - foreign0;
-  if (foreign > 0.0) {
-    result.stats.total_ms = std::max(0.0, result.stats.total_ms - foreign);
-  }
+  candidates.Finish(policy.k, arena);
+  const double build_ms = phase.ElapsedMs();
 
+  QueryResult result = policy.Finish(std::move(candidates), scratch,
+                                     filter_ms, build_ms, total);
   shard_visits_.fetch_add(visits, std::memory_order_relaxed);
   shards_pruned_.fetch_add(pruned, std::memory_order_relaxed);
+  shard_filters_.fetch_add(filtered.size(), std::memory_order_relaxed);
   return result;
 }
 

@@ -11,20 +11,24 @@
 // same QueryResult shape the unsharded engine produces.
 //
 // Every request kind runs through ONE scatter/gather driver
-// (ScatterGather): phase 0 caps the reachable distance per shard and prunes
-// by bounds, phase 1 runs the shards' local filters, the exact global cut
-// is recovered from the local results, phase 2 rechecks each surviving
-// shard's objects against that cut and builds their distance
-// distributions, and the gather merges the survivors and evaluates once.
-// The point (1-D), point (2-D) and k-NN (1-D and 2-D) paths are policy
-// instantiations of that driver, differing only in bounds metric, local
-// filter and final evaluation — not in scatter/gather structure.
+// (ScatterGather). It picks the home shard — the one whose bounds lie
+// nearest q — and runs its local filter first; that shard's exact local
+// cut caps the global one, and only the other shards whose bounds MINDIST
+// is within the cap are filtered at all. The exact global cut is recovered
+// from the local results, phase 2 rechecks each surviving shard's objects
+// against that cut and builds their distance distributions into one
+// candidate set, and the gather evaluates once. Since the paper's filter
+// keeps only objects near f_min, a point query almost always filters its
+// home shard alone. The point (1-D), point (2-D) and k-NN (1-D and 2-D)
+// paths are policy instantiations of that driver, differing only in bounds
+// metric, local filter, cap and final evaluation — not in scatter/gather
+// structure.
 //
-// Parallelism is two-level: batches and submitted requests spread across
-// the worker pool, and each request's phase-1/phase-2 shard loops fan out
-// again. The inner loops are real nested ParallelFors even inside pool
-// workers — idle workers steal shard tasks, so a single high-latency query
-// scatters across every core. A 1-thread engine scans its shards sequentially.
+// Parallelism is across requests: batches and submitted requests spread
+// over the worker pool, and each request runs its shards serially on the
+// thread that executes it (Execute: the calling thread). A local filter
+// costs a few microseconds, less than waking a pool worker, so fanning one
+// request's shards out over the pool was measured as a loss.
 //
 // Exactness: a PNN qualification probability depends on EVERY candidate
 // jointly (the Π(1 − D_k) term), so shards cannot verify independently.
@@ -37,7 +41,6 @@
 #define PVERIFY_ENGINE_SHARDED_ENGINE_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -97,23 +100,26 @@ class ShardedQueryEngine : public Engine {
     return shards_[i].bounds2d;
   }
 
-  /// Executes one request, scattering across shards in parallel on the
-  /// worker pool. Results match QueryEngine::Execute bit for bit.
+  /// Executes one request on the calling thread, scattering over the shards
+  /// it needs. Results match QueryEngine::Execute bit for bit.
   QueryResult Execute(QueryRequest request) override;
 
   /// Executes a batch: requests fan out across the worker pool, each
-  /// scattering over the shards it needs. Results are in request order.
+  /// scattering over the shards it needs on the worker running it. Results
+  /// are in request order.
   std::vector<QueryResult> ExecuteBatch(std::vector<QueryRequest> requests,
                                         EngineStats* stats = nullptr) override;
 
-  /// Posts the request to the worker pool, as QueryEngine::SubmitThen;
-  /// its shard loops nest, so even one submitted query uses every core.
+  /// Posts the request to the worker pool, as QueryEngine::SubmitThen; one
+  /// worker runs all of its shards.
   void SubmitThen(QueryRequest request, QueryCallback done) override;
 
-  /// Lifetime telemetry: scatter executions reaching a shard vs. skipped
-  /// outright by its domain bounds.
+  /// Lifetime telemetry, summed over requests: shards with data that
+  /// contributed candidates vs. were skipped by their domain bounds (before
+  /// filtering or at the exact cut), and local filters run.
   size_t ShardVisits() const;
   size_t ShardsPruned() const;
+  size_t ShardFilters() const;
 
   size_t ScratchQueriesServed() const override;
   size_t ScratchBytes() const override;
@@ -154,16 +160,12 @@ class ShardedQueryEngine : public Engine {
   QueryResult Run(Point2DQuery&& q, QueryScratch* scratch);
   QueryResult Run(Knn2DQuery&& q, QueryScratch* scratch);
 
-  /// THE scatter/gather driver — the only place the phase-0 cap → local
-  /// filter → exact global recheck → merge skeleton exists. `policy`
-  /// supplies the kind-specific pieces (bounds metric, local filter,
+  /// THE scatter/gather driver — the only place the home-shard cap → local
+  /// filters → exact global recheck → merge skeleton exists. `policy`
+  /// supplies the kind-specific pieces (bounds metric, local filter, cap,
   /// global cut, survivor construction, final evaluation).
   template <typename Policy>
   QueryResult ScatterGather(Policy& policy, QueryScratch* scratch);
-
-  /// Runs fn(i) for i in [0, n): on the pool when there is more than one
-  /// index and more than one worker, sequentially otherwise.
-  void ForEachIndex(size_t n, const std::function<void(size_t)>& fn);
 
   std::vector<Shard> shards_;
   size_t total_objects_ = 0;
@@ -177,6 +179,7 @@ class ShardedQueryEngine : public Engine {
   ScratchArenas scratches_;
   std::atomic<size_t> shard_visits_{0};
   std::atomic<size_t> shards_pruned_{0};
+  std::atomic<size_t> shard_filters_{0};
 
   /// Declared last: its destructor runs every submitted request while the
   /// shards, scratches and counters above still exist.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <exception>
 
-#include "common/timer.h"
-
 namespace pverify {
 
 namespace {
@@ -14,10 +12,6 @@ namespace {
 /// slot suffices; CurrentWorkerId compares the pool pointer.
 thread_local WorkStealingPool* tls_pool = nullptr;
 thread_local size_t tls_id = 0;  ///< meaningful only while tls_pool is set
-
-/// Per-thread foreign-work clock (see ForeignWorkMsOnThisThread). Plain
-/// thread_local: only this thread writes or reads it.
-thread_local double tls_foreign_ms = 0.0;
 
 }  // namespace
 
@@ -76,10 +70,6 @@ size_t WorkStealingPool::CurrentWorkerId() const {
   return tls_pool == this ? tls_id : kNotAWorker;
 }
 
-double WorkStealingPool::ForeignWorkMsOnThisThread() const {
-  return tls_foreign_ms;
-}
-
 void WorkStealingPool::RunRunner(LoopState& state, size_t worker) {
   for (;;) {
     const size_t index = state.cursor.fetch_add(1, std::memory_order_relaxed);
@@ -130,23 +120,8 @@ void WorkStealingPool::ParallelFor(
     // deque may still hold unstolen ones): drain and steal — executing
     // whatever work exists, including other loops' — until the latch
     // trips. Never block: that is what makes nesting deadlock-free.
-    //
-    // Every task picked up here is foreign to whatever this thread was
-    // timing (another query's runner, an injected task — at best a leftover
-    // runner of this very loop that finds the cursor exhausted and returns
-    // in nanoseconds), so its wall time goes on the thread's foreign-work
-    // clock. Writing `before + elapsed` rather than `+= elapsed` makes the
-    // charge net of any bumps the task's own nested drains performed —
-    // those are already inside `elapsed` — so nested stealing never
-    // double-counts.
     while (state.pending.load(std::memory_order_acquire) != 0) {
-      const double before = tls_foreign_ms;
-      Timer drained;
-      if (!RunOneTask(self)) {
-        std::this_thread::yield();
-        continue;
-      }
-      tls_foreign_ms = before + drained.ElapsedMs();
+      if (!RunOneTask(self)) std::this_thread::yield();
     }
   } else {
     for (size_t t = 0; t < spawned; ++t) {

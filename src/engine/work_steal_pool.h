@@ -16,10 +16,10 @@
 // largest pending work). External threads inject through a shared FIFO
 // queue that workers poll between their own deque and stealing. Each deque
 // is guarded by its own mutex rather than the lock-free Chase–Lev
-// protocol: at engine task granularity (tasks are whole queries or whole
-// shard scans, tens of microseconds and up) an uncontended lock is noise,
-// and the locked form is provably data-race-free — the TSan CI job runs
-// the entire engine suite over this pool. The scheduling model follows
+// protocol: at engine task granularity (tasks are whole queries, tens of
+// microseconds and up) an uncontended lock is noise, and the locked form
+// is provably data-race-free — the TSan CI job runs the entire engine
+// suite over this pool. The scheduling model follows
 // Blumofe & Leiserson, "Scheduling Multithreaded Computations by Work
 // Stealing" (JACM 1999).
 //
@@ -94,16 +94,6 @@ class WorkStealingPool {
   /// throw: an escaping exception terminates the process, as it would on a
   /// std::thread.
   void Post(std::function<void(size_t worker)> fn);
-
-  /// Milliseconds the CALLING thread has spent executing other tasks' work
-  /// while blocked inside one of this pool's nested ParallelFor calls.
-  /// Monotone per thread (0 on threads outside the pool); callers snapshot
-  /// it around a timed section and subtract the delta so per-query timings
-  /// stop charging stolen work to the query that happened to be blocked.
-  /// Maintained in the drain loop of ParallelFor: each foreign task's wall
-  /// time is added net of the bumps its own nested drains made, so a
-  /// stolen whole-query task that itself steals is charged exactly once.
-  double ForeignWorkMsOnThisThread() const;
 
  private:
   /// State of one ParallelFor, on the caller's stack, or of one Post, on

@@ -271,6 +271,9 @@ class RTree {
       return node->leaf ? node->entries[i].mbr : node->children[i]->mbr;
     };
     const size_t n = node->Fanout();
+    // Only overflowing nodes split, so both seeds and both groups' minimum
+    // fills exist.
+    PV_CHECK_MSG(n > kMaxEntries, "split of a node that does not overflow");
 
     // Pick the pair of seeds wasting the most volume.
     size_t seed_a = 0, seed_b = 1;

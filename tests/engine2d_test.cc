@@ -4,7 +4,6 @@
 // drops a shard that could contribute, and scratch-footprint stability over
 // a 100+-query 2-D batch.
 #include <future>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -280,8 +279,9 @@ TEST(Engine2DTest, RangeSharding2DPrunesDistantShards) {
   EXPECT_LT(sharded.ShardVisits(), points.size() * sharded.num_shards());
 }
 
-// The pruning-safety property: a shard skipped by the Mbr-based phase-0 cut
-// (MINDIST > min-over-shards MAXDIST) must not contain any object that
+// The pruning-safety property: a shard skipped by the Mbr-based cap (its
+// MINDIST exceeds the home shard's local f_min, the home shard being the
+// one with data and the smallest MINDIST) must not contain any object that
 // could contribute to the answer — no object passing the global-f_min
 // filter cut — and the shard bounds must sandwich every contained object's
 // exact distances.
@@ -316,13 +316,20 @@ TEST(Engine2DTest, Point2DPruningNeverDropsContributingShard) {
 
       for (Point2 q : points) {
         const double fmin = FilterKByScan2D(data, q, 1).fmin;
-        // Replicate the engine's phase-0 decision from its public bounds.
-        double cap = std::numeric_limits<double>::infinity();
+        // Replicate the engine's pruning decision from its public bounds
+        // and shard executors.
+        size_t home = engine.num_shards();
         for (size_t s = 0; s < engine.num_shards(); ++s) {
           const ShardBounds2D& b = engine.shard_bounds2d(s);
           if (b.empty()) continue;
-          cap = std::min(cap, MbrMaxDistToBounds2D(q, b));
+          if (home == engine.num_shards() ||
+              MbrMinDistToBounds2D(q, b) <
+                  MbrMinDistToBounds2D(q, engine.shard_bounds2d(home))) {
+            home = s;
+          }
         }
+        ASSERT_LT(home, engine.num_shards());
+        const double cap = engine.shard_executor2d(home)->Filter(q).fmin;
         for (size_t s = 0; s < engine.num_shards(); ++s) {
           const ShardBounds2D& b = engine.shard_bounds2d(s);
           if (b.empty()) continue;

@@ -146,7 +146,9 @@ TEST(TwoDimensionalPipelineTest, EndToEnd) {
   std::vector<double> exact = ComputeExactProbabilities(cands, {});
   std::set<ObjectId> answer(ans.ids.begin(), ans.ids.end());
   for (size_t i = 0; i < cands.size(); ++i) {
-    if (exact[i] >= 0.2 + 1e-6) EXPECT_TRUE(answer.count(cands[i].id));
+    if (exact[i] >= 0.2 + 1e-6) {
+      EXPECT_TRUE(answer.count(cands[i].id));
+    }
     if (exact[i] < 0.2 - 0.01 - 1e-6) {
       EXPECT_FALSE(answer.count(cands[i].id));
     }

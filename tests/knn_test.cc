@@ -260,8 +260,12 @@ TEST(CknnTest, ToleranceAdmitsBorderlineMembers) {
   for (size_t i = 0; i < cands.size(); ++i) {
     bool returned = std::find(ans.ids.begin(), ans.ids.end(),
                               cands[i].id) != ans.ids.end();
-    if (exact[i] >= 0.4 + 1e-6) EXPECT_TRUE(returned) << "i=" << i;
-    if (exact[i] < 0.4 - 0.1 - 1e-6) EXPECT_FALSE(returned) << "i=" << i;
+    if (exact[i] >= 0.4 + 1e-6) {
+      EXPECT_TRUE(returned) << "i=" << i;
+    }
+    if (exact[i] < 0.4 - 0.1 - 1e-6) {
+      EXPECT_FALSE(returned) << "i=" << i;
+    }
   }
 }
 

@@ -520,7 +520,9 @@ TEST(NetRobustnessTest, CompletionRacingItsDeadlineSendsOneFrame) {
       net::ServeResponse r = client.ReadNext();
       ASSERT_EQ(ids.erase(r.request_id), 1u)
           << "second frame for id " << r.request_id;
-      if (!r.ok) EXPECT_EQ(r.code, net::ErrorCode::kDeadlineExceeded);
+      if (!r.ok) {
+        EXPECT_EQ(r.code, net::ErrorCode::kDeadlineExceeded);
+      }
       ++frames;
     }
   }

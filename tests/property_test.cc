@@ -212,8 +212,12 @@ TEST_P(Pipeline2DPropertyTest, AnswerRespectsDefinition1In2D) {
   // comparison margins.
   const double disc = 5e-3;
   for (const auto& [id, p] : probs) {
-    if (p >= P + disc) EXPECT_TRUE(answer.count(id)) << "id=" << id;
-    if (p < P - tol - disc) EXPECT_FALSE(answer.count(id)) << "id=" << id;
+    if (p >= P + disc) {
+      EXPECT_TRUE(answer.count(id)) << "id=" << id;
+    }
+    if (p < P - tol - disc) {
+      EXPECT_FALSE(answer.count(id)) << "id=" << id;
+    }
   }
 }
 

@@ -62,7 +62,9 @@ TEST(Executor2DTest, CpnnAnswerMatchesExactProbabilities) {
     auto probs = exec.ComputePnn(q);
     std::set<ObjectId> answer(ans.ids.begin(), ans.ids.end());
     for (const auto& [id, p] : probs) {
-      if (p >= 0.25 + 1e-4) EXPECT_TRUE(answer.count(id)) << "id=" << id;
+      if (p >= 0.25 + 1e-4) {
+        EXPECT_TRUE(answer.count(id)) << "id=" << id;
+      }
       if (p < 0.25 - 0.02 - 1e-4) {
         EXPECT_FALSE(answer.count(id)) << "id=" << id;
       }

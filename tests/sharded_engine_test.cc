@@ -4,10 +4,12 @@
 // Submit behavior on the sharded path.
 #include "engine/sharded_engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -276,9 +278,9 @@ TEST(ShardedEngineTest, AsyncSubmitMatchesReferenceUnderConcurrency) {
   EXPECT_EQ(sharded.SubmitStats().requests, kThreads * kPerThread);
 }
 
-// Nested scatter: on a 4-thread engine every request's shard loop runs as
-// a REAL nested ParallelFor inside pool workers (idle workers steal shard
-// tasks); answers must still match the unsharded engine bit for bit.
+// Four threads, four shards: batched and submitted requests run on pool
+// workers concurrently, each scattering over its own shards on the worker
+// that runs it; answers must still match the unsharded engine bit for bit.
 TEST(ShardedEngineTest, NestedScatterBitIdentical) {
   Dataset data = datagen::MakeUniformScatter(400, 250.0, 2.0, /*seed=*/23);
   QueryEngine reference(data, EngineOptions{2});
@@ -305,11 +307,111 @@ TEST(ShardedEngineTest, NestedScatterBitIdentical) {
   ASSERT_EQ(sharded.num_threads(), 4u);
 
   // exercise_submit covers requests posted one by one to the pool, which
-  // run the nested shard scatter too.
+  // run the shard scatter on a worker too.
   testutil::DifferentialConfig config;
   config.exercise_submit = true;
   testutil::RunDifferentialStream(reference, {{"4 shards", &sharded}}, stream,
                                   config);
+}
+
+// Queries at and next to every internal shard boundary: there the home
+// shard's local cut admits a neighbour, whose local filter and survivors
+// must merge into exactly the unsharded answer. Every request runs through
+// Execute on this thread and through Submit on the pool.
+TEST(ShardedEngineTest, ShardBoundaryQueriesMatchUnsharded) {
+  constexpr size_t kShards = 4;
+  constexpr double kDomain = 1000.0;
+  auto policy = std::make_shared<const RangeShardingPolicy>(0.0, kDomain);
+  datagen::Synthetic2DConfig config2d;
+  config2d.count = 48;
+  config2d.domain = kDomain;
+  config2d.mean_extent = 20.0;
+  config2d.seed = 29;
+  // Dense shards, except that the last 1-D shard and the last 2-D stripe
+  // keep only two objects: a k-NN homed there needs its neighbours'
+  // objects to reach k, so its cap must come from the bounds MAXDIST walk.
+  std::vector<Dataset> parts = PartitionDataset(
+      datagen::MakeUniformScatter(64, kDomain, 10.0, /*seed=*/19), kShards,
+      *policy);
+  std::vector<Dataset2D> parts2d = PartitionDataset2D(
+      datagen::MakeSynthetic2D(config2d), kShards, *policy);
+  Dataset data;
+  Dataset2D data2d;
+  int k_big = 0;  // more objects than any shard holds
+  for (size_t s = 0; s < kShards; ++s) {
+    const size_t keep = s == 3 ? 2 : parts[s].size();
+    const size_t keep2d = s == 3 ? 2 : parts2d[s].size();
+    ASSERT_GE(parts[s].size(), keep);
+    ASSERT_GE(parts2d[s].size(), keep2d);
+    data.insert(data.end(), parts[s].begin(), parts[s].begin() + keep);
+    data2d.insert(data2d.end(), parts2d[s].begin(),
+                  parts2d[s].begin() + keep2d);
+    k_big = std::max(k_big, static_cast<int>(std::max(keep, keep2d)) + 1);
+  }
+
+  QueryEngine reference(data, data2d, EngineOptions{1});
+  ShardedQueryEngine sharded(data, data2d,
+                             ShardedEngineOptions{kShards, policy, 4});
+  ASSERT_EQ(sharded.num_threads(), 4u);
+
+  const QueryOptions opt = OptionsFor(Strategy::kVR);
+  std::vector<testutil::RequestFactory> stream = {
+      [opt] { return QueryRequest(MinQuery{opt}); },
+      [opt] { return QueryRequest(MaxQuery{opt}); }};
+  const double y = 0.5 * kDomain;
+  for (size_t s = 1; s < kShards; ++s) {
+    const double b = kDomain * static_cast<double>(s) / kShards;
+    const double fmin = reference.executor().Filter(b).fmin;
+    const double fmin2d = reference.executor2d()->Filter(Point2{b, y}).fmin;
+    for (double f : {0.0, 1e-9, -1e-9, 0.5, -0.5, 2.0, -2.0}) {
+      // The 1e-9 offsets are absolute; the others scale f_min.
+      const bool absolute = std::abs(f) < 1.0e-3;
+      const double q = b + (absolute ? f : f * fmin);
+      const Point2 q2{b + (absolute ? f : f * fmin2d), y};
+      stream.push_back([q, opt] { return QueryRequest(PointQuery{q, opt}); });
+      stream.push_back(
+          [q2, opt] { return QueryRequest(Point2DQuery{q2, opt}); });
+      for (int k : {1, 3, k_big}) {
+        stream.push_back(
+            [q, k, opt] { return QueryRequest(KnnQuery{q, k, opt}); });
+        stream.push_back(
+            [q2, k, opt] { return QueryRequest(Knn2DQuery{q2, k, opt}); });
+      }
+    }
+  }
+
+  std::vector<std::future<QueryResult>> submitted;
+  for (const testutil::RequestFactory& make : stream) {
+    submitted.push_back(sharded.Submit(make()));
+  }
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const QueryResult expected = reference.Execute(stream[i]());
+    const std::string what = "request " + std::to_string(i);
+    testutil::ExpectEquivalentResult(expected, sharded.Execute(stream[i]()),
+                                     what + " execute");
+    testutil::ExpectEquivalentResult(expected, submitted[i].get(),
+                                     what + " submit");
+  }
+  // The boundary queries did reach a second shard.
+  EXPECT_GT(sharded.ShardFilters(), 2 * stream.size());
+}
+
+// A 1-D point query in the middle of an interior shard: the home shard's
+// f_min is far below the distance to either neighbour's bounds, so that
+// shard's filter is the only one that runs.
+TEST(ShardedEngineTest, MidShardPointQueryFiltersOnlyItsHomeShard) {
+  Dataset data = datagen::MakeUniformScatter(400, 1000.0, 2.0, /*seed=*/7);
+  auto policy = std::make_shared<const RangeShardingPolicy>(0.0, 1000.0);
+  ShardedQueryEngine sharded(data, ShardedEngineOptions{4, policy, 4});
+  QueryEngine reference(data, EngineOptions{1});
+  const QueryOptions opt = OptionsFor(Strategy::kVR);
+
+  ExpectIdenticalResult(reference.Execute(PointQuery{375.0, opt}),
+                        sharded.Execute(PointQuery{375.0, opt}),
+                        "mid-shard point query");
+  EXPECT_EQ(sharded.ShardVisits(), 1u);
+  EXPECT_EQ(sharded.ShardsPruned(), 3u);
+  EXPECT_EQ(sharded.ShardFilters(), 1u);
 }
 
 TEST(ShardedEngineTest, DegenerateShapesMatchUnsharded) {

@@ -1,8 +1,7 @@
-// WorkStealingPool tests: the nesting-safe ParallelFor contract the
-// engines' nested shard fan-out depends on — no deadlock when workers
-// start loops of their own, exceptions propagating out of inner loops to
-// the nested call site, worker ids stable under stealing, foreign-work
-// accounting, a randomized nested stress run, and Post: a blocked posted
+// WorkStealingPool tests: the nesting-safe ParallelFor contract — no
+// deadlock when workers start loops of their own, exceptions propagating
+// out of inner loops to the nested call site, worker ids stable under
+// stealing, a randomized nested stress run, and Post: a blocked posted
 // task never delays another, destruction runs every posted task, and
 // parked() counts the workers a Post would have to wake (registered under
 // the `engine` label so the TSan CI job covers the pool's
@@ -21,8 +20,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "common/timer.h"
 
 namespace pverify {
 namespace {
@@ -228,57 +225,6 @@ TEST(WorkStealPoolTest, RandomizedNestedStress) {
   second.join();
   EXPECT_EQ(work.load(), expected_work);
   EXPECT_EQ(concurrent.load(), expected_concurrent);
-}
-
-// Foreign (drained/stolen) task time lands on the draining thread's
-// foreign-work clock, so engines can subtract it from a blocked query's
-// wall time instead of billing another query's work to it. The
-// choreography pins a deterministic drain: the caller worker ends up in
-// its nested loop's drain phase while the other worker holds the loop's
-// last runner hostage, so the only runnable task anywhere — the ~20 ms
-// runner of a second external loop — must be executed by the blocked
-// caller.
-TEST(WorkStealPoolTest, DrainedForeignTaskTimeIsAccounted) {
-  WorkStealingPool pool(2);
-  std::atomic<bool> helper_started{false};
-  std::atomic<bool> foreign_ran{false};
-  std::atomic<double> foreign_delta{-1.0};
-  constexpr double kBusyMs = 20.0;
-
-  // External thread A: one outer iteration, run by a worker (the
-  // "caller"), which starts the nested 2-runner loop.
-  std::thread a([&] {
-    pool.ParallelFor(1, [&](size_t caller, size_t) {
-      const double before = pool.ForeignWorkMsOnThisThread();
-      pool.ParallelFor(2, [&](size_t worker, size_t) {
-        if (worker == caller) {
-          // Participant role: hold this index until the helper owns one,
-          // so the caller cannot exhaust the loop alone and skip the drain.
-          while (!helper_started.load()) std::this_thread::yield();
-        } else {
-          // Helper role: keep the loop latch up until the foreign task has
-          // run; the blocked caller then has nothing else to drain.
-          helper_started.store(true);
-          while (!foreign_ran.load()) std::this_thread::yield();
-        }
-      });
-      foreign_delta.store(pool.ForeignWorkMsOnThisThread() - before);
-    });
-  });
-
-  // External thread B (this one): once the helper pins the loop open,
-  // inject a loop whose only runner the blocked caller's drain can pick up.
-  while (!helper_started.load()) std::this_thread::yield();
-  pool.ParallelFor(1, [&](size_t, size_t) {
-    Timer busy;
-    while (busy.ElapsedMs() < kBusyMs) {
-    }
-    foreign_ran.store(true);
-  });
-  a.join();
-  EXPECT_GE(foreign_delta.load(), kBusyMs * 0.9);
-  // A thread outside the pool never drains foreign work.
-  EXPECT_EQ(pool.ForeignWorkMsOnThisThread(), 0.0);
 }
 
 // A posted task blocked on a latch holds one worker only: on a 2-worker
