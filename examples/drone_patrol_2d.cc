@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "datagen/workload.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 
 using namespace pverify;
 
@@ -56,7 +55,7 @@ int main() {
   std::vector<Point2> incidents =
       datagen::MakeQueryPoints2D(200, 0.0, 20000.0, /*seed=*/23);
   // The shift batch only needs an Engine& — the same call drives the
-  // unsharded control engine here and the sharded sector engine below.
+  // one-shard control engine here and the 8-shard sector engine below.
   auto run_shift = [&incidents, &options](Engine& engine,
                                           EngineStats* stats) {
     std::vector<QueryRequest> batch;
@@ -77,9 +76,9 @@ int main() {
   // Same swarm range-sharded into 8 x-stripes over its own extent: per-shard
   // Mbr bounds let each incident skip distant sectors, and answers stay
   // bit-identical.
-  ShardedEngineOptions sopt;
+  EngineOptions sopt;
   sopt.num_shards = 8;
-  ShardedQueryEngine sectors(swarm, sopt);
+  QueryEngine sectors(swarm, sopt);
   std::vector<QueryResult> sharded_results = run_shift(sectors, nullptr);
   size_t sharded_answers = 0;
   size_t mismatches = 0;
@@ -88,7 +87,7 @@ int main() {
     if (sharded_results[i].ids != results[i].ids) ++mismatches;
   }
   std::printf("sharded: %zu shards, %zu visits, %zu pruned by bounds, "
-              "%zu responders (%zu mismatches vs unsharded)\n",
+              "%zu responders (%zu mismatches vs one shard)\n",
               sectors.num_shards(), sectors.ShardVisits(),
               sectors.ShardsPruned(), sharded_answers, mismatches);
   return mismatches == 0 ? 0 : 1;

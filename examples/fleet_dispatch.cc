@@ -1,19 +1,19 @@
 // Fleet-dispatch scenario: a city-wide fleet of vehicles reports uncertain
 // 1-D positions along a highway (GPS intervals with uniform pdfs). The
-// dispatch service runs on a ShardedQueryEngine — the fleet is
+// dispatch service runs on a QueryEngine with 8 shards — the fleet is
 // range-partitioned into district shards, so a pickup request only touches
 // the shards near it — and serves interactive requests through the async
 // Submit path: each incoming pickup submits one query and gets a future,
 // and the engine runs each one on the next free worker.
 //
-// The serving code only sees pverify::Engine& — swapping the sharded
-// engine for an unsharded QueryEngine is a one-line construction change.
+// The serving code only sees pverify::Engine& — the shard count is one
+// field of the engine's construction options.
 #include <cstdio>
 #include <future>
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/sharded_engine.h"
+#include "engine/query_engine.h"
 
 using namespace pverify;
 
@@ -32,9 +32,9 @@ int main() {
   // Range-shard the fleet into 8 district shards over its own extent. Each
   // shard owns its own R-tree; per-shard domain bounds let queries skip
   // distant districts.
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 8;
-  ShardedQueryEngine dispatch(fleet, sopt);
+  EngineOptions eopt;
+  eopt.num_shards = 8;
+  QueryEngine dispatch(fleet, eopt);
   Engine& service = dispatch;  // everything below is backend-agnostic
 
   QueryOptions options;

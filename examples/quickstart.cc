@@ -20,15 +20,15 @@ int main() {
   sensors.emplace_back(/*id=*/4, MakeHistogramPdf(20.0, 26.0,
                                                   {1.0, 4.0, 2.0}));
 
-  // 2. The engine owns the executor (dataset + R-tree), a worker pool and
+  // 2. The engine owns an executor (dataset + R-tree), a worker pool and
   //    per-worker scratch buffers; it serves single queries and batches.
   QueryEngine engine(sensors);
 
-  // 3. Plain PNN: the exact qualification probability of every candidate.
-  //    The underlying executor stays reachable for the unbatched APIs.
+  // 3. Plain PNN: the exact qualification probability of every candidate,
+  //    from a CpnnExecutor of its own (the unbatched API).
   const double q = 12.0;
   std::printf("PNN at q = %.1f\n", q);
-  for (const auto& [id, p] : engine.executor().ComputePnn(q)) {
+  for (const auto& [id, p] : CpnnExecutor(sensors).ComputePnn(q)) {
     std::printf("  object %lld: P(nearest) = %.4f\n",
                 static_cast<long long>(id), p);
   }

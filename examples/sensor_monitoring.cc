@@ -66,10 +66,10 @@ int main() {
               stats.queries, stats.threads, stats.wall_ms,
               stats.QueriesPerSec());
 
-  // Raw probabilities for the minimum query, for comparison. The plain PNN
-  // API stays available on the engine's executor.
+  // Raw probabilities for the minimum query, for comparison, from the plain
+  // PNN API of a CpnnExecutor over the same districts.
   std::printf("\nexact minimum-value probabilities (top 5):\n");
-  auto probs = engine.executor().ComputePnn(0.0);  // below every region
+  auto probs = CpnnExecutor(districts).ComputePnn(0.0);  // below every region
   std::sort(probs.begin(), probs.end(), [](const auto& a, const auto& b) {
     return a.second > b.second;
   });

@@ -10,11 +10,11 @@
 
 #include "common/csv.h"
 #include "common/timer.h"
+#include "core/query.h"
+#include "core/query2d.h"
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
 #include "engine/engine.h"
-#include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 
 namespace pverify {
 namespace bench {
@@ -83,7 +83,7 @@ inline QueryRequest MakePointRequest(Point2 q, const QueryOptions& options) {
 }
 
 /// Times one Engine::ExecuteBatch over the points at the engine's thread
-/// count — sharded vs. unsharded is whatever the caller constructed.
+/// count — the shard count is whatever the caller constructed.
 /// `stats` (optional) receives the batch aggregate.
 ThroughputPoint TimeBatch(Engine& engine, const std::vector<double>& points,
                           const QueryOptions& options,

@@ -123,27 +123,22 @@ QueryAnswer ExecuteOnCandidates(CandidateSet candidates,
 }
 
 CpnnExecutor::CpnnExecutor(Dataset dataset)
-    : dataset_(std::move(dataset)), filter_(dataset_) {
-  if (!dataset_.empty()) {
-    domain_lo_ = dataset_.front().lo();
-    domain_hi_ = dataset_.front().hi();
-    for (const UncertainObject& obj : dataset_) {
-      domain_lo_ = std::min(domain_lo_, obj.lo());
-      domain_hi_ = std::max(domain_hi_, obj.hi());
-    }
-  }
-}
+    : dataset_(std::move(dataset)),
+      filter_(dataset_),
+      domain_(ComputeDomainBounds(dataset_)) {}
 
 QueryAnswer CpnnExecutor::ExecuteMin(const QueryOptions& options,
                                      QueryScratch* scratch) const {
   // Any query point at or below the domain minimum induces the ordering
   // "smaller value = nearer", making the PNN a minimum query.
-  return Execute(domain_lo_ - 1.0, options, scratch);
+  return Execute((domain_.empty() ? 0.0 : domain_.lo) - 1.0, options,
+                 scratch);
 }
 
 QueryAnswer CpnnExecutor::ExecuteMax(const QueryOptions& options,
                                      QueryScratch* scratch) const {
-  return Execute(domain_hi_ + 1.0, options, scratch);
+  return Execute((domain_.empty() ? 0.0 : domain_.hi) + 1.0, options,
+                 scratch);
 }
 
 QueryAnswer CpnnExecutor::Execute(double q, const QueryOptions& options,

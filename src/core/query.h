@@ -13,6 +13,7 @@
 #include "core/monte_carlo.h"
 #include "core/refine.h"
 #include "core/stats.h"
+#include "spatial/bounds.h"
 #include "spatial/filter.h"
 #include "uncertain/uncertain_object.h"
 
@@ -66,6 +67,8 @@ class CpnnExecutor {
   CpnnExecutor& operator=(const CpnnExecutor&) = delete;
 
   const Dataset& dataset() const { return dataset_; }
+  /// The MBR of every region (empty for an empty dataset).
+  const DomainBounds& domain() const { return domain_; }
 
   /// Evaluates a C-PNN at query point q. A non-null `scratch` lends
   /// reusable verification buffers (see engine/scratch.h); answers are
@@ -106,8 +109,7 @@ class CpnnExecutor {
  private:
   Dataset dataset_;
   PnnFilter filter_;
-  double domain_lo_ = 0.0;  ///< smallest region endpoint in the dataset
-  double domain_hi_ = 0.0;  ///< largest region endpoint in the dataset
+  DomainBounds domain_;
 };
 
 /// Evaluates a C-PNN over an already-built candidate set (no filtering).

@@ -1,6 +1,7 @@
 #include "datagen/partition.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "spatial/bounds.h"
@@ -48,26 +49,51 @@ size_t RangeShardingPolicy::ShardOf2D(const UncertainObject2D& obj,
   return SlotOf(0.5 * (box.lo[0] + box.hi[0]), num_shards);
 }
 
-std::vector<Dataset> PartitionDataset(const Dataset& dataset,
-                                      size_t num_shards,
-                                      const RangeShardingPolicy& policy) {
+namespace {
+
+/// Moves each object into its shard's part. One shard, or every object in
+/// one shard, hands back the input vector itself; otherwise a count pass
+/// reserves each part.
+template <typename Object, typename ShardOf>
+std::vector<std::vector<Object>> Partition(std::vector<Object> objects,
+                                           size_t num_shards,
+                                           ShardOf shard_of) {
   PV_CHECK_MSG(num_shards >= 1, "num_shards must be positive");
-  std::vector<Dataset> shards(num_shards);
-  for (const UncertainObject& obj : dataset) {
-    shards[policy.ShardOf(obj, num_shards)].push_back(obj);
+  std::vector<std::vector<Object>> shards(num_shards);
+  if (num_shards == 1) {
+    shards[0] = std::move(objects);
+    return shards;
   }
+  std::vector<size_t> counts(num_shards, 0);
+  for (const Object& obj : objects) ++counts[shard_of(obj)];
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (counts[s] == objects.size()) {
+      shards[s] = std::move(objects);
+      return shards;
+    }
+  }
+  for (size_t s = 0; s < num_shards; ++s) shards[s].reserve(counts[s]);
+  for (Object& obj : objects) shards[shard_of(obj)].push_back(std::move(obj));
   return shards;
 }
 
-std::vector<Dataset2D> PartitionDataset2D(const Dataset2D& dataset,
+}  // namespace
+
+std::vector<Dataset> PartitionDataset(Dataset dataset, size_t num_shards,
+                                      const RangeShardingPolicy& policy) {
+  return Partition(std::move(dataset), num_shards,
+                   [&](const UncertainObject& obj) {
+                     return policy.ShardOf(obj, num_shards);
+                   });
+}
+
+std::vector<Dataset2D> PartitionDataset2D(Dataset2D dataset,
                                           size_t num_shards,
                                           const RangeShardingPolicy& policy) {
-  PV_CHECK_MSG(num_shards >= 1, "num_shards must be positive");
-  std::vector<Dataset2D> shards(num_shards);
-  for (const UncertainObject2D& obj : dataset) {
-    shards[policy.ShardOf2D(obj, num_shards)].push_back(obj);
-  }
-  return shards;
+  return Partition(std::move(dataset), num_shards,
+                   [&](const UncertainObject2D& obj) {
+                     return policy.ShardOf2D(obj, num_shards);
+                   });
 }
 
 }  // namespace pverify

@@ -47,14 +47,15 @@ class RangeShardingPolicy {
   double domain_hi_;
 };
 
-/// Splits the dataset into num_shards disjoint datasets by policy. Shards
-/// preserve the input's relative object order; some may be empty.
-std::vector<Dataset> PartitionDataset(const Dataset& dataset,
-                                      size_t num_shards,
+/// Splits the dataset into num_shards disjoint datasets by policy, moving
+/// the objects. Shards preserve the input's relative object order; some
+/// may be empty. With one shard, or when every object lands in one shard,
+/// that shard is the input vector itself.
+std::vector<Dataset> PartitionDataset(Dataset dataset, size_t num_shards,
                                       const RangeShardingPolicy& policy);
 
 /// 2-D counterpart of PartitionDataset (dispatches through ShardOf2D).
-std::vector<Dataset2D> PartitionDataset2D(const Dataset2D& dataset,
+std::vector<Dataset2D> PartitionDataset2D(Dataset2D dataset,
                                           size_t num_shards,
                                           const RangeShardingPolicy& policy);
 

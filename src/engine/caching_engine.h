@@ -1,7 +1,7 @@
 // The memoizing verification tier behind the Engine interface.
 //
-// A CachingEngine is a decorator over any backend Engine — the unsharded
-// QueryEngine or the scatter/gather ShardedQueryEngine — that remembers
+// A CachingEngine is a decorator over any backend Engine — a QueryEngine
+// with any number of shards — that remembers
 // verification results and serves repeated queries from a sharded LRU
 // instead of re-running the filter/verify/refine pipeline. The motivating
 // workloads (LBS tracking, sensor monitoring) have heavily clustered query

@@ -1,16 +1,16 @@
 // The abstract query-engine interface.
 //
-// Everything that serves QueryRequests — the single-process QueryEngine,
-// the scatter/gather ShardedQueryEngine and the CachingEngine decorator —
-// implements pverify::Engine. Callers are written once against `Engine&`;
-// whether the dataset lives in one R-tree or is partitioned across shards,
-// and whether a cache sits in front, is decided only at construction.
+// Everything that serves QueryRequests — the scatter/gather QueryEngine
+// (one shard or many) and the CachingEngine decorator — implements
+// pverify::Engine. Callers are written once against `Engine&`; how many
+// shards the dataset is partitioned across, and whether a cache sits in
+// front, is decided only at construction.
 // Every implementation honors the same contracts:
 //
 //  * Execute runs one request on the calling thread and ExecuteBatch fans a
 //    batch across the implementation's worker pool, returning results in
-//    request order; answers are bit-identical across implementations and to
-//    the sequential executors (only timings differ).
+//    request order; answers are bit-identical across implementations, shard
+//    counts and the sequential executors (only timings differ).
 //  * SubmitThen posts one request straight to the worker pool and calls
 //    back when it finishes; Submit wraps it in a future. Nothing queues in
 //    front of the pool, so a slow request occupies one worker and never
@@ -53,9 +53,9 @@ class Engine {
   /// Worker threads the batch paths fan out over.
   virtual size_t num_threads() const = 0;
 
-  /// Pool workers parked right now: the ones SubmitThen would have to wake
-  /// (all of them while a lazily spawned pool does not exist yet). A racy
-  /// snapshot, for the caller's choice between Execute and SubmitThen.
+  /// Pool workers parked right now: the ones SubmitThen would have to wake.
+  /// A racy snapshot, for the caller's choice between Execute and
+  /// SubmitThen.
   virtual size_t IdleWorkers() const = 0;
 
   /// Executes one request on the calling thread (no pool dispatch).

@@ -1,4 +1,4 @@
-#include "engine/sharded_engine.h"
+#include "engine/query_engine.h"
 
 #include <algorithm>
 #include <limits>
@@ -42,21 +42,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// bounds MINDIST exceeds it can neither lower f_min nor hold a candidate.
 /// The global f_min is the min of the local ones (each local f_min is an
 /// exact min over that shard's entries), so the phase-2 per-object
-/// predicate reproduces the unsharded filter's cut bit for bit.
+/// predicate reproduces the cut of one filter over the whole dataset bit for
+/// bit.
 template <int Dim>
-struct ShardedQueryEngine::PointScatterPolicy {
+struct QueryEngine::PointScatterPolicy {
   static_assert(Dim == 1 || Dim == 2, "point scatter is 1-D or 2-D");
   using Point = std::conditional_t<Dim == 1, double, Point2>;
   using Local = FilterResult;
   static constexpr int k = 1;
 
-  const ShardedQueryEngine& engine;
+  const QueryEngine& engine;
   Point q;
   const QueryOptions& options;
 
   static bool HasData(const Shard& shard) {
     if constexpr (Dim == 1) {
-      return !shard.bounds.empty();
+      return !shard.executor->domain().empty();
     } else {
       return !shard.bounds2d.empty();
     }
@@ -64,7 +65,7 @@ struct ShardedQueryEngine::PointScatterPolicy {
 
   double MinDist(const Shard& shard) const {
     if constexpr (Dim == 1) {
-      return MbrMinDistToBounds(q, shard.bounds);
+      return MbrMinDistToBounds(q, shard.executor->domain());
     } else {
       return MbrMinDistToBounds2D(q, shard.bounds2d);
     }
@@ -137,19 +138,19 @@ struct ShardedQueryEngine::PointScatterPolicy {
 /// indexed k-NN filter. Its candidates include every object whose far point
 /// is within the shard's k-th far point, so they hold each of the global k
 /// smallest far points (each lives in its shard's local top k), and the
-/// k-th smallest far point over all local candidates equals the unsharded
-/// filter's f^(k) exactly. That global cut is at most every local one, so
+/// k-th smallest far point over all local candidates equals f^(k) over the
+/// whole dataset exactly. That global cut is at most every local one, so
 /// phase 2 re-cuts each shard's local candidates with the same per-object
 /// arithmetic.
 template <int Dim>
-struct ShardedQueryEngine::KnnScatterPolicy {
+struct QueryEngine::KnnScatterPolicy {
   static_assert(Dim == 1 || Dim == 2, "knn scatter is 1-D or 2-D");
   using Point = std::conditional_t<Dim == 1, double, Point2>;
   /// The shard's indexed k-NN filter result, with its candidates' far and
   /// near points.
   using Local = KnnFilterResult;
 
-  const ShardedQueryEngine& engine;
+  const QueryEngine& engine;
   Point q;
   int k;
   const QueryOptions& options;
@@ -157,13 +158,13 @@ struct ShardedQueryEngine::KnnScatterPolicy {
   /// objects anywhere, so no shard survives.
   std::vector<double> fars;
 
-  KnnScatterPolicy(const ShardedQueryEngine& engine, Point q, int k,
+  KnnScatterPolicy(const QueryEngine& engine, Point q, int k,
                    const QueryOptions& options)
       : engine(engine), q(q), k(k), options(options) {}
 
   static bool HasData(const Shard& shard) {
     if constexpr (Dim == 1) {
-      return !shard.bounds.empty();
+      return !shard.executor->domain().empty();
     } else {
       return !shard.bounds2d.empty();
     }
@@ -181,7 +182,7 @@ struct ShardedQueryEngine::KnnScatterPolicy {
     if constexpr (Dim == 1) {
       // Interval arithmetic, mirroring UncertainObject::MinDist — the
       // per-object quantity phase 2 compares against the cut.
-      return IntervalMinDistToBounds(q, shard.bounds);
+      return IntervalMinDistToBounds(q, shard.executor->domain());
     } else {
       // The Mbr<2> metric lower-bounds every contained region's exact
       // MinDist (box contains region, shard MBR contains box).
@@ -191,7 +192,7 @@ struct ShardedQueryEngine::KnnScatterPolicy {
 
   double MaxDist(const Shard& shard) const {
     if constexpr (Dim == 1) {
-      return IntervalMaxDistToBounds(q, shard.bounds);
+      return IntervalMaxDistToBounds(q, shard.executor->domain());
     } else {
       return MbrMaxDistToBounds2D(q, shard.bounds2d);
     }
@@ -280,68 +281,72 @@ struct ShardedQueryEngine::KnnScatterPolicy {
 // Engine implementation.
 // ------------------------------------------------------------------------
 
-ShardedQueryEngine::ShardedQueryEngine(Dataset dataset,
-                                       ShardedEngineOptions options)
-    : ShardedQueryEngine(std::move(dataset), Dataset2D{}, std::move(options),
-                         /*serve_2d=*/false) {}
+QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
+    : QueryEngine(std::move(dataset), Dataset2D{}, std::move(options),
+                  /*serve_2d=*/false) {}
 
-ShardedQueryEngine::ShardedQueryEngine(Dataset2D dataset,
-                                       ShardedEngineOptions options)
-    : ShardedQueryEngine(Dataset{}, std::move(dataset), std::move(options),
-                         /*serve_2d=*/true) {}
+QueryEngine::QueryEngine(Dataset2D dataset, EngineOptions options)
+    : QueryEngine(Dataset{}, std::move(dataset), std::move(options),
+                  /*serve_2d=*/true) {}
 
-ShardedQueryEngine::ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
-                                       ShardedEngineOptions options)
-    : ShardedQueryEngine(std::move(dataset), std::move(dataset2d),
-                         std::move(options), /*serve_2d=*/true) {}
+QueryEngine::QueryEngine(Dataset dataset, Dataset2D dataset2d,
+                         EngineOptions options)
+    : QueryEngine(std::move(dataset), std::move(dataset2d),
+                  std::move(options), /*serve_2d=*/true) {}
 
-ShardedQueryEngine::ShardedQueryEngine(Dataset dataset, Dataset2D dataset2d,
-                                       ShardedEngineOptions options,
-                                       bool serve_2d)
-    : scratches_(options.num_threads == 0
+QueryEngine::QueryEngine(Dataset dataset, Dataset2D dataset2d,
+                         EngineOptions options, bool serve_2d)
+    : total_objects_(dataset.size()),
+      total_objects2d_(dataset2d.size()),
+      has_2d_(serve_2d),
+      scratches_(options.num_threads == 0
                      ? WorkStealingPool::DefaultThreadCount()
                      : options.num_threads),
       pool_(scratches_.workers()) {
-  total_objects_ = dataset.size();
-  total_objects2d_ = dataset2d.size();
-  has_2d_ = serve_2d;
-  const DomainBounds global = ComputeDomainBounds(dataset);
-  if (!global.empty()) {
-    domain_lo_ = global.lo;
-    domain_hi_ = global.hi;
-  }
+  const size_t num_shards = std::max<size_t>(1, options.num_shards);
+  // One shard slices nothing, so it skips the policy's domain scan.
   const RangeShardingPolicy policy =
       options.policy != nullptr ? *options.policy
+      : num_shards == 1         ? RangeShardingPolicy(0.0, 0.0)
       : !dataset.empty()        ? RangeShardingPolicy::ForDataset(dataset)
                                 : RangeShardingPolicy::ForDataset2D(dataset2d);
-  const size_t num_shards = std::max<size_t>(1, options.num_shards);
-  std::vector<Dataset> parts = PartitionDataset(dataset, num_shards, policy);
+  std::vector<Dataset> parts =
+      PartitionDataset(std::move(dataset), num_shards, policy);
   std::vector<Dataset2D> parts2d =
-      PartitionDataset2D(dataset2d, num_shards, policy);
+      PartitionDataset2D(std::move(dataset2d), num_shards, policy);
+  // The global domain is the union of the shards' exact ones (min and max
+  // are exact, so it equals one scan over the whole dataset).
+  DomainBounds global;
   shards_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     Shard shard;
-    shard.bounds = ComputeDomainBounds(parts[s]);
-    shard.bounds2d = ComputeShardBounds2D(parts2d[s]);
     shard.executor = std::make_unique<const CpnnExecutor>(std::move(parts[s]));
+    const DomainBounds& bounds = shard.executor->domain();
+    global.lo = std::min(global.lo, bounds.lo);
+    global.hi = std::max(global.hi, bounds.hi);
     if (has_2d_) {
+      shard.bounds2d = ComputeShardBounds2D(parts2d[s]);
       shard.executor2d =
           std::make_unique<const CpnnExecutor2D>(std::move(parts2d[s]));
     }
     shards_.push_back(std::move(shard));
   }
+  if (!global.empty()) {
+    domain_lo_ = global.lo;
+    domain_hi_ = global.hi;
+  }
 }
 
-ShardedQueryEngine::~ShardedQueryEngine() = default;
+QueryEngine::~QueryEngine() = default;
 
-QueryResult ShardedQueryEngine::Execute(QueryRequest request) {
+QueryResult QueryEngine::Execute(QueryRequest request) {
   Validate(request);
   return scratches_.OnCaller([&](QueryScratch* scratch) {
     return ExecuteOne(std::move(request), scratch);
   });
 }
 
-std::vector<QueryResult> ShardedQueryEngine::ExecuteBatch(
+std::vector<QueryResult> QueryEngine::ExecuteBatch(
     std::vector<QueryRequest> requests, EngineStats* stats) {
   for (const QueryRequest& request : requests) Validate(request);
   std::vector<QueryResult> results(requests.size());
@@ -362,7 +367,7 @@ std::vector<QueryResult> ShardedQueryEngine::ExecuteBatch(
   return results;
 }
 
-void ShardedQueryEngine::SubmitThen(QueryRequest request,
+void QueryEngine::SubmitThen(QueryRequest request,
                                     QueryCallback done) {
   if (!Admit(request, done)) return;
   // Boxed: QueryRequest is move-only and the posted task must be copyable.
@@ -376,54 +381,55 @@ void ShardedQueryEngine::SubmitThen(QueryRequest request,
   });
 }
 
-size_t ShardedQueryEngine::ShardVisits() const {
+size_t QueryEngine::ShardVisits() const {
   return shard_visits_.load(std::memory_order_relaxed);
 }
 
-size_t ShardedQueryEngine::ShardsPruned() const {
+size_t QueryEngine::ShardsPruned() const {
   return shards_pruned_.load(std::memory_order_relaxed);
 }
 
-size_t ShardedQueryEngine::ShardFilters() const {
+size_t QueryEngine::ShardFilters() const {
   return shard_filters_.load(std::memory_order_relaxed);
 }
 
-size_t ShardedQueryEngine::ScratchQueriesServed() const {
+size_t QueryEngine::ScratchQueriesServed() const {
   return scratches_.QueriesServed();
 }
 
-size_t ShardedQueryEngine::ScratchBytes() const { return scratches_.Bytes(); }
+size_t QueryEngine::ScratchBytes() const { return scratches_.Bytes(); }
 
-QueryResult ShardedQueryEngine::ExecuteOne(QueryRequest&& request,
+QueryResult QueryEngine::ExecuteOne(QueryRequest&& request,
                                            QueryScratch* scratch) {
   return std::visit(
       [&](auto&& payload) { return Run(std::move(payload), scratch); },
       std::move(request.query));
 }
 
-QueryResult ShardedQueryEngine::Run(PointQuery&& q, QueryScratch* scratch) {
+QueryResult QueryEngine::Run(PointQuery&& q, QueryScratch* scratch) {
   PointScatterPolicy<1> policy{*this, q.q, q.options};
   return ScatterGather(policy, scratch);
 }
 
-QueryResult ShardedQueryEngine::Run(MinQuery&& q, QueryScratch* scratch) {
-  // The global domain makes this bit-identical to the unsharded executor's
-  // virtual query point (per-shard domains would not be).
+QueryResult QueryEngine::Run(MinQuery&& q, QueryScratch* scratch) {
+  // The global domain makes this bit-identical to CpnnExecutor::ExecuteMin's
+  // virtual query point over the whole dataset (per-shard domains would
+  // not be).
   PointScatterPolicy<1> policy{*this, domain_lo_ - 1.0, q.options};
   return ScatterGather(policy, scratch);
 }
 
-QueryResult ShardedQueryEngine::Run(MaxQuery&& q, QueryScratch* scratch) {
+QueryResult QueryEngine::Run(MaxQuery&& q, QueryScratch* scratch) {
   PointScatterPolicy<1> policy{*this, domain_hi_ + 1.0, q.options};
   return ScatterGather(policy, scratch);
 }
 
-QueryResult ShardedQueryEngine::Run(KnnQuery&& q, QueryScratch* scratch) {
+QueryResult QueryEngine::Run(KnnQuery&& q, QueryScratch* scratch) {
   KnnScatterPolicy<1> policy(*this, q.q, q.k, q.options);
   return ScatterGather(policy, scratch);
 }
 
-QueryResult ShardedQueryEngine::Run(CandidatesQuery&& q,
+QueryResult QueryEngine::Run(CandidatesQuery&& q,
                                     QueryScratch* scratch) {
   // The payload already is the gathered candidate set — no scatter.
   // TakeCandidates throws on a consumed (re-submitted) request.
@@ -431,21 +437,21 @@ QueryResult ShardedQueryEngine::Run(CandidatesQuery&& q,
       ExecuteOnCandidates(q.TakeCandidates(), q.options, scratch));
 }
 
-QueryResult ShardedQueryEngine::Run(Point2DQuery&& q, QueryScratch* scratch) {
+QueryResult QueryEngine::Run(Point2DQuery&& q, QueryScratch* scratch) {
   PV_CHECK_MSG(has_2d_,
                "Point2DQuery on an engine without a 2-D dataset");
   PointScatterPolicy<2> policy{*this, q.q, q.options};
   return ScatterGather(policy, scratch);
 }
 
-QueryResult ShardedQueryEngine::Run(Knn2DQuery&& q, QueryScratch* scratch) {
+QueryResult QueryEngine::Run(Knn2DQuery&& q, QueryScratch* scratch) {
   PV_CHECK_MSG(has_2d_, "Knn2DQuery on an engine without a 2-D dataset");
   KnnScatterPolicy<2> policy(*this, q.q, q.k, q.options);
   return ScatterGather(policy, scratch);
 }
 
 template <typename Policy>
-QueryResult ShardedQueryEngine::ScatterGather(Policy& policy,
+QueryResult QueryEngine::ScatterGather(Policy& policy,
                                               QueryScratch* scratch) {
   Timer total;
   // The home shard: data and the smallest bounds MINDIST to q (ties go to
@@ -491,7 +497,8 @@ QueryResult ShardedQueryEngine::ScatterGather(Policy& policy,
   // Phase 2: shards surviving the now-exact cut add their objects within it
   // to one candidate set, built in the caller's scratch arena. Its
   // construction order-normalizes by (near point, id), so the shard order
-  // is irrelevant and the set equals the unsharded Build1D / Build2D one.
+  // is irrelevant and the set equals Build1D / Build2D's over the whole
+  // dataset.
   phase.Restart();
   CandidateArena* arena = scratch != nullptr ? &scratch->candidates : nullptr;
   CandidateSet candidates = CandidateSet::Begin(arena);

@@ -2,11 +2,12 @@
 //
 // A sharded engine prunes shards with interval arithmetic over each shard's
 // domain bounds (the MBR of its objects' uncertainty intervals). Exactness
-// matters: the sharded path must produce bit-identical answers to the
-// unsharded one, so every bound here is computed with the *same floating
-// point pipeline* as the per-object quantity it prunes against — the
-// Mbr-based (sqrt) forms mirror the R-tree filter's entry metrics, the
-// interval (plain) forms mirror UncertainObject::MinDist/MaxDist. Because
+// matters: every shard count must produce bit-identical answers to one
+// filter over the whole dataset, so every bound here is computed with the
+// *same floating point pipeline* as the per-object quantity it prunes
+// against — the Mbr-based (sqrt) forms mirror the R-tree filter's entry
+// metrics, the interval (plain) forms mirror UncertainObject::MinDist/
+// MaxDist. Because
 // an object's interval is contained in its shard's bounds and every
 // operation involved is monotone under rounding, shard-level distances
 // never exceed object-level ones within the same pipeline, which makes the
@@ -30,8 +31,8 @@ struct DomainBounds {
   bool empty() const { return lo > hi; }
 };
 
-/// Bounds of a dataset, accumulated in dataset order (the same loop shape
-/// CpnnExecutor uses for its domain, so the values agree bitwise).
+/// Bounds of a dataset, accumulated in dataset order (CpnnExecutor's
+/// domain).
 DomainBounds ComputeDomainBounds(const Dataset& dataset);
 
 /// MINDIST from q to the bounds, via the Mbr<1> metric (the R-tree filter's

@@ -24,7 +24,6 @@
 #include "datagen/workload.h"
 #include "differential_testutil.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 #include "manual_engine.h"
 
 namespace pverify {
@@ -53,16 +52,10 @@ std::vector<QueryRequest> PointBatch(const std::vector<double>& points,
   return batch;
 }
 
-// Both backend shapes the cache tier must be transparent over.
-std::unique_ptr<Engine> MakeBackend(const std::string& name,
-                                    const Dataset& data) {
-  if (name == "sharded") {
-    ShardedEngineOptions sopt;
-    sopt.num_shards = 2;
-    sopt.num_threads = 2;
-    return std::make_unique<ShardedQueryEngine>(data, sopt);
-  }
-  return std::make_unique<QueryEngine>(data, EngineOptions{2});
+// The backend shapes the cache tier must be transparent over: one shard
+// and two.
+std::unique_ptr<Engine> MakeBackend(size_t shards, const Dataset& data) {
+  return std::make_unique<QueryEngine>(data, EngineOptions{2, shards});
 }
 
 // A repeated stream turns into misses once and hits forever after — for
@@ -71,12 +64,12 @@ std::unique_ptr<Engine> MakeBackend(const std::string& name,
 TEST(CachingEngineTest, ColdMissesThenWarmHitsAllStrategiesBothBackends) {
   Dataset data = TestDataset();
   const std::vector<double> points = TestQueryPoints();
-  for (const char* backend_name : {"unsharded", "sharded"}) {
+  for (size_t shards : {1u, 2u}) {
     for (Strategy strategy : {Strategy::kBasic, Strategy::kRefine,
                               Strategy::kVR, Strategy::kMonteCarlo}) {
-      const std::string what =
-          std::string(backend_name) + " " + ToString(strategy).data();
-      std::unique_ptr<Engine> backend = MakeBackend(backend_name, data);
+      const std::string what = std::to_string(shards) + " shards " +
+                               std::string(ToString(strategy));
+      std::unique_ptr<Engine> backend = MakeBackend(shards, data);
       CachingEngine cached(*backend);
 
       const QueryOptions opt = OptionsFor(strategy);
@@ -111,17 +104,16 @@ TEST(CachingEngineTest, ColdMissesThenWarmHitsAllStrategiesBothBackends) {
 // min, max, knn, candidate-set) through cache-wrapped variants of both
 // backends for several rounds — the first round populates, later rounds
 // serve memoized answers — through ExecuteBatch AND the async Submit
-// path. Every answer must match the uncached single-thread reference bit
-// for bit.
+// path. Every answer must match the executors bit for bit.
 TEST(CachingEngineTest, MixedStreamBitIdenticalToUncachedOverRounds) {
   Dataset data = TestDataset(300);
-  QueryEngine reference(data, EngineOptions{1});
+  testutil::ExecutorReference reference(data);
   const QueryOptions opt = OptionsFor(Strategy::kVR);
   const std::vector<double> points = TestQueryPoints(8);
 
   std::vector<testutil::RequestFactory> stream =
       testutil::MakeMixedKindStream(points, opt, /*seed=*/11);
-  const CpnnExecutor& exec = reference.executor();
+  const CpnnExecutor& exec = reference.exec();
   for (double q : points) {
     stream.push_back([&exec, q, opt] {
       FilterResult filtered = exec.Filter(q);
@@ -131,28 +123,28 @@ TEST(CachingEngineTest, MixedStreamBitIdenticalToUncachedOverRounds) {
     });
   }
 
-  std::unique_ptr<Engine> unsharded = MakeBackend("unsharded", data);
-  std::unique_ptr<Engine> sharded = MakeBackend("sharded", data);
-  CachingEngine cached_unsharded(*unsharded);
-  CachingEngine cached_sharded(*sharded);
+  std::unique_ptr<Engine> one_shard = MakeBackend(1, data);
+  std::unique_ptr<Engine> two_shards = MakeBackend(2, data);
+  CachingEngine cached_one_shard(*one_shard);
+  CachingEngine cached_two_shards(*two_shards);
   // A deliberately tiny cache so later rounds also exercise eviction.
   CachingEngineOptions tiny;
   tiny.capacity = 4;
-  std::unique_ptr<Engine> tiny_backend = MakeBackend("unsharded", data);
+  std::unique_ptr<Engine> tiny_backend = MakeBackend(1, data);
   CachingEngine cached_tiny(*tiny_backend, tiny);
 
   testutil::DifferentialConfig config;
   config.rounds = 3;
   config.exercise_submit = true;
   testutil::RunDifferentialStream(reference,
-                                  {{"cached unsharded", &cached_unsharded},
-                                   {"cached sharded", &cached_sharded},
+                                  {{"cached 1 shard", &cached_one_shard},
+                                   {"cached 2 shards", &cached_two_shards},
                                    {"cached tiny-lru", &cached_tiny}},
                                   stream, config);
 
   // The big caches really served from memory on the warm rounds…
-  EXPECT_GT(cached_unsharded.GetCacheStats().hits, 0u);
-  EXPECT_GT(cached_sharded.GetCacheStats().hits, 0u);
+  EXPECT_GT(cached_one_shard.GetCacheStats().hits, 0u);
+  EXPECT_GT(cached_two_shards.GetCacheStats().hits, 0u);
   // …and the tiny one really evicted.
   EXPECT_GT(cached_tiny.GetCacheStats().evictions, 0u);
 }
@@ -163,7 +155,7 @@ TEST(CachingEngineTest, MixedStreamBitIdenticalToUncachedOverRounds) {
 TEST(CachingEngineTest, LruEvictionNeverChangesAnswers) {
   Dataset data = TestDataset();
   QueryEngine backend(data, EngineOptions{2});
-  QueryEngine reference(data, EngineOptions{1});
+  testutil::ExecutorReference reference(data);
   CachingEngineOptions copt;
   copt.capacity = 4;
   CachingEngine cached(backend, copt);
@@ -190,7 +182,7 @@ TEST(CachingEngineTest, LruEvictionNeverChangesAnswers) {
 TEST(CachingEngineTest, CapacityZeroIsPassThrough) {
   Dataset data = TestDataset();
   QueryEngine backend(data, EngineOptions{2});
-  QueryEngine reference(data, EngineOptions{1});
+  testutil::ExecutorReference reference(data);
   CachingEngineOptions copt;
   copt.capacity = 0;
   CachingEngine cached(backend, copt);
@@ -241,7 +233,7 @@ TEST(CachingEngineTest, HugeCapacityKeepsEveryEntry) {
 TEST(CachingEngineTest, EveryFingerprintFieldKeysTheCache) {
   Dataset data = TestDataset();
   QueryEngine backend(data, EngineOptions{2});
-  QueryEngine reference(data, EngineOptions{1});
+  testutil::ExecutorReference reference(data);
   CachingEngine cached(backend);
 
   const double q = 125.0;
@@ -306,8 +298,9 @@ TEST(CachingEngineTest, CandidateRequestsBypassTheCache) {
   const QueryOptions opt = OptionsFor(Strategy::kVR);
   const double q = 100.0;
 
+  const CpnnExecutor exec(data);
   auto build_request = [&] {
-    FilterResult filtered = backend.executor().Filter(q);
+    FilterResult filtered = exec.Filter(q);
     return QueryRequest(CandidatesQuery(
         CandidateSet::Build1D(data, filtered.candidates, q), opt));
   };
@@ -351,7 +344,7 @@ TEST(CachingEngineTest, OwningBackendAndSubmitFailureIsolation) {
 TEST(CachingEngineTest, ConcurrentSubmitStressOnSharedCache) {
   Dataset data = TestDataset(200);
   QueryEngine backend(data, EngineOptions{4});
-  QueryEngine reference(data, EngineOptions{1});
+  testutil::ExecutorReference reference(data);
   CachingEngineOptions copt;
   copt.capacity = 16;  // small enough that eviction races too
   CachingEngine cached(backend, copt);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "datagen/partition.h"
 #include "datagen/workload.h"
 
 namespace pverify {
@@ -308,6 +309,92 @@ TEST(WorkloadTest, RunWorkloadAggregates) {
   EXPECT_GE(result.AvgTotalMs(), 0.0);
   EXPECT_GE(result.FractionFinishedAfterVerify(), 0.0);
   EXPECT_LE(result.FractionFinishedAfterVerify(), 1.0);
+}
+
+// Partitioning moves every object into exactly one shard: the ids and the
+// total count survive, each shard keeps the input's relative order, and a
+// single shard (or every object landing in one) is the input vector itself.
+TEST(PartitionTest, MovesObjectsPreservingIdsCountAndOrder) {
+  const Dataset original =
+      datagen::MakeUniformScatter(300, 1000.0, 5.0, /*seed=*/8);
+  const RangeShardingPolicy policy = RangeShardingPolicy::ForDataset(original);
+  for (size_t shards : {1u, 2u, 4u}) {
+    Dataset data = original;
+    const UncertainObject* storage = data.data();
+    std::vector<Dataset> parts =
+        PartitionDataset(std::move(data), shards, policy);
+    ASSERT_EQ(parts.size(), shards);
+    if (shards == 1) {
+      EXPECT_EQ(parts[0].data(), storage);
+    }
+    std::vector<ObjectId> ids;
+    for (size_t s = 0; s < shards; ++s) {
+      // Input order within the shard: the positions in `original` rise.
+      size_t last = 0;
+      for (size_t i = 0; i < parts[s].size(); ++i) {
+        const UncertainObject& obj = parts[s][i];
+        EXPECT_EQ(policy.ShardOf(obj, shards), s);
+        const size_t at = static_cast<size_t>(obj.id());
+        ASSERT_LT(at, original.size());
+        EXPECT_EQ(original[at].id(), obj.id());
+        EXPECT_EQ(original[at].lo(), obj.lo());
+        EXPECT_EQ(original[at].hi(), obj.hi());
+        if (i > 0) {
+          EXPECT_GT(at, last) << shards << " shards, shard " << s;
+        }
+        last = at;
+        ids.push_back(obj.id());
+      }
+    }
+    EXPECT_EQ(ids.size(), original.size()) << shards << " shards";
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+  }
+
+  // Every object in one shard: that shard is the input vector.
+  Dataset data = original;
+  const UncertainObject* storage = data.data();
+  std::vector<Dataset> parts = PartitionDataset(
+      std::move(data), 4, RangeShardingPolicy(5000.0, 6000.0));
+  EXPECT_EQ(parts[0].data(), storage);
+  EXPECT_EQ(parts[0].size(), original.size());
+  for (size_t s = 1; s < 4; ++s) EXPECT_TRUE(parts[s].empty());
+}
+
+TEST(PartitionTest, Moves2DObjectsPreservingIdsCountAndOrder) {
+  datagen::Synthetic2DConfig config;
+  config.count = 200;
+  config.seed = 12;
+  const Dataset2D original = datagen::MakeSynthetic2D(config);
+  const RangeShardingPolicy policy =
+      RangeShardingPolicy::ForDataset2D(original);
+  for (size_t shards : {1u, 2u, 4u}) {
+    Dataset2D data = original;
+    const UncertainObject2D* storage = data.data();
+    std::vector<Dataset2D> parts =
+        PartitionDataset2D(std::move(data), shards, policy);
+    ASSERT_EQ(parts.size(), shards);
+    if (shards == 1) {
+      EXPECT_EQ(parts[0].data(), storage);
+    }
+    size_t total = 0;
+    for (size_t s = 0; s < shards; ++s) {
+      size_t last = 0;
+      for (size_t i = 0; i < parts[s].size(); ++i) {
+        const UncertainObject2D& obj = parts[s][i];
+        EXPECT_EQ(policy.ShardOf2D(obj, shards), s);
+        const size_t at = static_cast<size_t>(obj.id());
+        ASSERT_LT(at, original.size());
+        EXPECT_EQ(original[at].id(), obj.id());
+        if (i > 0) {
+          EXPECT_GT(at, last) << shards << " shards, shard " << s;
+        }
+        last = at;
+      }
+      total += parts[s].size();
+    }
+    EXPECT_EQ(total, original.size()) << shards << " shards";
+  }
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Differential-testing harness: one helper that runs a randomized
 // mixed-kind request stream across a set of Engine backends and asserts
-// every backend answers exactly like a reference engine — labels/ids
-// and probability bounds bit-identical.
+// every backend answers exactly like a reference — labels/ids and
+// probability bounds bit-identical. The reference is usually
+// ExecutorReference, the request run directly on the sequential executors.
 //
-// The Engine contract says answers must not depend on the implementation:
-// unsharded vs. sharded 1/2/4-way, disjoint or overlapping range shards,
-// cached vs. uncached — only scheduling may differ.
+// The Engine contract says answers must not depend on the composition:
+// 1/2/4 shards, disjoint or overlapping range shards, cached vs. uncached —
+// only scheduling may differ.
 // This header is that contract as a reusable assertion. Tests build a
 // stream of request FACTORIES (requests are move-only, so each engine and
 // each round rebuilds its own), hand the harness a reference and a list of
@@ -19,12 +20,16 @@
 #include <cstring>
 #include <functional>
 #include <future>
+#include <memory>
 #include <random>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/query.h"
+#include "core/query2d.h"
 #include "engine/engine.h"
 
 namespace pverify {
@@ -116,14 +121,76 @@ inline std::vector<RequestFactory> MakeMixedKindStream(
   return stream;
 }
 
+/// The sequential reference: each request run directly on the executors —
+/// CpnnExecutor::Execute / ExecuteMin / ExecuteMax / ExecuteKnn, the 2-D
+/// executor's Execute / ExecuteKnn, ExecuteOnCandidates — in the engine's
+/// result shape. Every engine composition must answer like it bit for bit.
+class ExecutorReference {
+ public:
+  explicit ExecutorReference(const Dataset& data) : exec_(data) {}
+  explicit ExecutorReference(const Dataset2D& data2d)
+      : exec_(Dataset{}), exec2d_(std::make_unique<CpnnExecutor2D>(data2d)) {}
+  ExecutorReference(const Dataset& data, const Dataset2D& data2d)
+      : exec_(data), exec2d_(std::make_unique<CpnnExecutor2D>(data2d)) {}
+
+  const CpnnExecutor& exec() const { return exec_; }
+  /// The 2-D executor; the reference must have been given 2-D data.
+  const CpnnExecutor2D& exec2d() const {
+    EXPECT_NE(exec2d_, nullptr) << "2-D request on a 1-D reference";
+    return *exec2d_;
+  }
+
+  QueryResult Execute(QueryRequest request) const {
+    return std::visit([this](auto& q) { return Run(q); }, request.query);
+  }
+
+ private:
+  static QueryResult KnnResult(CknnAnswer answer) {
+    QueryResult result;
+    result.stats.candidates = answer.bounds.size();
+    result.ids = answer.ids;
+    result.knn = std::move(answer);
+    return result;
+  }
+
+  QueryResult Run(PointQuery& q) const {
+    return ToQueryResult(exec_.Execute(q.q, q.options));
+  }
+  QueryResult Run(MinQuery& q) const {
+    return ToQueryResult(exec_.ExecuteMin(q.options));
+  }
+  QueryResult Run(MaxQuery& q) const {
+    return ToQueryResult(exec_.ExecuteMax(q.options));
+  }
+  QueryResult Run(KnnQuery& q) const {
+    return KnnResult(
+        exec_.ExecuteKnn(q.q, q.k, q.options.params, q.options.integration));
+  }
+  QueryResult Run(CandidatesQuery& q) const {
+    return ToQueryResult(ExecuteOnCandidates(q.TakeCandidates(), q.options));
+  }
+  QueryResult Run(Point2DQuery& q) const {
+    return ToQueryResult(exec2d().Execute(q.q, q.options));
+  }
+  QueryResult Run(Knn2DQuery& q) const {
+    return KnnResult(exec2d().ExecuteKnn(q.q, q.k, q.options.params,
+                                         q.options.integration));
+  }
+
+  CpnnExecutor exec_;
+  std::unique_ptr<CpnnExecutor2D> exec2d_;
+};
+
 /// The harness. Computes ground truth by running the stream serially
-/// through `reference.Execute`, then replays it `config.rounds` times
-/// through every engine's ExecuteBatch (and optionally Submit), asserting
-/// every answer equivalent to the reference.
-inline void RunDifferentialStream(Engine& reference,
-                                  const std::vector<NamedEngine>& engines,
-                                  const std::vector<RequestFactory>& stream,
-                                  const DifferentialConfig& config = {}) {
+/// through `reference.Execute` (an ExecutorReference or an Engine), then
+/// replays it `config.rounds` times through every engine's ExecuteBatch
+/// (and optionally Submit), asserting every answer equivalent to the
+/// reference.
+template <typename Reference>
+void RunDifferentialStream(Reference& reference,
+                           const std::vector<NamedEngine>& engines,
+                           const std::vector<RequestFactory>& stream,
+                           const DifferentialConfig& config = {}) {
   std::vector<QueryResult> expected;
   expected.reserve(stream.size());
   for (const RequestFactory& make : stream) {

@@ -1,6 +1,6 @@
 // Engine-native 2-D C-PNN tests: QueryKind::kPoint2D pinned bit-identical
-// to CpnnExecutor2D::Execute, sharded-vs-unsharded 2-D equivalence across
-// shard counts, a property test that 2-D shard pruning never
+// to CpnnExecutor2D::Execute at every shard count (one included), a
+// property test that 2-D shard pruning never
 // drops a shard that could contribute, and scratch-footprint stability over
 // a 100+-query 2-D batch.
 #include <future>
@@ -12,7 +12,6 @@
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 #include "spatial/bounds.h"
 #include "spatial/filter.h"
 
@@ -53,8 +52,8 @@ QueryOptions OptionsFor(Strategy strategy) {
 
 // Bit-identical, not approximately equal: the engine-native 2-D path must
 // run the exact same arithmetic as the executor. `Expected` is QueryAnswer
-// (executor reference) or QueryResult (engine reference) — both expose the
-// same answer fields.
+// (an executor's answer) or QueryResult — both expose the same answer
+// fields.
 template <typename Expected>
 void ExpectIdentical(const Expected& expected, const QueryResult& got,
                const std::string& what) {
@@ -78,7 +77,7 @@ TEST(Engine2DTest, BatchedPoint2DBitIdenticalToExecutorAllStrategies) {
   EngineOptions eopt;
   eopt.num_threads = 4;
   QueryEngine engine(data, eopt);
-  ASSERT_NE(engine.executor2d(), nullptr);
+  ASSERT_NE(engine.shard_executor2d(0), nullptr);
 
   const std::vector<Point2> points =
       datagen::MakeQueryPoints2D(12, 0.0, 1000.0, /*seed=*/5);
@@ -146,38 +145,33 @@ TEST(Engine2DTest, Point2DWithoutDatasetThrows) {
   Dataset data1d = datagen::MakeUniformScatter(50, 100.0, 2.0, /*seed=*/4);
   QueryOptions opt = OptionsFor(Strategy::kVR);
 
-  QueryEngine engine(data1d, EngineOptions{1});
-  EXPECT_EQ(engine.executor2d(), nullptr);
-  EXPECT_THROW(engine.Execute(Point2DQuery{{1.0, 1.0}, opt}),
-               std::logic_error);
-
-  ShardedQueryEngine sharded(data1d, ShardedEngineOptions{2, nullptr, 2});
-  EXPECT_THROW(sharded.Execute(Point2DQuery{{1.0, 1.0}, opt}),
-               std::logic_error);
+  for (size_t shards : {1u, 2u}) {
+    QueryEngine engine(data1d, EngineOptions{2, shards});
+    EXPECT_EQ(engine.shard_executor2d(0), nullptr);
+    EXPECT_THROW(engine.Execute(Point2DQuery{{1.0, 1.0}, opt}),
+                 std::logic_error);
+  }
 }
 
-// A 2-D dataset that happens to be empty is served (empty answers), and the
-// sharded and unsharded engines agree — including the dual-mode ctors.
+// A 2-D dataset that happens to be empty is served (empty answers), like
+// the executor's, at every shard count — including the dual-mode ctors.
 TEST(Engine2DTest, EmptyDataset2DServesEmptyAnswersConsistently) {
   Dataset data1d = datagen::MakeUniformScatter(50, 100.0, 2.0, /*seed=*/4);
   QueryOptions opt = OptionsFor(Strategy::kVR);
   auto request = [&] { return QueryRequest(Point2DQuery{{1.0, 1.0}, opt}); };
 
-  QueryEngine unsharded(Dataset2D{}, EngineOptions{1});
-  QueryResult expected = unsharded.Execute(request());
+  const QueryAnswer expected =
+      CpnnExecutor2D(Dataset2D{}).Execute({1.0, 1.0}, opt);
   EXPECT_TRUE(expected.ids.empty());
   EXPECT_EQ(expected.stats.candidates, 0u);
 
-  QueryEngine dual(data1d, Dataset2D{}, EngineOptions{1});
-  ExpectIdentical(expected, dual.Execute(request()), "dual unsharded");
-
-  ShardedQueryEngine sharded(Dataset2D{}, ShardedEngineOptions{2, nullptr, 2});
-  ExpectIdentical(expected, sharded.Execute(request()), "sharded 2-D");
-
-  ShardedQueryEngine sharded_dual(data1d, Dataset2D{},
-                                  ShardedEngineOptions{2, nullptr, 2});
-  ExpectIdentical(expected, sharded_dual.Execute(request()),
-                  "sharded dual");
+  for (size_t shards : {1u, 2u}) {
+    const std::string what = std::to_string(shards) + " shards";
+    QueryEngine engine(Dataset2D{}, EngineOptions{2, shards});
+    ExpectIdentical(expected, engine.Execute(request()), what + " 2-D");
+    QueryEngine dual(data1d, Dataset2D{}, EngineOptions{2, shards});
+    ExpectIdentical(expected, dual.Execute(request()), what + " dual");
+  }
 }
 
 // Recycling without arena-backed construction (the sharded gather path)
@@ -185,10 +179,10 @@ TEST(Engine2DTest, EmptyDataset2DServesEmptyAnswersConsistently) {
 // is capped at the arena's own take demand, which is zero here.
 TEST(Engine2DTest, ShardedGatherDoesNotGrowScratchUnboundedly) {
   Dataset2D data = TestDataset2D(200, /*seed=*/37);
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 2;
-  sopt.num_threads = 1;
-  ShardedQueryEngine sharded(data, sopt);
+  EngineOptions eopt;
+  eopt.num_shards = 2;
+  eopt.num_threads = 1;
+  QueryEngine sharded(data, eopt);
   QueryOptions opt = OptionsFor(Strategy::kVR);
   const std::vector<Point2> points =
       datagen::MakeQueryPoints2D(40, 0.0, 1000.0, /*seed=*/53);
@@ -221,17 +215,15 @@ TEST(Engine2DTest, ShardedPoint2DBitIdenticalAcrossShardCounts) {
         datagen::MakeQueryPoints2D(5, 0.0, domain_hi, /*seed=*/41 + d);
     const QueryOptions opt = OptionsFor(Strategy::kVR);
 
-    QueryEngine reference(data, EngineOptions{2});
-    std::vector<QueryRequest> ref_batch;
-    for (Point2 p : points) ref_batch.push_back(Point2DQuery{p, opt});
-    std::vector<QueryResult> expected =
-        reference.ExecuteBatch(std::move(ref_batch));
+    CpnnExecutor2D reference(data);
+    std::vector<QueryAnswer> expected;
+    for (Point2 p : points) expected.push_back(reference.Execute(p, opt));
 
     for (size_t shards : {1u, 2u, 4u}) {
-      ShardedEngineOptions sopt;
-      sopt.num_shards = shards;
-      sopt.num_threads = 2;
-      ShardedQueryEngine sharded(data, sopt);
+      EngineOptions eopt;
+      eopt.num_shards = shards;
+      eopt.num_threads = 2;
+      QueryEngine sharded(data, eopt);
       ASSERT_EQ(sharded.num_shards(), shards);
 
       std::vector<QueryRequest> batch;
@@ -257,11 +249,11 @@ TEST(Engine2DTest, ShardedPoint2DBitIdenticalAcrossShardCounts) {
 
 TEST(Engine2DTest, RangeSharding2DPrunesDistantShards) {
   Dataset2D data = ClusteredDataset2D();
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 8;
-  sopt.num_threads = 2;
-  ShardedQueryEngine sharded(data, sopt);
-  QueryEngine reference(data, EngineOptions{1});
+  EngineOptions eopt;
+  eopt.num_shards = 8;
+  eopt.num_threads = 2;
+  QueryEngine sharded(data, eopt);
+  CpnnExecutor2D reference(data);
 
   const QueryOptions opt = OptionsFor(Strategy::kVR);
   // Queries inside the clusters (the generator places them at 1250, 3750,
@@ -270,7 +262,7 @@ TEST(Engine2DTest, RangeSharding2DPrunesDistantShards) {
   std::vector<Point2> points = {{1230.0, 1270.0}, {3770.0, 3730.0},
                                 {6260.0, 6240.0}, {8730.0, 8770.0}};
   for (Point2 p : points) {
-    ExpectIdentical(reference.Execute(Point2DQuery{p, opt}),
+    ExpectIdentical(reference.Execute(p, opt),
                     sharded.Execute(Point2DQuery{p, opt}),
                     "pruned 2-D point query");
   }
@@ -297,10 +289,10 @@ TEST(Engine2DTest, Point2DPruningNeverDropsContributingShard) {
         datagen::MakeQueryPoints2D(20, 0.0, domain_hi, /*seed=*/7 + d);
 
     for (size_t shards : {2u, 4u, 8u}) {
-      ShardedEngineOptions sopt;
-      sopt.num_shards = shards;
-      sopt.num_threads = 1;
-      ShardedQueryEngine engine(data, sopt);
+      EngineOptions eopt;
+      eopt.num_shards = shards;
+      eopt.num_threads = 1;
+      QueryEngine engine(data, eopt);
 
       // Bounds sandwich every contained object's exact distances.
       for (size_t s = 0; s < engine.num_shards(); ++s) {

@@ -71,6 +71,7 @@ TEST(EngineStatsTest, CacheHitRateEdgeCases) {
 TEST(EngineStatsTest, MixedKindVariantBatchesAggregateEveryRequest) {
   Dataset data = datagen::MakeUniformScatter(200, 250.0, 2.0, /*seed=*/3);
   QueryEngine engine(data, EngineOptions{2});
+  const CpnnExecutor exec(data);
   QueryOptions opt;
   opt.params = {0.3, 0.01};
   opt.strategy = Strategy::kVR;
@@ -81,7 +82,7 @@ TEST(EngineStatsTest, MixedKindVariantBatchesAggregateEveryRequest) {
     batch.push_back(MinQuery{opt});
     batch.push_back(MaxQuery{opt});
     batch.push_back(KnnQuery{q, 3, opt});
-    FilterResult filtered = engine.executor().Filter(q);
+    FilterResult filtered = exec.Filter(q);
     batch.push_back(CandidatesQuery(
         CandidateSet::Build1D(data, filtered.candidates, q), opt));
     return batch;

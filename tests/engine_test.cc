@@ -19,7 +19,6 @@
 #include "differential_testutil.h"
 #include "engine/caching_engine.h"
 #include "engine/scratch.h"
-#include "engine/sharded_engine.h"
 
 namespace pverify {
 namespace {
@@ -58,13 +57,13 @@ void ExpectIdenticalAnswer(const QueryAnswer& expected,
   }
 }
 
-// Four-thread batches must answer bit for bit like the single-threaded
-// reference for every strategy; only scheduling may differ. Ported onto
-// the differential harness (tests/differential_testutil.h), which demands
-// bit identity.
+// Four-thread batches must answer bit for bit like the sequential executor
+// for every strategy; only scheduling may differ. Ported onto the
+// differential harness (tests/differential_testutil.h), which demands bit
+// identity.
 TEST(QueryEngineTest, BatchAtFourThreadsMatchesSequentialAllStrategies) {
   Dataset data = TestDataset();
-  QueryEngine reference(data, EngineOptions{1});
+  testutil::ExecutorReference reference(data);
   EngineOptions eopt;
   eopt.num_threads = 4;
   QueryEngine engine(data, eopt);
@@ -90,7 +89,7 @@ TEST(QueryEngineTest, BatchAtFourThreadsMatchesSequentialAllStrategies) {
 // and the async Submit path.
 TEST(QueryEngineTest, MixedStreamBitIdenticalAtFourThreads) {
   Dataset data = TestDataset(300);
-  QueryEngine reference(data, EngineOptions{1});
+  testutil::ExecutorReference reference(data);
   const QueryOptions opt = OptionsFor(Strategy::kVR);
   const std::vector<testutil::RequestFactory> stream =
       testutil::MakeMixedKindStream(TestQueryPoints(12), opt);
@@ -243,29 +242,30 @@ TEST(QueryEngineTest, InvalidParamsSurfaceFromBatch) {
   EXPECT_THROW(engine.ExecuteBatch(std::move(batch)), std::logic_error);
 }
 
-// Builds each engine composition Submit must behave the same on.
+// Builds each engine composition Submit must behave the same on: one
+// shard, three shards, and a cache in front of one shard.
 struct NamedFactory {
   const char* name;
   std::function<std::unique_ptr<Engine>(const Dataset&)> make;
 };
 
+std::unique_ptr<QueryEngine> TwoThreadEngine(const Dataset& data,
+                                             size_t shards) {
+  EngineOptions eopt;
+  eopt.num_threads = 2;
+  eopt.num_shards = shards;
+  return std::make_unique<QueryEngine>(data, eopt);
+}
+
 std::vector<NamedFactory> SubmitEngines() {
   return {
-      {"QueryEngine",
-       [](const Dataset& data) {
-         return std::make_unique<QueryEngine>(data, EngineOptions{2});
-       }},
-      {"ShardedQueryEngine",
-       [](const Dataset& data) {
-         ShardedEngineOptions sopt;
-         sopt.num_shards = 3;
-         sopt.num_threads = 2;
-         return std::make_unique<ShardedQueryEngine>(data, sopt);
-       }},
+      {"1 shard",
+       [](const Dataset& data) { return TwoThreadEngine(data, 1); }},
+      {"3 shards",
+       [](const Dataset& data) { return TwoThreadEngine(data, 3); }},
       {"CachingEngine",
        [](const Dataset& data) {
-         return std::make_unique<CachingEngine>(
-             std::make_unique<QueryEngine>(data, EngineOptions{2}));
+         return std::make_unique<CachingEngine>(TwoThreadEngine(data, 1));
        }},
   };
 }

@@ -1,11 +1,11 @@
 // Bit-identity pin on the answers the engines produce.
 //
-// A seeded 1-D workload runs through QueryEngine, a 4-shard
-// ShardedQueryEngine, a CachingEngine (cold and warm), two threads calling
-// Execute concurrently on one engine, and a loopback net::Server on both
-// of its dispatch paths (requests one at a time run on the reader thread;
-// a pipelined batch fans out to the pool). Every answer id
-// and the raw bit pattern of every probability bound is folded into one
+// A seeded 1-D workload runs through the bare CpnnExecutor (no engine),
+// QueryEngine at one shard and at four, a CachingEngine (cold and warm),
+// two threads calling Execute concurrently on one engine, and a loopback
+// net::Server on both of its dispatch paths (requests one at a time run on
+// the reader thread; a pipelined batch fans out to the pool). Every answer
+// id and the raw bit pattern of every probability bound is folded into one
 // 64-bit FNV-1a digest, which must equal a constant recorded from an
 // earlier build. Any change to the verifier numerics (subregion table,
 // RS / L-SR / U-SR, the Eq. 4 refresh, refinement, exact integration,
@@ -33,8 +33,8 @@
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
 #include "engine/caching_engine.h"
+#include "differential_testutil.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 #include "fnv1a_testutil.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -116,30 +116,37 @@ uint64_t Digest(const std::vector<QueryResult>& results) {
   return h.value();
 }
 
+// The sequential executors alone: CpnnExecutor::Execute / ExecuteMin /
+// ExecuteMax / ExecuteKnn, no engine, pool or scratch arena.
+TEST(GoldenAnswersTest, ExecutorsReproduceTheRecordedDigest) {
+  const testutil::ExecutorReference executors(GoldenDataset());
+  std::vector<QueryResult> results;
+  for (QueryRequest& request : GoldenRequests()) {
+    results.push_back(executors.Execute(std::move(request)));
+  }
+  EXPECT_EQ(Hex(Digest(results)), Hex(kGoldenDigest)) << "bare executors";
+}
+
 TEST(GoldenAnswersTest, EveryEngineReproducesTheRecordedDigest) {
   const Dataset data = GoldenDataset();
   const size_t n = GoldenRequests().size();
 
-  QueryEngine unsharded(data, EngineOptions{2});
-  const std::vector<QueryResult> reference =
-      unsharded.ExecuteBatch(GoldenRequests());
-  ASSERT_EQ(reference.size(), n);
-  const uint64_t digest = Digest(reference);
-  EXPECT_EQ(Hex(digest), Hex(kGoldenDigest)) << "QueryEngine";
-
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 4;
-  sopt.num_threads = 2;
-  ShardedQueryEngine sharded(data, sopt);
-  EXPECT_EQ(Hex(Digest(sharded.ExecuteBatch(GoldenRequests()))),
-            Hex(digest))
-      << "4-shard ShardedQueryEngine";
+  for (size_t shards : {1u, 4u}) {
+    QueryEngine engine(data, EngineOptions{2, shards});
+    const std::vector<QueryResult> results =
+        engine.ExecuteBatch(GoldenRequests());
+    ASSERT_EQ(results.size(), n);
+    EXPECT_EQ(Hex(Digest(results)), Hex(kGoldenDigest))
+        << shards << "-shard QueryEngine";
+  }
 
   QueryEngine backend(data, EngineOptions{2});
   CachingEngine cached(backend);
-  EXPECT_EQ(Hex(Digest(cached.ExecuteBatch(GoldenRequests()))), Hex(digest))
+  EXPECT_EQ(Hex(Digest(cached.ExecuteBatch(GoldenRequests()))),
+            Hex(kGoldenDigest))
       << "CachingEngine, cold";
-  EXPECT_EQ(Hex(Digest(cached.ExecuteBatch(GoldenRequests()))), Hex(digest))
+  EXPECT_EQ(Hex(Digest(cached.ExecuteBatch(GoldenRequests()))),
+            Hex(kGoldenDigest))
       << "CachingEngine, warm";
   EXPECT_GT(cached.GetCacheStats().hits, 0u);
 
@@ -157,7 +164,7 @@ TEST(GoldenAnswersTest, EveryEngineReproducesTheRecordedDigest) {
     });
   }
   for (std::thread& caller : callers) caller.join();
-  EXPECT_EQ(Hex(Digest(concurrent)), Hex(digest))
+  EXPECT_EQ(Hex(Digest(concurrent)), Hex(kGoldenDigest))
       << "two concurrent Execute callers";
 }
 

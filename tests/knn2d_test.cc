@@ -1,8 +1,8 @@
 // 2-D constrained k-NN through the engine stack: CpnnExecutor2D::ExecuteKnn
 // vs. the scan filter's invariants, Knn2DQuery pinned bit-identical to the
-// executor through QueryEngine (batch/submit/serial), and the sharded
-// KnnScatterPolicy<2> instantiation pinned bit-identical to the unsharded
-// answer at 1/2/4 shards, at interior and domain-edge query points.
+// executor through QueryEngine (batch/submit/serial), and the
+// KnnScatterPolicy<2> instantiation pinned bit-identical to the executor
+// at 1/2/4 shards, at interior and domain-edge query points.
 #include <future>
 #include <limits>
 #include <stdexcept>
@@ -16,7 +16,6 @@
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 #include "spatial/filter.h"
 
 namespace pverify {
@@ -146,10 +145,10 @@ TEST(Knn2DTest, ShardedKnn2DBitIdenticalAcrossShardCounts) {
     }
 
     for (size_t shards : {1u, 2u, 4u}) {
-      ShardedEngineOptions sopt;
-      sopt.num_shards = shards;
-      sopt.num_threads = 2;
-      ShardedQueryEngine sharded(data, sopt);
+      EngineOptions eopt;
+      eopt.num_shards = shards;
+      eopt.num_threads = 2;
+      QueryEngine sharded(data, eopt);
 
       for (int k : {1, 3, 7}) {
         std::vector<QueryRequest> batch;
@@ -174,10 +173,10 @@ TEST(Knn2DTest, KLargerThanDatasetKeepsEveryObject) {
   Dataset2D data = TestDataset2D(12, /*seed=*/3);
   CpnnExecutor2D sequential(data);
   const QueryOptions opt = TestOptions();
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 4;
-  sopt.num_threads = 2;
-  ShardedQueryEngine sharded(data, sopt);
+  EngineOptions eopt;
+  eopt.num_shards = 4;
+  eopt.num_threads = 2;
+  QueryEngine sharded(data, eopt);
   const Point2 q{400.0, 600.0};
   CknnAnswer expected =
       sequential.ExecuteKnn(q, 50, opt.params, opt.integration);
@@ -187,9 +186,8 @@ TEST(Knn2DTest, KLargerThanDatasetKeepsEveryObject) {
 }
 
 TEST(Knn2DTest, NotANumberQueryIsRejectedByEnginesAnsweredEmptyByExecutors) {
-  // The engines reject a NaN q before it reaches a filter, sharded ones
-  // included (8 range shards over 5 objects leave some shards without
-  // data). The core executors still answer it empty: a NaN q compares false
+  // The engine rejects a NaN q before it reaches a filter, at one shard and
+  // at 8 (8 range shards over 5 objects leave some shards without data). The core executors still answer it empty: a NaN q compares false
   // with every distance, so their filters find no candidates.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const QueryOptions opt = TestOptions();
@@ -200,21 +198,17 @@ TEST(Knn2DTest, NotANumberQueryIsRejectedByEnginesAnsweredEmptyByExecutors) {
   const Dataset2D data2d = TestDataset2D(5, /*seed=*/9);
   const CpnnExecutor executor(data1d);
   const CpnnExecutor2D executor2d(data2d);
-  QueryEngine engine(data1d, data2d, EngineOptions{1});
   for (size_t shards : {1u, 8u}) {
-    ShardedEngineOptions sopt;
-    sopt.num_shards = shards;
-    sopt.num_threads = 2;
-    ShardedQueryEngine sharded(data1d, data2d, sopt);
+    EngineOptions eopt;
+    eopt.num_shards = shards;
+    eopt.num_threads = 2;
+    QueryEngine engine(data1d, data2d, eopt);
     for (int k : {1, 3, 5, 9}) {
       const std::string what =
           "shards " + std::to_string(shards) + " k " + std::to_string(k);
       EXPECT_THROW(engine.Execute(KnnQuery{nan, k, opt}),
                    std::invalid_argument)
           << "1-D " << what;
-      EXPECT_THROW(sharded.Execute(KnnQuery{nan, k, opt}),
-                   std::invalid_argument)
-          << "sharded 1-D " << what;
       EXPECT_TRUE(
           executor.ExecuteKnn(nan, k, opt.params, opt.integration)
               .bounds.empty())
@@ -223,9 +217,6 @@ TEST(Knn2DTest, NotANumberQueryIsRejectedByEnginesAnsweredEmptyByExecutors) {
         EXPECT_THROW(engine.Execute(Knn2DQuery{q, k, opt}),
                      std::invalid_argument)
             << "2-D " << what;
-        EXPECT_THROW(sharded.Execute(Knn2DQuery{q, k, opt}),
-                     std::invalid_argument)
-            << "sharded 2-D " << what;
         const CknnAnswer answer =
             executor2d.ExecuteKnn(q, k, opt.params, opt.integration);
         EXPECT_TRUE(answer.ids.empty()) << "executor 2-D " << what;
@@ -238,27 +229,22 @@ TEST(Knn2DTest, NotANumberQueryIsRejectedByEnginesAnsweredEmptyByExecutors) {
 TEST(Knn2DTest, Knn2DWithoutDatasetThrows) {
   Dataset data1d;
   data1d.emplace_back(1, MakeUniformPdf(0.0, 1.0));
-  QueryEngine engine(data1d, EngineOptions{1});
-  EXPECT_THROW(engine.Execute(Knn2DQuery{{0.0, 0.0}, 2, TestOptions()}),
-               std::exception);
-  ShardedQueryEngine sharded(data1d, ShardedEngineOptions{});
-  EXPECT_THROW(sharded.Execute(Knn2DQuery{{0.0, 0.0}, 2, TestOptions()}),
-               std::exception);
+  for (size_t shards : {1u, 2u}) {
+    QueryEngine engine(data1d, EngineOptions{1, shards});
+    EXPECT_THROW(engine.Execute(Knn2DQuery{{0.0, 0.0}, 2, TestOptions()}),
+                 std::exception);
+  }
 }
 
 TEST(Knn2DTest, EmptyDataset2DAnswersEmpty) {
-  QueryEngine engine(Dataset2D{}, EngineOptions{1});
-  QueryResult result = engine.Execute(Knn2DQuery{{1.0, 2.0}, 3, TestOptions()});
-  EXPECT_TRUE(result.ids.empty());
-  ASSERT_TRUE(result.knn.has_value());
-  EXPECT_TRUE(result.knn->bounds.empty());
-
-  ShardedQueryEngine sharded(Dataset2D{}, ShardedEngineOptions{});
-  QueryResult sharded_result =
-      sharded.Execute(Knn2DQuery{{1.0, 2.0}, 3, TestOptions()});
-  EXPECT_TRUE(sharded_result.ids.empty());
-  ASSERT_TRUE(sharded_result.knn.has_value());
-  EXPECT_TRUE(sharded_result.knn->bounds.empty());
+  for (size_t shards : {1u, 2u}) {
+    QueryEngine engine(Dataset2D{}, EngineOptions{1, shards});
+    QueryResult result =
+        engine.Execute(Knn2DQuery{{1.0, 2.0}, 3, TestOptions()});
+    EXPECT_TRUE(result.ids.empty());
+    ASSERT_TRUE(result.knn.has_value());
+    EXPECT_TRUE(result.knn->bounds.empty());
+  }
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 
 #include "datagen/synthetic.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 
 namespace pverify {
 namespace {
@@ -100,30 +99,24 @@ TEST(QueryRequestTest, MovingTransfersThePayloadExactlyOnce) {
   EXPECT_THROW(original.TakeCandidates(), std::logic_error);
 }
 
-// Re-submission of a consumed CandidatesQuery is rejected by BOTH engine
-// implementations, in every build type (the engine_test covers the
-// unsharded serial/batch paths in more detail).
-TEST(QueryRequestTest, BothEnginesRejectConsumedCandidatesRequests) {
+// Re-submission of a consumed CandidatesQuery is rejected at one shard
+// and at two, in every build type (the engine_test covers the serial/batch
+// paths in more detail).
+TEST(QueryRequestTest, EveryShardCountRejectsConsumedCandidatesRequests) {
   Dataset data = datagen::MakeUniformScatter(120, 100.0, 2.0, /*seed=*/5);
-  QueryEngine unsharded(data, EngineOptions{1});
-  ShardedQueryEngine sharded(data, ShardedEngineOptions{2, nullptr, 2});
+  const CpnnExecutor exec(data);
   QueryOptions opt = TestOptions();
   const double q = 50.0;
 
-  auto build_request = [&](const QueryEngine& engine) {
-    FilterResult filtered = engine.executor().Filter(q);
-    return QueryRequest(CandidatesQuery(
-        CandidateSet::Build1D(engine.executor().dataset(),
-                              filtered.candidates, q),
-        opt));
-  };
-
-  for (Engine* engine : {static_cast<Engine*>(&unsharded),
-                         static_cast<Engine*>(&sharded)}) {
-    QueryRequest request = build_request(unsharded);
-    QueryResult first = engine->Execute(std::move(request));
-    EXPECT_GT(first.stats.candidates, 0u);
-    EXPECT_THROW(engine->Execute(std::move(request)), std::logic_error);
+  for (size_t shards : {1u, 2u}) {
+    QueryEngine engine(data, EngineOptions{2, shards});
+    FilterResult filtered = exec.Filter(q);
+    QueryRequest request = CandidatesQuery(
+        CandidateSet::Build1D(data, filtered.candidates, q), opt);
+    QueryResult first = engine.Execute(std::move(request));
+    EXPECT_GT(first.stats.candidates, 0u) << shards << " shards";
+    EXPECT_THROW(engine.Execute(std::move(request)), std::logic_error)
+        << shards << " shards";
   }
 }
 

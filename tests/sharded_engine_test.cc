@@ -1,8 +1,9 @@
-// Engine-grade tests for the sharded scatter/gather engine: bit-identical
-// equivalence with the unsharded QueryEngine across shard counts, shard
-// overlap and every QueryKind, plus bounds-pruning, batch-stats and async
-// Submit behavior on the sharded path.
-#include "engine/sharded_engine.h"
+// Engine-grade tests for the scatter/gather QueryEngine: bit-identical
+// equivalence with the sequential executors (CpnnExecutor, CpnnExecutor2D)
+// across shard counts (one included), shard overlap and every QueryKind,
+// plus bounds-pruning, batch-stats and async Submit behavior on the
+// sharded path.
+#include "engine/query_engine.h"
 
 #include <algorithm>
 #include <cmath>
@@ -18,7 +19,6 @@
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
 #include "differential_testutil.h"
-#include "engine/query_engine.h"
 
 namespace pverify {
 namespace {
@@ -41,8 +41,8 @@ void ExpectIdenticalResult(const QueryResult& expected,
     const AnswerEntry& e = expected.candidate_probabilities[i];
     const AnswerEntry& g = got.candidate_probabilities[i];
     EXPECT_EQ(e.id, g.id) << what << " entry " << i;
-    // Bit-identical, not approximately equal: the sharded scatter/gather
-    // must run the exact same arithmetic as the single-engine path.
+    // Bit-identical, not approximately equal: the scatter/gather must run
+    // the exact same arithmetic as the sequential executor.
     EXPECT_EQ(e.bound.lower, g.bound.lower) << what << " entry " << i;
     EXPECT_EQ(e.bound.upper, g.bound.upper) << what << " entry " << i;
   }
@@ -84,14 +84,14 @@ TEST(ShardedEngineTest, AllKindsBitIdenticalAcrossShardCounts) {
         datagen::MakeQueryPoints(4, 0.0, domain_hi, /*seed=*/21 + d);
     const QueryOptions opt = OptionsFor(Strategy::kVR);
 
-    QueryEngine reference(data, EngineOptions{2});
+    testutil::ExecutorReference reference(data);
 
     // The randomized mixed-kind stream plus candidate-set requests whose
     // payloads the reference executor rebuilds per invocation (requests
     // are move-only and consumed on execute).
     std::vector<testutil::RequestFactory> stream =
         testutil::MakeMixedKindStream(points, opt, /*seed=*/5 + d);
-    const CpnnExecutor& exec = reference.executor();
+    const CpnnExecutor& exec = reference.exec();
     for (double q : points) {
       stream.push_back([&exec, q, opt] {
         FilterResult filtered = exec.Filter(q);
@@ -101,15 +101,15 @@ TEST(ShardedEngineTest, AllKindsBitIdenticalAcrossShardCounts) {
       });
     }
 
-    // The sharded variants: 1/2/4-way. All must answer bit-identically to
-    // the unsharded reference.
-    std::vector<std::unique_ptr<ShardedQueryEngine>> variants;
+    // The engine at 1/2/4 shards. All must answer bit-identically to the
+    // executors.
+    std::vector<std::unique_ptr<QueryEngine>> variants;
     std::vector<testutil::NamedEngine> named;
     for (size_t shards : {1u, 2u, 4u}) {
-      ShardedEngineOptions sopt;
-      sopt.num_shards = shards;
-      sopt.num_threads = 2;
-      variants.push_back(std::make_unique<ShardedQueryEngine>(data, sopt));
+      EngineOptions eopt;
+      eopt.num_shards = shards;
+      eopt.num_threads = 2;
+      variants.push_back(std::make_unique<QueryEngine>(data, eopt));
       ASSERT_EQ(variants.back()->num_shards(), shards);
       named.push_back({"dataset " + std::to_string(d) + " shards " +
                            std::to_string(shards),
@@ -152,11 +152,11 @@ TEST(ShardedEngineTest, OverlappingRangeShardsBitIdentical) {
     config2d.seed = 70 + shards;
     Dataset2D data2d = datagen::MakeSynthetic2D(config2d);
 
-    ShardedEngineOptions sopt;
-    sopt.num_shards = shards;
-    sopt.num_threads = 2;
-    ShardedQueryEngine sharded(data, sopt);
-    ShardedQueryEngine sharded2d(data2d, sopt);
+    EngineOptions eopt;
+    eopt.num_shards = shards;
+    eopt.num_threads = 2;
+    QueryEngine sharded(data, eopt);
+    QueryEngine sharded2d(data2d, eopt);
     const std::string name = std::to_string(shards) + " shards";
     for (size_t s = 0; s + 1 < shards; ++s) {
       const DomainBounds& left = sharded.shard_bounds(s);
@@ -170,31 +170,35 @@ TEST(ShardedEngineTest, OverlappingRangeShardsBitIdentical) {
           << name << " 2-D shard " << s;
     }
 
-    QueryEngine reference(data, EngineOptions{1});
+    testutil::ExecutorReference reference(data);
     testutil::RunDifferentialStream(
         reference, {{name, &sharded}},
         testutil::MakeMixedKindStream(points, opt, /*seed=*/shards));
-    QueryEngine reference2d(data2d, EngineOptions{1});
+    testutil::ExecutorReference reference2d(data2d);
     testutil::RunDifferentialStream(reference2d, {{name + " 2-D", &sharded2d}},
                                     stream2d);
   }
 }
 
-TEST(ShardedEngineTest, FourShardSingleExecuteMatchesEveryStrategy) {
+TEST(ShardedEngineTest, SingleExecuteMatchesEveryStrategy) {
   Dataset data = datagen::MakeUniformScatter(300, 250.0, 2.0, /*seed=*/5);
-  QueryEngine reference(data, EngineOptions{1});
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 4;
-  sopt.num_threads = 4;
-  ShardedQueryEngine sharded(data, sopt);
+  CpnnExecutor reference(data);
+  for (size_t shards : {1u, 4u}) {
+    EngineOptions eopt;
+    eopt.num_shards = shards;
+    eopt.num_threads = 4;
+    QueryEngine engine(data, eopt);
 
-  for (Strategy strategy : {Strategy::kBasic, Strategy::kRefine,
-                            Strategy::kVR, Strategy::kMonteCarlo}) {
-    QueryOptions opt = OptionsFor(strategy);
-    for (double q : datagen::MakeQueryPoints(5, 0.0, 250.0, /*seed=*/77)) {
-      ExpectIdenticalResult(reference.Execute(PointQuery{q, opt}),
-                            sharded.Execute(PointQuery{q, opt}),
-                            std::string(ToString(strategy)));
+    for (Strategy strategy : {Strategy::kBasic, Strategy::kRefine,
+                              Strategy::kVR, Strategy::kMonteCarlo}) {
+      QueryOptions opt = OptionsFor(strategy);
+      for (double q : datagen::MakeQueryPoints(5, 0.0, 250.0, /*seed=*/77)) {
+        ExpectIdenticalResult(
+            ToQueryResult(reference.Execute(q, opt)),
+            engine.Execute(PointQuery{q, opt}),
+            std::to_string(shards) + " shards " +
+                std::string(ToString(strategy)));
+      }
     }
   }
 }
@@ -211,15 +215,15 @@ TEST(ShardedEngineTest, RangeShardingPrunesDistantShards) {
   config.seed = 9;
   Dataset data = datagen::MakeSynthetic(config);
 
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 8;
-  sopt.num_threads = 2;
-  ShardedQueryEngine sharded(data, sopt);
+  EngineOptions eopt;
+  eopt.num_shards = 8;
+  eopt.num_threads = 2;
+  QueryEngine sharded(data, eopt);
 
-  QueryEngine reference(data, EngineOptions{1});
+  CpnnExecutor reference(data);
   const QueryOptions opt = OptionsFor(Strategy::kVR);
   for (double q : datagen::MakeQueryPoints(6, 0.0, 10000.0, /*seed=*/3)) {
-    ExpectIdenticalResult(reference.Execute(PointQuery{q, opt}),
+    ExpectIdenticalResult(ToQueryResult(reference.Execute(q, opt)),
                           sharded.Execute(PointQuery{q, opt}),
                           "pruned point query");
   }
@@ -231,18 +235,18 @@ TEST(ShardedEngineTest, RangeShardingPrunesDistantShards) {
 
 TEST(ShardedEngineTest, AsyncSubmitMatchesReferenceUnderConcurrency) {
   Dataset data = datagen::MakeUniformScatter(200, 250.0, 2.0, /*seed=*/12);
-  QueryEngine reference(data, EngineOptions{1});
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 4;
-  sopt.num_threads = 2;
-  ShardedQueryEngine sharded(data, sopt);
+  CpnnExecutor reference(data);
+  EngineOptions eopt;
+  eopt.num_shards = 4;
+  eopt.num_threads = 2;
+  QueryEngine sharded(data, eopt);
 
   const QueryOptions opt = OptionsFor(Strategy::kVR);
   const std::vector<double> points =
       datagen::MakeQueryPoints(8, 0.0, 250.0, /*seed=*/31);
   std::vector<QueryResult> expected;
   for (double q : points) {
-    expected.push_back(reference.Execute(PointQuery{q, opt}));
+    expected.push_back(ToQueryResult(reference.Execute(q, opt)));
   }
 
   constexpr size_t kThreads = 4;
@@ -280,17 +284,17 @@ TEST(ShardedEngineTest, AsyncSubmitMatchesReferenceUnderConcurrency) {
 
 // Four threads, four shards: batched and submitted requests run on pool
 // workers concurrently, each scattering over its own shards on the worker
-// that runs it; answers must still match the unsharded engine bit for bit.
+// that runs it; answers must still match the executors bit for bit.
 TEST(ShardedEngineTest, NestedScatterBitIdentical) {
   Dataset data = datagen::MakeUniformScatter(400, 250.0, 2.0, /*seed=*/23);
-  QueryEngine reference(data, EngineOptions{2});
+  testutil::ExecutorReference reference(data);
   const QueryOptions opt = OptionsFor(Strategy::kVR);
   const std::vector<double> points =
       datagen::MakeQueryPoints(4, 0.0, 250.0, /*seed=*/41);
 
   std::vector<testutil::RequestFactory> stream =
       testutil::MakeMixedKindStream(points, opt, /*seed=*/23);
-  const CpnnExecutor& exec = reference.executor();
+  const CpnnExecutor& exec = reference.exec();
   for (double q : points) {
     stream.push_back([&exec, q, opt] {
       FilterResult filtered = exec.Filter(q);
@@ -300,10 +304,10 @@ TEST(ShardedEngineTest, NestedScatterBitIdentical) {
     });
   }
 
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 4;
-  sopt.num_threads = 4;
-  ShardedQueryEngine sharded(data, sopt);
+  EngineOptions eopt;
+  eopt.num_shards = 4;
+  eopt.num_threads = 4;
+  QueryEngine sharded(data, eopt);
   ASSERT_EQ(sharded.num_threads(), 4u);
 
   // exercise_submit covers requests posted one by one to the pool, which
@@ -316,9 +320,9 @@ TEST(ShardedEngineTest, NestedScatterBitIdentical) {
 
 // Queries at and next to every internal shard boundary: there the home
 // shard's local cut admits a neighbour, whose local filter and survivors
-// must merge into exactly the unsharded answer. Every request runs through
+// must merge into exactly the executors' answer. Every request runs through
 // Execute on this thread and through Submit on the pool.
-TEST(ShardedEngineTest, ShardBoundaryQueriesMatchUnsharded) {
+TEST(ShardedEngineTest, ShardBoundaryQueriesMatchExecutors) {
   constexpr size_t kShards = 4;
   constexpr double kDomain = 1000.0;
   auto policy = std::make_shared<const RangeShardingPolicy>(0.0, kDomain);
@@ -349,9 +353,8 @@ TEST(ShardedEngineTest, ShardBoundaryQueriesMatchUnsharded) {
     k_big = std::max(k_big, static_cast<int>(std::max(keep, keep2d)) + 1);
   }
 
-  QueryEngine reference(data, data2d, EngineOptions{1});
-  ShardedQueryEngine sharded(data, data2d,
-                             ShardedEngineOptions{kShards, policy, 4});
+  testutil::ExecutorReference reference(data, data2d);
+  QueryEngine sharded(data, data2d, EngineOptions{4, kShards, policy});
   ASSERT_EQ(sharded.num_threads(), 4u);
 
   const QueryOptions opt = OptionsFor(Strategy::kVR);
@@ -361,8 +364,8 @@ TEST(ShardedEngineTest, ShardBoundaryQueriesMatchUnsharded) {
   const double y = 0.5 * kDomain;
   for (size_t s = 1; s < kShards; ++s) {
     const double b = kDomain * static_cast<double>(s) / kShards;
-    const double fmin = reference.executor().Filter(b).fmin;
-    const double fmin2d = reference.executor2d()->Filter(Point2{b, y}).fmin;
+    const double fmin = reference.exec().Filter(b).fmin;
+    const double fmin2d = reference.exec2d().Filter(Point2{b, y}).fmin;
     for (double f : {0.0, 1e-9, -1e-9, 0.5, -0.5, 2.0, -2.0}) {
       // The 1e-9 offsets are absolute; the others scale f_min.
       const bool absolute = std::abs(f) < 1.0e-3;
@@ -402,11 +405,11 @@ TEST(ShardedEngineTest, ShardBoundaryQueriesMatchUnsharded) {
 TEST(ShardedEngineTest, MidShardPointQueryFiltersOnlyItsHomeShard) {
   Dataset data = datagen::MakeUniformScatter(400, 1000.0, 2.0, /*seed=*/7);
   auto policy = std::make_shared<const RangeShardingPolicy>(0.0, 1000.0);
-  ShardedQueryEngine sharded(data, ShardedEngineOptions{4, policy, 4});
-  QueryEngine reference(data, EngineOptions{1});
+  QueryEngine sharded(data, EngineOptions{4, 4, policy});
+  CpnnExecutor reference(data);
   const QueryOptions opt = OptionsFor(Strategy::kVR);
 
-  ExpectIdenticalResult(reference.Execute(PointQuery{375.0, opt}),
+  ExpectIdenticalResult(ToQueryResult(reference.Execute(375.0, opt)),
                         sharded.Execute(PointQuery{375.0, opt}),
                         "mid-shard point query");
   EXPECT_EQ(sharded.ShardVisits(), 1u);
@@ -414,48 +417,49 @@ TEST(ShardedEngineTest, MidShardPointQueryFiltersOnlyItsHomeShard) {
   EXPECT_EQ(sharded.ShardFilters(), 1u);
 }
 
-TEST(ShardedEngineTest, DegenerateShapesMatchUnsharded) {
+TEST(ShardedEngineTest, DegenerateShapesMatchExecutors) {
   const QueryOptions opt = OptionsFor(Strategy::kVR);
 
   // Empty dataset.
-  {
-    ShardedQueryEngine sharded(Dataset{}, ShardedEngineOptions{4, nullptr, 2});
-    QueryEngine reference(Dataset{}, EngineOptions{1});
-    // Requests are move-only, so each engine gets its own freshly built
+  for (size_t shards : {1u, 4u}) {
+    QueryEngine engine(Dataset{}, EngineOptions{2, shards});
+    testutil::ExecutorReference reference{Dataset{}};
+    // Requests are move-only, so each side gets its own freshly built
     // payload rather than a copy.
     const std::vector<std::function<QueryRequest()>> kinds = {
         [&] { return QueryRequest(PointQuery{1.0, opt}); },
         [&] { return QueryRequest(MinQuery{opt}); },
         [&] { return QueryRequest(MaxQuery{opt}); }};
     for (const auto& make : kinds) {
-      ExpectIdenticalResult(reference.Execute(make()),
-                            sharded.Execute(make()), "empty dataset");
+      ExpectIdenticalResult(reference.Execute(make()), engine.Execute(make()),
+                            std::to_string(shards) + " shards, no data");
     }
   }
 
   // More shards than objects: most shards are empty.
-  {
-    Dataset tiny = datagen::MakeUniformScatter(3, 50.0, 2.0, /*seed=*/2);
-    ShardedQueryEngine sharded(tiny, ShardedEngineOptions{8, nullptr, 2});
-    QueryEngine reference(tiny, EngineOptions{1});
+  Dataset tiny = datagen::MakeUniformScatter(3, 50.0, 2.0, /*seed=*/2);
+  testutil::ExecutorReference reference(tiny);
+  for (size_t shards : {1u, 8u}) {
+    QueryEngine engine(tiny, EngineOptions{2, shards});
+    const std::string what = std::to_string(shards) + " shards, tiny ";
     for (double q : {0.0, 10.0, 25.0, 49.0}) {
       ExpectIdenticalResult(reference.Execute(PointQuery{q, opt}),
-                            sharded.Execute(PointQuery{q, opt}),
-                            "tiny dataset");
+                            engine.Execute(PointQuery{q, opt}),
+                            what + "point");
       ExpectIdenticalResult(reference.Execute(KnnQuery{q, 2, opt}),
-                            sharded.Execute(KnnQuery{q, 2, opt}),
-                            "tiny knn");
+                            engine.Execute(KnnQuery{q, 2, opt}),
+                            what + "knn");
     }
     // k larger than the dataset.
     ExpectIdenticalResult(reference.Execute(KnnQuery{10.0, 7, opt}),
-                          sharded.Execute(KnnQuery{10.0, 7, opt}),
-                          "k > n");
+                          engine.Execute(KnnQuery{10.0, 7, opt}),
+                          what + "k > n");
   }
 
   // Empty batch: stats stay zero and finite.
   {
     Dataset data = datagen::MakeUniformScatter(20, 50.0, 2.0, /*seed=*/6);
-    ShardedQueryEngine sharded(data, ShardedEngineOptions{2, nullptr, 2});
+    QueryEngine sharded(data, EngineOptions{2, 2});
     EngineStats stats;
     EXPECT_TRUE(sharded.ExecuteBatch({}, &stats).empty());
     EXPECT_EQ(stats.queries, 0u);

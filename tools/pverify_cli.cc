@@ -42,7 +42,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,7 +55,6 @@
 #include "engine/caching_engine.h"
 #include "engine/engine.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 #include "net/client.h"
 #include "net/retry.h"
 #include "parse_size.h"
@@ -88,7 +86,7 @@ int Usage() {
 
 /// Options carried by the batch mode's --flags.
 struct BatchFlags {
-  size_t shards = 0;  ///< 0 = unsharded QueryEngine
+  size_t shards = 1;  ///< range shards of the QueryEngine
   bool async = false;
   int dim = 1;  ///< 2 = synthetic 2-D workload through kPoint2D
   size_t cache = 0;  ///< 0 = no caching tier; N = CachingEngine capacity
@@ -204,32 +202,21 @@ int ReportBatch(const bench::ThroughputPoint& seq,
 }
 
 // Builds the batch-mode engine from the --flags: the ONLY place the batch
-// modes distinguish sharded from unsharded, cached from uncached.
-// Everything downstream runs against Engine&. The out-params hand back the
-// concrete sharded engine for its scatter telemetry and the caching tier
-// for its stats (null when absent).
-std::unique_ptr<Engine> MakeBatchEngine(
-    const BatchFlags& flags, size_t threads,
-    const std::function<std::unique_ptr<QueryEngine>(EngineOptions)>&
-        unsharded,
-    const std::function<std::unique_ptr<ShardedQueryEngine>(
-        ShardedEngineOptions)>& sharded,
-    ShardedQueryEngine** sharded_out, CachingEngine** cache_out) {
-  *sharded_out = nullptr;
+// modes choose shard count and caching. Everything downstream runs against
+// Engine&. The out-params hand back the QueryEngine for its scatter
+// telemetry and the caching tier for its stats (null when absent).
+template <typename Data>
+std::unique_ptr<Engine> MakeBatchEngine(const BatchFlags& flags,
+                                        size_t threads, const Data& data,
+                                        QueryEngine** query_engine_out,
+                                        CachingEngine** cache_out) {
   *cache_out = nullptr;
-  std::unique_ptr<Engine> engine;
-  if (flags.shards == 0) {
-    EngineOptions eopt;
-    eopt.num_threads = threads;
-    engine = unsharded(eopt);
-  } else {
-    ShardedEngineOptions sopt;
-    sopt.num_shards = flags.shards;
-    sopt.num_threads = threads;  // 0 = hardware concurrency
-    std::unique_ptr<ShardedQueryEngine> sharded_engine = sharded(sopt);
-    *sharded_out = sharded_engine.get();
-    engine = std::move(sharded_engine);
-  }
+  EngineOptions eopt;
+  eopt.num_threads = threads;  // 0 = hardware concurrency
+  eopt.num_shards = flags.shards;
+  auto query_engine = std::make_unique<QueryEngine>(data, eopt);
+  *query_engine_out = query_engine.get();
+  std::unique_ptr<Engine> engine = std::move(query_engine);
   if (flags.cache > 0) {
     auto cache = std::make_unique<CachingEngine>(
         std::move(engine), CachingEngineOptions{flags.cache});
@@ -240,10 +227,10 @@ std::unique_ptr<Engine> MakeBatchEngine(
 }
 
 // Shared tail of the batch modes once the engine exists: timed batched (or
-// async-streamed) run against the sequential baseline, sharded telemetry
-// when applicable, report. The engine is only ever touched as Engine&.
+// async-streamed) run against the sequential baseline, shard telemetry
+// when sharded, report. The engine is only ever touched as Engine&.
 template <typename Point>
-int RunBatchOnEngine(Engine& engine, ShardedQueryEngine* sharded,
+int RunBatchOnEngine(Engine& engine, const QueryEngine& query_engine,
                      CachingEngine* cache,
                      const bench::ThroughputPoint& seq,
                      const std::vector<Point>& points,
@@ -253,11 +240,11 @@ int RunBatchOnEngine(Engine& engine, ShardedQueryEngine* sharded,
   bench::ThroughputPoint batched =
       flags.async ? bench::TimeSubmitStream(engine, points, opt)
                   : bench::TimeBatch(engine, points, opt, &stats);
-  if (sharded != nullptr) {
+  if (query_engine.num_shards() > 1) {
     std::printf("# sharded: %zu range shards, %zu shard visits, "
                 "%zu pruned by bounds\n",
-                sharded->num_shards(), sharded->ShardVisits(),
-                sharded->ShardsPruned());
+                query_engine.num_shards(), query_engine.ShardVisits(),
+                query_engine.ShardsPruned());
   }
   if (cache != nullptr) {
     // The first pass populated the memo; replay the same workload warm so
@@ -356,7 +343,7 @@ int RunRemoteBatch(const bench::ThroughputPoint& seq,
 
 // Batched throughput mode: random query points over the dataset's domain,
 // run once as a sequential loop and once through the multi-threaded engine
-// (unsharded or sharded, blocking batch or async Submit stream).
+// (any shard count, blocking batch or async Submit stream).
 int RunBatch(const Dataset& data, size_t num_queries, size_t threads,
              double threshold, double tolerance, const BatchFlags& flags) {
   if (data.empty()) {
@@ -384,19 +371,12 @@ int RunBatch(const Dataset& data, size_t num_queries, size_t threads,
     return RunRemoteBatch(seq, points, opt, flags, threshold, tolerance);
   }
 
-  ShardedQueryEngine* sharded = nullptr;
+  QueryEngine* query_engine = nullptr;
   CachingEngine* cache = nullptr;
-  std::unique_ptr<Engine> engine = MakeBatchEngine(
-      flags, threads,
-      [&](EngineOptions eopt) {
-        return std::make_unique<QueryEngine>(data, eopt);
-      },
-      [&](ShardedEngineOptions sopt) {
-        return std::make_unique<ShardedQueryEngine>(data, sopt);
-      },
-      &sharded, &cache);
-  return RunBatchOnEngine(*engine, sharded, cache, seq, points, opt, flags,
-                          threshold, tolerance);
+  std::unique_ptr<Engine> engine =
+      MakeBatchEngine(flags, threads, data, &query_engine, &cache);
+  return RunBatchOnEngine(*engine, *query_engine, cache, seq, points, opt,
+                          flags, threshold, tolerance);
 }
 
 // 2-D batched throughput mode (--dim=2): synthesizes `count` uniform-pdf
@@ -423,19 +403,12 @@ int RunBatch2D(size_t count, size_t num_queries, size_t threads,
     return RunRemoteBatch(seq, points, opt, flags, threshold, tolerance);
   }
 
-  ShardedQueryEngine* sharded = nullptr;
+  QueryEngine* query_engine = nullptr;
   CachingEngine* cache = nullptr;
-  std::unique_ptr<Engine> engine = MakeBatchEngine(
-      flags, threads,
-      [&](EngineOptions eopt) {
-        return std::make_unique<QueryEngine>(data, eopt);
-      },
-      [&](ShardedEngineOptions sopt) {
-        return std::make_unique<ShardedQueryEngine>(data, sopt);
-      },
-      &sharded, &cache);
-  return RunBatchOnEngine(*engine, sharded, cache, seq, points, opt, flags,
-                          threshold, tolerance);
+  std::unique_ptr<Engine> engine =
+      MakeBatchEngine(flags, threads, data, &query_engine, &cache);
+  return RunBatchOnEngine(*engine, *query_engine, cache, seq, points, opt,
+                          flags, threshold, tolerance);
 }
 
 int RunStats(const Dataset& data) {
@@ -511,7 +484,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!flags.connect.empty() &&
-      (flags.shards != 0 || flags.async || flags.cache != 0)) {
+      (flags.shards != 1 || flags.async || flags.cache != 0)) {
     std::fprintf(stderr,
                  "error: --connect ships the batch to a server; the engine "
                  "shape (--shards/--async/--cache) is the server's\n");

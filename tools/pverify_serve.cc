@@ -16,7 +16,7 @@
 //   --dim2=N        additionally index N synthetic 2-D objects, making the
 //                   engine dual-mode (kPoint2D/kKnn2D served too)
 //   --threads=N     worker threads (0 = hardware concurrency)
-//   --shards=N      scatter/gather across N shards
+//   --shards=N      scatter/gather across N range shards (default 1)
 //   --policy=range  accepted for compatibility: range sharding is the only
 //                   layout
 //   --cache=N       wrap the engine in a CachingEngine of capacity N —
@@ -47,7 +47,6 @@
 #include "engine/caching_engine.h"
 #include "engine/engine.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 #include "net/server.h"
 #include "parse_size.h"
 
@@ -84,7 +83,7 @@ struct ServeFlags {
   size_t synthetic = 0;
   size_t dim2 = 0;
   size_t threads = 0;
-  size_t shards = 0;
+  size_t shards = 1;
   size_t cache = 0;
   size_t max_conns = 64;
   size_t max_frame = 0;  // 0 = keep the library default
@@ -96,23 +95,14 @@ struct ServeFlags {
 
 std::unique_ptr<Engine> BuildEngine(const ServeFlags& flags, Dataset data,
                                     Dataset2D data2d) {
-  const bool dual = flags.dim2 > 0;
-  std::unique_ptr<Engine> engine;
-  if (flags.shards == 0) {
-    EngineOptions eopt;
-    eopt.num_threads = flags.threads;
-    engine = dual ? std::make_unique<QueryEngine>(std::move(data),
-                                                  std::move(data2d), eopt)
-                  : std::make_unique<QueryEngine>(std::move(data), eopt);
-  } else {
-    ShardedEngineOptions sopt;
-    sopt.num_shards = flags.shards;
-    sopt.num_threads = flags.threads;
-    engine = dual ? std::make_unique<ShardedQueryEngine>(
-                        std::move(data), std::move(data2d), sopt)
-                  : std::make_unique<ShardedQueryEngine>(std::move(data),
-                                                         sopt);
-  }
+  EngineOptions eopt;
+  eopt.num_threads = flags.threads;
+  eopt.num_shards = flags.shards;  // 0 is one shard too
+  std::unique_ptr<Engine> engine =
+      flags.dim2 > 0
+          ? std::make_unique<QueryEngine>(std::move(data), std::move(data2d),
+                                          eopt)
+          : std::make_unique<QueryEngine>(std::move(data), eopt);
   if (flags.cache > 0) {
     CachingEngineOptions copt;
     copt.capacity = flags.cache;
