@@ -1,7 +1,7 @@
 // Ablation — verifier chain composition: the paper orders verifiers by
 // cost ({RS, L-SR, U-SR}). We compare alternative chains by verification
 // time and by how many candidates remain unknown.
-#include <memory>
+#include <vector>
 
 #include "bench_util/harness.h"
 #include "common/timer.h"
@@ -10,12 +10,15 @@
 using namespace pverify;
 namespace {
 
-std::vector<std::unique_ptr<Verifier>> MakeChain(const std::string& spec) {
-  std::vector<std::unique_ptr<Verifier>> chain;
+/// The chain a spec names (R=RS, L=L-SR, U=U-SR), over the static
+/// verifiers of the default chain.
+std::vector<Verifier*> MakeChain(const std::string& spec) {
+  std::vector<Verifier*> chain;
   for (char c : spec) {
-    if (c == 'R') chain.push_back(std::make_unique<RsVerifier>());
-    if (c == 'L') chain.push_back(std::make_unique<LsrVerifier>());
-    if (c == 'U') chain.push_back(std::make_unique<UsrVerifier>());
+    const StageId id = c == 'R'   ? StageId::kRS
+                       : c == 'L' ? StageId::kLSR
+                                  : StageId::kUSR;
+    chain.push_back(kDefaultVerifierChain[static_cast<size_t>(id)]);
   }
   return chain;
 }
@@ -38,6 +41,7 @@ int main() {
   ResultTable table({"chain", "verify_ms", "unknown_fraction"},
                     "ablation_verifier_order.csv");
   for (const std::string spec : {"RLU", "ULR", "RU", "RL", "U", "L", "R"}) {
+    const std::vector<Verifier*> chain = MakeChain(spec);
     double ms = 0.0;
     double unknown_frac = 0.0;
     size_t n = 0;
@@ -48,9 +52,9 @@ int main() {
       if (cands.empty()) continue;
       VerificationFramework fw(&cands, CpnnParams{0.3, 0.01});
       Timer t;
-      VerificationStats stats = fw.Run(MakeChain(spec));
+      fw.Run(chain.data(), chain.size());
       ms += t.ElapsedMs();
-      unknown_frac += static_cast<double>(stats.unknown_after) /
+      unknown_frac += static_cast<double>(fw.unknown()) /
                       static_cast<double>(cands.size());
       ++n;
     }

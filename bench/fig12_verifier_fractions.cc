@@ -14,6 +14,7 @@
 // region repeated to the measurement floor (PVERIFY_MIN_WALL_MS, default
 // 100 ms), and writes the per-stage times to fig12_stage_times.csv.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util/harness.h"
@@ -28,11 +29,15 @@ void RunPanel(const char* title, size_t dataset_size, size_t queries) {
       datagen::PdfKind::kUniform, queries, dataset_size);
   std::printf("-- %s --\n", title);
   double avg_c = 0.0;
-  ResultTable table({"P", "after_RS", "after_L-SR", "after_U-SR"},
-                    std::string("fig12_") + std::to_string(dataset_size) +
-                        ".csv");
+  std::vector<std::string> columns = {"P"};
+  for (size_t s = 0; s < kNumStages; ++s) {
+    columns.push_back(std::string("after_") +
+                      StageName(static_cast<StageId>(s)));
+  }
+  ResultTable table(columns, std::string("fig12_") +
+                                 std::to_string(dataset_size) + ".csv");
   for (double P : {0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4}) {
-    double frac[3] = {0, 0, 0};
+    double frac[kNumStages] = {0, 0, 0};
     size_t n = 0;
     for (double q : env.query_points) {
       FilterResult filtered = env.executor.Filter(q);
@@ -43,12 +48,9 @@ void RunPanel(const char* title, size_t dataset_size, size_t queries) {
       VerificationFramework fw(&cands, CpnnParams{P, 0.01});
       VerificationStats stats = fw.RunDefault();
       // Stages the framework skipped (early exit) left zero unknowns.
-      for (size_t s = 0; s < 3; ++s) {
-        double unknown =
-            s < stats.stages.size()
-                ? static_cast<double>(stats.stages[s].unknown_after)
-                : 0.0;
-        frac[s] += unknown / static_cast<double>(cands.size());
+      for (size_t s = 0; s < kNumStages; ++s) {
+        frac[s] += static_cast<double>(stats.stages[s].unknown_after) /
+                   static_cast<double>(cands.size());
       }
       ++n;
     }
@@ -64,7 +66,7 @@ void RunPanel(const char* title, size_t dataset_size, size_t queries) {
 /// Accumulated per-stage chain time over one workload pass (the
 /// framework's own stage timers), averaged over floored repetitions.
 struct StageTimes {
-  double us[3] = {0, 0, 0};  ///< RS, L-SR, U-SR, per workload pass
+  double us[kNumStages] = {0, 0, 0};  ///< by StageId, per workload pass
   size_t reps = 0;
 };
 
@@ -73,16 +75,16 @@ StageTimes TimeChain(const std::vector<CandidateSet>& base, double P,
   StageTimes out;
   double wall = 0.0;
   do {
-    double pass_ms[3] = {0, 0, 0};
+    double pass_ms[kNumStages] = {0, 0, 0};
     for (const CandidateSet& cands : base) {
       CandidateSet fresh = cands;  // unlabeled copy, untimed
       VerificationFramework fw(&fresh, CpnnParams{P, 0.01});
       VerificationStats stats = fw.RunDefault();
-      for (size_t s = 0; s < stats.stages.size() && s < 3; ++s) {
+      for (size_t s = 0; s < kNumStages; ++s) {
         pass_ms[s] += stats.stages[s].ms;
       }
     }
-    for (int s = 0; s < 3; ++s) {
+    for (size_t s = 0; s < kNumStages; ++s) {
       out.us[s] += 1000.0 * pass_ms[s];
       wall += pass_ms[s];
     }
@@ -112,9 +114,9 @@ void RunStageTiming(size_t dataset_size, size_t queries) {
   const StageTimes times = TimeChain(base, P, min_wall_ms);
 
   ResultTable table({"stage", "scalar_us"}, "fig12_stage_times.csv");
-  const char* names[3] = {"rs", "lsr", "usr"};
-  for (int s = 0; s < 3; ++s) {
-    table.AddRow({names[s], FormatDouble(times.us[s], 2)});
+  for (size_t s = 0; s < kNumStages; ++s) {
+    table.AddRow({StageName(static_cast<StageId>(s)),
+                  FormatDouble(times.us[s], 2)});
   }
   table.Print();
 }

@@ -8,7 +8,6 @@
 // copies, label resets) stays outside the timed region. Results land in
 // tab3.csv and tab3_cdf_fill.csv.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench_util/harness.h"
@@ -142,17 +141,13 @@ int main() {
     CandidateSet cands = CandidateSet::Build1D(data, idx, 0.0);
     SubregionTable tbl = SubregionTable::Build(cands);
 
-    std::unique_ptr<Verifier> verifiers[3];
-    verifiers[0] = std::make_unique<RsVerifier>();
-    verifiers[1] = std::make_unique<LsrVerifier>();
-    verifiers[2] = std::make_unique<UsrVerifier>();
-
-    // Stages 0..2 are the verifiers, 3 is RefreshAllBounds.
-    double us[4] = {};
-    for (int v = 0; v < 3; ++v) {
-      us[v] = TimedApplyUs(*verifiers[v], cands, tbl, min_wall_ms);
+    // Slots 0..2 are the verifiers by StageId, 3 is RefreshAllBounds.
+    double us[kNumStages + 1] = {};
+    for (Verifier* v : kDefaultVerifierChain) {
+      us[static_cast<size_t>(v->id())] =
+          TimedApplyUs(*v, cands, tbl, min_wall_ms);
     }
-    us[3] = TimedRefreshUs(cands, tbl, min_wall_ms);
+    us[kNumStages] = TimedRefreshUs(cands, tbl, min_wall_ms);
 
     table.AddRow({FormatDouble(cands.size(), 0),
                   FormatDouble(tbl.num_subregions(), 0),

@@ -13,6 +13,8 @@
 # cache. A negative size flag and any sharding policy but range must be
 # rejected with the usage exit code before the daemon listens, and the
 # CLI must reject counts that are not digits-only integers the same way.
+# Last, a daemon serving the same intervals in reverse line order (same
+# answer counts, every id different) must fail the CLI's per-request check.
 #
 # Usage: ci/serve_smoke.sh <build-dir>
 set -eu
@@ -69,10 +71,11 @@ for args in "40 2 --shards=nan" "nan" "40 2 --cache=0.5"; do
 done
 
 # Starts a daemon on an ephemeral port with the extra flags given and sets
-# $server_pid and $port.
+# $server_pid and $port. It serves $serve_data (default: the CLI's dataset).
+serve_data="$work/data.txt"
 start_server() {
   rm -f "$work/port"
-  "$build/pverify_serve" --dataset="$work/data.txt" --threads=2 \
+  "$build/pverify_serve" --dataset="$serve_data" --threads=2 \
     --port=0 --port-file="$work/port" "$@" > "$work/server.log" 2>&1 &
   server_pid=$!
 
@@ -131,5 +134,21 @@ if ! grep -q "served from the server cache" "$work/replay.log"; then
   exit 1
 fi
 echo "OK: sharded + cached daemon answers exactly and serves the replay"
+stop_server
+
+# --- a daemon serving other ids must fail the per-request answer check ----
+tac "$work/data.txt" > "$work/reversed.txt"
+serve_data="$work/reversed.txt"
+start_server
+status=0
+"$build/pverify_cli" batch "$work/data.txt" 40 2 \
+  --connect="127.0.0.1:$port" > "$work/cli.log" 2>&1 || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "answer mismatch at request" \
+    "$work/cli.log"; then
+  echo "FAILED: batch against a line-permuted daemon exited $status (want 1)"
+  cat "$work/cli.log"
+  exit 1
+fi
+echo "OK: a daemon answering with other ids fails the batch check"
 stop_server
 echo "PASSED: loopback service smoke"

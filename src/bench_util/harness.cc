@@ -1,5 +1,6 @@
 #include "bench_util/harness.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -50,6 +51,17 @@ void PrintHeader(const std::string& figure, const std::string& description) {
   std::printf("=== %s ===\n%s\n\n", figure.c_str(), description.c_str());
 }
 
+void ThroughputPoint::AddAnswer(std::vector<ObjectId> ids) {
+  std::sort(ids.begin(), ids.end());
+  answers.push_back(std::move(ids));
+}
+
+size_t ThroughputPoint::AnswerCount() const {
+  size_t n = 0;
+  for (const std::vector<ObjectId>& ids : answers) n += ids.size();
+  return n;
+}
+
 ThroughputPoint TimeSequentialLoop(const CpnnExecutor& executor,
                                    const std::vector<double>& points,
                                    const QueryOptions& options) {
@@ -57,7 +69,7 @@ ThroughputPoint TimeSequentialLoop(const CpnnExecutor& executor,
   point.queries = points.size();
   Timer wall;
   for (double q : points) {
-    point.answers += executor.Execute(q, options).ids.size();
+    point.AddAnswer(executor.Execute(q, options).ids);
   }
   point.wall_ms = wall.ElapsedMs();
   return point;
@@ -83,7 +95,7 @@ ThroughputPoint TimeBatchImpl(Engine& engine,
       engine.ExecuteBatch(std::move(batch), &local_stats);
   ThroughputPoint point;
   point.queries = points.size();
-  for (const QueryResult& r : results) point.answers += r.ids.size();
+  for (QueryResult& r : results) point.AddAnswer(std::move(r.ids));
   point.wall_ms = local_stats.wall_ms;
   if (stats != nullptr) *stats = std::move(local_stats);
   return point;
@@ -98,7 +110,7 @@ ThroughputPoint TimeSequentialLoop(const CpnnExecutor2D& executor,
   point.queries = points.size();
   Timer wall;
   for (Point2 q : points) {
-    point.answers += executor.Execute(q, options).ids.size();
+    point.AddAnswer(executor.Execute(q, options).ids);
   }
   point.wall_ms = wall.ElapsedMs();
   return point;

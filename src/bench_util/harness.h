@@ -54,12 +54,17 @@ void PrintHeader(const std::string& figure, const std::string& description);
 /// One throughput measurement of a query workload.
 struct ThroughputPoint {
   size_t queries = 0;
-  size_t answers = 0;  ///< total returned ids (cheap equivalence check)
+  /// Each request's answer ids, sorted, in request order.
+  std::vector<std::vector<ObjectId>> answers;
   double wall_ms = 0.0;
   double Qps() const {
     return wall_ms > 0.0 ? 1000.0 * static_cast<double>(queries) / wall_ms
                          : 0.0;
   }
+  /// Appends the next request's answer ids (sorted here).
+  void AddAnswer(std::vector<ObjectId> ids);
+  /// Total returned ids over every request.
+  size_t AnswerCount() const;
 };
 
 /// Times a plain sequential loop of CpnnExecutor::Execute over the points
@@ -108,7 +113,7 @@ ThroughputPoint TimeSubmitStream(Engine& engine,
     futures.push_back(engine.Submit(MakePointRequest(q, options)));
   }
   for (std::future<QueryResult>& f : futures) {
-    point.answers += f.get().ids.size();
+    point.AddAnswer(f.get().ids);
   }
   point.wall_ms = wall.ElapsedMs();
   return point;

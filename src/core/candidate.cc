@@ -174,14 +174,6 @@ void CandidateSet::Finish(int k, CandidateArena* arena) {
   for (const Candidate& c : items_) fmax_ = std::max(fmax_, c.dist.far());
 }
 
-size_t CandidateSet::CountUnknown() const {
-  size_t n = 0;
-  for (const Candidate& c : items_) {
-    if (c.label == Label::kUnknown) ++n;
-  }
-  return n;
-}
-
 std::vector<ObjectId> CandidateSet::SatisfyingIds() const {
   std::vector<ObjectId> ids;
   for (const Candidate& c : items_) {

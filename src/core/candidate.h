@@ -129,9 +129,6 @@ class CandidateSet {
   /// Maximum far point f_max over the candidate set (−inf when empty).
   double fmax() const { return fmax_; }
 
-  /// Number of candidates still labeled kUnknown.
-  size_t CountUnknown() const;
-
   /// IDs of candidates currently labeled kSatisfy.
   std::vector<ObjectId> SatisfyingIds() const;
 

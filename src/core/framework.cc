@@ -28,32 +28,24 @@ VerificationFramework::VerificationFramework(CandidateSet* candidates,
 
 VerificationFramework::~VerificationFramework() = default;
 
-VerificationStats VerificationFramework::Run(
-    const std::vector<std::unique_ptr<Verifier>>& chain) {
+VerificationStats VerificationFramework::Run(Verifier* const* chain,
+                                             size_t count) {
   VerificationStats stats;
-  stats.init_ms = init_ms_;
-  size_t unknown = ClassifyAll(*candidates_, params_);
-  for (const auto& verifier : chain) {
-    if (unknown == 0) break;
+  unknown_ = ClassifyAll(*candidates_, params_);
+  for (size_t s = 0; s < count && unknown_ > 0; ++s) {
     Timer timer;
-    verifier->Apply(*ctx_);
-    unknown = ClassifyAll(*candidates_, params_);
-    StageStats stage;
-    stage.name = std::string(verifier->name());
-    stage.ms = timer.ElapsedMs();
-    stage.unknown_after = unknown;
-    for (const Candidate& c : candidates_->items()) {
-      if (c.label == Label::kSatisfy) ++stage.satisfy_after;
-      if (c.label == Label::kFail) ++stage.fail_after;
-    }
-    stats.stages.push_back(std::move(stage));
+    chain[s]->Apply(*ctx_);
+    unknown_ = ClassifyAll(*candidates_, params_);
+    StageStats& stage = stats[chain[s]->id()];
+    stage.ms += timer.ElapsedMs();
+    stage.unknown_after = unknown_;
+    stage.ran = true;
   }
-  stats.unknown_after = unknown;
   return stats;
 }
 
 VerificationStats VerificationFramework::RunDefault() {
-  return Run(MakeDefaultVerifierChain());
+  return Run(kDefaultVerifierChain, kNumStages);
 }
 
 }  // namespace pverify

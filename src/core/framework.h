@@ -1,11 +1,13 @@
 // The verification framework (paper Fig. 5): initialization, the verifier →
 // classifier loop with early exit, and per-stage statistics used to
-// reproduce Fig. 12.
+// reproduce Fig. 12. The default chain is static and the stage records a
+// fixed StageId-indexed array, so a run on a warm QueryScratch allocates
+// nothing.
 #ifndef PVERIFY_CORE_FRAMEWORK_H_
 #define PVERIFY_CORE_FRAMEWORK_H_
 
+#include <cstddef>
 #include <memory>
-#include <vector>
 
 #include "core/classifier.h"
 #include "core/stats.h"
@@ -33,18 +35,23 @@ class VerificationFramework {
                         QueryScratch* scratch = nullptr);
   ~VerificationFramework();
 
-  /// Runs the verifiers in order, classifying after each; stops as soon as
-  /// no candidate is unknown. Verifiers are skipped entirely once all
-  /// candidates are decided (the paper: "it is not always necessary for all
-  /// verifiers to be executed").
-  VerificationStats Run(const std::vector<std::unique_ptr<Verifier>>& chain);
+  /// Runs the `count` verifiers of `chain` in order, classifying after
+  /// each; stops as soon as no candidate is unknown. Verifiers are skipped
+  /// entirely once all candidates are decided (the paper: "it is not always
+  /// necessary for all verifiers to be executed").
+  VerificationStats Run(Verifier* const* chain, size_t count);
 
-  /// Runs the paper's default chain {RS, L-SR, U-SR}.
+  /// Runs the paper's default chain {RS, L-SR, U-SR} (kDefaultVerifierChain).
   VerificationStats RunDefault();
+
+  /// Candidates still unknown after the last Run.
+  size_t unknown() const { return unknown_; }
+
+  /// Time the constructor spent building the subregion table and context.
+  double init_ms() const { return init_ms_; }
 
   VerificationContext& context() { return *ctx_; }
   const SubregionTable& table() const { return *table_; }
-  const CpnnParams& params() const { return params_; }
 
  private:
   CandidateSet* candidates_;  // not owned
@@ -54,6 +61,7 @@ class VerificationFramework {
   SubregionTable* table_ = nullptr;        // into the scratch
   VerificationContext* ctx_ = nullptr;     // into the scratch
   double init_ms_ = 0.0;
+  size_t unknown_ = 0;
 };
 
 }  // namespace pverify

@@ -84,20 +84,18 @@ QueryAnswer ExecuteOnCandidates(CandidateSet candidates,
     case Strategy::kRefine:
     case Strategy::kVR: {
       VerificationFramework framework(&candidates, options.params, scratch);
-      answer.stats.init_ms = 0.0;
+      answer.stats.init_ms = framework.init_ms();
       answer.stats.num_subregions = framework.table().num_subregions();
       if (options.strategy == Strategy::kVR) {
         Timer t;
         answer.stats.verification = framework.RunDefault();
         answer.stats.verify_ms = t.ElapsedMs();
+        answer.stats.unknown_after_verification = framework.unknown();
       } else {
         // Refine skips verification but still classifies trivial bounds.
-        ClassifyAll(candidates, options.params);
-        answer.stats.verification.unknown_after = candidates.CountUnknown();
+        answer.stats.unknown_after_verification =
+            ClassifyAll(candidates, options.params);
       }
-      answer.stats.init_ms = answer.stats.verification.init_ms;
-      answer.stats.unknown_after_verification =
-          answer.stats.verification.unknown_after;
       answer.stats.finished_after_verification =
           answer.stats.unknown_after_verification == 0;
       if (answer.stats.unknown_after_verification > 0) {

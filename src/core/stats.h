@@ -3,29 +3,50 @@
 // stage outcomes (Fig. 12). Deliberately free of heavyweight includes so
 // that higher layers (the engine, benches) can consume stats without
 // pulling in the verification machinery.
+//
+// The verifier stages are a compile-time set: StageId names them, every
+// per-stage record is a fixed array indexed by it, and StageName() is the
+// one place their printable names live.
 #ifndef PVERIFY_CORE_STATS_H_
 #define PVERIFY_CORE_STATS_H_
 
+#include <array>
 #include <cstddef>
-#include <string>
-#include <vector>
+#include <cstdint>
 
 namespace pverify {
 
-/// Outcome of one verifier stage.
+/// The verifiers of the paper's chain (Fig. 5), in default chain order.
+enum class StageId : uint8_t { kRS, kLSR, kUSR };
+inline constexpr size_t kNumStages = 3;
+
+/// The paper's name of a stage.
+constexpr const char* StageName(StageId id) {
+  constexpr const char* kNames[kNumStages] = {"RS", "L-SR", "U-SR"};
+  return kNames[static_cast<size_t>(id)];
+}
+
+/// Outcome of one verifier stage. A stage that did not run (every
+/// candidate was already decided, or a custom chain left it out) keeps
+/// ran == false and zeros.
 struct StageStats {
-  std::string name;
   double ms = 0.0;
-  size_t unknown_after = 0;
-  size_t satisfy_after = 0;
-  size_t fail_after = 0;
+  size_t unknown_after = 0;  ///< candidates still unknown after the stage
+  bool ran = false;
 };
 
-/// Outcome of the whole verification phase.
+/// Per-stage outcomes of the verification phase, indexed by StageId. The
+/// phase's init time and the candidates left for refinement live once, in
+/// QueryStats::init_ms and QueryStats::unknown_after_verification.
 struct VerificationStats {
-  double init_ms = 0.0;  ///< subregion-table construction
-  std::vector<StageStats> stages;
-  size_t unknown_after = 0;  ///< candidates left for refinement
+  std::array<StageStats, kNumStages> stages{};
+
+  StageStats& operator[](StageId id) {
+    return stages[static_cast<size_t>(id)];
+  }
+  const StageStats& operator[](StageId id) const {
+    return stages[static_cast<size_t>(id)];
+  }
 };
 
 struct QueryStats {

@@ -14,12 +14,9 @@
 #ifndef PVERIFY_CORE_VERIFIER_H_
 #define PVERIFY_CORE_VERIFIER_H_
 
-#include <memory>
-#include <string_view>
-#include <vector>
-
 #include "common/aligned.h"
 #include "core/candidate.h"
+#include "core/stats.h"
 #include "core/subregion.h"
 #include "core/types.h"
 
@@ -86,12 +83,13 @@ struct VerificationContext {
   size_t stride_ = 0;
 };
 
-/// Base class for the probabilistic verifiers of §IV.
+/// Base class for the probabilistic verifiers of §IV. Verifiers are
+/// stateless: every bound they tighten lives in the context.
 class Verifier {
  public:
   virtual ~Verifier() = default;
 
-  virtual std::string_view name() const = 0;
+  virtual StageId id() const = 0;
 
   /// Tightens bounds of candidates labeled kUnknown.
   virtual void Apply(VerificationContext& ctx) = 0;
@@ -101,7 +99,7 @@ class Verifier {
 /// Cost O(|C|).
 class RsVerifier : public Verifier {
  public:
-  std::string_view name() const override { return "RS"; }
+  StageId id() const override { return StageId::kRS; }
   void Apply(VerificationContext& ctx) override;
 };
 
@@ -109,7 +107,7 @@ class RsVerifier : public Verifier {
 /// lower bounds q_ij.l = (1/c_j)·Π_{k≠i}(1 − D_k(e_j)). Cost O(|C|·M).
 class LsrVerifier : public Verifier {
  public:
-  std::string_view name() const override { return "L-SR"; }
+  StageId id() const override { return StageId::kLSR; }
   void Apply(VerificationContext& ctx) override;
 };
 
@@ -117,12 +115,13 @@ class LsrVerifier : public Verifier {
 /// subregion upper bounds q_ij.u = ½(Pr(F) + Pr(E)). Cost O(|C|·M).
 class UsrVerifier : public Verifier {
  public:
-  std::string_view name() const override { return "U-SR"; }
+  StageId id() const override { return StageId::kUSR; }
   void Apply(VerificationContext& ctx) override;
 };
 
-/// The paper's default chain {RS, L-SR, U-SR}, ordered by running cost.
-std::vector<std::unique_ptr<Verifier>> MakeDefaultVerifierChain();
+/// The paper's default chain {RS, L-SR, U-SR}, ordered by running cost:
+/// one static instance of each verifier, shared by every query.
+extern Verifier* const kDefaultVerifierChain[kNumStages];
 
 }  // namespace pverify
 

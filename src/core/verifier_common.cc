@@ -41,12 +41,13 @@ void VerificationContext::RefreshAllBounds() {
   }
 }
 
-std::vector<std::unique_ptr<Verifier>> MakeDefaultVerifierChain() {
-  std::vector<std::unique_ptr<Verifier>> chain;
-  chain.push_back(std::make_unique<RsVerifier>());
-  chain.push_back(std::make_unique<LsrVerifier>());
-  chain.push_back(std::make_unique<UsrVerifier>());
-  return chain;
-}
+namespace {
+RsVerifier rs_verifier;
+LsrVerifier lsr_verifier;
+UsrVerifier usr_verifier;
+}  // namespace
+
+Verifier* const kDefaultVerifierChain[kNumStages] = {
+    &rs_verifier, &lsr_verifier, &usr_verifier};
 
 }  // namespace pverify

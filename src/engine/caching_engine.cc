@@ -35,9 +35,6 @@ size_t ApproxResultBytes(const QueryResult& result) {
   size_t bytes = sizeof(QueryResult);
   bytes += result.ids.capacity() * sizeof(ObjectId);
   bytes += result.candidate_probabilities.capacity() * sizeof(AnswerEntry);
-  for (const StageStats& stage : result.stats.verification.stages) {
-    bytes += sizeof(StageStats) + stage.name.capacity();
-  }
   if (result.knn.has_value()) {
     bytes += result.knn->ids.capacity() * sizeof(ObjectId);
     bytes += result.knn->bounds.capacity() * sizeof(ProbabilityBound);

@@ -1,13 +1,13 @@
 // Batch-level statistics shared by every Engine implementation.
 //
 // EngineStats aggregates the per-query QueryStats of one batch (phase
-// totals, verifier stage totals, derived rates). SubmitQueueStats counts Engine::Submit calls.
+// totals, verifier stage totals indexed by StageId, derived rates).
+// SubmitQueueStats counts Engine::Submit calls.
 #ifndef PVERIFY_ENGINE_ENGINE_STATS_H_
 #define PVERIFY_ENGINE_ENGINE_STATS_H_
 
+#include <array>
 #include <cstddef>
-#include <string>
-#include <vector>
 
 #include "core/stats.h"
 
@@ -42,15 +42,14 @@ struct EngineStats {
   /// Per-phase totals accumulated over every query (QueryStats semantics).
   QueryStats totals;
 
-  /// Verifier stage time/run totals aggregated by stage name, in chain
-  /// order of first appearance (reproduces the paper's Fig. 12 fractions
-  /// at engine level).
+  /// Verifier stage time/run totals indexed by StageId (reproduces the
+  /// paper's Fig. 12 fractions at engine level). A stage that never ran
+  /// keeps runs == 0.
   struct StageTotal {
-    std::string name;
     double ms = 0.0;
     size_t runs = 0;
   };
-  std::vector<StageTotal> verifier_stages;
+  std::array<StageTotal, kNumStages> verifier_stages{};
 
   /// Cache telemetry of the batch: zero unless a CachingEngine served it.
   /// AccumulateBatchResult counts hits from each result's served_from_cache
@@ -71,10 +70,6 @@ struct EngineStats {
     return totals.total_ms > 0.0 ? totals.*phase / totals.total_ms : 0.0;
   }
 };
-
-/// Folds one query's stats into an aggregate's verifier stage totals
-/// (matching stages by name, appending in order of first appearance).
-void AccumulateVerifierStages(const QueryStats& stats, EngineStats* agg);
 
 /// Folds one query's outcome (phase totals + verifier stages + query count)
 /// into a batch aggregate. wall_ms/threads are left to the caller.

@@ -9,10 +9,6 @@ namespace net {
 
 namespace {
 
-// Caps on decoded strings (verifier stage names are a handful of chars;
-// anything longer is a corrupt frame, not a real stage).
-constexpr uint32_t kMaxNameLen = 256;
-
 template <typename Enum>
 Enum CheckedEnum(uint8_t raw, Enum max, const char* what) {
   if (raw > static_cast<uint8_t>(max)) {
@@ -69,16 +65,11 @@ void EncodeQueryStats(const QueryStats& s, WireWriter& w) {
   w.U64(s.dataset_size);
   w.U64(s.candidates);
   w.U64(s.num_subregions);
-  w.F64(s.verification.init_ms);
-  w.U32(static_cast<uint32_t>(s.verification.stages.size()));
   for (const StageStats& st : s.verification.stages) {
-    w.String(st.name);
+    w.Bool(st.ran);
     w.F64(st.ms);
     w.U64(st.unknown_after);
-    w.U64(st.satisfy_after);
-    w.U64(st.fail_after);
   }
-  w.U64(s.verification.unknown_after);
   w.U64(s.unknown_after_verification);
   w.Bool(s.finished_after_verification);
   w.U64(s.refined_candidates);
@@ -96,21 +87,11 @@ QueryStats DecodeQueryStats(WireReader& r) {
   s.dataset_size = r.U64();
   s.candidates = r.U64();
   s.num_subregions = r.U64();
-  s.verification.init_ms = r.F64();
-  uint32_t stages = r.U32();
-  // A stage record is at least name length + ms + 3 counters.
-  CheckCount(r, stages, 4 + 8 * 4, "verifier stage");
-  s.verification.stages.reserve(stages);
-  for (uint32_t i = 0; i < stages; ++i) {
-    StageStats st;
-    st.name = r.String(kMaxNameLen);
+  for (StageStats& st : s.verification.stages) {
+    st.ran = r.Bool();
     st.ms = r.F64();
     st.unknown_after = r.U64();
-    st.satisfy_after = r.U64();
-    st.fail_after = r.U64();
-    s.verification.stages.push_back(std::move(st));
   }
-  s.verification.unknown_after = r.U64();
   s.unknown_after_verification = r.U64();
   s.finished_after_verification = r.Bool();
   s.refined_candidates = r.U64();

@@ -3,8 +3,9 @@
 // One encoder/decoder pair per message body: QueryRequest (every variant
 // alternative except CandidatesQuery — its payload is a process-local
 // candidate set and is rejected at encode AND decode time) and QueryResult
-// (ids, per-query stats including the verifier stage breakdown, candidate
-// probability bounds, and the optional k-NN answer). Doubles travel as raw
+// (ids, per-query stats including the verifier stage breakdown — one fixed
+// {ran, ms, unknown_after} record per StageId, no count and no names —
+// candidate probability bounds, and the optional k-NN answer). Doubles travel as raw
 // bits (see net/wire.h), so a round-tripped request executes bit-identically
 // and a round-tripped result compares bit-identically — the property the
 // loopback differential tests pin.

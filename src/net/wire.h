@@ -73,9 +73,10 @@ class WireTooLarge : public WireError {
 
 inline constexpr uint32_t kWireMagic = 0x50564659;  // "PVFY"
 /// The protocol version: frames with a CRC-32 trailer, a request-body
-/// extension block (deadline_ms) and typed error codes. Any other version
-/// is a protocol error.
-inline constexpr uint16_t kWireVersion = 2;
+/// extension block (deadline_ms) and typed error codes; v3 result stats
+/// carry three fixed verifier stage records. Any other version is a
+/// protocol error.
+inline constexpr uint16_t kWireVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 20;
 /// Bytes of CRC-32 trailer on every frame.
 inline constexpr size_t kFrameChecksumBytes = 4;

@@ -23,8 +23,8 @@ TEST(EngineStatsTest, AccumulateBatchResultMatchesManualFold) {
   qs.total_ms = 2.0;
   qs.candidates = 7;
   qs.finished_after_verification = true;
-  qs.verification.stages.push_back({"RS", 0.25, 0, 0, 0});
-  qs.verification.stages.push_back({"L-SR", 0.75, 0, 0, 0});
+  qs.verification[StageId::kRS] = {0.25, 4, true};
+  qs.verification[StageId::kLSR] = {0.75, 0, true};
 
   EngineStats agg;
   AccumulateBatchResult(qs, &agg);
@@ -33,10 +33,16 @@ TEST(EngineStatsTest, AccumulateBatchResultMatchesManualFold) {
   EXPECT_EQ(agg.totals.filter_ms, 1.0);
   EXPECT_EQ(agg.totals.candidates, 14u);
   EXPECT_EQ(agg.totals.queries_finished_after_verify, 2u);
-  ASSERT_EQ(agg.verifier_stages.size(), 2u);
-  EXPECT_EQ(agg.verifier_stages[0].name, "RS");
-  EXPECT_EQ(agg.verifier_stages[0].ms, 0.5);
-  EXPECT_EQ(agg.verifier_stages[0].runs, 2u);
+  const auto stage = [&](StageId id) {
+    return agg.verifier_stages[static_cast<size_t>(id)];
+  };
+  EXPECT_EQ(stage(StageId::kRS).ms, 0.5);
+  EXPECT_EQ(stage(StageId::kRS).runs, 2u);
+  EXPECT_EQ(stage(StageId::kLSR).ms, 1.5);
+  EXPECT_EQ(stage(StageId::kLSR).runs, 2u);
+  // A stage that never ran keeps no time and no runs.
+  EXPECT_EQ(stage(StageId::kUSR).ms, 0.0);
+  EXPECT_EQ(stage(StageId::kUSR).runs, 0u);
   // Results that were served from a cache count as hits in the fold.
   EXPECT_EQ(agg.cache.hits, 0u);
   qs.served_from_cache = true;
@@ -96,9 +102,9 @@ TEST(EngineStatsTest, MixedKindVariantBatchesAggregateEveryRequest) {
     // Every kind contributed candidates, so the totals are non-trivial.
     EXPECT_GT(stats.totals.candidates, 0u) << q;
     // The VR chain ran; its first stage is RS.
-    ASSERT_FALSE(stats.verifier_stages.empty()) << q;
-    EXPECT_EQ(stats.verifier_stages[0].name, "RS") << q;
-    EXPECT_GT(stats.verifier_stages[0].runs, 0u) << q;
+    EXPECT_GT(stats.verifier_stages[static_cast<size_t>(StageId::kRS)].runs,
+              0u)
+        << q;
     EXPECT_TRUE(std::isfinite(stats.QueriesPerSec())) << q;
     EXPECT_TRUE(std::isfinite(stats.AvgQueryMs())) << q;
     EXPECT_TRUE(std::isfinite(stats.PhaseFraction(&QueryStats::filter_ms)))

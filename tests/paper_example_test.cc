@@ -87,7 +87,7 @@ TEST(PaperFig7Test, BoundsBracketExactProbabilities) {
   CandidateSet cands = Figure7();
   SubregionTable tbl = SubregionTable::Build(cands);
   VerificationContext ctx(&cands, &tbl);
-  for (const auto& v : MakeDefaultVerifierChain()) v->Apply(ctx);
+  for (Verifier* v : kDefaultVerifierChain) v->Apply(ctx);
   std::vector<double> exact = ComputeExactProbabilities(cands, {});
   double sum = 0.0;
   for (size_t i = 0; i < cands.size(); ++i) {

@@ -171,7 +171,7 @@ TEST_P(MonotoneTighteningTest, ChainMonotone) {
   SubregionTable tbl = SubregionTable::Build(cands);
   VerificationContext ctx(&cands, &tbl);
   std::vector<double> lo(cands.size(), 0.0), hi(cands.size(), 1.0);
-  for (const auto& v : MakeDefaultVerifierChain()) {
+  for (Verifier* v : kDefaultVerifierChain) {
     v->Apply(ctx);
     for (size_t i = 0; i < cands.size(); ++i) {
       EXPECT_GE(cands[i].bound.lower, lo[i] - 1e-12);

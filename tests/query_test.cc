@@ -135,7 +135,23 @@ TEST(QueryTest, StatsPhasesArePopulated) {
   EXPECT_GT(ans.stats.candidates, 0u);
   EXPECT_GT(ans.stats.num_subregions, 0u);
   EXPECT_GE(ans.stats.total_ms, 0.0);
-  EXPECT_FALSE(ans.stats.verification.stages.empty());
+  EXPECT_TRUE(ans.stats.verification[StageId::kRS].ran);
+}
+
+TEST(QueryTest, RefineStrategyReportsInitTime) {
+  // kRefine builds the subregion table too; its build time is init time.
+  Dataset data = datagen::MakeUniformScatter(2000, 1000.0, 2.0, 13);
+  CpnnExecutor exec(data);
+  FilterResult filtered = exec.Filter(500.0);
+  CandidateSet cands =
+      CandidateSet::Build1D(data, filtered.candidates, 500.0);
+  ASSERT_FALSE(cands.empty());
+  QueryOptions opt;
+  opt.params = {0.3, 0.01};
+  opt.strategy = Strategy::kRefine;
+  QueryAnswer ans = ExecuteOnCandidates(std::move(cands), opt);
+  EXPECT_GT(ans.stats.num_subregions, 0u);
+  EXPECT_GT(ans.stats.init_ms, 0.0);
 }
 
 TEST(QueryTest, MonteCarloStrategyApproximatesBasic) {

@@ -1,6 +1,9 @@
 #include "core/verifier.h"
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
 #include <gtest/gtest.h>
 
@@ -8,7 +11,49 @@
 #include "core/basic.h"
 #include "core/classifier.h"
 #include "core/framework.h"
+#include "core/scratch.h"
 #include "uncertain/pdf.h"
+
+// Counting global allocation functions: every operator new in this test
+// binary (plain, array and over-aligned) bumps g_allocations, so a test can
+// assert that a code path allocates nothing.
+namespace {
+std::atomic<size_t> g_allocations{0};
+
+void* CountedAlloc(size_t bytes, size_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (bytes == 0) bytes = 1;
+  void* p = nullptr;
+  if (align <= alignof(std::max_align_t)) {
+    p = std::malloc(bytes);
+  } else if (posix_memalign(&p, align, bytes) != 0) {
+    p = nullptr;
+  }
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(size_t bytes) { return CountedAlloc(bytes, 0); }
+void* operator new[](size_t bytes) { return CountedAlloc(bytes, 0); }
+void* operator new(size_t bytes, std::align_val_t align) {
+  return CountedAlloc(bytes, static_cast<size_t>(align));
+}
+void* operator new[](size_t bytes, std::align_val_t align) {
+  return CountedAlloc(bytes, static_cast<size_t>(align));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace pverify {
 namespace {
@@ -138,10 +183,9 @@ TEST(VerifierChainTest, BoundsOnlyTighten) {
   CandidateSet cands = ThreeStaggered();
   SubregionTable tbl = SubregionTable::Build(cands);
   VerificationContext ctx(&cands, &tbl);
-  auto chain = MakeDefaultVerifierChain();
   std::vector<ProbabilityBound> prev(cands.size());
   for (size_t i = 0; i < cands.size(); ++i) prev[i] = cands[i].bound;
-  for (const auto& v : chain) {
+  for (Verifier* v : kDefaultVerifierChain) {
     v->Apply(ctx);
     for (size_t i = 0; i < cands.size(); ++i) {
       EXPECT_GE(cands[i].bound.lower, prev[i].lower - 1e-12);
@@ -157,28 +201,74 @@ TEST(FrameworkTest, StopsEarlyWhenAllDecided) {
   CandidateSet cands = ThreeStaggered();
   VerificationFramework fw(&cands, CpnnParams{0.01, 0.0});
   VerificationStats stats = fw.RunDefault();
-  EXPECT_EQ(stats.unknown_after, 0u);
-  EXPECT_LT(stats.stages.size(), 3u);
+  EXPECT_EQ(fw.unknown(), 0u);
+  EXPECT_FALSE(stats[StageId::kUSR].ran);
 }
 
-TEST(FrameworkTest, StageAccountingConsistent) {
-  CandidateSet cands = ThreeStaggered();
-  VerificationFramework fw(&cands, CpnnParams{0.35, 0.01});
-  VerificationStats stats = fw.RunDefault();
-  ASSERT_FALSE(stats.stages.empty());
-  for (const StageStats& st : stats.stages) {
-    EXPECT_EQ(st.unknown_after + st.satisfy_after + st.fail_after,
-              cands.size());
+size_t CountUnknownLabels(const CandidateSet& cands) {
+  size_t n = 0;
+  for (const Candidate& c : cands.items()) {
+    if (c.label == Label::kUnknown) ++n;
   }
-  EXPECT_EQ(stats.stages.back().unknown_after, stats.unknown_after);
+  return n;
+}
+
+TEST(FrameworkTest, StageUnknownCountsMatchLabels) {
+  // Running the default chain's first k stages leaves exactly the labels
+  // the k-th stage record reports. At P = 0.35 every stage has work.
+  for (size_t k = 1; k <= kNumStages; ++k) {
+    CandidateSet cands = ThreeStaggered();
+    VerificationFramework fw(&cands, CpnnParams{0.35, 0.01});
+    VerificationStats stats = fw.Run(kDefaultVerifierChain, k);
+    const StageStats& last = stats.stages[k - 1];
+    ASSERT_TRUE(last.ran) << "k=" << k;
+    EXPECT_EQ(last.unknown_after, CountUnknownLabels(cands)) << "k=" << k;
+    EXPECT_EQ(last.unknown_after, fw.unknown()) << "k=" << k;
+  }
 }
 
 TEST(FrameworkTest, DefaultChainOrderIsRsLsrUsr) {
-  auto chain = MakeDefaultVerifierChain();
-  ASSERT_EQ(chain.size(), 3u);
-  EXPECT_EQ(chain[0]->name(), "RS");
-  EXPECT_EQ(chain[1]->name(), "L-SR");
-  EXPECT_EQ(chain[2]->name(), "U-SR");
+  for (size_t s = 0; s < kNumStages; ++s) {
+    EXPECT_EQ(kDefaultVerifierChain[s]->id(), static_cast<StageId>(s));
+  }
+  EXPECT_STREQ(StageName(StageId::kRS), "RS");
+  EXPECT_STREQ(StageName(StageId::kLSR), "L-SR");
+  EXPECT_STREQ(StageName(StageId::kUSR), "U-SR");
+}
+
+/// Twelve overlapping intervals around q = 0, enough that every stage has
+/// unknown candidates to work on at P = 0.2.
+CandidateSet TwelveOverlapping() {
+  Rng rng(7);
+  Dataset data;
+  std::vector<uint32_t> idx;
+  for (uint32_t i = 0; i < 12; ++i) {
+    const double lo = rng.Uniform(0.0, 4.0);
+    data.emplace_back(i, MakeUniformPdf(lo, lo + rng.Uniform(4.0, 8.0)));
+    idx.push_back(i);
+  }
+  return CandidateSet::Build1D(data, idx, 0.0);
+}
+
+TEST(FrameworkTest, WarmVerificationAllocatesNothing) {
+  const CandidateSet base = TwelveOverlapping();
+  const CpnnParams params{0.2, 0.0};
+  QueryScratch scratch;
+  Verifier* const reversed[] = {kDefaultVerifierChain[2],
+                                kDefaultVerifierChain[1],
+                                kDefaultVerifierChain[0]};
+  for (int rep = 0; rep < 3; ++rep) {  // rep 0 warms the scratch
+    for (bool custom : {false, true}) {
+      CandidateSet cands = base;
+      VerificationFramework fw(&cands, params, &scratch);
+      const size_t before = g_allocations.load();
+      VerificationStats stats =
+          custom ? fw.Run(reversed, 3) : fw.RunDefault();
+      const size_t allocations = g_allocations.load() - before;
+      EXPECT_EQ(allocations, 0u) << "rep=" << rep << " custom=" << custom;
+      EXPECT_TRUE(stats[custom ? StageId::kUSR : StageId::kRS].ran);
+    }
+  }
 }
 
 // Soundness sweep: on random candidate sets, every verifier's bound must
@@ -217,13 +307,13 @@ TEST_P(VerifierSoundnessTest, BoundsContainExactProbability) {
   VerificationContext ctx(&cands, &tbl);
   std::vector<double> exact = ComputeExactProbabilities(cands, {});
 
-  for (const auto& v : MakeDefaultVerifierChain()) {
+  for (Verifier* v : kDefaultVerifierChain) {
     v->Apply(ctx);
     for (size_t i = 0; i < cands.size(); ++i) {
       EXPECT_LE(cands[i].bound.lower, exact[i] + 1e-6)
-          << v->name() << " i=" << i << " seed=" << seed;
+          << StageName(v->id()) << " i=" << i << " seed=" << seed;
       EXPECT_GE(cands[i].bound.upper, exact[i] - 1e-6)
-          << v->name() << " i=" << i << " seed=" << seed;
+          << StageName(v->id()) << " i=" << i << " seed=" << seed;
     }
   }
 }

@@ -166,8 +166,20 @@ int RunRange(const Dataset& data, double lo, double hi, double threshold) {
   return 0;
 }
 
+// Fails the batch when a run's answers differ from the sequential
+// baseline's, naming the first request whose sorted ids disagree.
+bool AnswersMatch(const char* what, const bench::ThroughputPoint& seq,
+                  const bench::ThroughputPoint& run) {
+  if (seq.answers == run.answers) return true;
+  const auto bad = std::mismatch(seq.answers.begin(), seq.answers.end(),
+                                 run.answers.begin(), run.answers.end());
+  std::fprintf(stderr, "error: %s answer mismatch at request %zu\n", what,
+               static_cast<size_t>(bad.first - seq.answers.begin()));
+  return false;
+}
+
 // Shared tail of the batch modes: throughput/phase report + the sequential
-// vs. batched answer-count equivalence check.
+// vs. batched per-request answer check.
 int ReportBatch(const bench::ThroughputPoint& seq,
                 const bench::ThroughputPoint& batched,
                 const EngineStats& stats, const BatchFlags& flags,
@@ -176,9 +188,9 @@ int ReportBatch(const bench::ThroughputPoint& seq,
   std::printf("# batch P=%g tolerance=%g queries=%zu threads=%zu dim=%d\n",
               threshold, tolerance, num_queries, engine_threads, flags.dim);
   std::printf("sequential:   %10.2f ms  %10.1f q/s  %zu answers\n",
-              seq.wall_ms, seq.Qps(), seq.answers);
+              seq.wall_ms, seq.Qps(), seq.AnswerCount());
   std::printf("batched:      %10.2f ms  %10.1f q/s  %zu answers\n",
-              batched.wall_ms, batched.Qps(), batched.answers);
+              batched.wall_ms, batched.Qps(), batched.AnswerCount());
   std::printf("speedup:      %10.2fx\n",
               batched.wall_ms > 0 ? seq.wall_ms / batched.wall_ms : 0.0);
   if (stats.queries > 0) {  // the async stream reports no batch aggregate
@@ -188,17 +200,14 @@ int ReportBatch(const bench::ThroughputPoint& seq,
                 100 * stats.PhaseFraction(&QueryStats::init_ms),
                 100 * stats.PhaseFraction(&QueryStats::verify_ms),
                 100 * stats.PhaseFraction(&QueryStats::refine_ms));
-    for (const EngineStats::StageTotal& st : stats.verifier_stages) {
-      std::printf("verifier %-5s %10.2f ms over %zu runs\n", st.name.c_str(),
-                  st.ms, st.runs);
+    for (size_t s = 0; s < kNumStages; ++s) {
+      const EngineStats::StageTotal& st = stats.verifier_stages[s];
+      if (st.runs == 0) continue;
+      std::printf("verifier %-5s %10.2f ms over %zu runs\n",
+                  StageName(static_cast<StageId>(s)), st.ms, st.runs);
     }
   }
-  if (seq.answers != batched.answers) {
-    std::fprintf(stderr, "error: answer mismatch (%zu vs %zu)\n", seq.answers,
-                 batched.answers);
-    return 1;
-  }
-  return 0;
+  return AnswersMatch("batched", seq, batched) ? 0 : 1;
 }
 
 // Builds the batch-mode engine from the --flags: the ONLY place the batch
@@ -258,12 +267,8 @@ int RunBatchOnEngine(Engine& engine, const QueryEngine& query_engine,
                 cache->options().capacity, cs.entries, cs.hits, cs.misses,
                 cs.rechecks, cs.bypasses, cs.HitRate());
     std::printf("cache replay: %10.2f ms  %10.1f q/s  %zu answers\n",
-                warm.wall_ms, warm.Qps(), warm.answers);
-    if (warm.answers != batched.answers) {
-      std::fprintf(stderr, "error: cached replay answer mismatch "
-                   "(%zu vs %zu)\n", batched.answers, warm.answers);
-      return 1;
-    }
+                warm.wall_ms, warm.Qps(), warm.AnswerCount());
+    if (!AnswersMatch("cached replay", seq, warm)) return 1;
   }
   return ReportBatch(seq, batched, stats, flags, threshold, tolerance,
                      points.size(), engine.num_threads());
@@ -321,7 +326,7 @@ int RunRemoteBatch(const bench::ThroughputPoint& seq,
                    flags.retries, r.error.c_str());
       return 1;
     }
-    remote.answers += r.result.ids.size();
+    remote.AddAnswer(r.result.ids);
     AccumulateBatchResult(r.result.stats, &stats);
   }
   stats.wall_ms = remote.wall_ms;
