@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "spatial/filter.h"
 #include "spatial/mbr.h"
 
 namespace pverify {
@@ -38,20 +39,15 @@ std::vector<RangeResult> EvaluateRangeQuery(const Dataset& dataset, double lo,
 }
 
 RangeQueryExecutor::RangeQueryExecutor(const Dataset& dataset)
-    : dataset_(&dataset) {
-  std::vector<RTree<1, uint32_t>::Entry> entries;
-  entries.reserve(dataset.size());
-  for (uint32_t i = 0; i < dataset.size(); ++i) {
-    entries.push_back({MakeInterval(dataset[i].lo(), dataset[i].hi()), i});
-  }
-  rtree_ = RTree<1, uint32_t>::BulkLoadSTR(std::move(entries));
-}
+    : dataset_(&dataset), rtree_(BuildIntervalTree(dataset)) {}
 
 std::vector<RangeResult> RangeQueryExecutor::Execute(double lo, double hi,
                                                      double threshold) const {
   PV_CHECK_MSG(hi >= lo, "empty range");
+  std::vector<uint32_t> hits;
+  rtree_.Intersecting(MakeInterval(lo, hi), &hits);
   std::vector<RangeResult> out;
-  for (uint32_t idx : rtree_.CollectIntersecting(MakeInterval(lo, hi))) {
+  for (uint32_t idx : hits) {
     AppendIfQualifies((*dataset_)[idx], lo, hi, threshold, &out);
   }
   std::sort(out.begin(), out.end(),

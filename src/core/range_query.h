@@ -45,7 +45,7 @@ class RangeQueryExecutor {
 
  private:
   const Dataset* dataset_;  // not owned
-  RTree<1, uint32_t> rtree_;
+  RTree<1> rtree_;
 };
 
 }  // namespace pverify

@@ -62,6 +62,13 @@ void RequirePositiveK(int k) {
   if (k < 1) throw std::invalid_argument("k must be positive");
 }
 
+void RequireInRange(int v, int cap, const char* what) {
+  if (v < 1 || v > cap) {
+    throw std::invalid_argument(std::string(what) + " must be in [1, " +
+                                std::to_string(cap) + "]");
+  }
+}
+
 }  // namespace
 
 void Validate(const QueryRequest& request) {
@@ -78,14 +85,19 @@ void Validate(const QueryRequest& request) {
     RequireFinite(k2->q.y, "y");
     RequirePositiveK(k2->k);
   }
+  const QueryOptions& options = request.options();
   // Written so that NaN fails both: every comparison with it is false.
-  const CpnnParams& params = request.options().params;
+  const CpnnParams& params = options.params;
   if (!(params.threshold > 0.0 && params.threshold <= 1.0)) {
     throw std::invalid_argument("threshold P must be in (0, 1]");
   }
   if (!(params.tolerance >= 0.0 && params.tolerance <= 1.0)) {
     throw std::invalid_argument("tolerance must be in [0, 1]");
   }
+  RequireInRange(options.monte_carlo.samples, kMaxMonteCarloSamples,
+                 "Monte Carlo samples");
+  RequireInRange(options.integration.splits_per_subregion,
+                 kMaxSplitsPerSubregion, "splits per subregion");
 }
 
 QueryResult ToQueryResult(QueryAnswer&& answer) {

@@ -12,9 +12,14 @@ namespace {
 // See kFilterBoundarySlack in the header for the rationale.
 constexpr double kBoundarySlack = kFilterBoundarySlack;
 
+// The radius of a superset probe around a cut u. The relative widening keeps
+// an entry whose MBR MINDIST rounds a few ulps above its region's exact
+// MinDist (disks, hypot) in the probe.
+double ProbeRadius(double u) { return (u + kBoundarySlack) * (1.0 + 1e-9); }
+
 // The k-th-far-point filter over an index (see PnnFilter::FilterK).
 template <int Dim, typename Objects, typename Point>
-KnnFilterResult KthFarPointFilter(const RTree<Dim, uint32_t>& tree,
+KnnFilterResult KthFarPointFilter(const RTree<Dim>& tree,
                                   const Objects& objects,
                                   const std::array<double, Dim>& pt, Point q,
                                   int k) {
@@ -22,14 +27,12 @@ KnnFilterResult KthFarPointFilter(const RTree<Dim, uint32_t>& tree,
   KnnFilterResult result;
   if (tree.empty()) return result;
   const size_t want = std::min(objects.size(), static_cast<size_t>(k));
+  std::vector<uint32_t> superset;
+  tree.NearestByMinDist(pt, want, &superset);
   double u = 0.0;
-  for (uint32_t idx : tree.NearestByMinDist(pt, want)) {
-    u = std::max(u, objects[idx].MaxDist(q));
-  }
-  // The relative widening keeps an entry whose MBR MINDIST rounds a few
-  // ulps above its region's exact MinDist (disks, hypot) in the probe.
-  std::vector<uint32_t> superset =
-      tree.WithinDistance(pt, (u + kBoundarySlack) * (1.0 + 1e-9));
+  for (uint32_t idx : superset) u = std::max(u, objects[idx].MaxDist(q));
+  superset.clear();
+  tree.WithinDistance(pt, ProbeRadius(u), &superset);
   // A q that is not a number compares false with every distance, so the
   // probe comes back short; the scan finds no candidates either.
   if (superset.size() < want) {
@@ -76,22 +79,24 @@ FilterResult KthFarPointScan(const Objects& objects, Point q, int k) {
 
 }  // namespace
 
-PnnFilter::PnnFilter(const Dataset& dataset) : dataset_(&dataset) {
-  std::vector<RTree<1, uint32_t>::Entry> entries;
+RTree<1> BuildIntervalTree(const Dataset& dataset) {
+  std::vector<RTree<1>::Entry> entries;
   entries.reserve(dataset.size());
   for (uint32_t i = 0; i < dataset.size(); ++i) {
     entries.push_back({MakeInterval(dataset[i].lo(), dataset[i].hi()), i});
   }
-  rtree_ = RTree<1, uint32_t>::BulkLoadSTR(std::move(entries));
+  return RTree<1>::BulkLoadSTR(std::move(entries));
 }
+
+PnnFilter::PnnFilter(const Dataset& dataset)
+    : rtree_(BuildIntervalTree(dataset)), dataset_(&dataset) {}
 
 FilterResult PnnFilter::Filter(double q) const {
   FilterResult result;
   if (rtree_.empty()) return result;
   std::array<double, 1> pt = {q};
   result.fmin = rtree_.MinFarPoint(pt);
-  result.candidates =
-      rtree_.WithinDistance(pt, result.fmin + kBoundarySlack);
+  rtree_.WithinDistance(pt, result.fmin + kBoundarySlack, &result.candidates);
   std::sort(result.candidates.begin(), result.candidates.end());
   return result;
 }
@@ -101,12 +106,12 @@ KnnFilterResult PnnFilter::FilterK(double q, int k) const {
 }
 
 PnnFilter2D::PnnFilter2D(const Dataset2D& dataset) : dataset_(&dataset) {
-  std::vector<RTree<2, uint32_t>::Entry> entries;
+  std::vector<RTree<2>::Entry> entries;
   entries.reserve(dataset.size());
   for (uint32_t i = 0; i < dataset.size(); ++i) {
     entries.push_back({RegionMbr2D(dataset[i]), i});
   }
-  rtree_ = RTree<2, uint32_t>::BulkLoadSTR(std::move(entries));
+  rtree_ = RTree<2>::BulkLoadSTR(std::move(entries));
 }
 
 FilterResult PnnFilter2D::Filter(Point2 q) const {
@@ -114,17 +119,16 @@ FilterResult PnnFilter2D::Filter(Point2 q) const {
   if (rtree_.empty()) return result;
   std::array<double, 2> pt = {q.x, q.y};
   // The MBR MAXDIST over-estimates a disk's true far point (corner vs.
-  // tangent), so refine f_min with exact region distances over a small
-  // superset fetched with the MBR bound.
-  double fmin_mbr = rtree_.MinFarPoint(pt);
+  // tangent), so the MBR f_min only bounds the exact one from above; the
+  // probe at it holds every object that can realize or pass the exact cut.
+  std::vector<uint32_t> superset;
+  rtree_.WithinDistance(pt, ProbeRadius(rtree_.MinFarPoint(pt)), &superset);
   double fmin = std::numeric_limits<double>::infinity();
-  for (uint32_t idx : rtree_.WithinDistance(pt, fmin_mbr + kBoundarySlack)) {
+  for (uint32_t idx : superset) {
     fmin = std::min(fmin, (*dataset_)[idx].MaxDist(q));
   }
   result.fmin = fmin;
-  std::vector<uint32_t> coarse =
-      rtree_.WithinDistance(pt, fmin + kBoundarySlack);
-  for (uint32_t idx : coarse) {
+  for (uint32_t idx : superset) {
     if ((*dataset_)[idx].MinDist(q) <= fmin + kBoundarySlack) {
       result.candidates.push_back(idx);
     }

@@ -42,6 +42,10 @@ struct KnnFilterResult : FilterResult {
   std::vector<double> nears;
 };
 
+/// An STR-packed R-tree over the dataset's uncertainty intervals; each
+/// entry's payload is the object's index in `dataset`.
+RTree<1> BuildIntervalTree(const Dataset& dataset);
+
 /// Index over a 1-D dataset for repeated PNN filtering.
 class PnnFilter {
  public:
@@ -65,10 +69,8 @@ class PnnFilter {
   /// fmin and no candidates, as the scan does.
   KnnFilterResult FilterK(double q, int k) const;
 
-  const RTree<1, uint32_t>& rtree() const { return rtree_; }
-
  private:
-  RTree<1, uint32_t> rtree_;
+  RTree<1> rtree_;
   const Dataset* dataset_;  // not owned
 };
 
@@ -77,6 +79,12 @@ class PnnFilter2D {
  public:
   explicit PnnFilter2D(const Dataset2D& dataset);
 
+  /// f_min over exact region distances (UncertainObject2D::MaxDist) and the
+  /// objects whose exact MinDist does not exceed it (+ the boundary slack),
+  /// ascending; equals FilterKByScan2D(q, 1) bit for bit. One tree probe at
+  /// the MBR f_min, widened like FilterK's, returns a superset of both the
+  /// object that realizes f_min and the candidates, and the objects' own
+  /// distances cut it.
   FilterResult Filter(Point2 q) const;
 
   /// 2-D k-NN filtering from the index over exact region distances
@@ -85,7 +93,7 @@ class PnnFilter2D {
   KnnFilterResult FilterK(Point2 q, int k) const;
 
  private:
-  RTree<2, uint32_t> rtree_;
+  RTree<2> rtree_;
   const Dataset2D* dataset_;  // not owned
 };
 

@@ -1,7 +1,6 @@
 // Minimum bounding rectangles in D dimensions with the point-to-MBR metrics
-// needed by probabilistic NN filtering: MINDIST, MAXDIST and the classic
-// MINMAXDIST bound of Roussopoulos et al., which guarantees that some object
-// inside the MBR lies within that distance of the query point.
+// needed by probabilistic NN filtering: MINDIST and MAXDIST, the smallest
+// and largest distance from a query point to any point of the rectangle.
 #ifndef PVERIFY_SPATIAL_MBR_H_
 #define PVERIFY_SPATIAL_MBR_H_
 
@@ -31,27 +30,6 @@ struct Mbr {
       lo[d] = std::min(lo[d], other.lo[d]);
       hi[d] = std::max(hi[d], other.hi[d]);
     }
-  }
-
-  /// Hyper-volume (length in 1-D, area in 2-D).
-  double Volume() const {
-    double v = 1.0;
-    for (int d = 0; d < Dim; ++d) v *= std::max(0.0, hi[d] - lo[d]);
-    return v;
-  }
-
-  /// Sum of edge lengths (margin), used as an R*-style tie breaker.
-  double Margin() const {
-    double m = 0.0;
-    for (int d = 0; d < Dim; ++d) m += std::max(0.0, hi[d] - lo[d]);
-    return m;
-  }
-
-  /// Volume increase if `other` were merged in.
-  double Enlargement(const Mbr& other) const {
-    Mbr merged = *this;
-    merged.Expand(other);
-    return merged.Volume() - Volume();
   }
 
   bool Intersects(const Mbr& other) const {
@@ -86,29 +64,6 @@ struct Mbr {
       s += diff * diff;
     }
     return std::sqrt(s);
-  }
-
-  /// MINMAXDIST: an upper bound on the distance to the nearest object stored
-  /// inside this MBR (assuming MBR faces touch objects). For each dimension
-  /// k, take the nearer face in k and the farther corner in every other
-  /// dimension; the minimum over k is the bound.
-  double MinMaxDist(const std::array<double, Dim>& q) const {
-    double far_sq_total = 0.0;
-    std::array<double, Dim> far_sq;
-    for (int d = 0; d < Dim; ++d) {
-      double mid = 0.5 * (lo[d] + hi[d]);
-      double rM = (q[d] >= mid) ? lo[d] : hi[d];  // farther face
-      far_sq[d] = (q[d] - rM) * (q[d] - rM);
-      far_sq_total += far_sq[d];
-    }
-    double best = std::numeric_limits<double>::infinity();
-    for (int k = 0; k < Dim; ++k) {
-      double mid = 0.5 * (lo[k] + hi[k]);
-      double rm = (q[k] <= mid) ? lo[k] : hi[k];  // nearer face
-      double s = far_sq_total - far_sq[k] + (q[k] - rm) * (q[k] - rm);
-      best = std::min(best, s);
-    }
-    return std::sqrt(best);
   }
 };
 

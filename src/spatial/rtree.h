@@ -1,21 +1,26 @@
-// An in-memory R-tree supporting dynamic insertion (quadratic split) and STR
-// bulk loading, with the branch-and-bound searches required by the PNN
-// filtering phase of [8]: computing f_min = min_i MAXDIST(q, X_i) and
-// collecting every object whose MINDIST is within f_min.
+// A static, in-memory R-tree built once by Sort-Tile-Recursive packing
+// (Leutenegger, Lopez & Edgington, ICDE 1997), with the branch-and-bound
+// searches required by the PNN filtering phase of [8]: computing
+// f_min = min_i MAXDIST(q, X_i) and collecting every object whose MINDIST is
+// within f_min.
 //
-// The tree is templated on dimensionality and the leaf payload type so the
-// same implementation indexes 1-D uncertainty intervals (the paper's focus)
-// and 2-D regions (the extension).
+// The dataset is fixed, so the tree is read-only: STR packs the levels
+// bottom-up into one contiguous node array. A leaf indexes a range of the
+// entry array and an internal node a range of the level below, so there are
+// no per-node heap objects and no parent pointers. Each entry's payload is a
+// uint32_t index into the caller's dataset. The tree is templated on
+// dimensionality so the same implementation indexes 1-D uncertainty
+// intervals (the paper's focus) and 2-D regions (the extension).
 #ifndef PVERIFY_SPATIAL_RTREE_H_
 #define PVERIFY_SPATIAL_RTREE_H_
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <queue>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -23,77 +28,58 @@
 
 namespace pverify {
 
-template <int Dim, typename Value>
+template <int Dim>
 class RTree {
  public:
   static constexpr size_t kMaxEntries = 16;
-  static constexpr size_t kMinEntries = 6;  // ~40% fill on splits
+  /// Levels of a full tree over 2^32 entries at fanout 16; uint32_t entry
+  /// indices make this the height bound.
+  static constexpr int kMaxHeight = 8;
 
   struct Entry {
     Mbr<Dim> mbr;
-    Value value;
+    uint32_t value;
   };
 
   RTree() = default;
 
-  /// Inserts one entry (R-tree dynamic insertion with quadratic split).
-  void Insert(const Mbr<Dim>& mbr, Value value) {
-    if (!root_) {
-      root_ = std::make_unique<Node>(/*leaf=*/true);
-    }
-    Node* leaf = ChooseLeaf(root_.get(), mbr);
-    leaf->entries.push_back(Entry{mbr, std::move(value)});
-    leaf->mbr.Expand(mbr);
-    HandleOverflow(leaf);
-    ++size_;
-  }
-
-  /// Sort-Tile-Recursive bulk load; replaces any existing content.
+  /// Sort-Tile-Recursive bulk load: sort by MBR centre (in 2-D, slice by x
+  /// and sort each slice by y), pack runs of kMaxEntries into leaves, and
+  /// repeat on each level until one node remains.
   static RTree BulkLoadSTR(std::vector<Entry> entries) {
+    PV_CHECK_MSG(entries.size() <= std::numeric_limits<uint32_t>::max(),
+                 "an R-tree indexes at most 2^32 - 1 entries");
     RTree tree;
-    tree.size_ = entries.size();
     if (entries.empty()) return tree;
-
-    // Pack leaves level by level until one node remains.
-    std::vector<std::unique_ptr<Node>> level =
-        PackLeaves(std::move(entries));
+    StrSort(entries);
+    tree.entries_ = std::move(entries);
+    std::vector<Node> level = PackRuns(tree.entries_, 0);
+    tree.leaf_count_ = level.size();
+    tree.height_ = 1;
     while (level.size() > 1) {
-      level = PackInternal(std::move(level));
+      StrSort(level);
+      const size_t base = tree.nodes_.size();
+      tree.nodes_.insert(tree.nodes_.end(), level.begin(), level.end());
+      level = PackRuns(level, base);
+      ++tree.height_;
     }
-    tree.root_ = std::move(level.front());
+    tree.nodes_.push_back(level.front());  // the root, last
     return tree;
   }
 
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
 
   /// Tree height (0 for an empty tree, 1 for a single leaf).
-  int Height() const {
-    int h = 0;
-    for (const Node* n = root_.get(); n != nullptr;
-         n = n->leaf ? nullptr : n->children.front().get()) {
-      ++h;
-    }
-    return h;
-  }
+  int Height() const { return height_; }
 
   /// Number of nodes (for structure diagnostics/tests).
-  size_t NodeCount() const { return root_ ? CountNodes(root_.get()) : 0; }
+  size_t NodeCount() const { return nodes_.size(); }
 
-  /// Invokes fn(mbr, value) for every entry intersecting `region`.
-  void ForEachIntersecting(
-      const Mbr<Dim>& region,
-      const std::function<void(const Mbr<Dim>&, const Value&)>& fn) const {
-    if (root_) ForEachIntersectingImpl(root_.get(), region, fn);
-  }
-
-  /// Collects the payloads of all entries intersecting `region`.
-  std::vector<Value> CollectIntersecting(const Mbr<Dim>& region) const {
-    std::vector<Value> out;
-    ForEachIntersecting(region, [&out](const Mbr<Dim>&, const Value& v) {
-      out.push_back(v);
-    });
-    return out;
+  /// Appends to `out` the payload of every entry intersecting `region`.
+  void Intersecting(const Mbr<Dim>& region, std::vector<uint32_t>* out) const {
+    Collect([&region](const Mbr<Dim>& m) { return m.Intersects(region); },
+            out);
   }
 
   /// Branch-and-bound computation of min over entries of MAXDIST(q, entry).
@@ -104,307 +90,148 @@ class RTree {
   /// their MAXDIST is exact. For internal nodes, every object inside lies
   /// within the node MBR, hence MAXDIST(q, node) upper-bounds the best far
   /// point below it (the point-data MINMAXDIST bound does NOT apply to
-  /// extended objects and is deliberately not used here).
+  /// extended objects and is deliberately not used here). The minimum is
+  /// exact whatever the visiting order, so a depth-first walk over a fixed
+  /// stack, nearest child first, gives the same value as a best-first one
+  /// without allocating.
   double MinFarPoint(const std::array<double, Dim>& q) const {
     double best = std::numeric_limits<double>::infinity();
-    if (!root_) return best;
-    using Item = std::pair<double, const Node*>;  // (mindist, node)
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-    heap.emplace(root_->mbr.MinDist(q), root_.get());
-    while (!heap.empty()) {
-      auto [mind, node] = heap.top();
-      heap.pop();
-      if (mind > best) continue;  // no entry below can beat best
-      if (node->leaf) {
-        for (const Entry& e : node->entries) {
-          best = std::min(best, e.mbr.MaxDist(q));
+    if (nodes_.empty()) return best;
+    struct Item {
+      double mindist;
+      uint32_t node;
+    };
+    std::array<Item, kStackCapacity> stack;
+    size_t top = 0;
+    stack[top++] = {nodes_.back().mbr.MinDist(q), Root()};
+    while (top > 0) {
+      const Item item = stack[--top];
+      if (item.mindist > best) continue;  // no entry below can beat best
+      const Node& node = nodes_[item.node];
+      if (IsLeaf(item.node)) {
+        for (uint32_t e = node.first; e < node.first + node.count; ++e) {
+          best = std::min(best, entries_[e].mbr.MaxDist(q));
         }
-      } else {
-        for (const auto& child : node->children) {
-          best = std::min(best, child->mbr.MaxDist(q));
-          double child_mind = child->mbr.MinDist(q);
-          if (child_mind <= best) heap.emplace(child_mind, child.get());
-        }
+        continue;
       }
+      for (uint32_t c = node.first; c < node.first + node.count; ++c) {
+        best = std::min(best, nodes_[c].mbr.MaxDist(q));
+      }
+      const size_t pushed = top;
+      for (uint32_t c = node.first; c < node.first + node.count; ++c) {
+        const double child_mind = nodes_[c].mbr.MinDist(q);
+        if (child_mind <= best) stack[top++] = {child_mind, c};
+      }
+      // Nearest child on top: it tightens `best` before its siblings pop.
+      std::sort(stack.begin() + pushed, stack.begin() + top,
+                [](const Item& a, const Item& b) {
+                  return a.mindist > b.mindist;
+                });
     }
     return best;
   }
 
-  /// Entries whose MINDIST(q, entry) <= radius, i.e. the ball-overlap query
-  /// used to retrieve the PNN candidate set.
-  std::vector<Value> WithinDistance(const std::array<double, Dim>& q,
-                                    double radius) const {
-    std::vector<Value> out;
-    if (!root_) return out;
-    std::vector<const Node*> stack = {root_.get()};
-    while (!stack.empty()) {
-      const Node* node = stack.back();
-      stack.pop_back();
-      if (node->mbr.MinDist(q) > radius) continue;
-      if (node->leaf) {
-        for (const Entry& e : node->entries) {
-          if (e.mbr.MinDist(q) <= radius) out.push_back(e.value);
-        }
-      } else {
-        for (const auto& child : node->children) {
-          stack.push_back(child.get());
-        }
-      }
-    }
-    return out;
+  /// Appends to `out` the payload of every entry whose MINDIST(q, entry) <=
+  /// radius, i.e. the ball-overlap query used to retrieve the PNN candidate
+  /// set. Allocates nothing beyond `out`'s growth.
+  void WithinDistance(const std::array<double, Dim>& q, double radius,
+                      std::vector<uint32_t>* out) const {
+    Collect([&q, radius](const Mbr<Dim>& m) { return m.MinDist(q) <= radius; },
+            out);
   }
 
-  /// k nearest entries by MINDIST (best-first). Ties broken arbitrarily.
-  std::vector<Value> NearestByMinDist(const std::array<double, Dim>& q,
-                                      size_t k) const {
-    std::vector<Value> out;
-    if (!root_ || k == 0) return out;
+  /// Appends to `out` the payloads of the k entries nearest to q by MINDIST
+  /// (best-first, nearest first; ties broken arbitrarily).
+  void NearestByMinDist(const std::array<double, Dim>& q, size_t k,
+                        std::vector<uint32_t>* out) const {
+    if (nodes_.empty() || k == 0) return;
     struct Item {
       double dist;
-      const Node* node;   // nullptr when this is an entry
-      const Entry* entry;
+      uint32_t index;
+      bool entry;  // index is into entries_, else into nodes_
       bool operator>(const Item& o) const { return dist > o.dist; }
     };
     std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-    heap.push({root_->mbr.MinDist(q), root_.get(), nullptr});
-    while (!heap.empty() && out.size() < k) {
-      Item item = heap.top();
+    heap.push({nodes_.back().mbr.MinDist(q), Root(), false});
+    size_t found = 0;
+    while (!heap.empty() && found < k) {
+      const Item item = heap.top();
       heap.pop();
-      if (item.entry != nullptr) {
-        out.push_back(item.entry->value);
-      } else if (item.node->leaf) {
-        for (const Entry& e : item.node->entries) {
-          heap.push({e.mbr.MinDist(q), nullptr, &e});
-        }
-      } else {
-        for (const auto& child : item.node->children) {
-          heap.push({child->mbr.MinDist(q), child.get(), nullptr});
-        }
+      if (item.entry) {
+        out->push_back(entries_[item.index].value);
+        ++found;
+        continue;
+      }
+      const Node& node = nodes_[item.index];
+      const bool leaf = IsLeaf(item.index);
+      for (uint32_t c = node.first; c < node.first + node.count; ++c) {
+        const Mbr<Dim>& m = leaf ? entries_[c].mbr : nodes_[c].mbr;
+        heap.push({m.MinDist(q), c, leaf});
       }
     }
-    return out;
   }
 
-  /// Verifies structural invariants (MBR containment, fanout bounds, uniform
-  /// leaf depth); used by tests. Returns false on violation.
+  /// Verifies structural invariants (fanout bounds, MBR containment,
+  /// uniform leaf depth, every entry reached exactly once); used by tests.
+  /// Returns false on violation.
   bool CheckInvariants() const {
-    if (!root_) return true;
-    int leaf_depth = -1;
-    return CheckNode(root_.get(), 0, &leaf_depth, /*is_root=*/true);
+    if (nodes_.empty()) return entries_.empty() && height_ == 0;
+    if (height_ < 1 || height_ > kMaxHeight) return false;
+    size_t reached = 0;
+    return CheckNode(Root(), 1, &reached) && reached == entries_.size();
   }
 
  private:
+  // A leaf's range indexes entries_, an internal node's indexes nodes_.
   struct Node {
-    explicit Node(bool is_leaf) : leaf(is_leaf) { mbr = Mbr<Dim>::Empty(); }
-    bool leaf;
     Mbr<Dim> mbr;
-    std::vector<Entry> entries;                   // leaf payloads
-    std::vector<std::unique_ptr<Node>> children;  // internal children
-    Node* parent = nullptr;
-
-    size_t Fanout() const { return leaf ? entries.size() : children.size(); }
-
-    void RecomputeMbr() {
-      mbr = Mbr<Dim>::Empty();
-      if (leaf) {
-        for (const Entry& e : entries) mbr.Expand(e.mbr);
-      } else {
-        for (const auto& c : children) mbr.Expand(c->mbr);
-      }
-    }
+    uint32_t first;
+    uint32_t count;
   };
 
-  Node* ChooseLeaf(Node* node, const Mbr<Dim>& mbr) {
-    while (!node->leaf) {
-      Node* best = nullptr;
-      double best_enl = std::numeric_limits<double>::infinity();
-      double best_vol = std::numeric_limits<double>::infinity();
-      for (const auto& child : node->children) {
-        double enl = child->mbr.Enlargement(mbr);
-        double vol = child->mbr.Volume();
-        if (enl < best_enl || (enl == best_enl && vol < best_vol)) {
-          best = child.get();
-          best_enl = enl;
-          best_vol = vol;
-        }
-      }
-      best->mbr.Expand(mbr);
-      node = best;
-    }
-    return node;
-  }
+  // A depth-first walk holds at most kMaxEntries - 1 unvisited siblings per
+  // level below the root, plus one.
+  static constexpr size_t kStackCapacity = kMaxHeight * kMaxEntries;
 
-  void HandleOverflow(Node* node) {
-    while (node != nullptr && node->Fanout() > kMaxEntries) {
-      Node* sibling = SplitNode(node);
-      Node* parent = node->parent;
-      if (parent == nullptr) {
-        // Grow a new root.
-        auto new_root = std::make_unique<Node>(/*leaf=*/false);
-        auto old_root = std::move(root_);
-        old_root->parent = new_root.get();
-        sibling->parent = new_root.get();
-        new_root->children.push_back(std::move(old_root));
-        new_root->children.emplace_back(sibling);
-        new_root->RecomputeMbr();
-        root_ = std::move(new_root);
-        return;
+  uint32_t Root() const { return static_cast<uint32_t>(nodes_.size() - 1); }
+  bool IsLeaf(uint32_t node) const { return node < leaf_count_; }
+
+  // Depth-first walk over a fixed stack: descends into every node whose MBR
+  // `keep` accepts and appends every accepted entry's payload.
+  template <typename Keep>
+  void Collect(const Keep& keep, std::vector<uint32_t>* out) const {
+    if (nodes_.empty() || !keep(nodes_.back().mbr)) return;
+    std::array<uint32_t, kStackCapacity> stack;
+    size_t top = 0;
+    stack[top++] = Root();
+    while (top > 0) {
+      const uint32_t index = stack[--top];
+      const Node& node = nodes_[index];
+      if (IsLeaf(index)) {
+        for (uint32_t e = node.first; e < node.first + node.count; ++e) {
+          if (keep(entries_[e].mbr)) out->push_back(entries_[e].value);
+        }
+        continue;
       }
-      sibling->parent = parent;
-      parent->children.emplace_back(sibling);
-      parent->RecomputeMbr();
-      node = parent;
-    }
-    // Refresh ancestor MBRs.
-    while (node != nullptr) {
-      node->RecomputeMbr();
-      node = node->parent;
+      for (uint32_t c = node.first; c < node.first + node.count; ++c) {
+        if (keep(nodes_[c].mbr)) stack[top++] = c;
+      }
     }
   }
 
-  // Quadratic split (Guttman). Returns the newly allocated sibling; the
-  // caller owns the raw pointer and must attach it to a parent.
-  Node* SplitNode(Node* node) {
-    Node* sibling = new Node(node->leaf);
-
-    auto mbr_of = [&](size_t i) -> const Mbr<Dim>& {
-      return node->leaf ? node->entries[i].mbr : node->children[i]->mbr;
-    };
-    const size_t n = node->Fanout();
-    // Only overflowing nodes split, so both seeds and both groups' minimum
-    // fills exist.
-    PV_CHECK_MSG(n > kMaxEntries, "split of a node that does not overflow");
-
-    // Pick the pair of seeds wasting the most volume.
-    size_t seed_a = 0, seed_b = 1;
-    double worst = -std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        Mbr<Dim> merged = mbr_of(i);
-        merged.Expand(mbr_of(j));
-        double waste =
-            merged.Volume() - mbr_of(i).Volume() - mbr_of(j).Volume();
-        if (waste > worst) {
-          worst = waste;
-          seed_a = i;
-          seed_b = j;
-        }
-      }
-    }
-
-    std::vector<char> assigned(n, 0);  // 0 = pending, 1 = stay, 2 = sibling
-    assigned[seed_a] = 1;
-    assigned[seed_b] = 2;
-    Mbr<Dim> group_a = mbr_of(seed_a);
-    Mbr<Dim> group_b = mbr_of(seed_b);
-    size_t count_a = 1, count_b = 1;
-    size_t pending = n - 2;
-
-    while (pending > 0) {
-      // Force-assign when one group must take everything left to reach the
-      // minimum fill.
-      if (count_a + pending == kMinEntries) {
-        for (size_t i = 0; i < n; ++i) {
-          if (!assigned[i]) {
-            assigned[i] = 1;
-            group_a.Expand(mbr_of(i));
-          }
-        }
-        break;
-      }
-      if (count_b + pending == kMinEntries) {
-        for (size_t i = 0; i < n; ++i) {
-          if (!assigned[i]) {
-            assigned[i] = 2;
-            group_b.Expand(mbr_of(i));
-          }
-        }
-        break;
-      }
-      // Pick the pending item with the greatest preference difference.
-      size_t pick = n;
-      double best_diff = -1.0;
-      double enl_a_pick = 0.0, enl_b_pick = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        if (assigned[i]) continue;
-        double ea = group_a.Enlargement(mbr_of(i));
-        double eb = group_b.Enlargement(mbr_of(i));
-        double diff = std::abs(ea - eb);
-        if (diff > best_diff) {
-          best_diff = diff;
-          pick = i;
-          enl_a_pick = ea;
-          enl_b_pick = eb;
-        }
-      }
-      PV_DCHECK(pick < n);
-      bool to_a;
-      if (enl_a_pick != enl_b_pick) {
-        to_a = enl_a_pick < enl_b_pick;
-      } else if (group_a.Volume() != group_b.Volume()) {
-        to_a = group_a.Volume() < group_b.Volume();
-      } else {
-        to_a = count_a <= count_b;
-      }
-      assigned[pick] = to_a ? 1 : 2;
-      if (to_a) {
-        group_a.Expand(mbr_of(pick));
-        ++count_a;
-      } else {
-        group_b.Expand(mbr_of(pick));
-        ++count_b;
-      }
-      --pending;
-    }
-
-    // Move group-2 members into the sibling.
-    if (node->leaf) {
-      std::vector<Entry> keep;
-      keep.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (assigned[i] == 2) {
-          sibling->entries.push_back(std::move(node->entries[i]));
-        } else {
-          keep.push_back(std::move(node->entries[i]));
-        }
-      }
-      node->entries = std::move(keep);
-    } else {
-      std::vector<std::unique_ptr<Node>> keep;
-      keep.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (assigned[i] == 2) {
-          node->children[i]->parent = sibling;
-          sibling->children.push_back(std::move(node->children[i]));
-        } else {
-          keep.push_back(std::move(node->children[i]));
-        }
-      }
-      node->children = std::move(keep);
-    }
-    node->RecomputeMbr();
-    sibling->RecomputeMbr();
-    return sibling;
-  }
-
-  // --- STR bulk loading -----------------------------------------------
-
+  // Sorts entries or nodes into STR tile order by their MBR centres.
   template <typename Item>
-  static void StrSort(std::vector<Item>& items,
-                      const std::function<Mbr<Dim>(const Item&)>& mbr_of) {
-    auto center = [&mbr_of](const Item& it, int d) {
-      Mbr<Dim> m = mbr_of(it);
-      return 0.5 * (m.lo[d] + m.hi[d]);
+  static void StrSort(std::vector<Item>& items) {
+    auto center = [](const Item& it, int d) {
+      return 0.5 * (it.mbr.lo[d] + it.mbr.hi[d]);
     };
-    std::sort(items.begin(), items.end(),
-              [&](const Item& a, const Item& b) {
-                return center(a, 0) < center(b, 0);
-              });
+    std::sort(items.begin(), items.end(), [&](const Item& a, const Item& b) {
+      return center(a, 0) < center(b, 0);
+    });
     if constexpr (Dim >= 2) {
       // Tile along x, sort tiles along y.
       size_t n = items.size();
-      size_t per_node = kMaxEntries;
-      size_t num_nodes = (n + per_node - 1) / per_node;
+      size_t num_nodes = (n + kMaxEntries - 1) / kMaxEntries;
       size_t slices = static_cast<size_t>(
           std::ceil(std::sqrt(static_cast<double>(num_nodes))));
       size_t per_slice = slices == 0 ? n : (n + slices - 1) / slices;
@@ -419,94 +246,47 @@ class RTree {
     }
   }
 
-  static std::vector<std::unique_ptr<Node>> PackLeaves(
-      std::vector<Entry> entries) {
-    std::function<Mbr<Dim>(const Entry&)> mbr_of =
-        [](const Entry& e) { return e.mbr; };
-    StrSort(entries, mbr_of);
-    std::vector<std::unique_ptr<Node>> leaves;
-    for (size_t i = 0; i < entries.size(); i += kMaxEntries) {
-      auto leaf = std::make_unique<Node>(/*leaf=*/true);
-      size_t end = std::min(entries.size(), i + kMaxEntries);
-      for (size_t j = i; j < end; ++j) {
-        leaf->entries.push_back(std::move(entries[j]));
-      }
-      leaf->RecomputeMbr();
-      leaves.push_back(std::move(leaf));
-    }
-    return leaves;
-  }
-
-  static std::vector<std::unique_ptr<Node>> PackInternal(
-      std::vector<std::unique_ptr<Node>> level) {
-    std::function<Mbr<Dim>(const std::unique_ptr<Node>&)> mbr_of =
-        [](const std::unique_ptr<Node>& n) { return n->mbr; };
-    StrSort(level, mbr_of);
-    std::vector<std::unique_ptr<Node>> parents;
-    for (size_t i = 0; i < level.size(); i += kMaxEntries) {
-      auto parent = std::make_unique<Node>(/*leaf=*/false);
-      size_t end = std::min(level.size(), i + kMaxEntries);
-      for (size_t j = i; j < end; ++j) {
-        level[j]->parent = parent.get();
-        parent->children.push_back(std::move(level[j]));
-      }
-      parent->RecomputeMbr();
-      parents.push_back(std::move(parent));
+  // One parent node per run of kMaxEntries consecutive items; `base` is the
+  // first item's index in its array.
+  template <typename Item>
+  static std::vector<Node> PackRuns(const std::vector<Item>& items,
+                                    size_t base) {
+    std::vector<Node> parents;
+    parents.reserve((items.size() + kMaxEntries - 1) / kMaxEntries);
+    for (size_t i = 0; i < items.size(); i += kMaxEntries) {
+      const size_t end = std::min(items.size(), i + kMaxEntries);
+      Node parent{Mbr<Dim>::Empty(), static_cast<uint32_t>(base + i),
+                  static_cast<uint32_t>(end - i)};
+      for (size_t j = i; j < end; ++j) parent.mbr.Expand(items[j].mbr);
+      parents.push_back(parent);
     }
     return parents;
   }
 
-  // --- misc --------------------------------------------------------------
-
-  static void ForEachIntersectingImpl(
-      const Node* node, const Mbr<Dim>& region,
-      const std::function<void(const Mbr<Dim>&, const Value&)>& fn) {
-    if (!node->mbr.Intersects(region)) return;
-    if (node->leaf) {
-      for (const Entry& e : node->entries) {
-        if (e.mbr.Intersects(region)) fn(e.mbr, e.value);
+  bool CheckNode(uint32_t index, int depth, size_t* reached) const {
+    const Node& node = nodes_[index];
+    if (node.count < 1 || node.count > kMaxEntries) return false;
+    if (IsLeaf(index)) {
+      if (depth != height_) return false;
+      if (size_t{node.first} + node.count > entries_.size()) return false;
+      for (uint32_t e = node.first; e < node.first + node.count; ++e) {
+        if (!node.mbr.Contains(entries_[e].mbr)) return false;
       }
-    } else {
-      for (const auto& child : node->children) {
-        ForEachIntersectingImpl(child.get(), region, fn);
-      }
-    }
-  }
-
-  static size_t CountNodes(const Node* node) {
-    size_t n = 1;
-    if (!node->leaf) {
-      for (const auto& c : node->children) n += CountNodes(c.get());
-    }
-    return n;
-  }
-
-  bool CheckNode(const Node* node, int depth, int* leaf_depth,
-                 bool is_root) const {
-    if (node->Fanout() > kMaxEntries) return false;
-    if (!is_root && node->Fanout() < 1) return false;
-    if (node->leaf) {
-      if (*leaf_depth == -1) *leaf_depth = depth;
-      if (*leaf_depth != depth) return false;
-      Mbr<Dim> agg = Mbr<Dim>::Empty();
-      for (const Entry& e : node->entries) agg.Expand(e.mbr);
-      for (int d = 0; d < Dim; ++d) {
-        if (agg.lo[d] < node->mbr.lo[d] - 1e-9 ||
-            agg.hi[d] > node->mbr.hi[d] + 1e-9) {
-          return false;
-        }
-      }
+      *reached += node.count;
       return true;
     }
-    for (const auto& child : node->children) {
-      if (!node->mbr.Contains(child->mbr)) return false;
-      if (!CheckNode(child.get(), depth + 1, leaf_depth, false)) return false;
+    if (node.first + node.count > index) return false;  // children below
+    for (uint32_t c = node.first; c < node.first + node.count; ++c) {
+      if (!node.mbr.Contains(nodes_[c].mbr)) return false;
+      if (!CheckNode(c, depth + 1, reached)) return false;
     }
     return true;
   }
 
-  std::unique_ptr<Node> root_;
-  size_t size_ = 0;
+  std::vector<Entry> entries_;  // in STR order
+  std::vector<Node> nodes_;     // levels bottom-up: leaves first, root last
+  size_t leaf_count_ = 0;
+  int height_ = 0;
 };
 
 }  // namespace pverify

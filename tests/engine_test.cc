@@ -309,8 +309,10 @@ TEST(QueryEngineTest, SubmitResolvesToTheSequentialAnswer) {
 // point, before the async path posts anything and before a cache
 // fingerprints the request: q = +-inf used to trip a PV_CHECK deep in the
 // distance pdf, q = NaN returned an empty answer that a cache then
-// memoized, and P, Δ and k were checked only inside the executors (whose
-// PV_CHECKs stay, as internal invariants).
+// memoized, P, Δ and k were checked only inside the executors (whose
+// PV_CHECKs stay, as internal invariants), Monte Carlo samples = 0 tripped
+// the sampler's PV_CHECK, and a huge sample or split count would hold a
+// worker for as long as the client asked.
 TEST(QueryEngineTest, InvalidFieldsAreInvalidArguments) {
   Dataset data = datagen::MakeUniformScatter(200, 1000.0);
   const QueryOptions opt = OptionsFor(Strategy::kVR);
@@ -321,6 +323,13 @@ TEST(QueryEngineTest, InvalidFieldsAreInvalidArguments) {
     o.params = {threshold, tolerance};
     return o;
   };
+  auto costing = [](int samples, int splits) {
+    QueryOptions o = OptionsFor(Strategy::kMonteCarlo);
+    o.monte_carlo.samples = samples;
+    o.integration.splits_per_subregion = splits;
+    return o;
+  };
+  const int big = std::numeric_limits<int>::max();
   const std::vector<std::function<QueryRequest()>> bad = {
       [&] { return QueryRequest(PointQuery{inf, opt}); },
       [&] { return QueryRequest(PointQuery{-inf, opt}); },
@@ -344,6 +353,23 @@ TEST(QueryEngineTest, InvalidFieldsAreInvalidArguments) {
       [&] { return QueryRequest(KnnQuery{500.0, -1, opt}); },
       [&] { return QueryRequest(Knn2DQuery{{1.0, 2.0}, 0, opt}); },
       [&] { return QueryRequest(Knn2DQuery{{1.0, 2.0}, -1, opt}); },
+      [&] { return QueryRequest(PointQuery{500.0, costing(0, 2)}); },
+      [&] { return QueryRequest(PointQuery{500.0, costing(-1, 2)}); },
+      [&] {
+        return QueryRequest(
+            PointQuery{500.0, costing(kMaxMonteCarloSamples + 1, 2)});
+      },
+      [&] { return QueryRequest(PointQuery{500.0, costing(big, 2)}); },
+      [&] { return QueryRequest(KnnQuery{500.0, 2, costing(0, 2)}); },
+      [&] { return QueryRequest(PointQuery{500.0, costing(1000, 0)}); },
+      [&] { return QueryRequest(MinQuery{costing(1000, -3)}); },
+      [&] {
+        return QueryRequest(
+            PointQuery{500.0, costing(1000, kMaxSplitsPerSubregion + 1)});
+      },
+      [&] {
+        return QueryRequest(Point2DQuery{{1.0, 2.0}, costing(1000, big)});
+      },
   };
   for (const NamedFactory& factory : SubmitEngines()) {
     SCOPED_TRACE(factory.name);
@@ -363,6 +389,11 @@ TEST(QueryEngineTest, InvalidFieldsAreInvalidArguments) {
       EXPECT_EQ(cache->GetCacheStats().misses, 0u);
       EXPECT_EQ(cache->GetCacheStats().entries, 0u);
     }
+    // The caps themselves are valid.
+    QueryOptions at_caps = OptionsFor(Strategy::kVR);
+    at_caps.monte_carlo.samples = kMaxMonteCarloSamples;
+    at_caps.integration.splits_per_subregion = kMaxSplitsPerSubregion;
+    EXPECT_NO_THROW(engine->Execute(PointQuery{500.0, at_caps}));
   }
 }
 

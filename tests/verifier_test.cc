@@ -1,9 +1,6 @@
 #include "core/verifier.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 
 #include <gtest/gtest.h>
 
@@ -12,48 +9,8 @@
 #include "core/classifier.h"
 #include "core/framework.h"
 #include "core/scratch.h"
+#include "counting_new_testutil.h"
 #include "uncertain/pdf.h"
-
-// Counting global allocation functions: every operator new in this test
-// binary (plain, array and over-aligned) bumps g_allocations, so a test can
-// assert that a code path allocates nothing.
-namespace {
-std::atomic<size_t> g_allocations{0};
-
-void* CountedAlloc(size_t bytes, size_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (bytes == 0) bytes = 1;
-  void* p = nullptr;
-  if (align <= alignof(std::max_align_t)) {
-    p = std::malloc(bytes);
-  } else if (posix_memalign(&p, align, bytes) != 0) {
-    p = nullptr;
-  }
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(size_t bytes) { return CountedAlloc(bytes, 0); }
-void* operator new[](size_t bytes) { return CountedAlloc(bytes, 0); }
-void* operator new(size_t bytes, std::align_val_t align) {
-  return CountedAlloc(bytes, static_cast<size_t>(align));
-}
-void* operator new[](size_t bytes, std::align_val_t align) {
-  return CountedAlloc(bytes, static_cast<size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace pverify {
 namespace {
