@@ -1,5 +1,7 @@
 // Ablation — quadrature order: accuracy/time trade-off of the
-// Gauss-Legendre node count used by the Basic evaluator and refinement.
+// Gauss-Legendre node count used by the Basic evaluator. The node count
+// affects Basic (and k-NN) only: refinement reads its q_ij exactly from the
+// subregion table.
 // The integrand is piecewise-polynomial between global breakpoints, so very
 // low orders are already near-exact on uniform pdfs; Gaussian histograms
 // stress the segmentation instead.

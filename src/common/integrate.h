@@ -1,5 +1,5 @@
-// Numerical quadrature used by the Basic evaluator and incremental
-// refinement.
+// Numerical quadrature used by the Basic evaluator and the k-NN
+// integration (refinement reads its q_ij exactly from the subregion table).
 //
 // The C-PNN integrand d_i(r) · Π_{k≠i}(1 − D_k(r)) is a polynomial between
 // consecutive global breakpoints (d_i is a step function, each D_k is

@@ -22,36 +22,39 @@ std::vector<double> GlobalBreakpoints(const CandidateSet& candidates) {
   return SortedUnique(std::move(breaks), 1e-12);
 }
 
+// p_i: the NN integrand d_i(r) · Π_{k≠i} (1 − D_k(r)) (paper Eq. 2), from
+// pdf and cdf lookups, over [n_i, min(f_i, f_min)] split at `breaks`. The
+// product stops once it reaches zero.
+double Integrate(const CandidateSet& cands, size_t i,
+                 const std::vector<double>& breaks,
+                 const IntegrationOptions& options) {
+  auto f = [&cands, i](double r) {
+    double v = cands[i].dist.Density(r);
+    for (size_t k = 0; k < cands.size() && v != 0.0; ++k) {
+      if (k != i) v *= 1.0 - cands[k].dist.Cdf(r);
+    }
+    return v;
+  };
+  const DistanceDistribution& dist = cands[i].dist;
+  const double b = std::min(dist.far(), cands.fmin());
+  return std::clamp(IntegrateWithBreakpoints(f, dist.near(), b, breaks,
+                                             options.gauss_points),
+                    0.0, 1.0);
+}
+
 }  // namespace
 
 double ExactQualificationProbability(const CandidateSet& candidates, size_t i,
                                      const IntegrationOptions& options) {
-  std::vector<double> breaks = GlobalBreakpoints(candidates);
-  const Candidate& cand = candidates[i];
-  const double a = cand.dist.near();
-  const double b = std::min(cand.dist.far(), candidates.fmin());
-  auto f = [&candidates, i](double r) {
-    return NnProductIntegrand(candidates, i, r);
-  };
-  double p = IntegrateWithBreakpoints(f, a, b, breaks, options.gauss_points);
-  return std::clamp(p, 0.0, 1.0);
+  return Integrate(candidates, i, GlobalBreakpoints(candidates), options);
 }
 
 std::vector<double> ComputeExactProbabilities(
     const CandidateSet& candidates, const IntegrationOptions& options) {
-  std::vector<double> breaks = GlobalBreakpoints(candidates);
-  std::vector<double> probs(candidates.size(), 0.0);
-  const double fmin = candidates.fmin();
+  const std::vector<double> breaks = GlobalBreakpoints(candidates);
+  std::vector<double> probs(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    const Candidate& cand = candidates[i];
-    const double a = cand.dist.near();
-    const double b = std::min(cand.dist.far(), fmin);
-    auto f = [&candidates, i](double r) {
-      return NnProductIntegrand(candidates, i, r);
-    };
-    probs[i] = std::clamp(
-        IntegrateWithBreakpoints(f, a, b, breaks, options.gauss_points), 0.0,
-        1.0);
+    probs[i] = Integrate(candidates, i, breaks, options);
   }
   return probs;
 }

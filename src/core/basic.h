@@ -5,7 +5,9 @@
 //
 // with the formula of Cheng et al. [5]. This is the expensive baseline the
 // verifiers are designed to avoid; it also powers the plain (unconstrained)
-// PNN API, which reports every candidate's probability.
+// PNN API, which reports every candidate's probability, and it is the
+// independent oracle for refinement's table-driven q_ij (core/refine.h):
+// it integrates over pdf and cdf lookups, not over the subregion table.
 #ifndef PVERIFY_CORE_BASIC_H_
 #define PVERIFY_CORE_BASIC_H_
 

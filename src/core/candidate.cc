@@ -11,7 +11,6 @@ namespace pverify {
 DistanceDistribution CandidateArena::TakeDistribution() {
   ++pending_takes;
   if (spare.empty()) return DistanceDistribution();
-  // spare is sorted by ascending capacity, so the back is the largest.
   DistanceDistribution dist = std::move(spare.back());
   spare.pop_back();
   return dist;
@@ -31,10 +30,6 @@ void CandidateArena::Recycle(CandidateSet&& set) {
   }
   recycled.clear();
   if (recycled.capacity() > items.capacity()) items = std::move(recycled);
-  std::sort(spare.begin(), spare.end(),
-            [](const DistanceDistribution& a, const DistanceDistribution& b) {
-              return a.ApproxBytes() < b.ApproxBytes();
-            });
 }
 
 size_t CandidateArena::ApproxBytes() const {

@@ -35,9 +35,11 @@ struct CandidateArena {
   CandidateArena(const CandidateArena&) = delete;
   CandidateArena& operator=(const CandidateArena&) = delete;
 
-  /// Pops the recycled distribution with the most storage (or returns a
-  /// fresh one when the pool is empty). Largest-first pairing lets the
-  /// pool's capacities converge to the workload's high-water mark.
+  /// Pops a recycled distribution, in no particular order (or returns a
+  /// fresh one when the pool is empty). A distribution's buffers only grow,
+  /// and once the pool holds the largest per-query demand every take is
+  /// served from it, so the pooled capacities converge to the workload's
+  /// high-water mark without ordering the pool.
   DistanceDistribution TakeDistribution();
 
   /// Returns one distribution's storage to the pool (subject to the demand
@@ -57,8 +59,7 @@ struct CandidateArena {
 
   /// Recycled items buffer handed to the next CandidateSet construction.
   std::vector<Candidate> items;
-  /// Recycled per-candidate distribution storage, kept sorted by ascending
-  /// capacity (so TakeDistribution pops the largest in O(1)).
+  /// Recycled per-candidate distribution storage, unordered.
   std::vector<DistanceDistribution> spare;
   /// Breakpoint / piece-value work buffers for distribution builds.
   std::vector<double> work_breaks;

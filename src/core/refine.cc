@@ -1,63 +1,78 @@
 #include "core/refine.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/check.h"
-#include "common/integrate.h"
 #include "core/classifier.h"
 #include "core/scratch.h"
 
 namespace pverify {
 
-double NnProductIntegrand(const CandidateSet& cands, size_t i, double r) {
-  double v = cands[i].dist.Density(r);
-  if (v == 0.0) return 0.0;
-  for (size_t k = 0; k < cands.size(); ++k) {
-    if (k == i) continue;
-    v *= 1.0 - cands[k].dist.Cdf(r);
-    if (v == 0.0) break;
-  }
-  return v;
-}
-
-double ExactSubregionProbability(const VerificationContext& ctx, size_t i,
-                                 size_t j, const IntegrationOptions& options) {
-  const SubregionTable& tbl = *ctx.table;
-  PV_CHECK_MSG(j + 1 < tbl.num_subregions() || tbl.num_subregions() == 1,
-               "the rightmost subregion needs no integration");
-  const double sij = tbl.s(i, j);
-  PV_CHECK_MSG(sij > SubregionTable::kEps,
+double ExactSubregionProbability(const SubregionTable& table, size_t i,
+                                 size_t j, std::vector<double>* coeffs) {
+  PV_CHECK_MSG(j + 1 < table.num_subregions(),
+               "q_ij is taken from the table only below f_min");
+  PV_CHECK_MSG(table.s(i, j) > SubregionTable::kEps,
                "q_ij undefined when s_ij is zero");
-  const CandidateSet& cands = *ctx.candidates;
-  const double a = tbl.endpoint(j);
-  const double b = tbl.endpoint(j + 1);
-  const int splits = std::max(1, options.splits_per_subregion);
-  double integral = 0.0;
-  double prev = a;
-  for (int s = 1; s <= splits; ++s) {
-    double next = a + (b - a) * s / splits;
-    integral += GaussLegendre(
-        [&cands, i](double r) { return NnProductIntegrand(cands, i, r); },
-        prev, next, options.gauss_points);
-    prev = next;
+  std::vector<double> local;
+  std::vector<double>& buf = coeffs != nullptr ? *coeffs : local;
+  const size_t n = table.num_candidates();
+  if (buf.size() < n) buf.resize(n);
+  double* b = buf.data();
+
+  // Π_{k≠i} (u_k (1 − t) + v_k t) with u_k = 1 − D_k(e_j) and
+  // v_k = 1 − D_k(e_{j+1}). Factors with u_k == v_k are constants; the
+  // rest build b_0..b_d, the normalised Bernstein coefficients of their
+  // degree-d product: multiplying by (u (1 − t) + v t) maps b_m to
+  // ((d + 1 − m) u b_m + m v b_{m−1}) / (d + 1).
+  double constant = 1.0;
+  size_t d = 0;
+  b[0] = 1.0;
+  for (size_t k = 0; k < n; ++k) {
+    if (k == i) continue;
+    const double u = 1.0 - table.cdf(k, j);
+    const double v = 1.0 - table.cdf(k, j + 1);
+    if (u == v) {
+      constant *= u;
+      if (constant == 0.0) return 0.0;
+      continue;
+    }
+    const double uu = u / static_cast<double>(d + 1);
+    const double vv = v / static_cast<double>(d + 1);
+    b[d + 1] = v * b[d];
+    // Downward, so b[m − 1] is still the old coefficient when b[m] reads
+    // it; `up` = d + 1 − m and `down` = m count in exact integers.
+    double up = 1.0;
+    double down = static_cast<double>(d);
+    for (size_t m = d; m > 0; --m) {
+      b[m] = up * uu * b[m] + down * vv * b[m - 1];
+      up += 1.0;
+      down -= 1.0;
+    }
+    b[0] *= u;
+    ++d;
   }
-  return std::clamp(integral / sij, 0.0, 1.0);
+  double sum = 0.0;
+  for (size_t m = 0; m <= d; ++m) sum += b[m];
+  return std::clamp(constant * sum / static_cast<double>(d + 1), 0.0, 1.0);
 }
 
 RefineStats IncrementalRefine(VerificationContext& ctx,
                               const CpnnParams& params,
-                              const IntegrationOptions& options,
+                              const IntegrationOptions& /*integration*/,
                               RefineOrder order, QueryScratch* scratch) {
   RefineStats stats;
   const SubregionTable& tbl = *ctx.table;
   const size_t m = tbl.num_subregions();
   CandidateSet& cands = *ctx.candidates;
 
-  // Subregion-ordering workspace, shared across candidates (and across
-  // queries when a scratch lends it).
+  // Subregion-ordering and coefficient workspaces, shared across
+  // candidates (and across queries when a scratch lends them).
   std::vector<size_t> local_js;
+  std::vector<double> local_coeffs;
   std::vector<size_t>& js = scratch ? scratch->refine_order : local_js;
+  std::vector<double>& coeffs = scratch ? scratch->refine_coeffs
+                                        : local_coeffs;
 
   for (size_t i = 0; i < cands.size(); ++i) {
     Candidate& cand = cands[i];
@@ -77,13 +92,15 @@ RefineStats IncrementalRefine(VerificationContext& ctx,
     }
     stats.subregions_available += js.size();
     if (order == RefineOrder::kBySubregionProbability) {
-      std::stable_sort(js.begin(), js.end(), [&](size_t a, size_t b) {
-        return s_row[a] > s_row[b];
+      // Ties keep ascending j, as a stable sort would, without the stable
+      // sort's temporary buffer.
+      std::sort(js.begin(), js.end(), [&](size_t a, size_t b) {
+        return s_row[a] > s_row[b] || (s_row[a] == s_row[b] && a < b);
       });
     }
 
     for (size_t j : js) {
-      double q = ExactSubregionProbability(ctx, i, j, options);
+      double q = ExactSubregionProbability(tbl, i, j, &coeffs);
       ++stats.subregion_integrations;
       ql_row[j] = q;
       qu_row[j] = q;

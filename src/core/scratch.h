@@ -2,7 +2,7 @@
 // path).
 //
 // Every C-PNN evaluation needs a subregion table, an n×M pair of
-// per-subregion bound arrays and a refinement ordering workspace. Built
+// per-subregion bound arrays and refinement workspaces. Built
 // fresh per query (the seed behavior) these dominate the allocation profile
 // of a high-throughput workload; a QueryScratch owns them once and the core
 // re-initializes them in place, so after a few warm-up queries the buffers
@@ -25,6 +25,7 @@
 #include "core/candidate.h"
 #include "core/subregion.h"
 #include "core/verifier.h"
+#include "spatial/filter.h"
 
 namespace pverify {
 
@@ -49,6 +50,15 @@ struct QueryScratch {
   /// Refinement's per-candidate subregion ordering (the `js` workspace of
   /// IncrementalRefine).
   std::vector<size_t> refine_order;
+
+  /// Refinement's polynomial coefficients (ExactSubregionProbability).
+  std::vector<double> refine_coeffs;
+
+  /// The scatter/gather workspace of the engine's QueryEngine: the shards a
+  /// request filtered and their local filter results (point or k-NN).
+  std::vector<size_t> filtered_shards;
+  std::vector<FilterResult> point_locals;
+  std::vector<KnnFilterResult> knn_locals;
 
   /// Queries that borrowed this scratch so far (telemetry; bumped by
   /// VerificationFramework when it adopts the scratch).

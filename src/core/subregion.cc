@@ -51,9 +51,10 @@ void SubregionTable::BuildInto(const CandidateSet& candidates,
   table.s_stride_ = PadStride<double>(m);
   table.cdf_stride_ = PadStride<double>(m + 1);
 
-  // assign() zeros the padding too, so padded s-entries never participate.
-  table.s_.assign(n * table.s_stride_, 0.0);
-  table.cdf_.assign(n * table.cdf_stride_, 0.0);
+  // Every logical entry is written below; only the padding is zeroed, so
+  // padded s-entries never participate.
+  table.s_.resize(n * table.s_stride_);
+  table.cdf_.resize(n * table.cdf_stride_);
   table.count_.assign(m, 0);
   table.y_.assign(m + 1, 1.0);
 
@@ -66,12 +67,14 @@ void SubregionTable::BuildInto(const CandidateSet& candidates,
     // searches, bit-identical to the pointwise Cdf loop it replaces (see
     // StepFunction::IntegralToSorted).
     dist.CdfSorted(table.endpoints_.data(), m + 1, cdf_row);
+    std::fill(cdf_row + m + 1, cdf_row + table.cdf_stride_, 0.0);
     for (size_t j = 0; j < m; ++j) {
       double sij = cdf_row[j + 1] - cdf_row[j];
       sij = std::max(0.0, sij);
       s_row[j] = sij;
       if (sij > kEps) ++table.count_[j];
     }
+    std::fill(s_row + m, s_row + table.s_stride_, 0.0);
   }
 
   // Y_j product, candidate-outer so the inner loop streams one contiguous

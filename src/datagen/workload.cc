@@ -87,19 +87,6 @@ std::vector<Point2> MakeQueryPointsZipf2D(size_t count, double lo, double hi,
   return points;
 }
 
-WorkloadResult RunWorkload2D(const CpnnExecutor2D& executor,
-                             const std::vector<Point2>& query_points,
-                             const QueryOptions& options) {
-  WorkloadResult result;
-  for (Point2 q : query_points) {
-    QueryAnswer answer = executor.Execute(q, options);
-    answer.stats.AccumulateInto(result.totals);
-    result.answers += answer.ids.size();
-    ++result.queries;
-  }
-  return result;
-}
-
 WorkloadResult RunWorkload(const CpnnExecutor& executor,
                            const std::vector<double>& query_points,
                            const QueryOptions& options) {

@@ -83,12 +83,6 @@ WorkloadResult RunWorkload(const CpnnExecutor& executor,
                            const std::vector<double>& query_points,
                            const QueryOptions& options);
 
-/// Runs every 2-D query point through the executor with the given options
-/// (the 2-D counterpart of RunWorkload).
-WorkloadResult RunWorkload2D(const CpnnExecutor2D& executor,
-                             const std::vector<Point2>& query_points,
-                             const QueryOptions& options);
-
 }  // namespace datagen
 }  // namespace pverify
 

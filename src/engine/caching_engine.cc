@@ -56,7 +56,6 @@ bool CachingEngine::Fingerprint::operator==(const Fingerprint& other) const {
          tolerance_bits == other.tolerance_bits &&
          strategy == other.strategy && refine_order == other.refine_order &&
          gauss_points == other.gauss_points &&
-         splits_per_subregion == other.splits_per_subregion &&
          mc_samples == other.mc_samples && mc_seed == other.mc_seed &&
          report_probabilities == other.report_probabilities;
 }
@@ -127,7 +126,6 @@ bool CachingEngine::BuildCacheQuery(const QueryRequest& request,
   fp.strategy = static_cast<int>(opt.strategy);
   fp.refine_order = static_cast<int>(opt.refine_order);
   fp.gauss_points = opt.integration.gauss_points;
-  fp.splits_per_subregion = opt.integration.splits_per_subregion;
   fp.mc_samples = opt.monte_carlo.samples;
   fp.mc_seed = opt.monte_carlo.seed;
   fp.report_probabilities = opt.report_probabilities;
@@ -142,7 +140,6 @@ bool CachingEngine::BuildCacheQuery(const QueryRequest& request,
       static_cast<uint64_t>(fp.strategy),
       static_cast<uint64_t>(fp.refine_order),
       static_cast<uint64_t>(fp.gauss_points),
-      static_cast<uint64_t>(fp.splits_per_subregion),
       static_cast<uint64_t>(fp.mc_samples),
       fp.mc_seed,
       static_cast<uint64_t>(fp.report_probabilities),

@@ -112,7 +112,6 @@ class CachingEngine : public Engine {
     int strategy = 0;
     int refine_order = 0;
     int gauss_points = 0;
-    int splits_per_subregion = 0;
     int mc_samples = 0;
     uint64_t mc_seed = 0;
     bool report_probabilities = false;

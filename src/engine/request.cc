@@ -96,8 +96,6 @@ void Validate(const QueryRequest& request) {
   }
   RequireInRange(options.monte_carlo.samples, kMaxMonteCarloSamples,
                  "Monte Carlo samples");
-  RequireInRange(options.integration.splits_per_subregion,
-                 kMaxSplitsPerSubregion, "splits per subregion");
 }
 
 QueryResult ToQueryResult(QueryAnswer&& answer) {

@@ -189,15 +189,10 @@ struct QueryResult {
 /// objects (one Intel Xeon core, Release build).
 inline constexpr int kMaxMonteCarloSamples = 100'000;
 
-/// The largest QueryOptions::integration.splits_per_subregion a request may
-/// ask for: 32 times the default of 2, and refinement's cost grows linearly
-/// with it.
-inline constexpr int kMaxSplitsPerSubregion = 64;
-
 /// Rejects with std::invalid_argument a request whose query coordinates are
 /// not finite (NaN or ±inf), whose threshold P is outside (0, 1], whose
 /// tolerance Δ is outside [0, 1], whose k-NN k is below 1, or whose Monte
-/// Carlo sample count or splits per subregion is outside [1, its cap above].
+/// Carlo sample count is outside [1, kMaxMonteCarloSamples].
 /// Every engine calls it first in Execute, ExecuteBatch and SubmitThen, so a
 /// bad field never reaches a queue, the integrals or a cache key.
 void Validate(const QueryRequest& request);

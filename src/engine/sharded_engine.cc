@@ -30,6 +30,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 //   double MinDist(shard)             bounds metric: picks the home shard
 //                                     and is checked against cap and cut
 //   Local LocalFilter(shard)          the shard's local filter
+//   static Locals(scratch)            the scratch's vector of Local
 //   double Cap(home_local, shards)    upper bound on the global cut
 //   double GlobalCut(locals)          exact global cut from the locals
 //   bool Survives(shard, cut)         phase-2 shard recheck
@@ -77,6 +78,10 @@ struct QueryEngine::PointScatterPolicy {
     } else {
       return shard.executor2d->Filter(q);
     }
+  }
+
+  static std::vector<Local>& Locals(QueryScratch& scratch) {
+    return scratch.point_locals;
   }
 
   double Cap(const Local& home, const std::vector<Shard>&) const {
@@ -221,6 +226,10 @@ struct QueryEngine::KnnScatterPolicy {
     } else {
       return shard.executor2d->FilterK(q, k);
     }
+  }
+
+  static std::vector<Local>& Locals(QueryScratch& scratch) {
+    return scratch.knn_locals;
   }
 
   double GlobalCut(const std::vector<Local>& locals) {
@@ -471,9 +480,14 @@ QueryResult QueryEngine::ScatterGather(Policy& policy,
   // the other shards whose bounds MINDIST is within the cap are filtered.
   // Every phase runs here, on the calling thread: a local filter costs a
   // few microseconds, less than waking a pool worker would.
+  // The shard list and the locals live in the scratch every request runs
+  // on, so a warm request does not allocate them.
+  PV_DCHECK(scratch != nullptr);
   Timer phase;
-  std::vector<size_t> filtered;
-  std::vector<typename Policy::Local> locals;
+  std::vector<size_t>& filtered = scratch->filtered_shards;
+  std::vector<typename Policy::Local>& locals = Policy::Locals(*scratch);
+  filtered.clear();
+  locals.clear();
   size_t pruned = 0;
   if (home < shards_.size()) {
     filtered.push_back(home);
@@ -500,7 +514,7 @@ QueryResult QueryEngine::ScatterGather(Policy& policy,
   // is irrelevant and the set equals Build1D / Build2D's over the whole
   // dataset.
   phase.Restart();
-  CandidateArena* arena = scratch != nullptr ? &scratch->candidates : nullptr;
+  CandidateArena* arena = &scratch->candidates;
   CandidateSet candidates = CandidateSet::Begin(arena);
   size_t visits = 0;
   for (size_t j = 0; j < filtered.size(); ++j) {

@@ -50,14 +50,6 @@ uint64_t Client::Send(const QueryRequest& request, uint32_t deadline_ms) {
   return id;
 }
 
-void Client::SendWithId(const QueryRequest& request, uint64_t request_id,
-                        uint32_t deadline_ms) {
-  std::lock_guard<std::mutex> lock(send_mu_);
-  WireWriter body;
-  EncodeRequestBody(request, deadline_ms, body);
-  SendFrameOn(sock_, MessageType::kRequest, request_id, body);
-}
-
 ServeResponse Client::ReadNext() {
   std::lock_guard<std::mutex> lock(recv_mu_);
   ReceivedFrame frame;

@@ -69,11 +69,6 @@ class Client {
   /// reading the frame) ran out.
   uint64_t Send(const QueryRequest& request, uint32_t deadline_ms = 0);
 
-  /// Sends a request frame under a caller-chosen id (the tests use this to
-  /// probe id echoing; normal callers use Send()).
-  void SendWithId(const QueryRequest& request, uint64_t request_id,
-                  uint32_t deadline_ms = 0);
-
   /// Blocks for the next response frame in arrival order. Throws WireError
   /// when the server closes the connection or sends a malformed frame.
   ServeResponse ReadNext();

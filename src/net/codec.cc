@@ -34,7 +34,6 @@ void EncodeOptions(const QueryOptions& o, WireWriter& w) {
   w.F64(o.params.tolerance);
   w.U8(static_cast<uint8_t>(o.strategy));
   w.I32(o.integration.gauss_points);
-  w.I32(o.integration.splits_per_subregion);
   w.U8(static_cast<uint8_t>(o.refine_order));
   w.I32(o.monte_carlo.samples);
   w.U64(o.monte_carlo.seed);
@@ -47,7 +46,6 @@ QueryOptions DecodeOptions(WireReader& r) {
   o.params.tolerance = r.F64();
   o.strategy = CheckedEnum(r.U8(), Strategy::kMonteCarlo, "strategy");
   o.integration.gauss_points = r.I32();
-  o.integration.splits_per_subregion = r.I32();
   o.refine_order =
       CheckedEnum(r.U8(), RefineOrder::kLeftToRight, "refine order");
   o.monte_carlo.samples = r.I32();

@@ -42,13 +42,6 @@ inline double MbrMinDistToBounds(double q, const DomainBounds& b) {
   return MakeInterval(b.lo, b.hi).MinDist({q});
 }
 
-/// MAXDIST from q to the bounds, via the Mbr<1> metric. Upper-bounds
-/// Mbr::MaxDist of every contained interval.
-inline double MbrMaxDistToBounds(double q, const DomainBounds& b) {
-  if (b.empty()) return -std::numeric_limits<double>::infinity();
-  return MakeInterval(b.lo, b.hi).MaxDist({q});
-}
-
 /// MINDIST from q to the bounds, via the interval arithmetic of
 /// UncertainObject::MinDist. Lower-bounds MinDist of every contained object.
 inline double IntervalMinDistToBounds(double q, const DomainBounds& b) {

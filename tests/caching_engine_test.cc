@@ -253,8 +253,6 @@ TEST(CachingEngineTest, EveryFingerprintFieldKeysTheCache) {
   });
   vary("gauss_points", base,
        [](QueryOptions& o) { o.integration.gauss_points = 8; });
-  vary("splits_per_subregion", base,
-       [](QueryOptions& o) { o.integration.splits_per_subregion = 3; });
   vary("report_probabilities", base,
        [](QueryOptions& o) { o.report_probabilities = false; });
   vary("mc samples", mc, [](QueryOptions& o) { o.monte_carlo.samples = 500; });

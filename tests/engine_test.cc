@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "counting_new_testutil.h"
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
 #include "differential_testutil.h"
@@ -183,6 +184,40 @@ TEST(QueryEngineTest, ScratchReusedAcrossHundredQueriesYieldsSameAnswers) {
   EXPECT_GT(scratch.candidates.items.capacity(), 0u);
 }
 
+// A warm 1-shard engine adds no allocation to the executor's: the
+// scatter/gather shard list and local filter results live in the borrowed
+// scratch, not in per-request vectors.
+TEST(QueryEngineTest, WarmOneShardPointQueryAllocatesNoMoreThanTheExecutor) {
+  Dataset data = TestDataset(300);
+  CpnnExecutor exec(data);
+  QueryEngine engine(data, EngineOptions{1});
+  const QueryOptions opt = OptionsFor(Strategy::kVR);
+  const std::vector<double> points =
+      datagen::MakeQueryPoints(100, 0.0, 250.0, /*seed=*/43);
+
+  QueryScratch scratch;
+  size_t exec_allocations = 0;
+  size_t engine_allocations = 0;
+  for (int pass = 0; pass < 2; ++pass) {  // pass 0 warms both
+    for (double q : points) {
+      QueryRequest request(PointQuery{q, opt});
+      size_t before = g_allocations.load();
+      QueryAnswer answer = exec.Execute(q, opt, &scratch);
+      if (pass == 1) exec_allocations += g_allocations.load() - before;
+      before = g_allocations.load();
+      QueryResult result = engine.Execute(std::move(request));
+      if (pass == 1) engine_allocations += g_allocations.load() - before;
+      EXPECT_EQ(answer.ids, result.ids) << "q=" << q;
+    }
+  }
+  EXPECT_GT(exec_allocations, 0u);
+  EXPECT_LE(engine_allocations, exec_allocations)
+      << "per query: engine "
+      << static_cast<double>(engine_allocations) / points.size()
+      << ", executor "
+      << static_cast<double>(exec_allocations) / points.size();
+}
+
 TEST(QueryEngineTest, BatchStatsAggregateThroughputAndStages) {
   Dataset data = TestDataset(300);
   EngineOptions eopt;
@@ -323,10 +358,9 @@ TEST(QueryEngineTest, InvalidFieldsAreInvalidArguments) {
     o.params = {threshold, tolerance};
     return o;
   };
-  auto costing = [](int samples, int splits) {
+  auto costing = [](int samples) {
     QueryOptions o = OptionsFor(Strategy::kMonteCarlo);
     o.monte_carlo.samples = samples;
-    o.integration.splits_per_subregion = splits;
     return o;
   };
   const int big = std::numeric_limits<int>::max();
@@ -353,23 +387,16 @@ TEST(QueryEngineTest, InvalidFieldsAreInvalidArguments) {
       [&] { return QueryRequest(KnnQuery{500.0, -1, opt}); },
       [&] { return QueryRequest(Knn2DQuery{{1.0, 2.0}, 0, opt}); },
       [&] { return QueryRequest(Knn2DQuery{{1.0, 2.0}, -1, opt}); },
-      [&] { return QueryRequest(PointQuery{500.0, costing(0, 2)}); },
-      [&] { return QueryRequest(PointQuery{500.0, costing(-1, 2)}); },
+      [&] { return QueryRequest(PointQuery{500.0, costing(0)}); },
+      [&] { return QueryRequest(PointQuery{500.0, costing(-1)}); },
       [&] {
         return QueryRequest(
-            PointQuery{500.0, costing(kMaxMonteCarloSamples + 1, 2)});
+            PointQuery{500.0, costing(kMaxMonteCarloSamples + 1)});
       },
-      [&] { return QueryRequest(PointQuery{500.0, costing(big, 2)}); },
-      [&] { return QueryRequest(KnnQuery{500.0, 2, costing(0, 2)}); },
-      [&] { return QueryRequest(PointQuery{500.0, costing(1000, 0)}); },
-      [&] { return QueryRequest(MinQuery{costing(1000, -3)}); },
-      [&] {
-        return QueryRequest(
-            PointQuery{500.0, costing(1000, kMaxSplitsPerSubregion + 1)});
-      },
-      [&] {
-        return QueryRequest(Point2DQuery{{1.0, 2.0}, costing(1000, big)});
-      },
+      [&] { return QueryRequest(PointQuery{500.0, costing(big)}); },
+      [&] { return QueryRequest(KnnQuery{500.0, 2, costing(0)}); },
+      [&] { return QueryRequest(MinQuery{costing(-3)}); },
+      [&] { return QueryRequest(Point2DQuery{{1.0, 2.0}, costing(big)}); },
   };
   for (const NamedFactory& factory : SubmitEngines()) {
     SCOPED_TRACE(factory.name);
@@ -389,11 +416,10 @@ TEST(QueryEngineTest, InvalidFieldsAreInvalidArguments) {
       EXPECT_EQ(cache->GetCacheStats().misses, 0u);
       EXPECT_EQ(cache->GetCacheStats().entries, 0u);
     }
-    // The caps themselves are valid.
-    QueryOptions at_caps = OptionsFor(Strategy::kVR);
-    at_caps.monte_carlo.samples = kMaxMonteCarloSamples;
-    at_caps.integration.splits_per_subregion = kMaxSplitsPerSubregion;
-    EXPECT_NO_THROW(engine->Execute(PointQuery{500.0, at_caps}));
+    // The cap itself is valid.
+    QueryOptions at_cap = OptionsFor(Strategy::kVR);
+    at_cap.monte_carlo.samples = kMaxMonteCarloSamples;
+    EXPECT_NO_THROW(engine->Execute(PointQuery{500.0, at_cap}));
   }
 }
 

@@ -34,7 +34,6 @@ QueryOptions RandomOptions(std::mt19937_64& rng) {
   o.params.tolerance = unit(rng) * 0.1;
   o.strategy = static_cast<Strategy>(rng() % 4);
   o.integration.gauss_points = static_cast<int>(rng() % 64) + 1;
-  o.integration.splits_per_subregion = static_cast<int>(rng() % 8) + 1;
   o.refine_order = static_cast<RefineOrder>(rng() % 2);
   o.monte_carlo.samples = static_cast<int>(rng() % 10000) + 1;
   o.monte_carlo.seed = rng();
@@ -48,9 +47,6 @@ void ExpectOptionsEqual(const QueryOptions& e, const QueryOptions& g,
   ExpectBits(e.params.tolerance, g.params.tolerance, what + " tolerance");
   EXPECT_EQ(e.strategy, g.strategy) << what;
   EXPECT_EQ(e.integration.gauss_points, g.integration.gauss_points) << what;
-  EXPECT_EQ(e.integration.splits_per_subregion,
-            g.integration.splits_per_subregion)
-      << what;
   EXPECT_EQ(e.refine_order, g.refine_order) << what;
   EXPECT_EQ(e.monte_carlo.samples, g.monte_carlo.samples) << what;
   EXPECT_EQ(e.monte_carlo.seed, g.monte_carlo.seed) << what;
@@ -278,9 +274,9 @@ TEST(NetFrameTest, BadMagicIsRejected) {
 }
 
 TEST(NetFrameTest, BadVersionIsRejected) {
-  // Only kWireVersion (3) is spoken: the retired v1 and v2 layouts are as
+  // Only kWireVersion (4) is spoken: the retired v1-v3 layouts are as
   // foreign as a version from the future.
-  for (uint16_t version : {1, 2, 4, 99}) {
+  for (uint16_t version : {1, 2, 3, 5, 99}) {
     uint8_t buf[kFrameHeaderBytes];
     EncodeFrameHeader(MessageType::kRequest, 1, 0, buf);
     buf[4] = static_cast<uint8_t>(version);

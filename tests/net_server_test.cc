@@ -514,7 +514,7 @@ TEST(NetServerTest, EngineWithoutIdleWorkersAlwaysGetsSubmitThen) {
   EXPECT_EQ(served.submits(), points.size());
 }
 
-// Out-of-range P, Δ, k, Monte Carlo samples and splits per subregion are
+// Out-of-range P, Δ, k and Monte Carlo samples are
 // the request's failure on either dispatch path: kInvalidRequest on its id,
 // the connection stays open, and the cache in front of the engine gains no
 // entry.
@@ -525,11 +525,10 @@ TEST(NetServerTest, OutOfRangeParametersAreInvalidRequestsOnBothPaths) {
     opt.params = {threshold, tolerance};
     return opt;
   };
-  auto costing = [](int samples, int splits) {
+  auto costing = [](int samples) {
     QueryOptions opt = TestOptions();
     opt.strategy = Strategy::kMonteCarlo;
     opt.monte_carlo.samples = samples;
-    opt.integration.splits_per_subregion = splits;
     return opt;
   };
   const int big = std::numeric_limits<int>::max();
@@ -545,18 +544,13 @@ TEST(NetServerTest, OutOfRangeParametersAreInvalidRequestsOnBothPaths) {
       [&] { return QueryRequest(KnnQuery{500.0, -1, TestOptions()}); },
       [&] { return QueryRequest(Knn2DQuery{{1.0, 2.0}, 0, TestOptions()}); },
       [&] { return QueryRequest(Knn2DQuery{{1.0, 2.0}, -1, TestOptions()}); },
-      [&] { return QueryRequest(PointQuery{500.0, costing(0, 2)}); },
+      [&] { return QueryRequest(PointQuery{500.0, costing(0)}); },
       [&] {
         return QueryRequest(
-            PointQuery{500.0, costing(kMaxMonteCarloSamples + 1, 2)});
+            PointQuery{500.0, costing(kMaxMonteCarloSamples + 1)});
       },
-      [&] { return QueryRequest(PointQuery{500.0, costing(big, 2)}); },
-      [&] { return QueryRequest(PointQuery{500.0, costing(1000, 0)}); },
-      [&] {
-        return QueryRequest(
-            PointQuery{500.0, costing(1000, kMaxSplitsPerSubregion + 1)});
-      },
-      [&] { return QueryRequest(KnnQuery{500.0, 2, costing(1000, big)}); },
+      [&] { return QueryRequest(PointQuery{500.0, costing(big)}); },
+      [&] { return QueryRequest(KnnQuery{500.0, 2, costing(big)}); },
   };
   for (size_t idle : {size_t{2}, size_t{0}}) {
     SCOPED_TRACE(idle == 0 ? "SubmitThen path" : "reader path");

@@ -126,7 +126,7 @@ TEST_P(PipelinePropertyTest, SubregionDecompositionConsistent) {
     double sum = 0.0;
     for (size_t j = 0; j + 1 < tbl.num_subregions(); ++j) {
       if (!tbl.Participates(i, j)) continue;
-      double qij = ExactSubregionProbability(ctx, i, j, {});
+      double qij = ExactSubregionProbability(tbl, i, j);
       EXPECT_GE(qij, ctx.QLow(i, j) - 1e-6);
       EXPECT_LE(qij, ctx.QUp(i, j) + 1e-6);
       sum += tbl.s(i, j) * qij;

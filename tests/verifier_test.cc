@@ -8,6 +8,7 @@
 #include "core/basic.h"
 #include "core/classifier.h"
 #include "core/framework.h"
+#include "core/refine.h"
 #include "core/scratch.h"
 #include "counting_new_testutil.h"
 #include "uncertain/pdf.h"
@@ -224,6 +225,29 @@ TEST(FrameworkTest, WarmVerificationAllocatesNothing) {
       const size_t allocations = g_allocations.load() - before;
       EXPECT_EQ(allocations, 0u) << "rep=" << rep << " custom=" << custom;
       EXPECT_TRUE(stats[custom ? StageId::kUSR : StageId::kRS].ran);
+    }
+  }
+}
+
+// Refinement's subregion ordering and polynomial coefficients come from the
+// scratch too: a warm IncrementalRefine allocates nothing.
+TEST(FrameworkTest, WarmRefinementAllocatesNothing) {
+  const CandidateSet base = TwelveOverlapping();
+  const CpnnParams params{0.2, 0.0};
+  QueryScratch scratch;
+  for (int rep = 0; rep < 3; ++rep) {  // rep 0 warms the scratch
+    for (RefineOrder order : {RefineOrder::kBySubregionProbability,
+                              RefineOrder::kLeftToRight}) {
+      CandidateSet cands = base;
+      VerificationFramework fw(&cands, params, &scratch);
+      const size_t before = g_allocations.load();
+      const RefineStats stats =
+          IncrementalRefine(fw.context(), params, {}, order, &scratch);
+      const size_t allocations = g_allocations.load() - before;
+      if (rep > 0) {
+        EXPECT_EQ(allocations, 0u) << "rep=" << rep;
+      }
+      EXPECT_GT(stats.subregion_integrations, 0u);
     }
   }
 }
